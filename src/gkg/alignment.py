@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .embedding import cosine, embed_phrase, embed_flat_triple, normalized
-from .errors import GkgSyntaxError, NotAContinuantError
+from .errors import GkgSyntaxError, InvalidParameterError, NotAContinuantError
 from .model import (
     GroundedGraph,
     NodeId,
@@ -40,6 +40,10 @@ _FACT_PREFIX = "fact"
 
 DEFAULT_THRESHOLD = 0.9
 DEFAULT_AMBIGUITY_BAND = 0.02
+
+# Screened scores differ from exact ones by rounding only (about 1e-15);
+# the screen keeps every pair within this slack of its cut-off.
+_SCREEN_SLACK = 1e-9
 
 
 def fact_slot_key(event_type: NodeId, attr_type: NodeId) -> str:
@@ -76,12 +80,12 @@ class AlignmentConfig:
 
     def __post_init__(self):
         if not (0.0 < self.threshold <= 1.0):
-            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
+            raise InvalidParameterError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.ambiguity_band < 0.0:
-            raise ValueError(f"ambiguity band must be non-negative, got {self.ambiguity_band}")
+            raise InvalidParameterError(f"ambiguity band must be non-negative, got {self.ambiguity_band}")
         for cls_name, weight in self.weights.items():
             if weight <= 0.0:
-                raise ValueError(f"weight for {cls_name!r} must be positive, got {weight}")
+                raise InvalidParameterError(f"weight for {cls_name!r} must be positive, got {weight}")
 
     def weight_for(self, cls_name: str) -> float:
         return self.weights.get(cls_name, 1.0)
@@ -251,90 +255,148 @@ def align(
     a subtype of the other).  Pairs are accepted in descending score order
     at or above the threshold; a pair whose winning score beats the best
     alternative of either endpoint by less than the ambiguity band is
-    recorded as ambiguous and both endpoints are withdrawn.  The match set
-    is symmetric in the argument order.
+    recorded as ambiguous and both endpoints are withdrawn: neither is
+    listed as unmatched.  The result is symmetric in the argument order.
+
+    Every candidate is screened with one matrix product per slot key
+    (:func:`_screen_scores`), which gives each score up to rounding.  Only
+    pairs screened at or above ``threshold - ambiguity_band`` and the full
+    candidate rows of ambiguous entities are rescored with
+    :func:`signature_similarity`, and only those exact scores decide or
+    appear in the result.  A pair screened out lies more than the band
+    below the threshold, so it can neither match nor bring a margin under
+    the band.
     """
     index_a = _GraphIndex(graph_a)
     index_b = _GraphIndex(graph_b)
     roles_a = _roles_by_entity(graph_a, hierarchy, config)
     roles_b = _roles_by_entity(graph_b, hierarchy, config)
 
-    conts_a = [n for n in graph_a.continuants()]
-    conts_b = [n for n in graph_b.continuants()]
-    sigs_a = {
-        n.id: _signature(index_a, hierarchy, labels_a, n, config, roles_a.get(n.id, ()))
-        for n in conts_a
-    }
-    sigs_b = {
-        n.id: _signature(index_b, hierarchy, labels_b, n, config, roles_b.get(n.id, ()))
-        for n in conts_b
-    }
+    conts_a = list(graph_a.continuants())
+    conts_b = list(graph_b.continuants())
+    sigs_a = [_signature(index_a, hierarchy, labels_a, n, config, roles_a.get(n.id, ())) for n in conts_a]
+    sigs_b = [_signature(index_b, hierarchy, labels_b, n, config, roles_b.get(n.id, ())) for n in conts_b]
+    ids_a = [n.id for n in conts_a]
+    ids_b = [n.id for n in conts_b]
+    names_a = [str(i) for i in ids_a]
+    names_b = [str(i) for i in ids_b]
 
-    def compatible(node_a, node_b) -> bool:
-        ta, tb = node_a.inst_of, node_b.inst_of
-        if ta is None or tb is None or ta not in hierarchy or tb not in hierarchy:
-            return False
-        return hierarchy.is_subtype(ta, tb) or hierarchy.is_subtype(tb, ta)
+    compatible = _compatibility(
+        [n.inst_of for n in conts_a], [n.inst_of for n in conts_b], hierarchy
+    )
+    floor = config.threshold - config.ambiguity_band - _SCREEN_SLACK
+    near = compatible & (_screen_scores(sigs_a, sigs_b, config) >= floor)
 
-    scores: Dict[tuple, float] = {}
-    cand_a: Dict[NodeId, list] = {n.id: [] for n in conts_a}
-    cand_b: Dict[NodeId, list] = {n.id: [] for n in conts_b}
-    for node_a in conts_a:
-        for node_b in conts_b:
-            if not compatible(node_a, node_b):
-                continue
-            score = signature_similarity(sigs_a[node_a.id], sigs_b[node_b.id], config)
-            scores[(node_a.id, node_b.id)] = score
-            cand_a[node_a.id].append((node_b.id, score))
-            cand_b[node_b.id].append((node_a.id, score))
+    exact: Dict[Tuple[int, int], float] = {}
 
-    ordered = sorted(
-        scores.items(),
-        key=lambda kv: (-kv[1], min(str(kv[0][0]), str(kv[0][1])), max(str(kv[0][0]), str(kv[0][1]))),
+    def score(i: int, j: int) -> float:
+        value = exact.get((i, j))
+        if value is None:
+            value = exact[(i, j)] = signature_similarity(sigs_a[i], sigs_b[j], config)
+        return value
+
+    cand_a: Dict[int, list] = {}
+    cand_b: Dict[int, list] = {}
+    ordered = []
+    for i, j in zip(*(axis.tolist() for axis in np.nonzero(near))):
+        value = score(i, j)
+        cand_a.setdefault(i, []).append((j, value))
+        cand_b.setdefault(j, []).append((i, value))
+        if value >= config.threshold:
+            ordered.append((value, i, j))
+    ordered.sort(
+        key=lambda t: (-t[0], min(names_a[t[1]], names_b[t[2]]), max(names_a[t[1]], names_b[t[2]]))
     )
 
-    free_a = {n.id for n in conts_a}
-    free_b = {n.id for n in conts_b}
+    free_a = set(range(len(conts_a)))
+    free_b = set(range(len(conts_b)))
     matches: list = []
     ambiguous: list = []
-
-    def best_alternative(candidates, excluded, free) -> float:
-        best = -math.inf
-        for other_id, other_score in candidates:
-            if other_id != excluded and other_id in free and other_score > best:
-                best = other_score
-        return best
-
-    for (id_a, id_b), score in ordered:
-        if score < config.threshold:
-            break
-        if id_a not in free_a or id_b not in free_b:
+    for value, i, j in ordered:
+        if i not in free_a or j not in free_b:
             continue
-        margin_a = score - best_alternative(cand_a[id_a], id_b, free_b)
-        margin_b = score - best_alternative(cand_b[id_b], id_a, free_a)
+        margin_a = value - _best_alternative(cand_a[i], j, free_b)
+        margin_b = value - _best_alternative(cand_b[j], i, free_a)
         if min(margin_a, margin_b) < config.ambiguity_band:
-            candidates = tuple(
-                sorted(cand_a[id_a], key=lambda pair: (-pair[1], str(pair[0])))
-            )
-            ambiguous.append((id_a, candidates))
-            free_a.discard(id_a)
-            free_b.discard(id_b)
+            row = [(ids_b[k], score(i, k)) for k in np.flatnonzero(compatible[i]).tolist()]
+            ambiguous.append((ids_a[i], tuple(sorted(row, key=lambda pair: (-pair[1], str(pair[0]))))))
         else:
-            matches.append((id_a, id_b, score))
-            free_a.discard(id_a)
-            free_b.discard(id_b)
+            matches.append((ids_a[i], ids_b[j], value))
+        free_a.discard(i)
+        free_b.discard(j)
 
-    matched_a = {m[0] for m in matches}
-    matched_b = {m[1] for m in matches}
-    ambiguous_keys = {a for a, _ in ambiguous}
     return AlignmentResult(
         matches=tuple(sorted(matches, key=lambda m: (str(m[0]), str(m[1])))),
-        unmatched_a=tuple(
-            n.id for n in conts_a if n.id not in matched_a and n.id not in ambiguous_keys
-        ),
-        unmatched_b=tuple(n.id for n in conts_b if n.id not in matched_b),
+        unmatched_a=tuple(ids_a[i] for i in sorted(free_a)),
+        unmatched_b=tuple(ids_b[j] for j in sorted(free_b)),
         ambiguous=tuple(sorted(ambiguous, key=lambda pair: str(pair[0]))),
     )
+
+
+def _best_alternative(candidates, excluded: int, free: set) -> float:
+    best = -math.inf
+    for other, other_score in candidates:
+        if other != excluded and other in free and other_score > best:
+            best = other_score
+    return best
+
+
+def _compatibility(types_a: Sequence, types_b: Sequence, hierarchy: TypeHierarchy) -> np.ndarray:
+    """Boolean ``len(types_a) x len(types_b)`` mask of type-compatible
+    pairs: both types known and one a subtype of the other.  Ancestor sets
+    are computed once per distinct type."""
+    lineage = {
+        t: hierarchy.ancestors(t) for t in set(types_a) | set(types_b) if t is not None and t in hierarchy
+    }
+    distinct_a = {t: k for k, t in enumerate(dict.fromkeys(types_a))}
+    distinct_b = {t: k for k, t in enumerate(dict.fromkeys(types_b))}
+    table = np.array(
+        [
+            [ta in lineage and tb in lineage and (tb in lineage[ta] or ta in lineage[tb]) for tb in distinct_b]
+            for ta in distinct_a
+        ],
+        dtype=bool,
+    ).reshape(len(distinct_a), len(distinct_b))
+    rows = np.array([distinct_a[t] for t in types_a], dtype=np.intp)
+    cols = np.array([distinct_b[t] for t in types_b], dtype=np.intp)
+    return table[np.ix_(rows, cols)]
+
+
+def _unit_rows(sigs: Sequence[EntitySignature], key: str):
+    """Which signatures hold ``key``, and a stack of their ``key`` vectors
+    scaled to unit length once, with zero rows for the others (None when
+    no signature holds it)."""
+    present = np.array([key in sig.slots for sig in sigs], dtype=bool)
+    if not present.any():
+        return present, None
+    vectors = np.array([sig.slots[key] for sig in sigs if key in sig.slots], dtype=np.float64)
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    stack = np.zeros((len(sigs), vectors.shape[1]), dtype=np.float64)
+    stack[present] = vectors / np.where(norms == 0.0, 1.0, norms)
+    return present, stack
+
+
+def _screen_scores(
+    sigs_a: Sequence[EntitySignature], sigs_b: Sequence[EntitySignature], config: AlignmentConfig
+) -> np.ndarray:
+    """:func:`signature_similarity` of every pair, up to rounding.
+
+    Per slot key, in the sorted key order the exact score uses, the
+    clamped cosines of all pairs come from one product of unit-row stacks;
+    a key on one side only adds 0 to the numerator and its weight to the
+    denominator.  Non-finite cosines count as 0, as in :func:`cosine`.
+    """
+    numerator = np.zeros((len(sigs_a), len(sigs_b)), dtype=np.float64)
+    denominator = np.zeros_like(numerator)
+    for key in sorted({key for sig in (*sigs_a, *sigs_b) for key in sig.slots}):
+        weight = config.weight_for(slot_class(key))
+        has_a, unit_a = _unit_rows(sigs_a, key)
+        has_b, unit_b = _unit_rows(sigs_b, key)
+        denominator += weight * (has_a[:, None] | has_b[None, :])
+        if unit_a is not None and unit_b is not None:
+            cosines = np.nan_to_num(unit_a @ unit_b.T, nan=0.0, posinf=0.0, neginf=0.0)
+            numerator += weight * np.clip(cosines, 0.0, 1.0)
+    return np.divide(numerator, denominator, out=np.zeros_like(numerator), where=denominator > 0.0)
 
 
 def _roles_by_entity(graph, hierarchy, config) -> Dict[NodeId, list]:

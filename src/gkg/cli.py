@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .alignment import AlignmentConfig, align, format_alignment_tsv, parse_alignment_tsv
 from .canonicalize import CanonReport, canonicalize_document
 from .embedding import DEFAULT_DIM, FileEmbeddingProvider, HashEmbeddingProvider
-from .errors import GkgError, GkgSyntaxError, ValidationFailedError
+from .errors import GkgError, GkgSyntaxError, InvalidParameterError, ValidationFailedError
 from .evaluation import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -246,7 +246,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.write(error.report.to_tsv())
         sys.stderr.write("gkg: validation failed\n")
         return 1
-    except GkgSyntaxError as error:
+    except (GkgSyntaxError, InvalidParameterError) as error:
         sys.stderr.write(f"gkg: {error}\n")
         return 2
     except GkgError as error:

@@ -12,12 +12,13 @@ additive scheme whose blind spots the evaluation commands demonstrate.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable, List
 
 import numpy as np
 
-from .errors import EmptyTokenError, VectorFileError
+from .errors import EmptyTokenError, InvalidParameterError, VectorFileError
 from .hashing import MASK64, SplitMix64, fnv1a64
 
 DEFAULT_DIM = 64
@@ -53,7 +54,7 @@ class HashEmbeddingProvider:
 
     def __init__(self, seed: int = 0, dim: int = DEFAULT_DIM):
         if dim <= 0:
-            raise ValueError(f"dimension must be positive, got {dim}")
+            raise InvalidParameterError(f"dimension must be positive, got {dim}")
         self.seed = seed
         self.dim = dim
         self._cache: dict = {}
@@ -82,7 +83,7 @@ class FileEmbeddingProvider:
 
     def __init__(self, path, dim: int = DEFAULT_DIM, fallback_seed: int = 0):
         if dim <= 0:
-            raise ValueError(f"dimension must be positive, got {dim}")
+            raise InvalidParameterError(f"dimension must be positive, got {dim}")
         self.dim = dim
         self.fallback_seed = fallback_seed
         self.misses = 0
@@ -118,6 +119,8 @@ class FileEmbeddingProvider:
                 components = np.array([float(x) for x in fields[1:]], dtype=np.float64)
             except ValueError:
                 raise VectorFileError(line_no, f"non-numeric component for {token!r}") from None
+            if not np.isfinite(components).all():
+                raise VectorFileError(line_no, f"non-finite component for {token!r}")
             self._vectors[token] = normalized(components)
 
     def token_vector(self, token: str) -> np.ndarray:
@@ -170,10 +173,13 @@ def embed_flat_triple(provider, triple) -> np.ndarray:
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity clamped to [-1, 1]; zero inputs give 0.0."""
+    """Cosine similarity clamped to [-1, 1]; zero inputs and non-finite
+    results (a NaN or infinite component) give 0.0."""
     norm_u = float(np.linalg.norm(u))
     norm_v = float(np.linalg.norm(v))
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
     value = float(np.dot(u, v)) / (norm_u * norm_v)
+    if not math.isfinite(value):
+        return 0.0
     return max(-1.0, min(1.0, value))

@@ -60,6 +60,11 @@ class EmptyTokenError(GkgError):
     """An embedding was requested for an empty token."""
 
 
+class InvalidParameterError(GkgError, ValueError):
+    """A numeric setting (threshold, ambiguity band, weight, dimension,
+    trial count) is outside its range."""
+
+
 class GkgSyntaxError(GkgError):
     """A text input could not be parsed; carries the 1-based line number."""
 

@@ -29,6 +29,7 @@ from .alignment import (
 )
 from .canonicalize import canonicalize_document
 from .embedding import DEFAULT_DIM, HashEmbeddingProvider, cosine, embed_flat_triple
+from .errors import InvalidParameterError
 from .formats import FlatTriple, GkgDocument, parse_rules
 from .hashing import SplitMix64
 from .model import NodeId, PrimitiveRelation
@@ -97,6 +98,8 @@ def run_eval_flat(
     t4=(E,R2,L2).  Renamed-relation and changed-fact pairs both share two
     of three phrases, so their cosines concentrate around 2/3 together.
     """
+    if trials <= 0:
+        raise InvalidParameterError(f"trials must be positive, got {trials}")
     provider = HashEmbeddingProvider(seed, dim)
     rng = SplitMix64(seed)
     used: set = set()

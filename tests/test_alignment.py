@@ -2,28 +2,39 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gkg.alignment
 from gkg import (
     AlignmentConfig,
+    AlignmentResult,
+    CycleError,
     GkgSyntaxError,
     HashEmbeddingProvider,
     FlatTriple,
     NodeId,
     NotAContinuantError,
     align,
+    canonicalize_document,
     entity_signature,
     fact_slot_key,
     flat_align,
     format_alignment_tsv,
     parse_alignment_tsv,
     parse_gkg,
+    parse_rules,
+    serialize_gkg,
     signature_similarity,
     slot_similarities,
+    union_hierarchies,
 )
-from gkg.evaluation import BIRTH_TYPE, demo_document
+from gkg.alignment import _screen_scores
+from gkg.evaluation import BIRTH_TYPE, DEMO_RULES_TEXT, HUMAN_TYPE, demo_document
 
-from .support import BasisProvider
+from .support import BasisProvider, random_document
 
 RENAME_SCORE = (2 / math.sqrt(6) + 3) / 4  # name slot 2/sqrt(6), other three exact
 CHANGED_FACT_SCORE = 0.75  # one orthogonal slot of four
@@ -308,3 +319,272 @@ class TestFlatAlign:
         ]
         ranked = flat_align(base, edits, cfg)
         assert ranked[0][2] == pytest.approx(ranked[1][2], abs=1e-12)
+
+
+def oracle_align(graph_a, graph_b, hierarchy, labels_a, labels_b, cfg):
+    """All-pairs reference for :func:`align`: every type-compatible pair is
+    scored with ``signature_similarity`` and the greedy matching runs over
+    the full score table.  The withdrawn B end of an ambiguous pair is left
+    out of ``unmatched_b``, as its A end is left out of ``unmatched_a``."""
+    conts_a = list(graph_a.continuants())
+    conts_b = list(graph_b.continuants())
+    sigs_a = {n.id: entity_signature(graph_a, hierarchy, labels_a, n.id, cfg) for n in conts_a}
+    sigs_b = {n.id: entity_signature(graph_b, hierarchy, labels_b, n.id, cfg) for n in conts_b}
+
+    def compatible(node_a, node_b):
+        ta, tb = node_a.inst_of, node_b.inst_of
+        if ta is None or tb is None or ta not in hierarchy or tb not in hierarchy:
+            return False
+        return hierarchy.is_subtype(ta, tb) or hierarchy.is_subtype(tb, ta)
+
+    scores = {}
+    cand_a = {n.id: [] for n in conts_a}
+    cand_b = {n.id: [] for n in conts_b}
+    for node_a in conts_a:
+        for node_b in conts_b:
+            if not compatible(node_a, node_b):
+                continue
+            score = signature_similarity(sigs_a[node_a.id], sigs_b[node_b.id], cfg)
+            scores[(node_a.id, node_b.id)] = score
+            cand_a[node_a.id].append((node_b.id, score))
+            cand_b[node_b.id].append((node_a.id, score))
+    ordered = sorted(
+        scores.items(),
+        key=lambda kv: (-kv[1], min(str(kv[0][0]), str(kv[0][1])), max(str(kv[0][0]), str(kv[0][1]))),
+    )
+
+    def best_alternative(candidates, excluded, free):
+        best = -math.inf
+        for other_id, other_score in candidates:
+            if other_id != excluded and other_id in free and other_score > best:
+                best = other_score
+        return best
+
+    free_a = {n.id for n in conts_a}
+    free_b = {n.id for n in conts_b}
+    matches, ambiguous = [], []
+    for (id_a, id_b), score in ordered:
+        if score < cfg.threshold:
+            break
+        if id_a not in free_a or id_b not in free_b:
+            continue
+        margin_a = score - best_alternative(cand_a[id_a], id_b, free_b)
+        margin_b = score - best_alternative(cand_b[id_b], id_a, free_a)
+        if min(margin_a, margin_b) < cfg.ambiguity_band:
+            candidates = tuple(sorted(cand_a[id_a], key=lambda pair: (-pair[1], str(pair[0]))))
+            ambiguous.append((id_a, candidates))
+        else:
+            matches.append((id_a, id_b, score))
+        free_a.discard(id_a)
+        free_b.discard(id_b)
+    return AlignmentResult(
+        matches=tuple(sorted(matches, key=lambda m: (str(m[0]), str(m[1])))),
+        unmatched_a=tuple(n.id for n in conts_a if n.id in free_a),
+        unmatched_b=tuple(n.id for n in conts_b if n.id in free_b),
+        ambiguous=tuple(sorted(ambiguous, key=lambda pair: str(pair[0]))),
+    )
+
+
+def people_document(rows):
+    """Several demo-shaped people in one document: (name, birthplace,
+    birthdate) rows through the demo rules."""
+    rules, decls = parse_rules(DEMO_RULES_TEXT)
+    triples = []
+    for name, place, date in rows:
+        triples += [FlatTriple(name, "bornIn", place), FlatTriple(name, "bornOn", date)]
+    doc, _report = canonicalize_document(
+        triples, rules, declarations=decls, entity_types={name: HUMAN_TYPE for name, _, _ in rows}
+    )
+    return doc
+
+
+def joint_setup(doc_a, doc_b, provider, **kw):
+    """The hierarchy and config ``gkg align`` would use for two documents;
+    falls back to A's hierarchy when the two disagree into a cycle."""
+    try:
+        hierarchy = union_hierarchies(doc_a.hierarchy, doc_b.hierarchy)
+    except CycleError:
+        hierarchy = doc_a.hierarchy
+    roles = {}
+    for role in doc_a.declarations.roles + doc_b.declarations.roles:
+        if role.base_type in hierarchy and role.occurrent_type in hierarchy:
+            roles.setdefault(role.role_name, role)
+    cfg = AlignmentConfig(
+        provider=provider,
+        essential_events=doc_a.declarations.essential | doc_b.declarations.essential,
+        role_defs=tuple(roles.values()),
+        **kw,
+    )
+    return hierarchy, cfg
+
+
+def both_aligners(doc_a, doc_b, provider=None, **kw):
+    hierarchy, cfg = joint_setup(doc_a, doc_b, provider or BasisProvider(64), **kw)
+    args = (doc_a.graph, doc_b.graph, hierarchy, doc_a.labels, doc_b.labels, cfg)
+    return align(*args), oracle_align(*args)
+
+
+NAMES = ("RogerWaters", "Roger Waters", "GeorgeRogerWaters", "The Roger Waters",
+         "DavidGilmour", "David Gilmour", "NickMason", "SydBarrett")
+PLACES = ("Great Bookham", "London", "Chelsea", "Cambridge")
+DATES = ("01/08/1955", "06/03/1946", "27/01/1944")
+
+people_docs = st.lists(
+    st.tuples(st.sampled_from(NAMES), st.sampled_from(PLACES), st.sampled_from(DATES)),
+    min_size=1, max_size=6, unique_by=lambda row: row[0],
+).map(people_document)
+random_docs = st.integers(0, 10**6).map(random_document)
+doc_pairs = st.one_of(
+    st.tuples(people_docs, people_docs),
+    st.tuples(random_docs, random_docs),
+    random_docs.map(lambda doc: (doc, doc)),  # self-alignment: many exact ties
+    people_docs.map(lambda doc: (doc, doc)),  # joined and spaced names tie exactly
+    st.tuples(st.just(demo_document()), people_docs),
+)
+providers = st.one_of(
+    st.builds(BasisProvider, st.just(64)),
+    st.builds(HashEmbeddingProvider, st.integers(0, 3), st.sampled_from([4, 8, 64])),
+)
+settings_kw = st.fixed_dictionaries(
+    {
+        "threshold": st.floats(0.05, 1.0),
+        "ambiguity_band": st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+        "weights": st.dictionaries(
+            st.sampled_from(["name", "type", "fact", "roles"]), st.floats(0.1, 5.0), max_size=3
+        ),
+    }
+)
+
+
+class TestAlignAgainstOracle:
+    """``align`` screens pairs with matrix products and rescores only the
+    pairs near the threshold; the result must equal the all-pairs loop's."""
+
+    @given(doc_pairs, providers, settings_kw)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_all_pairs_oracle(self, pair, provider, kw):
+        got, want = both_aligners(*pair, provider=provider, **kw)
+        assert got == want
+
+    @given(doc_pairs, providers, settings_kw)
+    @settings(max_examples=60, deadline=None)
+    def test_screen_tracks_exact_scores(self, pair, provider, kw):
+        doc_a, doc_b = pair
+        hierarchy, cfg = joint_setup(doc_a, doc_b, provider, **kw)
+        sigs_a = [entity_signature(doc_a.graph, hierarchy, doc_a.labels, n.id, cfg)
+                  for n in doc_a.graph.continuants()]
+        sigs_b = [entity_signature(doc_b.graph, hierarchy, doc_b.labels, n.id, cfg)
+                  for n in doc_b.graph.continuants()]
+        screen = _screen_scores(sigs_a, sigs_b, cfg)
+        exact = np.array([[signature_similarity(a, b, cfg) for b in sigs_b] for a in sigs_a])
+        assert screen.shape == (len(sigs_a), len(sigs_b))
+        assert np.abs(screen - exact.reshape(screen.shape)).max(initial=0.0) < 1e-12
+
+    @given(doc_pairs, providers, settings_kw)
+    @settings(max_examples=100, deadline=None)
+    def test_swap_symmetry(self, pair, provider, kw):
+        doc_a, doc_b = pair
+        hierarchy, cfg = joint_setup(doc_a, doc_b, provider, **kw)
+        forward = align(doc_a.graph, doc_b.graph, hierarchy, doc_a.labels, doc_b.labels, cfg)
+        backward = align(doc_b.graph, doc_a.graph, hierarchy, doc_b.labels, doc_a.labels, cfg)
+        assert {(a, b, s) for a, b, s in forward.matches} == {(a, b, s) for b, a, s in backward.matches}
+        assert forward.unmatched_a == backward.unmatched_b
+        assert forward.unmatched_b == backward.unmatched_a
+
+    def test_zero_name_vector(self):
+        """Labels with no tokens embed to the zero vector; their name slot
+        scores 0 in the screen as in ``cosine``."""
+        doc_a = parse_gkg("N ex:a C core:Thing\nL ex:a en -\n")
+        doc_b = parse_gkg("N ex:b C core:Thing\nN ex:c C core:Thing\nL ex:b en _\nL ex:c en Smith\n")
+        got, want = both_aligners(doc_a, doc_b, threshold=0.45)
+        assert got == want
+        (entity, candidates), = got.ambiguous
+        assert entity == NodeId("ex", "a")
+        assert [score for _, score in candidates] == pytest.approx([0.5, 0.5])
+
+    def test_alternative_exactly_at_threshold_minus_band(self):
+        """The runner-up sits exactly on the screen's cut-off: it is still
+        rescored, its margin equals the band (a match), and one ulp more
+        band makes the pair ambiguous."""
+        doc_a = demo_document(birthplace="London")
+        doc_b = parse_gkg(
+            serialize_gkg(demo_document(birthplace="Chelsea"))
+            + "N ex:bare C core:Human\nL ex:bare en RogerWaters\n"
+        )
+        provider = BasisProvider(64)
+        hierarchy, cfg = joint_setup(doc_a, doc_b, provider)
+        person_a = only_entity(doc_a)
+        sig = lambda doc, node: entity_signature(doc.graph, hierarchy, doc.labels, node, cfg)
+        best = signature_similarity(sig(doc_a, person_a), sig(doc_b, only_entity(demo_document())), cfg)
+        runner_up = signature_similarity(sig(doc_a, person_a), sig(doc_b, NodeId("ex", "bare")), cfg)
+        band = best - runner_up
+        assert (best, runner_up) == pytest.approx((CHANGED_FACT_SCORE, 0.5))
+        assert best - band == runner_up
+
+        got, want = both_aligners(doc_a, doc_b, provider, threshold=best, ambiguity_band=band)
+        assert got == want
+        assert [(a, s) for a, _, s in got.matches] == [(person_a, best)]
+
+        wider = float(np.nextafter(band, 1.0))
+        got, want = both_aligners(doc_a, doc_b, provider, threshold=best, ambiguity_band=wider)
+        assert got == want
+        assert got.matches == () and [s for _, s in got.ambiguous[0][1]] == [best, runner_up]
+
+    def test_custom_weights(self):
+        doc_a = people_document([("RogerWaters", "London", DATES[0]), ("DavidGilmour", "Cambridge", DATES[1])])
+        doc_b = people_document([("GeorgeRogerWaters", "London", DATES[0]), ("David Gilmour", "Chelsea", DATES[1])])
+        for weights in ({"name": 4.0}, {"fact": 0.25, "type": 3.0}, {"name": 0.1, "fact": 5.0}):
+            got, want = both_aligners(doc_a, doc_b, threshold=0.6, weights=weights)
+            assert got == want
+        assert got.matches  # the fact-heavy weighting still matches someone
+
+    def test_slot_key_on_one_side_only(self):
+        """B has no fact slots at all: those keys add weight to every
+        pair's denominator and nothing to its numerator."""
+        doc_a = people_document([("RogerWaters", "London", DATES[0]), ("NickMason", "Chelsea", DATES[2])])
+        doc_b = parse_gkg("N ex:rw C core:Human\nL ex:rw en RogerWaters\nN ex:nm C core:Human\nL ex:nm en NickMason\n")
+        got, want = both_aligners(doc_a, doc_b, threshold=0.45)
+        assert got == want
+        assert sorted(s for _, _, s in got.matches) == pytest.approx([0.5, 0.5])
+
+    def test_nan_vectors_score_zero_in_screen_too(self):
+        class NanForGhost(BasisProvider):
+            def token_vector(self, token):
+                if token == "ghost":
+                    return np.full(self.dim, np.nan)
+                return super().token_vector(token)
+
+        doc_a = parse_gkg("N ex:a C core:Thing\nL ex:a en ghost\n")
+        doc_b = parse_gkg("N ex:b C core:Thing\nL ex:b en ghost\n")
+        got, want = both_aligners(doc_a, doc_b, NanForGhost(64), threshold=0.45)
+        assert got == want
+        assert [s for _, _, s in got.matches] == pytest.approx([0.5])
+
+    def test_far_pairs_are_not_rescored(self, monkeypatch):
+        """Only pairs screened near the threshold reach
+        ``signature_similarity``."""
+        calls = []
+        exact = gkg.alignment.signature_similarity
+        monkeypatch.setattr(
+            gkg.alignment, "signature_similarity", lambda a, b, c: calls.append(1) or exact(a, b, c)
+        )
+        rows = [(name, "London", DATES[0]) for name in ("RogerWaters", "DavidGilmour", "NickMason")]
+        doc = people_document(rows)
+        result = align_docs(doc, doc, config())
+        assert len(result.matches) == 3
+        assert len(calls) == 3
+
+
+class TestAmbiguityBookkeeping:
+    def test_withdrawn_ends_leave_both_unmatched_lists(self):
+        doc_a = parse_gkg("N ex:a C core:Thing\nL ex:a en Smith\n")
+        doc_b = parse_gkg(
+            "N ex:b1 C core:Thing\nN ex:b2 C core:Thing\nL ex:b1 en Smith\nL ex:b2 en Smith\n"
+        )
+        result = align_docs(doc_a, doc_b, config())
+        assert result.unmatched_a == ()
+        (withdrawn,) = {NodeId("ex", "b1"), NodeId("ex", "b2")} - set(result.unmatched_b)
+        assert withdrawn in {b for b, _ in result.ambiguous[0][1]}
+        swapped = align_docs(doc_b, doc_a, config())
+        assert swapped.unmatched_b == result.unmatched_a
+        assert swapped.unmatched_a == result.unmatched_b

@@ -123,6 +123,35 @@ class TestAlignAndMerge:
         code = main(["align", str(doc_a), str(doc_a), "--provider", "file"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--threshold", "2"],
+            ["--threshold", "0"],
+            ["--ambiguity-band", "-0.1"],
+            ["--dim", "0"],
+            ["--provider", "file", "--vectors", "unused.txt", "--dim", "-3"],
+        ],
+    )
+    def test_align_bad_numeric_option_exit_2(self, workspace, capsys, option):
+        doc_a = canonicalize(workspace, "a.flat", "a.gkg")
+        capsys.readouterr()
+        assert main(["align", str(doc_a), str(doc_a), *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gkg: ") and captured.err.count("\n") == 1
+
+    def test_align_non_finite_vector_file_exit_2(self, workspace, capsys):
+        doc_a = canonicalize(workspace, "a.flat", "a.gkg")
+        capsys.readouterr()
+        vectors = workspace / "vectors.txt"
+        vectors.write_text("roger nan 0 0\n", encoding="utf-8")
+        code = main(
+            ["align", str(doc_a), str(doc_a), "--provider", "file", "--vectors", str(vectors), "--dim", "3"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "gkg: line 1: non-finite component for 'roger'\n"
+
     def test_merge_folds_b_into_a(self, workspace, capsys):
         doc_a = canonicalize(workspace, "a.flat", "a.gkg")
         doc_b = canonicalize(workspace, "b.flat", "b.gkg")
@@ -172,6 +201,21 @@ class TestEval:
         out = capsys.readouterr().out
         assert "mutant\trenamed_entity" in out
         assert "NO_MATCH" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "flat", "--dim", "0"],
+            ["eval", "flat", "--trials", "0"],
+            ["eval", "grounded", "--dim", "0"],
+            ["eval", "grounded", "--threshold", "1.5"],
+        ],
+    )
+    def test_eval_bad_numeric_option_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gkg: ") and captured.err.count("\n") == 1
 
     def test_eval_output_deterministic(self, capsys):
         main(["eval", "flat", "--trials", "5"])

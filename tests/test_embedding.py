@@ -146,6 +146,14 @@ class TestFileProvider:
         with pytest.raises(VectorFileError):
             FileEmbeddingProvider(path, dim=4)
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+    def test_non_finite_component_rejected(self, tmp_path, component):
+        """A NaN row used to load and then score as a perfect match."""
+        path = self.write(tmp_path, f"london 1 0 0 0\nroger {component} 0 0 0\n")
+        with pytest.raises(VectorFileError, match="non-finite") as exc:
+            FileEmbeddingProvider(path, dim=4)
+        assert exc.value.line_no == 2
+
     def test_miss_falls_back_and_counts(self, tmp_path):
         path = self.write(tmp_path, "london 1 0 0 0\n")
         provider = FileEmbeddingProvider(path, dim=4, fallback_seed=9)
@@ -212,6 +220,16 @@ class TestCosine:
         u = np.array([1.0, 2.0, 3.0])
         v = np.array([0.5, -1.0, 2.0])
         assert cosine(u, v) == pytest.approx(cosine(3 * u, 0.25 * v))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_gives_zero(self, bad):
+        """``min(1.0, nan)`` is 1.0, so an unguarded NaN scored as a perfect
+        match."""
+        u = np.array([1.0, 0.0, 0.0])
+        v = np.array([bad, 0.0, 0.0])
+        assert cosine(u, v) == 0.0
+        assert cosine(v, u) == 0.0
+        assert cosine(v, v) == 0.0
 
     @given(
         st.lists(st.floats(-100, 100), min_size=4, max_size=4),
