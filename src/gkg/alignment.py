@@ -133,7 +133,7 @@ def entity_signature(
         role for target, role in infer_role_labels(graph, hierarchy, config.role_defs)
         if target == node_id
     ]
-    return _signature(_GraphIndex(graph), hierarchy, labels, node, config, role_names)
+    return _signature(_GraphIndex(graph), _TypeMemo(hierarchy, labels, config, {}), node, config, role_names)
 
 
 def _type_phrase(labels: LabelTable, type_id: NodeId, pivot_lang: str) -> str:
@@ -141,15 +141,47 @@ def _type_phrase(labels: LabelTable, type_id: NodeId, pivot_lang: str) -> str:
     return label if label is not None else type_id.local
 
 
+class _TypeMemo:
+    """What signatures over one side derive from types alone, computed
+    once per type: ancestor sets, in a dict the two sides of an alignment
+    share, and type-slot vectors, which read this side's labels."""
+
+    def __init__(self, hierarchy: TypeHierarchy, labels: LabelTable, config: AlignmentConfig, lineages: dict):
+        self.hierarchy = hierarchy
+        self.labels = labels
+        self.config = config
+        self.lineages: Dict[NodeId, frozenset] = lineages
+        self.vectors: Dict[NodeId, np.ndarray] = {}
+
+    def lineage(self, type_id: NodeId) -> frozenset:
+        found = self.lineages.get(type_id)
+        if found is None:
+            found = self.lineages[type_id] = self.hierarchy.ancestors(type_id)
+        return found
+
+    def vector(self, type_id: NodeId) -> np.ndarray:
+        """Normalized mean of the phrase vectors along the lineage."""
+        found = self.vectors.get(type_id)
+        if found is None:
+            config = self.config
+            vectors = [
+                embed_phrase(config.provider, _type_phrase(self.labels, ancestor, config.pivot_lang))
+                for ancestor in sorted(self.lineage(type_id), key=str)
+            ]
+            found = self.vectors[type_id] = normalized(np.add.reduce(vectors) / float(len(vectors)))
+        return found
+
+
 def _signature(
     index: _GraphIndex,
-    hierarchy: TypeHierarchy,
-    labels: LabelTable,
+    memo: _TypeMemo,
     node,
     config: AlignmentConfig,
     role_names: Sequence[str],
 ) -> EntitySignature:
     provider = config.provider
+    hierarchy = memo.hierarchy
+    labels = memo.labels
     slots: Dict[str, np.ndarray] = {}
 
     name_text = labels.get(node.id, config.pivot_lang)
@@ -158,13 +190,7 @@ def _signature(
     slots[SLOT_NAME] = embed_phrase(provider, name_text)
 
     if node.inst_of is not None and node.inst_of in hierarchy:
-        lineage = sorted(hierarchy.ancestors(node.inst_of), key=str)
-        vectors = [
-            embed_phrase(provider, _type_phrase(labels, type_id, config.pivot_lang))
-            for type_id in lineage
-        ]
-        mean = np.add.reduce(vectors) / float(len(vectors))
-        slots[SLOT_TYPE] = normalized(mean)
+        slots[SLOT_TYPE] = memo.vector(node.inst_of)
 
     graph = index.graph
     for essential in sorted(config.essential_events, key=str):
@@ -177,7 +203,7 @@ def _signature(
                 continue
             if event.inst_of is None or event.inst_of not in hierarchy:
                 continue
-            if not hierarchy.is_subtype(event.inst_of, essential):
+            if essential not in memo.lineage(event.inst_of):
                 continue
             for attr_id in index.attrs_by_bearer.get(event_id, ()):
                 attr = graph.nodes.get(attr_id)
@@ -274,16 +300,17 @@ def align(
 
     conts_a = list(graph_a.continuants())
     conts_b = list(graph_b.continuants())
-    sigs_a = [_signature(index_a, hierarchy, labels_a, n, config, roles_a.get(n.id, ())) for n in conts_a]
-    sigs_b = [_signature(index_b, hierarchy, labels_b, n, config, roles_b.get(n.id, ())) for n in conts_b]
+    lineages: Dict[NodeId, frozenset] = {}
+    memo_a = _TypeMemo(hierarchy, labels_a, config, lineages)
+    memo_b = _TypeMemo(hierarchy, labels_b, config, lineages)
+    sigs_a = [_signature(index_a, memo_a, n, config, roles_a.get(n.id, ())) for n in conts_a]
+    sigs_b = [_signature(index_b, memo_b, n, config, roles_b.get(n.id, ())) for n in conts_b]
     ids_a = [n.id for n in conts_a]
     ids_b = [n.id for n in conts_b]
     names_a = [str(i) for i in ids_a]
     names_b = [str(i) for i in ids_b]
 
-    compatible = _compatibility(
-        [n.inst_of for n in conts_a], [n.inst_of for n in conts_b], hierarchy
-    )
+    compatible = _compatibility([n.inst_of for n in conts_a], [n.inst_of for n in conts_b], memo_a)
     floor = config.threshold - config.ambiguity_band - _SCREEN_SLACK
     near = compatible & (_screen_scores(sigs_a, sigs_b, config) >= floor)
 
@@ -341,12 +368,12 @@ def _best_alternative(candidates, excluded: int, free: set) -> float:
     return best
 
 
-def _compatibility(types_a: Sequence, types_b: Sequence, hierarchy: TypeHierarchy) -> np.ndarray:
+def _compatibility(types_a: Sequence, types_b: Sequence, memo: _TypeMemo) -> np.ndarray:
     """Boolean ``len(types_a) x len(types_b)`` mask of type-compatible
     pairs: both types known and one a subtype of the other.  Ancestor sets
-    are computed once per distinct type."""
+    come from the memo, so each is computed once per distinct type."""
     lineage = {
-        t: hierarchy.ancestors(t) for t in set(types_a) | set(types_b) if t is not None and t in hierarchy
+        t: memo.lineage(t) for t in set(types_a) | set(types_b) if t is not None and t in memo.hierarchy
     }
     distinct_a = {t: k for k, t in enumerate(dict.fromkeys(types_a))}
     distinct_b = {t: k for k, t in enumerate(dict.fromkeys(types_b))}

@@ -24,7 +24,7 @@ from .evaluation import (
     run_eval_grounded,
 )
 from .formats import GkgDocument, parse_flat, parse_gkg, parse_rules, serialize_gkg
-from .merge import MergeReport, merge_documents, union_hierarchies
+from .merge import merge_documents, union_hierarchies
 from .multilingual import check_isomorphic, render
 
 
@@ -121,17 +121,13 @@ def cmd_align(args: argparse.Namespace) -> int:
     return 0
 
 
-def _merge_report_tsv(report: MergeReport) -> str:
-    return report.to_tsv()
-
-
 def cmd_merge(args: argparse.Namespace) -> int:
     doc_a = _load_document(args.document_a)
     doc_b = _load_document(args.document_b)
     alignment = parse_alignment_tsv(_read(args.alignment))
     merged, report = merge_documents(doc_a, doc_b, alignment)
     _emit(serialize_gkg(merged), args.output)
-    _report_stream(args.output).write(_merge_report_tsv(report))
+    _report_stream(args.output).write(report.to_tsv())
     return 0
 
 

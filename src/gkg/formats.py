@@ -267,6 +267,22 @@ def parse_gkg(text: str) -> GkgDocument:
     saw_header = False
     seen_node_lines: dict = {}
 
+    # Each distinct id token is parsed once per document; a token that
+    # fails is never stored, so it fails again with its own line number.
+    # NodeId.parse is looked up here, at call time, so a wrapper set on
+    # the class sees every parse.
+    parse_id = NodeId.parse
+    ids: dict = {}
+
+    def node_id_of(token: str, line_no: int) -> NodeId:
+        found = ids.get(token)
+        if found is None:
+            try:
+                found = ids[token] = parse_id(token)
+            except ValueError as exc:
+                raise GkgSyntaxError(line_no, str(exc)) from None
+        return found
+
     for line_no, line in _content_lines(text):
         fields = line.split()
         head = fields[0]
@@ -286,18 +302,18 @@ def parse_gkg(text: str) -> GkgDocument:
         elif head == "T":
             if len(fields) != 3:
                 raise GkgSyntaxError(line_no, "T takes a type id and a parent id or -")
-            type_id = _node_id(fields[1], line_no)
-            parent = None if fields[2] == "-" else _node_id(fields[2], line_no)
+            type_id = node_id_of(fields[1], line_no)
+            parent = None if fields[2] == "-" else node_id_of(fields[2], line_no)
             type_pairs.append((type_id, parent))
         elif head == "N":
             parts = line.split(None, 4)
             if len(parts) < 4:
                 raise GkgSyntaxError(line_no, "N takes a node id, a kind code and a type id")
-            node_id = _node_id(parts[1], line_no)
+            node_id = node_id_of(parts[1], line_no)
             kind = _KIND_CODES.get(parts[2])
             if kind is None:
                 raise GkgSyntaxError(line_no, f"bad node kind {parts[2]!r}")
-            type_id = _node_id(parts[3], line_no)
+            type_id = node_id_of(parts[3], line_no)
             literal = parts[4] if len(parts) == 5 else None
             if kind is NodeKind.VALUE_LITERAL:
                 if literal is None:
@@ -311,15 +327,15 @@ def parse_gkg(text: str) -> GkgDocument:
         elif head == "E":
             if len(fields) != 4:
                 raise GkgSyntaxError(line_no, "E takes a subject, a relation and an object")
-            subject = _node_id(fields[1], line_no)
+            subject = node_id_of(fields[1], line_no)
             relation = _relation(fields[2], line_no)
-            obj = _node_id(fields[3], line_no)
+            obj = node_id_of(fields[3], line_no)
             edge_records.append(Edge(subject, relation, obj))
         elif head == "L":
             parts = line.split(None, 3)
             if len(parts) != 4:
                 raise GkgSyntaxError(line_no, "L takes a node id, a language tag and a label")
-            node_id = _node_id(parts[1], line_no)
+            node_id = node_id_of(parts[1], line_no)
             lang = parts[2]
             key = (node_id, lang)
             if key in label_entries:

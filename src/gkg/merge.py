@@ -106,17 +106,14 @@ def merge(
     graph_b: GroundedGraph,
     alignment: AlignmentResult,
     policy: Optional[MergePolicy] = None,
-    hierarchy: Optional[TypeHierarchy] = None,
 ) -> Tuple[GroundedGraph, MergeReport]:
     """Merge ``graph_b`` into ``graph_a`` along the alignment's matches.
 
-    The hierarchy is only consulted indirectly (ids must already agree
-    across the two graphs for shared types); pass it where available so
-    documents stay consistent.  Raises :class:`AlignmentMismatchError` if
-    the alignment names nodes the graphs lack, :class:`IdCollisionError`
-    if one id means different things on the two sides.
+    Ids of shared types must already agree across the two graphs.  Raises
+    :class:`AlignmentMismatchError` if the alignment names nodes the
+    graphs lack, :class:`IdCollisionError` if one id means different
+    things on the two sides.
     """
-    del hierarchy  # reserved for future subtype-aware coalescing
     policy = policy or MergePolicy()
 
     id_map: Dict[NodeId, NodeId] = {}
@@ -129,9 +126,6 @@ def merge(
             raise AlignmentMismatchError(f"alignment names {id_b}, not a continuant of the second graph")
         id_map[id_b] = id_a
 
-    def rewrite_b(node_id: NodeId) -> NodeId:
-        return id_map.get(node_id, node_id)
-
     nodes: Dict[NodeId, object] = dict(graph_a.nodes)
     for node_id, node in graph_b.nodes.items():
         if node_id in id_map:
@@ -143,19 +137,18 @@ def merge(
             raise IdCollisionError(f"id {node_id} holds different content in the two graphs")
 
     edges_a: Set[Edge] = set(graph_a.edges)
-    edges_b: Set[Edge] = {
-        Edge(rewrite_b(e.subject), e.relation, rewrite_b(e.obj)) for e in graph_b.edges
-    }
+    edges_b: Set[Edge] = set(graph_b.edges)
+    _rewrite_edges(edges_b, {id_b: id_a for id_b, id_a in id_map.items() if id_b != id_a})
 
     # --- event coalescing -------------------------------------------------
     # Keyed by shared (participant entity, event type) for cardinality-ONE
     # types.  Only B-introduced nodes fold onto A-side representatives;
     # duplicates within one input are left as found.
     event_map = _plan_event_coalescing(nodes, edges_a, edges_b, graph_a, policy)
-    edges_a, edges_b = _apply_rewrite(nodes, edges_a, edges_b, event_map)
+    _apply_rewrite(nodes, edges_a, edges_b, event_map)
 
     attr_map = _plan_attr_dedup(nodes, edges_a, edges_b, graph_a)
-    edges_a, edges_b = _apply_rewrite(nodes, edges_a, edges_b, attr_map)
+    _apply_rewrite(nodes, edges_a, edges_b, attr_map)
 
     edges: Set[Edge] = edges_a | edges_b
 
@@ -172,26 +165,31 @@ def merge(
         pairs=tuple(sorted(((a, b) for a, b, _ in alignment.matches), key=lambda p: (str(p[0]), str(p[1])))),
         updated=tuple(sorted(updated, key=lambda u: (str(u.event), str(u.attr_type)))),
         conflicts=tuple(sorted(conflicts, key=lambda c: (str(c.event), str(c.attr_type)))),
-        added_nodes=sum(1 for node_id in merged_graph.nodes if node_id not in graph_a.nodes),
-        added_edges=sum(1 for edge in merged_graph.edges if edge not in graph_a.edges),
+        added_nodes=len(merged_graph.nodes.keys() - graph_a.nodes.keys()),
+        added_edges=len(merged_graph.edges - graph_a.edges),
     )
     return merged_graph, report
 
 
-def _apply_rewrite(nodes, edges_a, edges_b, mapping: Dict[NodeId, NodeId]):
+def _apply_rewrite(nodes, edges_a, edges_b, mapping: Dict[NodeId, NodeId]) -> None:
     """Drop the mapped-away nodes and push the rewrite through both edge
     sets, keeping side provenance intact."""
-    if not mapping:
-        return edges_a, edges_b
     for dropped in mapping:
         del nodes[dropped]
+    _rewrite_edges(edges_a, mapping)
+    _rewrite_edges(edges_b, mapping)
 
-    def rewrite(node_id: NodeId) -> NodeId:
-        return mapping.get(node_id, node_id)
 
-    edges_a = {Edge(rewrite(e.subject), e.relation, rewrite(e.obj)) for e in edges_a}
-    edges_b = {Edge(rewrite(e.subject), e.relation, rewrite(e.obj)) for e in edges_b}
-    return edges_a, edges_b
+def _rewrite_edges(edges: Set[Edge], mapping: Dict[NodeId, NodeId]) -> None:
+    """Replace, in place, every edge with an endpoint in ``mapping`` by its
+    rewritten form; edges touching no mapped id stay as they are."""
+    if not mapping:
+        return
+    moved = [e for e in edges if e.subject in mapping or e.obj in mapping]
+    edges.difference_update(moved)
+    edges.update(
+        Edge(mapping.get(e.subject, e.subject), e.relation, mapping.get(e.obj, e.obj)) for e in moved
+    )
 
 
 def _fold_cross_side(groups, graph_a) -> Dict[NodeId, NodeId]:
@@ -349,17 +347,14 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, poli
 def _prune_orphans(nodes, edges, dropped_edges) -> None:
     """After value edges were dropped, remove attribute instances left with
     no values and value nodes nothing references anymore."""
-    touched_attrs = {edge.subject for edge in dropped_edges}
-    values_left: Dict[NodeId, int] = {}
+    emptied = {edge.subject for edge in dropped_edges}
     for edge in edges:
         if edge.relation is PrimitiveRelation.HAS_VALUE:
-            values_left[edge.subject] = values_left.get(edge.subject, 0) + 1
-    for attr_id in sorted(touched_attrs, key=str):
-        if values_left.get(attr_id):
-            continue
-        for edge in [e for e in edges if e.subject == attr_id or e.obj == attr_id]:
-            edges.discard(edge)
-        nodes.pop(attr_id, None)
+            emptied.discard(edge.subject)
+    if emptied:
+        edges.difference_update([e for e in edges if e.subject in emptied or e.obj in emptied])
+        for attr_id in emptied:
+            nodes.pop(attr_id, None)
     referenced: Set[NodeId] = set()
     for edge in edges:
         referenced.add(edge.subject)
@@ -400,7 +395,7 @@ def merge_documents(
     if policy is None:
         policy = MergePolicy.from_declarations(declarations)
 
-    merged_graph, report = merge(doc_a.graph, doc_b.graph, alignment, policy, hierarchy)
+    merged_graph, report = merge(doc_a.graph, doc_b.graph, alignment, policy)
 
     id_map = {id_b: id_a for id_a, id_b, _ in alignment.matches}
     entries = dict(doc_a.labels.entries)

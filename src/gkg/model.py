@@ -42,7 +42,9 @@ class NodeId:
         combined = f"{self.namespace}:{self.local}"
         if not self.namespace or not self.local:
             raise ValueError(f"node id needs a namespace and a local part: {combined!r}")
-        if not combined.isascii() or any(ch.isspace() for ch in combined):
+        # For ASCII text, str.split() breaks at exactly the characters
+        # str.isspace() accepts, so one C-level call checks them all.
+        if not combined.isascii() or combined.split() != [combined]:
             raise ValueError(f"node id must be ASCII without whitespace: {combined!r}")
 
     @classmethod
@@ -433,14 +435,17 @@ class ValidationReport:
 def validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> ValidationReport:
     """Audit a graph against the closed relation vocabulary and the typing
     discipline.  Returns a deterministic, possibly empty report; never
-    raises on content."""
+    raises on content.
+
+    Nodes and edges are visited in no particular order: the issues are
+    sorted at the end, and two issues that tie on the sort key are equal.
+    """
     issues: list = []
 
     def report(kind: IssueKind, context, message: str) -> None:
         issues.append(ValidationIssue(kind, str(context), message))
 
-    for node_id in sorted(graph.nodes, key=str):
-        node = graph.nodes[node_id]
+    for node_id, node in graph.nodes.items():
         if node.kind is NodeKind.TYPE_NODE:
             if node.inst_of is not None:
                 report(IssueKind.TYPE_NODE_TYPED, node_id, "type node carries inst_of")
@@ -459,20 +464,19 @@ def validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Validation
         elif node.literal is not None:
             report(IssueKind.LITERAL_MISMATCH, node_id, "literal on a non-value node")
 
-    for edge in graph.edges_sorted():
+    for edge in graph.edges:
         subject_node = graph.nodes.get(edge.subject)
         object_node = graph.nodes.get(edge.obj)
-        context = f"{edge.subject} {edge.relation.value} {edge.obj}"
-        if subject_node is None:
-            report(IssueKind.DANGLING_REFERENCE, context, f"missing subject {edge.subject}")
-        if object_node is None:
-            report(IssueKind.DANGLING_REFERENCE, context, f"missing object {edge.obj}")
         if subject_node is None or object_node is None:
-            continue
-        if not signature_allows(edge.relation, subject_node.kind, object_node.kind):
+            context = f"{edge.subject} {edge.relation.value} {edge.obj}"
+            if subject_node is None:
+                report(IssueKind.DANGLING_REFERENCE, context, f"missing subject {edge.subject}")
+            if object_node is None:
+                report(IssueKind.DANGLING_REFERENCE, context, f"missing object {edge.obj}")
+        elif not signature_allows(edge.relation, subject_node.kind, object_node.kind):
             report(
                 IssueKind.SIGNATURE_VIOLATION,
-                context,
+                f"{edge.subject} {edge.relation.value} {edge.obj}",
                 f"{edge.relation.value} does not admit "
                 f"({subject_node.kind.name}, {object_node.kind.name})",
             )
@@ -509,17 +513,26 @@ def infer_role_labels(
             continue
         attachments.setdefault(edge.relation, []).append((subject.inst_of, edge.obj))
 
+    # Many attachments share a (type, type) question; answer each once.
+    subtype_answers: dict = {}
+
+    def is_subtype(sub: NodeId, sup: NodeId) -> bool:
+        found = subtype_answers.get((sub, sup))
+        if found is None:
+            found = subtype_answers[(sub, sup)] = hierarchy.is_subtype(sub, sup)
+        return found
+
     pairs: set = set()
     for role_def in defs:
         for occurrent_type, participant in attachments.get(role_def.via, ()):
             if occurrent_type not in hierarchy:
                 continue
-            if not hierarchy.is_subtype(occurrent_type, role_def.occurrent_type):
+            if not is_subtype(occurrent_type, role_def.occurrent_type):
                 continue
             node = graph.nodes.get(participant)
             if node is None or node.inst_of is None or node.inst_of not in hierarchy:
                 continue
-            if hierarchy.is_subtype(node.inst_of, role_def.base_type):
+            if is_subtype(node.inst_of, role_def.base_type):
                 pairs.add((participant, role_def.role_name))
 
     return tuple(sorted(pairs, key=lambda pair: (str(pair[0]), pair[1])))

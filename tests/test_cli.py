@@ -1,6 +1,13 @@
 """End-to-end command line coverage via main(argv)."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkg.cli import main
 
@@ -222,3 +229,117 @@ class TestEval:
         first = capsys.readouterr().out
         main(["eval", "flat", "--trials", "5"])
         assert capsys.readouterr().out == first
+
+
+# --- fuzzing the .gkg parser through the command line ------------------------
+
+# Id tokens: valid ones that repeat across records, and hostile ones with
+# information separators (which split() treats as blanks), non-ASCII text,
+# empty parts, missing or extra colons.
+_GOOD_IDS = ("ex:a", "ex:b", "ex:c", "ex:d", "ex:e", "t:T", "core:Entity")
+_ID_CHARS = "ab:_#-\x1c\x1d\x1e\x1f\x0b\x85\xa0é "
+_hostile_ids = st.one_of(
+    st.sampled_from((":a", "a:", ":", "ex", "ex:café", "ex:a:b", "ex:\x1cb", "é:x")),
+    st.text(alphabet=_ID_CHARS, min_size=1, max_size=6),
+)
+_id_tokens = st.one_of(st.sampled_from(_GOOD_IDS), _hostile_ids)
+_relations = st.sampled_from(("dep", "inst", "hasProp", "hasValue", "participantIn", "isA", "eq", "bogus"))
+
+# A valid document to start from: two people, a birth with one FUNCTIONAL
+# slot, declarations and labels.
+_SKELETON = (
+    "N ex:a C t:Human",
+    "N ex:e C t:Human",
+    "N ex:b O t:Birth",
+    "N ex:c A t:Place",
+    "E ex:b participantIn ex:a",
+    "E ex:b participantIn ex:e",
+    "E ex:c hasProp ex:b",
+    "E ex:c hasValue ex:d",
+    "L ex:a en Roger",
+    "ESSENTIAL t:Birth",
+    "CARD t:Birth ONE",
+    "ATTRDECL t:Birth t:Place FUNCTIONAL",
+)
+
+
+@st.composite
+def _records(draw):
+    ident = draw(_id_tokens)
+    other = draw(_id_tokens)
+    return draw(
+        st.sampled_from(
+            (
+                f"N {ident} {draw(st.sampled_from('COAVX'))} {other}",
+                f"N {ident} V {other} {draw(st.text(max_size=4))}",
+                f"E {ident} {draw(_relations)} {other}",
+                f"T {ident} {draw(st.sampled_from((other, '-')))}",
+                f"L {ident} {draw(st.sampled_from(('en', 'fr')))} {draw(st.text(max_size=4))}",
+                f"G {draw(st.sampled_from(('-', 'src', 'é')))} {draw(st.sampled_from(('0', '1', '-1', 'x')))}",
+                f"ESSENTIAL {ident}",
+                f"CARD {ident} {draw(st.sampled_from(('ONE', 'MANY', 'TWO')))}",
+                f"ATTRDECL {ident} {other} {draw(st.sampled_from(('FUNCTIONAL', 'MULTI')))}",
+                f"ROLE R BASE {ident} VIA {draw(_relations)} EVENT {other}",
+                draw(st.text(max_size=8)),
+            )
+        )
+    )
+
+
+@st.composite
+def _documents(draw):
+    """The skeleton at some revision and birthplace; half the time with
+    records dropped and a few fuzzed records in between."""
+    lines = [
+        draw(st.sampled_from(("G src 1", "G src 2", "G - 0"))),
+        f"N ex:d V t:Village {draw(st.sampled_from(('Great Bookham', 'Cambridge')))}",
+        *_SKELETON,
+    ]
+    if draw(st.booleans()):
+        lines = [line for line in lines if draw(st.integers(0, 4))]
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_records()))
+        if lines and draw(st.booleans()):
+            # A record, a bad id included, again on a later line.
+            lines.append(draw(st.sampled_from(lines)))
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def _alignments(draw):
+    """MATCH rows over the skeleton's ids, sometimes one hostile row."""
+    ids = st.sampled_from(("ex:a", "ex:e", "ex:b"))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        pairs.append((draw(_id_tokens), draw(_id_tokens)))
+    return "".join(f"{a}\t{b}\t1.0000\tMATCH\n" for a, b in pairs)
+
+
+def _run_quietly(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=150, deadline=None)
+    @given(_documents())
+    def test_validate_ends_in_documented_exit_code(self, text):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "doc.gkg"
+            path.write_text(text, encoding="utf-8")
+            code, err = _run_quietly(["validate", str(path)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(_documents(), _documents(), _alignments())
+    def test_merge_ends_in_documented_exit_code(self, text_a, text_b, rows):
+        with tempfile.TemporaryDirectory() as work:
+            paths = [Path(work) / name for name in ("a.gkg", "b.gkg", "ab.align")]
+            for path, text in zip(paths, (text_a, text_b, rows)):
+                path.write_text(text, encoding="utf-8")
+            code, err = _run_quietly(["merge", str(paths[0]), str(paths[1]), "--alignment", str(paths[2])])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err

@@ -191,6 +191,43 @@ class TestStructuralMerge:
             assert node_id in merged.graph.nodes or node_id.namespace == "rel"
 
 
+PRUNE_A = """\
+G wiki 1
+N ex:p C core:Human
+N ex:e1 O ont:Birth
+N ex:a1 A ont:Place
+N ex:v1 V ont:Village Old Town
+E ex:e1 participantIn ex:p
+E ex:a1 hasProp ex:e1
+E ex:a1 hasValue ex:v1
+ATTRDECL ont:Birth ont:Place FUNCTIONAL
+"""
+
+PRUNE_B = PRUNE_A.replace("G wiki 1", "G wiki 2").replace("ex:p", "ex:q").replace(
+    "ex:e1", "ex:e2").replace("ex:a1", "ex:a2").replace("ex:v1 V ont:Village Old Town", "ex:v2 V ont:Village New Town").replace(
+    "ex:v1", "ex:v2")
+
+
+class TestOrphanPruning:
+    def test_emptied_attribute_goes_with_its_edges_and_value(self):
+        doc_a, doc_b = parse_gkg(PRUNE_A), parse_gkg(PRUNE_B)
+        alignment = AlignmentResult(matches=((NodeId("ex", "p"), NodeId("ex", "q"), 1.0),))
+        merged, report = merge_documents(doc_a, doc_b, alignment)
+        # ex:e2 folds onto ex:e1; the newer value wins the FUNCTIONAL slot,
+        # which leaves ex:a1 without values.
+        assert [(u.old_values, u.new_values) for u in report.updated] == [(("Old Town",), ("New Town",))]
+        assert serialize_gkg(merged) == (
+            "G wiki 2\n"
+            "T core:Entity -\nT core:Human core:Entity\nT ont:Birth core:Entity\n"
+            "T ont:Place core:Entity\nT ont:Village core:Entity\n"
+            "N ex:a2 A ont:Place\nN ex:e1 O ont:Birth\nN ex:p C core:Human\n"
+            "N ex:v2 V ont:Village New Town\n"
+            "E ex:a2 hasProp ex:e1\nE ex:a2 hasValue ex:v2\nE ex:e1 participantIn ex:p\n"
+            "ATTRDECL ont:Birth ont:Place FUNCTIONAL\n"
+        )
+        assert validate_document(merged).ok
+
+
 class TestMergeErrors:
     def test_alignment_naming_missing_node(self):
         doc = demo_document()

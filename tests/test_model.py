@@ -1,6 +1,7 @@
 """Node/edge model, type hierarchy, validation and role inference."""
 
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +24,14 @@ from gkg import (
     UnknownNodeError,
     UnknownParentError,
     UnknownTypeError,
+    ValidationIssue,
+    ValidationReport,
     infer_role_labels,
     signature_allows,
     validate_graph,
 )
 
-from .support import reachable
+from .support import random_document, reachable
 
 
 def tid(name: str) -> NodeId:
@@ -51,6 +54,62 @@ class TestNodeId:
 
     def test_str_round_trip(self):
         assert str(NodeId.parse("ex:rw")) == "ex:rw"
+
+
+def oracle_node_id_error(namespace: str, local: str) -> Optional[str]:
+    """The id rule as first written, one isspace() call per character:
+    the message NodeId must raise for these parts, or None."""
+    combined = f"{namespace}:{local}"
+    if not namespace or not local:
+        return f"node id needs a namespace and a local part: {combined!r}"
+    if not combined.isascii() or any(ch.isspace() for ch in combined):
+        return f"node id must be ASCII without whitespace: {combined!r}"
+    return None
+
+
+def node_id_error(namespace: str, local: str) -> Optional[str]:
+    try:
+        NodeId(namespace, local)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _placed(ch: str):
+    """``ch`` at the start, in the middle and at the end of a part."""
+    return (ch + "ab", "a" + ch + "b", "ab" + ch)
+
+
+class TestNodeIdAgainstOracle:
+    @pytest.mark.parametrize("code", range(128))
+    def test_every_ascii_character_everywhere(self, code):
+        ch = chr(code)
+        for part in _placed(ch) + (ch,):
+            for namespace, local in ((part, "x"), ("x", part), (part, part)):
+                assert node_id_error(namespace, local) == oracle_node_id_error(namespace, local)
+
+    @pytest.mark.parametrize("ch", ["\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x0c", " ", "\x85", "\xa0", "\u3000"])
+    def test_unusual_whitespace_is_rejected(self, ch):
+        for part in _placed(ch):
+            assert node_id_error(part, "x") is not None
+            assert node_id_error("x", part) is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=6), st.text(max_size=6))
+    def test_any_text_matches_oracle(self, namespace, local):
+        assert node_id_error(namespace, local) == oracle_node_id_error(namespace, local)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("ab:\t \x1c\x1f\x7fé\xa0\u2028"), max_size=6))
+    def test_parse_matches_oracle(self, text):
+        namespace, sep, local = text.partition(":")
+        try:
+            NodeId.parse(text)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        want = f"node id must contain a colon: {text!r}" if not sep else oracle_node_id_error(namespace, local)
+        assert got == want
 
 
 class TestTypeHierarchy:
@@ -236,6 +295,112 @@ class TestValidate:
         assert r1 == r2
         contexts = [i.context for i in r1.issues]
         assert contexts == sorted(contexts)
+
+
+def oracle_validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> ValidationReport:
+    """validate_graph as first written: nodes and edges visited in sorted
+    order, every edge's context string built up front."""
+    issues: list = []
+
+    def report(kind: IssueKind, context, message: str) -> None:
+        issues.append(ValidationIssue(kind, str(context), message))
+
+    for node_id in sorted(graph.nodes, key=str):
+        node = graph.nodes[node_id]
+        if node.kind is NodeKind.TYPE_NODE:
+            if node.inst_of is not None:
+                report(IssueKind.TYPE_NODE_TYPED, node_id, "type node carries inst_of")
+            if node.literal is not None:
+                report(IssueKind.LITERAL_MISMATCH, node_id, "type node carries a literal")
+            if node_id not in hierarchy:
+                report(IssueKind.HIERARCHY_MISMATCH, node_id, "type node absent from hierarchy")
+            continue
+        if node.inst_of is None:
+            report(IssueKind.UNTYPED_NODE, node_id, "non-type node without inst_of")
+        elif node.inst_of not in hierarchy:
+            report(IssueKind.UNKNOWN_TYPE_TARGET, node_id, f"inst target {node.inst_of} not in hierarchy")
+        if node.kind is NodeKind.VALUE_LITERAL:
+            if not node.literal:
+                report(IssueKind.LITERAL_MISMATCH, node_id, "value literal without literal text")
+        elif node.literal is not None:
+            report(IssueKind.LITERAL_MISMATCH, node_id, "literal on a non-value node")
+
+    for edge in graph.edges_sorted():
+        subject_node = graph.nodes.get(edge.subject)
+        object_node = graph.nodes.get(edge.obj)
+        context = f"{edge.subject} {edge.relation.value} {edge.obj}"
+        if subject_node is None:
+            report(IssueKind.DANGLING_REFERENCE, context, f"missing subject {edge.subject}")
+        if object_node is None:
+            report(IssueKind.DANGLING_REFERENCE, context, f"missing object {edge.obj}")
+        if subject_node is None or object_node is None:
+            continue
+        if not signature_allows(edge.relation, subject_node.kind, object_node.kind):
+            report(
+                IssueKind.SIGNATURE_VIOLATION,
+                context,
+                f"{edge.relation.value} does not admit "
+                f"({subject_node.kind.name}, {object_node.kind.name})",
+            )
+
+    return ValidationReport(tuple(sorted(issues, key=ValidationIssue.sort_key)))
+
+
+def faulty_graph(seed: int):
+    """A random valid document's graph with faults injected: dangling
+    endpoints, signature violations, untyped nodes, stray and missing
+    literals, typed or unknown type nodes, unknown inst targets, and two
+    ids with one string form."""
+    doc = random_document(seed)
+    rng = random.Random(seed)
+    nodes = dict(doc.graph.nodes)
+    edges = set(doc.graph.edges)
+    kinds = list(NodeKind)
+    relations = list(PrimitiveRelation)
+    ghosts = [NodeId("ghost", f"g{i}") for i in range(3)]
+
+    def fresh(prefix: str) -> NodeId:
+        return NodeId("x", f"{prefix}{len(nodes)}")
+
+    for _ in range(rng.randint(0, 4)):
+        node_id = fresh("untyped")
+        nodes[node_id] = Node(node_id, rng.choice(kinds[1:]))
+    for _ in range(rng.randint(0, 3)):
+        node_id = fresh("stray")
+        kind = rng.choice(kinds)
+        literal = rng.choice((None, "", "text")) if kind is NodeKind.VALUE_LITERAL else "text"
+        inst_of = None if kind is NodeKind.TYPE_NODE else rng.choice((ROOT_TYPE, tid("Unknown")))
+        nodes[node_id] = Node(node_id, kind, inst_of=inst_of, literal=literal)
+    if rng.random() < 0.5:
+        nodes[tid("Typed")] = Node(tid("Typed"), NodeKind.TYPE_NODE, inst_of=ROOT_TYPE, literal="t")
+    if rng.random() < 0.5:
+        # Distinct ids whose string forms and issues coincide.
+        for node_id in (NodeId("x:y", "z"), NodeId("x", "y:z")):
+            nodes[node_id] = Node(node_id, NodeKind.CONTINUANT)
+            edges.add(Edge(node_id, PrimitiveRelation.DEP, ghosts[0]))
+    pool = sorted(nodes) + ghosts
+    for _ in range(rng.randint(0, 15)):
+        edges.add(Edge(rng.choice(pool), rng.choice(relations), rng.choice(pool)))
+    return GroundedGraph(nodes, frozenset(edges)), doc.hierarchy
+
+
+class TestValidateAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_faulty_graphs_report_like_oracle(self, seed):
+        graph, hierarchy = faulty_graph(seed)
+        assert validate_graph(graph, hierarchy) == oracle_validate_graph(graph, hierarchy)
+
+    def test_faults_are_exercised(self):
+        kinds = set()
+        for seed in range(200):
+            kinds |= {issue.kind for issue in oracle_validate_graph(*faulty_graph(seed)).issues}
+        assert kinds == set(IssueKind)
+
+    def test_valid_random_documents_stay_clean(self):
+        for seed in range(50):
+            doc = random_document(seed)
+            assert validate_graph(doc.graph, doc.hierarchy) == oracle_validate_graph(doc.graph, doc.hierarchy)
 
 
 HUMAN = tid("Human")
