@@ -60,6 +60,19 @@ class CanonReport:
     entity_nodes_created: int = 0
     value_conflicts: Tuple[ValueConflict, ...] = ()
 
+    def to_tsv(self) -> str:
+        lines = [
+            f"events_created\t{self.events_created}",
+            f"events_coalesced\t{self.events_coalesced}",
+            f"entity_nodes_created\t{self.entity_nodes_created}",
+        ]
+        lines.extend(f"unmapped_relation\t{name}" for name in sorted(self.unmapped_relations))
+        lines.extend(
+            f"value_conflict\t{c.event}\t{c.attr_type}\t{'|'.join(c.literals)}"
+            for c in self.value_conflicts
+        )
+        return "".join(line + "\n" for line in lines)
+
 
 def normalize_relation_name(
     label: str, rules: Sequence[ReificationRule]
@@ -68,11 +81,16 @@ def normalize_relation_name(
     sequence as ``label`` after lowercasing and camelCase/underscore/space
     splitting, or None.  ``bornIn``, ``born_in`` and ``Born In`` all meet
     the same rule."""
-    key = tuple(tokenize(label))
+    return _rules_by_token_key(rules).get(tuple(tokenize(label)))
+
+
+def _rules_by_token_key(rules: Sequence[ReificationRule]) -> dict:
+    """``tuple(tokenize(rel_name)) -> rule``; of two rules with one token
+    sequence the first wins."""
+    by_key: dict = {}
     for rule in rules:
-        if tuple(tokenize(rule.rel_name)) == key:
-            return rule
-    return None
+        by_key.setdefault(tuple(tokenize(rule.rel_name)), rule)
+    return by_key
 
 
 def canonicalize(
@@ -172,8 +190,9 @@ def _canonicalize(triples, rules, hierarchy, entity_types, declarations):
         )
         return node_id
 
+    rule_by_key = _rules_by_token_key(rules)
     for triple in triples:
-        rule = normalize_relation_name(triple.r, rules)
+        rule = rule_by_key.get(tuple(tokenize(triple.r)))
         if rule is None:
             unmapped.add(triple.r)
             continue

@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from .alignment import AlignmentConfig, align, format_alignment_tsv, parse_alignment_tsv
-from .canonicalize import CanonReport, canonicalize_document
+from .canonicalize import canonicalize_document
 from .embedding import DEFAULT_DIM, FileEmbeddingProvider, HashEmbeddingProvider
 from .errors import GkgError, GkgSyntaxError, InvalidParameterError, ValidationFailedError
 from .evaluation import (
@@ -50,20 +50,6 @@ def _report_stream(out_path: Optional[str]):
     return sys.stdout if out_path is not None else sys.stderr
 
 
-def _canon_report_tsv(report: CanonReport) -> str:
-    lines = [
-        f"events_created\t{report.events_created}",
-        f"events_coalesced\t{report.events_coalesced}",
-        f"entity_nodes_created\t{report.entity_nodes_created}",
-    ]
-    for name in sorted(report.unmapped_relations):
-        lines.append(f"unmapped_relation\t{name}")
-    for conflict in report.value_conflicts:
-        joined = "|".join(conflict.literals)
-        lines.append(f"value_conflict\t{conflict.event}\t{conflict.attr_type}\t{joined}")
-    return "".join(line + "\n" for line in lines)
-
-
 def _build_provider(args: argparse.Namespace):
     if args.provider == "file":
         if not args.vectors:
@@ -89,7 +75,7 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
         revision=args.revision,
     )
     _emit(serialize_gkg(doc), args.output)
-    _report_stream(args.output).write(_canon_report_tsv(report))
+    _report_stream(args.output).write(report.to_tsv())
     return 0
 
 

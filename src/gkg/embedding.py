@@ -142,10 +142,6 @@ def _all_ints(fields) -> bool:
     return True
 
 
-def embed_token(provider, token: str) -> np.ndarray:
-    return provider.token_vector(token)
-
-
 def embed_phrase(provider, label: str) -> np.ndarray:
     """Normalized sum of the label's token vectors; the empty phrase maps
     to the zero vector."""

@@ -65,6 +65,8 @@ from .schema import (
     SchemaDeclarations,
 )
 
+_RELATIONS = {relation.value: relation for relation in PrimitiveRelation}
+
 _KIND_CODES = {
     "C": NodeKind.CONTINUANT,
     "O": NodeKind.OCCURRENT,
@@ -283,10 +285,24 @@ def parse_gkg(text: str) -> GkgDocument:
                 raise GkgSyntaxError(line_no, str(exc)) from None
         return found
 
-    for line_no, line in _content_lines(text):
+    ids_get = ids.get
+    relation_of = _RELATIONS.get
+    for line_no, line in enumerate(text.splitlines(), 1):
         fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue  # blank line or comment
         head = fields[0]
-        if head == "G":
+        # Edges are the most common record, so they are tested first.  Ids
+        # and relations are non-empty tuples and strings, so `or` falls back
+        # to the checked parse only for an unseen or malformed token.
+        if head == "E":
+            if len(fields) != 4:
+                raise GkgSyntaxError(line_no, "E takes a subject, a relation and an object")
+            subject = ids_get(fields[1]) or node_id_of(fields[1], line_no)
+            relation = relation_of(fields[2]) or _relation(fields[2], line_no)
+            obj = ids_get(fields[3]) or node_id_of(fields[3], line_no)
+            edge_records.append(Edge(subject, relation, obj))
+        elif head == "G":
             if saw_header:
                 raise GkgSyntaxError(line_no, "duplicate G header")
             if len(fields) != 3:
@@ -324,13 +340,6 @@ def parse_gkg(text: str) -> GkgDocument:
                 raise GkgSyntaxError(line_no, f"duplicate node {node_id}")
             seen_node_lines[node_id] = line_no
             node_records.append((line_no, node_id, kind, type_id, literal))
-        elif head == "E":
-            if len(fields) != 4:
-                raise GkgSyntaxError(line_no, "E takes a subject, a relation and an object")
-            subject = node_id_of(fields[1], line_no)
-            relation = _relation(fields[2], line_no)
-            obj = node_id_of(fields[3], line_no)
-            edge_records.append(Edge(subject, relation, obj))
         elif head == "L":
             parts = line.split(None, 3)
             if len(parts) != 4:
@@ -399,23 +408,23 @@ def serialize_gkg(doc: GkgDocument) -> str:
 
     node_lines = []
     for node_id in sorted(graph.nodes, key=str):
-        node = graph.nodes[node_id]
-        if node.kind is NodeKind.TYPE_NODE:
+        _, kind, inst_of, literal = graph.nodes[node_id]
+        if kind is NodeKind.TYPE_NODE:
             continue
-        if node.inst_of is None:
+        if inst_of is None:
             raise ValueError(f"cannot serialize untyped node {node_id}")
-        record = f"N {node_id} {node.kind.value} {node.inst_of}"
-        if node.kind is NodeKind.VALUE_LITERAL:
-            if not node.literal:
+        record = f"N {node_id} {kind.value} {inst_of}"
+        if kind is NodeKind.VALUE_LITERAL:
+            if not literal:
                 raise ValueError(f"cannot serialize value node {node_id} without a literal")
-            record += f" {node.literal}"
-        elif node.literal is not None:
+            record += f" {literal}"
+        elif literal is not None:
             raise ValueError(f"cannot serialize literal on non-value node {node_id}")
         node_lines.append(record)
     lines.extend(sorted(node_lines))
 
     lines.extend(
-        sorted(f"E {e.subject} {e.relation.value} {e.obj}" for e in graph.edges)
+        sorted(f"E {subject} {relation.value} {obj}" for subject, relation, obj in graph.edges)
     )
 
     label_lines = []

@@ -13,6 +13,7 @@ Everything unmatched is unioned disjointly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Mapping, Optional, Set, Tuple
 
 from .alignment import AlignmentResult
@@ -211,7 +212,7 @@ def _fold_cross_side(groups, graph_a) -> Dict[NodeId, NodeId]:
 
 def _plan_event_coalescing(nodes, edges_a, edges_b, graph_a, policy) -> Dict[NodeId, NodeId]:
     participant_entities: Dict[NodeId, Set[NodeId]] = {}
-    for edge in edges_a | edges_b:
+    for edge in chain(edges_a, edges_b):
         if edge.relation in PARTICIPANT_RELATIONS:
             participant_entities.setdefault(edge.subject, set()).add(edge.obj)
 
@@ -255,7 +256,7 @@ def _plan_attr_dedup(nodes, edges_a, edges_b, graph_a) -> Dict[NodeId, NodeId]:
     are one slot entry told twice; fold the B copy onto the A one."""
     bearers: Dict[NodeId, Set[NodeId]] = {}
     values: Dict[NodeId, Set[NodeId]] = {}
-    for edge in edges_a | edges_b:
+    for edge in chain(edges_a, edges_b):
         if edge.relation is PrimitiveRelation.HAS_PROP:
             bearers.setdefault(edge.subject, set()).add(edge.obj)
         elif edge.relation is PrimitiveRelation.HAS_VALUE:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     CycleError,
@@ -26,26 +27,32 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class NodeId:
+class NodeId(tuple):
     """Opaque canonical key of a node, written ``namespace:local``.
 
     Ids carry no linguistic content by contract; human-readable labels live
-    in a label table keyed by these ids.  Comparison and ordering use the
-    combined string form.
+    in a label table keyed by these ids.
+
+    An id is the tuple ``(namespace, local)``: it hashes like that tuple
+    and equals it, so two ids with one string form but different parts,
+    such as ``('a:b', 'c')`` and ``('a', 'b:c')``, stay unequal.  Ordering
+    (``<``, ``>``, ``<=``, ``>=``, hence ``min``, ``max`` and ``sorted``)
+    uses the combined string form instead.
     """
 
-    namespace: str
-    local: str
+    __slots__ = ()
+    namespace = property(itemgetter(0), doc="The part before the first colon.")
+    local = property(itemgetter(1), doc="The part after the first colon.")
 
-    def __post_init__(self):
-        combined = f"{self.namespace}:{self.local}"
-        if not self.namespace or not self.local:
+    def __new__(cls, namespace: str, local: str) -> "NodeId":
+        combined = f"{namespace}:{local}"
+        if not namespace or not local:
             raise ValueError(f"node id needs a namespace and a local part: {combined!r}")
         # For ASCII text, str.split() breaks at exactly the characters
         # str.isspace() accepts, so one C-level call checks them all.
         if not combined.isascii() or combined.split() != [combined]:
             raise ValueError(f"node id must be ASCII without whitespace: {combined!r}")
+        return tuple.__new__(cls, (namespace, local))
 
     @classmethod
     def parse(cls, text: str) -> "NodeId":
@@ -56,10 +63,28 @@ class NodeId:
         return cls(namespace, local)
 
     def __str__(self) -> str:
-        return f"{self.namespace}:{self.local}"
+        return f"{self[0]}:{self[1]}"
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(namespace={self[0]!r}, local={self[1]!r})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    # Tuple order would compare (namespace, local) part by part, which
+    # differs from the string order when a namespace holds a character
+    # that sorts before ":" ("a.:x" < "a:y", but ("a.", "x") > ("a", "y")).
     def __lt__(self, other: "NodeId") -> bool:
         return str(self) < str(other)
+
+    def __gt__(self, other: "NodeId") -> bool:
+        return str(self) > str(other)
+
+    def __le__(self, other: "NodeId") -> bool:
+        return str(self) <= str(other)
+
+    def __ge__(self, other: "NodeId") -> bool:
+        return str(self) >= str(other)
 
 
 ROOT_TYPE = NodeId("core", "Entity")
@@ -145,8 +170,7 @@ def signature_allows(rel: PrimitiveRelation, subject_kind: NodeKind, object_kind
     return (subject_kind, object_kind) in RELATION_SIGNATURES[rel]
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
+class Node(NamedTuple):
     """A typed node.  ``inst_of`` names the node's type; ``literal`` holds
     the raw text of a value literal and must be absent everywhere else.
 
@@ -161,14 +185,16 @@ class Node:
     literal: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
+    """A labelled edge."""
+
     subject: NodeId
     relation: PrimitiveRelation
     obj: NodeId
 
     def sort_key(self) -> tuple:
-        return (str(self.subject), self.relation.value, str(self.obj))
+        subject, relation, obj = self
+        return (str(subject), relation.value, str(obj))
 
 
 @dataclass(frozen=True, slots=True)

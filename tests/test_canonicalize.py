@@ -1,6 +1,8 @@
 """Lifting flat triples into reified event graphs."""
 
 import itertools
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from gkg import (
     serialize_gkg,
     validate_document,
 )
+from gkg.canonicalize import CanonReport, ValueConflict, _rules_by_token_key
+from gkg.embedding import tokenize
 
 BIRTH_RULES = """\
 RULE bornIn EVENT ont:Birth SUBJ participantIn OBJ ATTR ont:Location ont:Village
@@ -251,3 +255,72 @@ class TestNormalizeRelationName:
     def test_token_level_matching(self, label, expected):
         rule = normalize_relation_name(label, self.RULES)
         assert (rule.rel_name if rule else None) == expected
+
+
+def first_matching_rule(label, rules):
+    """The rule lookup as a plain first-match scan, kept as the oracle for
+    the token-key dict behind ``normalize_relation_name`` and canonicalize."""
+    key = tuple(tokenize(label))
+    for rule in rules:
+        if tuple(tokenize(rule.rel_name)) == key:
+            return rule
+    return None
+
+
+class TestRuleIndex:
+    """``normalize_relation_name`` and ``_canonicalize`` look rules up in
+    ``_rules_by_token_key``; it must pick the first matching rule."""
+
+    BENCH_CORPUS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "gkgbench" / "corpus.py"))
+
+    def test_benchmark_spellings_meet_their_rule(self):
+        rules, _ = parse_rules(self.BENCH_CORPUS["RULES_TEXT"])
+        by_key = _rules_by_token_key(rules)
+        for rel_name, spellings in self.BENCH_CORPUS["RELATION_SPELLINGS"].items():
+            for label in spellings:
+                rule = by_key.get(tuple(tokenize(label)))
+                assert rule is first_matching_rule(label, rules)
+                assert rule is normalize_relation_name(label, rules)
+                assert rule.rel_name == rel_name
+
+    @pytest.mark.parametrize("label", ["startedIn", "started_in", "STARTED-IN", "formed in", "foundedIn", ""])
+    def test_first_rule_wins_on_equal_keys(self, label):
+        formation, _ = parse_rules(FORMATION_RULES)
+        birth, _ = parse_rules(BIRTH_RULES.replace("bornIn", "started_in").replace("bornOn", "formedIn"))
+        for rules in (formation + birth, birth + formation, birth[:1] + formation + birth[1:]):
+            rule = first_matching_rule(label, rules)
+            assert _rules_by_token_key(rules).get(tuple(tokenize(label))) is rule
+            assert normalize_relation_name(label, rules) is rule
+
+    def test_canonicalize_uses_the_first_rule(self):
+        formation, _ = parse_rules(FORMATION_RULES)
+        birth, _ = parse_rules(BIRTH_RULES.replace("bornIn", "started_in"))
+        triples = (FlatTriple("PinkFloyd", "StartedIn", "London"),)
+        for rules, event_type in ((formation + birth, "ont:Formation"), (birth + formation, "ont:Birth")):
+            doc, _ = canonicalize_document(triples, rules, hierarchy=hierarchy_for_rules(formation + birth))
+            events = [n for n in doc.graph.nodes.values() if n.kind is NodeKind.OCCURRENT]
+            assert [str(n.inst_of) for n in events] == [event_type]
+
+
+class TestCanonReportTsv:
+    def test_every_row_kind(self):
+        report = CanonReport(
+            events_created=3,
+            events_coalesced=1,
+            unmapped_relations=frozenset({"diedIn", "bandOf"}),
+            entity_nodes_created=2,
+            value_conflicts=(
+                ValueConflict(NodeId("ev", "Birth#1"), NodeId("ont", "Location"), ("London", "Paris")),
+            ),
+        )
+        assert report.to_tsv() == (
+            "events_created\t3\n"
+            "events_coalesced\t1\n"
+            "entity_nodes_created\t2\n"
+            "unmapped_relation\tbandOf\n"
+            "unmapped_relation\tdiedIn\n"
+            "value_conflict\tev:Birth#1\tont:Location\tLondon|Paris\n"
+        )
+
+    def test_empty_report(self):
+        assert CanonReport().to_tsv() == "events_created\t0\nevents_coalesced\t0\nentity_nodes_created\t0\n"

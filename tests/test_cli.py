@@ -343,3 +343,89 @@ class TestFuzzedDocuments:
             code, err = _run_quietly(["merge", str(paths[0]), str(paths[1]), "--alignment", str(paths[2])])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+
+# --- fuzzing the rules and flat-triple parsers through the command line -------
+
+_RULE_LINES = tuple(RULES.splitlines()) + (
+    "RULE worksFor EVENT ont:Employment SUBJ hasAgent OBJ PARTICIPANT hasObject",
+    "ROLE Employee BASE core:Entity VIA hasAgent EVENT ont:Employment",
+    "CARD ont:Employment MANY",
+)
+_rel_names = st.sampled_from(("bornIn", "born_in", "BornOn", "works-for", "livesIn", "b", "é", "x:y"))
+_rule_ids = st.one_of(
+    st.sampled_from(("ont:Birth", "ont:Location", "ont:Village", "core:Entity")),
+    st.sampled_from(("ont:Time", "ont:Date", "ont:Employment")),
+    _id_tokens,
+)
+
+
+@st.composite
+def _rule_records(draw):
+    ident, other = draw(_rule_ids), draw(_rule_ids)
+    rel, role = draw(_rel_names), draw(_relations)
+    return draw(
+        st.sampled_from(
+            (
+                f"RULE {rel} EVENT {ident} SUBJ {role} OBJ ATTR {other} {draw(_rule_ids)}",
+                f"RULE {rel} EVENT {ident} SUBJ {role} OBJ PARTICIPANT {draw(_relations)}",
+                f"RULE {rel} EVENT {ident} SUBJ {role} OBJ {draw(st.sampled_from(('ATTR', 'PARTICIPANT', 'X')))}",
+                f"RULE {rel} EVENT {ident}",
+                f"ESSENTIAL {ident}",
+                f"CARD {ident} {draw(st.sampled_from(('ONE', 'MANY', 'TWO')))}",
+                f"ATTRDECL {ident} {other} {draw(st.sampled_from(('FUNCTIONAL', 'MULTI', 'x')))}",
+                f"ROLE R BASE {ident} VIA {role} EVENT {other}",
+                draw(st.text(max_size=8)),
+            )
+        )
+    )
+
+
+@st.composite
+def _rules_texts(draw):
+    """The test rules, half the time with records dropped and fuzzed
+    records in between."""
+    lines = list(_RULE_LINES)
+    if draw(st.booleans()):
+        lines = [line for line in lines if draw(st.integers(0, 4))]
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_rule_records()))
+    return "".join(line + "\n" for line in lines)
+
+
+_labels = st.one_of(
+    st.sampled_from(("RogerWaters", "Roger Waters", "Great Bookham", "01/08/1955", "PinkFloyd", " ")),
+    st.text(alphabet="aZ é#:\x1f\xa0", min_size=1, max_size=5),
+)
+
+
+@st.composite
+def _flat_texts(draw):
+    """Triples over a few subjects with respelled and unknown relation
+    names, sometimes an empty field, a stray carriage return or a line
+    with the wrong number of fields."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        fields = [draw(_labels), draw(st.one_of(_rel_names, _labels)), draw(_labels)]
+        fault = draw(st.integers(0, 11))
+        if fault == 0:
+            fields = fields[: draw(st.integers(0, 2))] if draw(st.booleans()) else fields + [draw(_labels)]
+        elif fault == 1:
+            fields[draw(st.integers(0, 2))] = draw(st.sampled_from(("", "a\rb")))
+        lines.append("\t".join(fields))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("# comment", "", "  "))))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestFuzzedCanonicalize:
+    @settings(max_examples=150, deadline=None)
+    @given(_rules_texts(), _flat_texts())
+    def test_canonicalize_ends_in_documented_exit_code(self, rules, flat):
+        with tempfile.TemporaryDirectory() as work:
+            paths = [Path(work) / name for name in ("r.rules", "f.tsv")]
+            for path, text in zip(paths, (rules, flat)):
+                path.write_text(text, encoding="utf-8")
+            code, err = _run_quietly(["canonicalize", "--rules", str(paths[0]), "--flat", str(paths[1])])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err

@@ -20,6 +20,24 @@ from gkg import (
     parse_rules,
     serialize_gkg,
 )
+from gkg.formats import (
+    _KIND_CODES,
+    _DeclarationCollector,
+    _content_lines,
+    _relation,
+    validate_document,
+)
+from gkg.model import (
+    Edge,
+    GroundedGraph,
+    IssueKind,
+    Node,
+    TypeHierarchy,
+    ValidationIssue,
+    ValidationReport,
+)
+from gkg.errors import CycleError
+from gkg.multilingual import LabelTable
 from gkg.schema import AttrMode, AttrSlot, Cardinality
 
 from .support import WORKED_TEXT, random_document
@@ -142,6 +160,193 @@ class TestParseGkg:
             assert exc.line_no >= 1
         except ValidationFailedError:
             pass
+
+
+def oracle_parse_gkg(text: str) -> GkgDocument:
+    """``parse_gkg`` before its record loop was tightened: every line goes
+    through ``_content_lines`` and each field through its checked parse."""
+    type_pairs: list = []
+    node_records: list = []
+    edge_records: list = []
+    label_entries: dict = {}
+    declarations = _DeclarationCollector()
+    source_id = ""
+    revision = 0
+    saw_header = False
+    seen_node_lines: dict = {}
+    parse_id = NodeId.parse
+    ids: dict = {}
+
+    def node_id_of(token: str, line_no: int) -> NodeId:
+        found = ids.get(token)
+        if found is None:
+            try:
+                found = ids[token] = parse_id(token)
+            except ValueError as exc:
+                raise GkgSyntaxError(line_no, str(exc)) from None
+        return found
+
+    for line_no, line in _content_lines(text):
+        fields = line.split()
+        head = fields[0]
+        if head == "G":
+            if saw_header:
+                raise GkgSyntaxError(line_no, "duplicate G header")
+            if len(fields) != 3:
+                raise GkgSyntaxError(line_no, "G takes a source id and a revision")
+            saw_header = True
+            source_id = "" if fields[1] == "-" else fields[1]
+            try:
+                revision = int(fields[2])
+            except ValueError:
+                raise GkgSyntaxError(line_no, f"bad revision {fields[2]!r}") from None
+            if revision < 0:
+                raise GkgSyntaxError(line_no, "revision must be non-negative")
+        elif head == "T":
+            if len(fields) != 3:
+                raise GkgSyntaxError(line_no, "T takes a type id and a parent id or -")
+            type_id = node_id_of(fields[1], line_no)
+            parent = None if fields[2] == "-" else node_id_of(fields[2], line_no)
+            type_pairs.append((type_id, parent))
+        elif head == "N":
+            parts = line.split(None, 4)
+            if len(parts) < 4:
+                raise GkgSyntaxError(line_no, "N takes a node id, a kind code and a type id")
+            node_id = node_id_of(parts[1], line_no)
+            kind = _KIND_CODES.get(parts[2])
+            if kind is None:
+                raise GkgSyntaxError(line_no, f"bad node kind {parts[2]!r}")
+            type_id = node_id_of(parts[3], line_no)
+            literal = parts[4] if len(parts) == 5 else None
+            if kind is NodeKind.VALUE_LITERAL:
+                if literal is None:
+                    raise GkgSyntaxError(line_no, "value node needs a literal")
+            elif literal is not None:
+                raise GkgSyntaxError(line_no, "literal on a non-value node")
+            if node_id in seen_node_lines:
+                raise GkgSyntaxError(line_no, f"duplicate node {node_id}")
+            seen_node_lines[node_id] = line_no
+            node_records.append((line_no, node_id, kind, type_id, literal))
+        elif head == "E":
+            if len(fields) != 4:
+                raise GkgSyntaxError(line_no, "E takes a subject, a relation and an object")
+            subject = node_id_of(fields[1], line_no)
+            relation = _relation(fields[2], line_no)
+            obj = node_id_of(fields[3], line_no)
+            edge_records.append(Edge(subject, relation, obj))
+        elif head == "L":
+            parts = line.split(None, 3)
+            if len(parts) != 4:
+                raise GkgSyntaxError(line_no, "L takes a node id, a language tag and a label")
+            node_id = node_id_of(parts[1], line_no)
+            lang = parts[2]
+            key = (node_id, lang)
+            if key in label_entries:
+                raise GkgSyntaxError(line_no, f"duplicate label for {node_id} [{lang}]")
+            label_entries[key] = parts[3]
+        elif declarations.handles(head):
+            declarations.take(fields, line_no)
+        else:
+            raise GkgSyntaxError(line_no, f"unknown record {head!r}")
+
+    schema = declarations.build()
+    referenced = {record[3] for record in node_records}
+    referenced.update(schema.referenced_types())
+    declared = {pair[0] for pair in type_pairs}
+    for type_id in sorted(referenced - declared, key=str):
+        type_pairs.append((type_id, None))
+    try:
+        hierarchy = TypeHierarchy.from_edges(type_pairs)
+    except CycleError as exc:
+        issue = ValidationIssue(IssueKind.HIERARCHY_MISMATCH, "hierarchy", str(exc))
+        raise ValidationFailedError(ValidationReport((issue,))) from None
+    nodes: dict = {type_id: Node(type_id, NodeKind.TYPE_NODE) for type_id in hierarchy.types}
+    for line_no, node_id, kind, type_id, literal in node_records:
+        if node_id in nodes and nodes[node_id].kind is NodeKind.TYPE_NODE:
+            raise GkgSyntaxError(line_no, f"node {node_id} collides with a declared type")
+        nodes[node_id] = Node(node_id, kind, inst_of=type_id, literal=literal)
+    graph = GroundedGraph(nodes, frozenset(edge_records), source_id, revision)
+    doc = GkgDocument(hierarchy, graph, LabelTable(label_entries), schema)
+    report = validate_document(doc)
+    if not report.ok:
+        raise ValidationFailedError(report)
+    return doc
+
+
+def _outcome(parser, text: str):
+    """What ``parser`` makes of ``text``: the document, or the error's type,
+    message, line number and validation report."""
+    try:
+        return parser(text)
+    except (GkgSyntaxError, ValidationFailedError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None), getattr(exc, "report", None)
+
+
+_EDGE_BASE = "N ex:a C t:Human\nN ex:b O t:Birth\n"
+
+# E lines against known and unknown ids, then blank and comment lines; the
+# bad records come both before any N line and after the ids are known.
+_EDGE_CASES = [
+    "E ex:b participantIn",
+    "E ex:b participantIn ex:a extra",
+    "E ex:b bogus ex:a",
+    "E ex:b PARTICIPANTIN ex:a",
+    "E ex:b participantIn ex a",
+    "E ex:b participantIn :a",
+    "E é:b participantIn ex:a",
+    "E ex:b participantIn ex:z",
+    "E ex:z participantIn ex:a",
+    "E ex:b participantIn ex:a",
+    "E ex:b participantIn ex:a # trailing",
+    "E",
+    "#E ex:b bogus ex:a",
+    "   # E ex:b bogus ex:a",
+    "\t#",
+    "  \t ",
+    "\x1f",
+    "\xa0",
+    "E\x1fex:b\x1fparticipantIn\x1fex:a",
+    "E ex:b participantIn\u3000ex:a",
+]
+
+
+class TestParseGkgAgainstOracle:
+    @pytest.mark.parametrize("line", _EDGE_CASES)
+    def test_edge_and_skipped_lines(self, line):
+        for text in (
+            _EDGE_BASE + line + "\n",
+            line + "\n" + _EDGE_BASE,
+            _EDGE_BASE + "E ex:b hasAgent ex:a\n" + line + "\nE ex:b participantIn ex:a\n",
+        ):
+            assert _outcome(parse_gkg, text) == _outcome(oracle_parse_gkg, text)
+
+    def test_bad_edges_keep_their_messages(self):
+        text = _EDGE_BASE + "E ex:b participantIn ex:a\nE ex:b bogus ex:a\n"
+        with pytest.raises(GkgSyntaxError, match=r"^line 4: unknown primitive relation: 'bogus'$"):
+            parse_gkg(text)
+        with pytest.raises(GkgSyntaxError, match=r"^line 3: E takes a subject, a relation and an object$"):
+            parse_gkg(_EDGE_BASE + "E ex:b participantIn ex:a ex:a\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_EDGE_CASES),
+                st.sampled_from(("N ex:a C t:Human", "N ex:b O t:Birth", "N ex:c A t:Place", "N ex:d V t:V x")),
+                st.builds(
+                    "E {} {} {}".format,
+                    st.sampled_from(("ex:a", "ex:b", "ex:c", "ex:d", "ex:", "ex")),
+                    st.sampled_from(("participantIn", "hasProp", "hasValue", "dep", "isA", "nope")),
+                    st.sampled_from(("ex:a", "ex:b", "ex:c", "ex:d", "t:Human", "x")),
+                ),
+                st.text(alphabet="E ex:ab#\t\x1f\r", max_size=12),
+            ),
+            max_size=10,
+        )
+    )
+    def test_any_edge_heavy_text(self, lines):
+        text = "".join(line + "\n" for line in lines)
+        assert _outcome(parse_gkg, text) == _outcome(oracle_parse_gkg, text)
 
 
 class TestSerializeGkg:

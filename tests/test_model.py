@@ -1,5 +1,7 @@
 """Node/edge model, type hierarchy, validation and role inference."""
 
+import copy
+import pickle
 import random
 from typing import Optional
 
@@ -54,6 +56,113 @@ class TestNodeId:
 
     def test_str_round_trip(self):
         assert str(NodeId.parse("ex:rw")) == "ex:rw"
+
+
+_ID = NodeId("ent", "a73a7c3b4094aa5c")
+_TYPE = NodeId("ont", "Birth")
+
+# One sample of each value type, its plain field tuple and its repr.
+_VALUES = [
+    (_ID, ("ent", "a73a7c3b4094aa5c"), "NodeId(namespace='ent', local='a73a7c3b4094aa5c')"),
+    (
+        Node(_ID, NodeKind.VALUE_LITERAL, _TYPE, "it's"),
+        (_ID, NodeKind.VALUE_LITERAL, _TYPE, "it's"),
+        "Node(id=NodeId(namespace='ent', local='a73a7c3b4094aa5c'), kind=<NodeKind.VALUE_LITERAL: 'V'>, "
+        "inst_of=NodeId(namespace='ont', local='Birth'), literal=\"it's\")",
+    ),
+    (
+        Node(_ID, NodeKind.CONTINUANT),
+        (_ID, NodeKind.CONTINUANT, None, None),
+        "Node(id=NodeId(namespace='ent', local='a73a7c3b4094aa5c'), kind=<NodeKind.CONTINUANT: 'C'>, "
+        "inst_of=None, literal=None)",
+    ),
+    (
+        Edge(_TYPE, PrimitiveRelation.PARTICIPANT_IN, _ID),
+        (_TYPE, PrimitiveRelation.PARTICIPANT_IN, _ID),
+        "Edge(subject=NodeId(namespace='ont', local='Birth'), "
+        "relation=<PrimitiveRelation.PARTICIPANT_IN: 'participantIn'>, "
+        "obj=NodeId(namespace='ent', local='a73a7c3b4094aa5c'))",
+    ),
+]
+_FIELDS = {
+    NodeId: ("namespace", "local"),
+    Node: ("id", "kind", "inst_of", "literal"),
+    Edge: ("subject", "relation", "obj"),
+}
+
+# Namespaces with characters that sort before ":", where the order of the
+# string form and the order of the (namespace, local) pair disagree.
+_ordered_ids = st.builds(
+    NodeId,
+    st.text(alphabet="a.-09", min_size=1, max_size=3),
+    st.text(alphabet="a:.-9", min_size=1, max_size=3),
+)
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("value, fields, _repr", _VALUES)
+    def test_fields_hash_and_equality_are_the_field_tuple(self, value, fields, _repr):
+        assert tuple(getattr(value, name) for name in _FIELDS[type(value)]) == fields
+        assert hash(value) == hash(fields)  # the hash of the former frozen dataclass
+        assert value == fields and tuple(value) == fields
+
+    @pytest.mark.parametrize("value, fields, expected", _VALUES)
+    def test_repr(self, value, fields, expected):
+        assert repr(value) == expected
+
+    @pytest.mark.parametrize("value, fields, _repr", _VALUES)
+    def test_fields_are_read_only(self, value, fields, _repr):
+        for name in _FIELDS[type(value)]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, fields[0])
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    @pytest.mark.parametrize("value, fields, _repr", _VALUES)
+    def test_copy_deepcopy_and_pickle_round_trip(self, value, fields, _repr):
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies.extend(pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+        for other in copies:
+            assert type(other) is type(value) and other == value and hash(other) == hash(value)
+
+    def test_equal_string_forms_stay_distinct(self):
+        left, right = NodeId("a:b", "c"), NodeId("a", "b:c")
+        assert str(left) == str(right) and left != right
+        assert len({left, right}) == 2
+        assert Node(left, NodeKind.CONTINUANT) != Node(right, NodeKind.CONTINUANT)
+        assert Edge(left, PrimitiveRelation.DEP, _ID) != Edge(right, PrimitiveRelation.DEP, _ID)
+
+    def test_tuple_and_string_order_disagree_here(self):
+        dotted, plain = NodeId("a.", "x"), NodeId("a", "y")
+        assert tuple(dotted) > tuple(plain) and dotted < plain
+        assert max(dotted, plain) == plain and min(dotted, plain) == dotted
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ordered_ids, _ordered_ids)
+    def test_comparisons_follow_the_string_form(self, left, right):
+        assert (left < right) == (str(left) < str(right))
+        assert (left > right) == (str(left) > str(right))
+        assert (left <= right) == (str(left) <= str(right))
+        assert (left >= right) == (str(left) >= str(right))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ordered_ids, max_size=8))
+    def test_sorted_min_max_follow_the_string_form(self, ids):
+        assert sorted(ids) == sorted(ids, key=str)
+        if ids:
+            assert min(ids) is min(ids, key=str)
+            assert max(ids) is max(ids, key=str)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ordered_ids, min_size=1, max_size=8, unique_by=str), st.randoms(use_true_random=False))
+    def test_nodes_and_edges_sort_by_the_string_form(self, ids, rng):
+        nodes = [Node(node_id, NodeKind.CONTINUANT, _TYPE) for node_id in ids]
+        assert sorted(nodes) == sorted(nodes, key=lambda node: str(node.id))
+        relations = list(PrimitiveRelation)
+        edges = [Edge(rng.choice(ids), rng.choice(relations), rng.choice(ids)) for _ in range(8)]
+        assert sorted(edges) == sorted(edges, key=Edge.sort_key)
+        assert min(edges) == min(edges, key=Edge.sort_key)
+        assert max(edges) == max(edges, key=Edge.sort_key)
 
 
 def oracle_node_id_error(namespace: str, local: str) -> Optional[str]:
