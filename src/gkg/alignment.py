@@ -284,14 +284,20 @@ def align(
     recorded as ambiguous and both endpoints are withdrawn: neither is
     listed as unmatched.  The result is symmetric in the argument order.
 
+    An ambiguous pair's ``ambiguous`` rows are the pair itself and every
+    rival still free on either side (another B candidate of its A end,
+    another A candidate of its B end) whose score is within the band of
+    the pair's: exactly the pairs that brought a margin under the band.
+    A rival stays free, so it may still match or be contested later.
+    Rows are grouped by A id.
+
     Every candidate is screened with one matrix product per slot key
     (:func:`_screen_scores`), which gives each score up to rounding.  Only
-    pairs screened at or above ``threshold - ambiguity_band`` and the full
-    candidate rows of ambiguous entities are rescored with
-    :func:`signature_similarity`, and only those exact scores decide or
-    appear in the result.  A pair screened out lies more than the band
-    below the threshold, so it can neither match nor bring a margin under
-    the band.
+    pairs screened at or above ``threshold - ambiguity_band`` are rescored
+    with :func:`signature_similarity`, and only those exact scores decide
+    or appear in the result.  A pair screened out lies more than the band
+    below the threshold, so it can neither match, nor bring a margin under
+    the band, nor be listed as a rival.
     """
     index_a = _GraphIndex(graph_a)
     index_b = _GraphIndex(graph_b)
@@ -314,19 +320,11 @@ def align(
     floor = config.threshold - config.ambiguity_band - _SCREEN_SLACK
     near = compatible & (_screen_scores(sigs_a, sigs_b, config) >= floor)
 
-    exact: Dict[Tuple[int, int], float] = {}
-
-    def score(i: int, j: int) -> float:
-        value = exact.get((i, j))
-        if value is None:
-            value = exact[(i, j)] = signature_similarity(sigs_a[i], sigs_b[j], config)
-        return value
-
     cand_a: Dict[int, list] = {}
     cand_b: Dict[int, list] = {}
     ordered = []
     for i, j in zip(*(axis.tolist() for axis in np.nonzero(near))):
-        value = score(i, j)
+        value = signature_similarity(sigs_a[i], sigs_b[j], config)
         cand_a.setdefault(i, []).append((j, value))
         cand_b.setdefault(j, []).append((i, value))
         if value >= config.threshold:
@@ -335,18 +333,23 @@ def align(
         key=lambda t: (-t[0], min(names_a[t[1]], names_b[t[2]]), max(names_a[t[1]], names_b[t[2]]))
     )
 
+    band = config.ambiguity_band
     free_a = set(range(len(conts_a)))
     free_b = set(range(len(conts_b)))
     matches: list = []
-    ambiguous: list = []
+    ambiguous: Dict[int, list] = {}
     for value, i, j in ordered:
         if i not in free_a or j not in free_b:
             continue
         margin_a = value - _best_alternative(cand_a[i], j, free_b)
         margin_b = value - _best_alternative(cand_b[j], i, free_a)
-        if min(margin_a, margin_b) < config.ambiguity_band:
-            row = [(ids_b[k], score(i, k)) for k in np.flatnonzero(compatible[i]).tolist()]
-            ambiguous.append((ids_a[i], tuple(sorted(row, key=lambda pair: (-pair[1], str(pair[0]))))))
+        if min(margin_a, margin_b) < band:
+            row = ambiguous.setdefault(i, [])
+            row.append((ids_b[j], value))
+            row.extend((ids_b[k], s) for k, s in cand_a[i] if k != j and k in free_b and value - s < band)
+            for k, s in cand_b[j]:
+                if k != i and k in free_a and value - s < band:
+                    ambiguous.setdefault(k, []).append((ids_b[j], s))
         else:
             matches.append((ids_a[i], ids_b[j], value))
         free_a.discard(i)
@@ -356,7 +359,10 @@ def align(
         matches=tuple(sorted(matches, key=lambda m: (str(m[0]), str(m[1])))),
         unmatched_a=tuple(ids_a[i] for i in sorted(free_a)),
         unmatched_b=tuple(ids_b[j] for j in sorted(free_b)),
-        ambiguous=tuple(sorted(ambiguous, key=lambda pair: str(pair[0]))),
+        ambiguous=tuple(
+            (ids_a[i], tuple(sorted(row, key=lambda pair: (-pair[1], str(pair[0])))))
+            for i, row in sorted(ambiguous.items(), key=lambda kv: names_a[kv[0]])
+        ),
     )
 
 

@@ -65,6 +65,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_canonicalize(args: argparse.Namespace) -> int:
+    # The G header must read back as written: one whitespace-free token,
+    # with "-" standing for no source id, and a non-negative revision.
+    if args.source_id == "-" or any(ch.isspace() for ch in args.source_id):
+        raise InvalidParameterError(f"source id must be one token other than '-', got {args.source_id!r}")
+    if args.revision < 0:
+        raise InvalidParameterError(f"revision must be non-negative, got {args.revision}")
     rules, declarations = parse_rules(_read(args.rules))
     triples = parse_flat(_read(args.flat))
     doc, report = canonicalize_document(
@@ -80,20 +86,14 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
 
 
 def _alignment_config(doc_a: GkgDocument, doc_b: GkgDocument, args: argparse.Namespace) -> AlignmentConfig:
-    essential = doc_a.declarations.essential | doc_b.declarations.essential
-    roles = list(doc_a.declarations.roles)
-    seen = {role.role_name for role in roles}
-    for role in doc_b.declarations.roles:
-        if role.role_name not in seen:
-            seen.add(role.role_name)
-            roles.append(role)
+    declarations = doc_a.declarations.merged_with(doc_b.declarations)
     return AlignmentConfig(
         provider=_build_provider(args),
         threshold=args.threshold,
         ambiguity_band=args.ambiguity_band,
         pivot_lang=args.pivot_lang,
-        essential_events=essential,
-        role_defs=tuple(roles),
+        essential_events=declarations.essential,
+        role_defs=declarations.roles,
     )
 
 

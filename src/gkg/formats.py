@@ -77,7 +77,9 @@ _KIND_CODES = {
 
 @dataclass(frozen=True, slots=True)
 class FlatTriple:
-    """One conventional KG triple: three non-empty, tab-free labels."""
+    """One conventional KG triple: three non-empty, tab-free labels that
+    do not start with whitespace (a graph document could not carry such a
+    label or literal back)."""
 
     e1: str
     r: str
@@ -89,6 +91,9 @@ class FlatTriple:
                 raise ValueError(f"flat triple field {name} is empty")
             if "\t" in value or "\n" in value or "\r" in value:
                 raise ValueError(f"flat triple field {name} contains a tab or newline")
+            if value[0].isspace():
+                blank = "is blank" if value.isspace() else "starts with whitespace"
+                raise ValueError(f"flat triple field {name} {blank}")
 
 
 @dataclass(frozen=True)

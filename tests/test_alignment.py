@@ -324,8 +324,11 @@ class TestFlatAlign:
 def oracle_align(graph_a, graph_b, hierarchy, labels_a, labels_b, cfg):
     """All-pairs reference for :func:`align`: every type-compatible pair is
     scored with ``signature_similarity`` and the greedy matching runs over
-    the full score table.  The withdrawn B end of an ambiguous pair is left
-    out of ``unmatched_b``, as its A end is left out of ``unmatched_a``."""
+    the full score table.  An ambiguous pair lists itself and every free
+    rival on either side within the band of its score, drawn from the full
+    table, so a rival the screen dropped would show.  The withdrawn B end
+    of an ambiguous pair is left out of ``unmatched_b``, as its A end is
+    left out of ``unmatched_a``."""
     conts_a = list(graph_a.continuants())
     conts_b = list(graph_b.continuants())
     sigs_a = {n.id: entity_signature(graph_a, hierarchy, labels_a, n.id, cfg) for n in conts_a}
@@ -362,7 +365,7 @@ def oracle_align(graph_a, graph_b, hierarchy, labels_a, labels_b, cfg):
 
     free_a = {n.id for n in conts_a}
     free_b = {n.id for n in conts_b}
-    matches, ambiguous = [], []
+    matches, ambiguous = [], {}
     for (id_a, id_b), score in ordered:
         if score < cfg.threshold:
             break
@@ -371,8 +374,13 @@ def oracle_align(graph_a, graph_b, hierarchy, labels_a, labels_b, cfg):
         margin_a = score - best_alternative(cand_a[id_a], id_b, free_b)
         margin_b = score - best_alternative(cand_b[id_b], id_a, free_a)
         if min(margin_a, margin_b) < cfg.ambiguity_band:
-            candidates = tuple(sorted(cand_a[id_a], key=lambda pair: (-pair[1], str(pair[0]))))
-            ambiguous.append((id_a, candidates))
+            ambiguous.setdefault(id_a, []).append((id_b, score))
+            for (rival_a, rival_b), rival in scores.items():
+                near = score - rival < cfg.ambiguity_band
+                if rival_a == id_a and rival_b != id_b and rival_b in free_b and near:
+                    ambiguous[id_a].append((rival_b, rival))
+                if rival_b == id_b and rival_a != id_a and rival_a in free_a and near:
+                    ambiguous.setdefault(rival_a, []).append((id_b, rival))
         else:
             matches.append((id_a, id_b, score))
         free_a.discard(id_a)
@@ -381,7 +389,10 @@ def oracle_align(graph_a, graph_b, hierarchy, labels_a, labels_b, cfg):
         matches=tuple(sorted(matches, key=lambda m: (str(m[0]), str(m[1])))),
         unmatched_a=tuple(n.id for n in conts_a if n.id in free_a),
         unmatched_b=tuple(n.id for n in conts_b if n.id in free_b),
-        ambiguous=tuple(sorted(ambiguous, key=lambda pair: str(pair[0]))),
+        ambiguous=tuple(
+            (id_a, tuple(sorted(rows, key=lambda pair: (-pair[1], str(pair[0])))))
+            for id_a, rows in sorted(ambiguous.items(), key=lambda kv: str(kv[0]))
+        ),
     )
 
 
@@ -588,3 +599,94 @@ class TestAmbiguityBookkeeping:
         swapped = align_docs(doc_b, doc_a, config())
         assert swapped.unmatched_b == result.unmatched_a
         assert swapped.unmatched_a == result.unmatched_b
+
+
+def ambiguous_rows(result):
+    return {(a, b, s) for a, rows in result.ambiguous for b, s in rows}
+
+
+class TestAmbiguousRows:
+    """An ambiguous pair lists itself and its free in-band rivals on
+    either side, and nothing else."""
+
+    @given(doc_pairs, providers, settings_kw)
+    @settings(max_examples=100, deadline=None)
+    def test_rows_swap_symmetric(self, pair, provider, kw):
+        doc_a, doc_b = pair
+        hierarchy, cfg = joint_setup(doc_a, doc_b, provider, **kw)
+        forward = align(doc_a.graph, doc_b.graph, hierarchy, doc_a.labels, doc_b.labels, cfg)
+        backward = align(doc_b.graph, doc_a.graph, hierarchy, doc_b.labels, doc_a.labels, cfg)
+        assert ambiguous_rows(forward) == {(a, b, s) for b, a, s in ambiguous_rows(backward)}
+
+    @given(doc_pairs, providers, settings_kw)
+    @settings(max_examples=60, deadline=None)
+    def test_tsv_round_trip(self, pair, provider, kw):
+        doc_a, doc_b = pair
+        hierarchy, cfg = joint_setup(doc_a, doc_b, provider, **kw)
+        result = align(doc_a.graph, doc_b.graph, hierarchy, doc_a.labels, doc_b.labels, cfg)
+        parsed = parse_alignment_tsv(format_alignment_tsv(result))
+        four = lambda score: float(f"{score:.4f}")
+        by_score = lambda row: (-row[1], str(row[0]))
+        assert parsed.matches == tuple((a, b, four(s)) for a, b, s in result.matches)
+        assert parsed.ambiguous == tuple(
+            (a, tuple(sorted(((b, four(s)) for b, s in rows), key=by_score)))
+            for a, rows in result.ambiguous
+        )
+
+    def test_rival_exactly_a_band_below_is_not_listed(self):
+        """b1 and b2 tie with a1, so a1–b1 is ambiguous; b3 sits exactly
+        one band below, which is outside the band (as in the margin test),
+        and one ulp more band brings it in."""
+        doc_a = parse_gkg("N ex:a1 C core:Thing\nL ex:a1 en Smith\n")
+        doc_b = parse_gkg(
+            "N ex:b1 C core:Thing\nL ex:b1 en Smith\nN ex:b2 C core:Thing\nL ex:b2 en Smith\n"
+            "N ex:b3 C core:Thing\nL ex:b3 en Smith Jones\n"
+        )
+        hierarchy, cfg = joint_setup(doc_a, doc_b, BasisProvider(64))
+        sig = lambda doc, node: entity_signature(doc.graph, hierarchy, doc.labels, NodeId("ex", node), cfg)
+        far = signature_similarity(sig(doc_a, "a1"), sig(doc_b, "b3"), cfg)
+        assert far == pytest.approx((1 + 1 / math.sqrt(2)) / 2)
+        band = 1.0 - far
+        got, want = both_aligners(doc_a, doc_b, threshold=0.9, ambiguity_band=band)
+        assert got == want
+        rows = [(b.local, s) for _, rows in got.ambiguous for b, s in rows]
+        assert rows == [("b1", 1.0), ("b2", 1.0)]
+
+        wider = float(np.nextafter(band, 1.0))
+        got, want = both_aligners(doc_a, doc_b, threshold=0.9, ambiguity_band=wider)
+        assert got == want
+        assert [b.local for _, rows in got.ambiguous for b, _ in rows] == ["b1", "b2", "b3"]
+
+    def test_a_side_rival_is_listed_then_matches(self, monkeypatch):
+        """a1–b1 (1.0) is contested only by a2 (0.854, within a band of
+        0.2).  a2 is listed under b1 but stays free, and then matches b2
+        (0.908) with nothing left to contest it.  b2 is 0.211 below a1–b1,
+        outside the band, so it is not a rival of a1; b3 (0.5) is far from
+        both A entities and is never scored."""
+        calls = []
+        exact = gkg.alignment.signature_similarity
+        monkeypatch.setattr(
+            gkg.alignment, "signature_similarity", lambda a, b, c: calls.append(1) or exact(a, b, c)
+        )
+        doc_a = parse_gkg("N ex:a1 C core:Thing\nL ex:a1 en Smith\nN ex:a2 C core:Thing\nL ex:a2 en Smith Jones\n")
+        doc_b = parse_gkg(
+            "N ex:b1 C core:Thing\nL ex:b1 en Smith\nN ex:b2 C core:Thing\nL ex:b2 en Smith Jones Brown\n"
+            "N ex:b3 C core:Thing\nL ex:b3 en Zed\n"
+        )
+        got, want = both_aligners(doc_a, doc_b, threshold=0.9, ambiguity_band=0.2)
+        assert got == want
+        a1, a2, b1, b2 = (NodeId("ex", n) for n in ("a1", "a2", "b1", "b2"))
+        rival = (1 + 1 / math.sqrt(2)) / 2
+        assert [(a, b) for a, b, _ in got.matches] == [(a2, b2)]
+        assert got.matches[0][2] == pytest.approx((1 + 2 / math.sqrt(6)) / 2)
+        assert [(a, [b for b, _ in rows]) for a, rows in got.ambiguous] == [(a1, [b1]), (a2, [b1])]
+        assert [s for _, rows in got.ambiguous for _, s in rows] == pytest.approx([1.0, rival])
+        lines = format_alignment_tsv(got).splitlines()
+        assert [line.split("\t")[::3] for line in lines] == [
+            ["ex:a1", "AMBIG"], ["ex:a2", "AMBIG"], ["ex:a2", "MATCH"]
+        ]
+        # The oracle above goes through the patched name too; align alone
+        # scores only the four pairs screened near the threshold.
+        calls.clear()
+        align_docs(doc_a, doc_b, config(threshold=0.9, ambiguity_band=0.2))
+        assert len(calls) == 4

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkg import canonicalize_document, parse_flat, parse_gkg, parse_rules, serialize_gkg
 from gkg.cli import main
 
 from .support import WORKED_TEXT
@@ -399,14 +400,21 @@ _labels = st.one_of(
 )
 
 
+# Labels with whitespace, or a character str.isspace() accepts, put before
+# or after them.
+_spaced_labels = st.tuples(
+    st.sampled_from(("", "", " ", "\xa0", "\x1f")), _labels, st.sampled_from(("", "", " ", "\x1f"))
+).map("".join)
+
+
 @st.composite
-def _flat_texts(draw):
+def _flat_texts(draw, labels=_labels):
     """Triples over a few subjects with respelled and unknown relation
     names, sometimes an empty field, a stray carriage return or a line
     with the wrong number of fields."""
     lines = []
     for _ in range(draw(st.integers(0, 6))):
-        fields = [draw(_labels), draw(st.one_of(_rel_names, _labels)), draw(_labels)]
+        fields = [draw(labels), draw(st.one_of(_rel_names, labels)), draw(labels)]
         fault = draw(st.integers(0, 11))
         if fault == 0:
             fields = fields[: draw(st.integers(0, 2))] if draw(st.booleans()) else fields + [draw(_labels)]
@@ -429,3 +437,50 @@ class TestFuzzedCanonicalize:
             code, err = _run_quietly(["canonicalize", "--rules", str(paths[0]), "--flat", str(paths[1])])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(_rules_texts(), _flat_texts(_spaced_labels))
+    def test_what_canonicalize_writes_reads_back(self, rules, flat):
+        """Wherever ``gkg canonicalize`` exits 0, ``gkg validate`` accepts
+        its output and the document survives a serialize/parse round trip."""
+        with tempfile.TemporaryDirectory() as work:
+            paths = [Path(work) / name for name in ("r.rules", "f.tsv", "out.gkg")]
+            for path, text in zip(paths, (rules, flat)):
+                path.write_text(text, encoding="utf-8")
+            argv = ["canonicalize", "--rules", str(paths[0]), "--flat", str(paths[1]), "-o", str(paths[2])]
+            code, _err = _run_quietly(argv)
+            if code != 0:
+                return
+            written = paths[2].read_text(encoding="utf-8")
+            code, err = _run_quietly(["validate", str(paths[2])])
+        assert (code, err) == (0, "")
+        doc = parse_gkg(written)
+        assert serialize_gkg(doc) == written
+        rule_list, declarations = parse_rules(rules)
+        canonical, _report = canonicalize_document(parse_flat(flat), rule_list, declarations=declarations)
+        assert parse_gkg(serialize_gkg(canonical)) == canonical == doc
+
+
+class TestCanonicalizeOptions:
+    """Header options that a graph document could not carry back are
+    refused before any file is read."""
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--source-id", "a b", "source id must be one token"),
+            ("--source-id", "a\tb", "source id must be one token"),
+            ("--source-id", "-", "source id must be one token"),
+            ("--revision", "-1", "revision must be non-negative"),
+        ],
+    )
+    def test_rejected_with_exit_2(self, workspace, capsys, option, value, message):
+        out = workspace / "out.gkg"
+        argv = ["canonicalize", "--rules", str(workspace / "missing.rules"),
+                "--flat", str(workspace / "a.flat"), f"{option}={value}", "-o", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"gkg: {message}")
+        assert not out.exists()

@@ -65,6 +65,26 @@ class TestFlatTriples:
         with pytest.raises(ValueError):
             FlatTriple("a", "r", "b\tc")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("Ada\tbornIn\t ", "field e2 is blank"),
+            ("Ada\tbornIn\t London", "field e2 starts with whitespace"),
+            ("\xa0Ada\tbornIn\tLondon", "field e1 starts with whitespace"),
+            ("Ada\t\x1fbornIn\tLondon", "field r starts with whitespace"),
+        ],
+    )
+    def test_blank_or_leading_whitespace_field_rejected(self, line, message):
+        """A graph document drops a label's or literal's leading
+        whitespace, so such a field could not be written back."""
+        with pytest.raises(MalformedLineError) as exc:
+            parse_flat(f"a\tr\tb\n{line}\n")
+        assert exc.value.line_no == 2
+        assert message in str(exc.value)
+
+    def test_inner_and_trailing_whitespace_kept(self):
+        assert parse_flat("Ada L\tbornIn\tGreat Bookham \n") == (FlatTriple("Ada L", "bornIn", "Great Bookham "),)
+
     @given(st.text(max_size=200))
     @settings(max_examples=200, deadline=None)
     def test_parser_total(self, text):
