@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .embedding import cosine, embed_phrase, embed_flat_triple, normalized
 from .errors import GkgSyntaxError, InvalidParameterError, NotAContinuantError
+from .formats import _content_lines, _node_id
 from .model import (
     GroundedGraph,
     NodeId,
@@ -99,23 +100,6 @@ class AlignmentResult:
     ambiguous: Tuple[Tuple[NodeId, Tuple[Tuple[NodeId, float], ...]], ...] = ()
 
 
-class _GraphIndex:
-    """Edge indexes shared by all signature computations over one graph."""
-
-    def __init__(self, graph: GroundedGraph):
-        self.graph = graph
-        self.participants_by_entity: Dict[NodeId, list] = {}
-        self.attrs_by_bearer: Dict[NodeId, list] = {}
-        self.values_by_attr: Dict[NodeId, list] = {}
-        for edge in graph.edges:
-            if edge.relation in PARTICIPANT_RELATIONS:
-                self.participants_by_entity.setdefault(edge.obj, []).append(edge.subject)
-            elif edge.relation is PrimitiveRelation.HAS_PROP:
-                self.attrs_by_bearer.setdefault(edge.obj, []).append(edge.subject)
-            elif edge.relation is PrimitiveRelation.HAS_VALUE:
-                self.values_by_attr.setdefault(edge.subject, []).append(edge.obj)
-
-
 def entity_signature(
     graph: GroundedGraph,
     hierarchy: TypeHierarchy,
@@ -129,29 +113,44 @@ def entity_signature(
     node = graph.node(node_id)
     if node.kind is not NodeKind.CONTINUANT:
         raise NotAContinuantError(f"{node_id} is a {node.kind.name}, not a continuant")
-    role_names = [
-        role for target, role in infer_role_labels(graph, hierarchy, config.role_defs)
-        if target == node_id
-    ]
-    return _signature(_GraphIndex(graph), _TypeMemo(hierarchy, labels, config, {}), node, config, role_names)
+    return _Signer(graph, hierarchy, labels, config, {}).sign(node)
 
 
-def _type_phrase(labels: LabelTable, type_id: NodeId, pivot_lang: str) -> str:
-    label = labels.get(type_id, pivot_lang)
-    return label if label is not None else type_id.local
+def _phrase(labels: LabelTable, node_id: NodeId, pivot_lang: str) -> str:
+    """The node's label in the pivot language, or its id's local part."""
+    label = labels.get(node_id, pivot_lang)
+    return label if label is not None else node_id.local
 
 
-class _TypeMemo:
-    """What signatures over one side derive from types alone, computed
-    once per type: ancestor sets, in a dict the two sides of an alignment
-    share, and type-slot vectors, which read this side's labels."""
+class _Signer:
+    """Signs the continuants of one graph.  It holds what all signatures
+    over the graph share, each computed once: the edge indexes, the
+    inferred roles, the ancestor sets of types (in a dict that the two
+    sides of an alignment share) and the type-slot vectors, which read
+    this side's labels."""
 
-    def __init__(self, hierarchy: TypeHierarchy, labels: LabelTable, config: AlignmentConfig, lineages: dict):
+    def __init__(self, graph: GroundedGraph, hierarchy: TypeHierarchy, labels: LabelTable,
+                 config: AlignmentConfig, lineages: Dict[NodeId, frozenset]):
+        self.graph = graph
         self.hierarchy = hierarchy
         self.labels = labels
         self.config = config
-        self.lineages: Dict[NodeId, frozenset] = lineages
-        self.vectors: Dict[NodeId, np.ndarray] = {}
+        self.lineages = lineages
+        self.type_vectors: Dict[NodeId, np.ndarray] = {}
+        self.participants_by_entity: Dict[NodeId, list] = {}
+        self.attrs_by_bearer: Dict[NodeId, list] = {}
+        self.values_by_attr: Dict[NodeId, list] = {}
+        for edge in graph.edges:
+            if edge.relation in PARTICIPANT_RELATIONS:
+                self.participants_by_entity.setdefault(edge.obj, []).append(edge.subject)
+            elif edge.relation is PrimitiveRelation.HAS_PROP:
+                self.attrs_by_bearer.setdefault(edge.obj, []).append(edge.subject)
+            elif edge.relation is PrimitiveRelation.HAS_VALUE:
+                self.values_by_attr.setdefault(edge.subject, []).append(edge.obj)
+        self.roles: Dict[NodeId, list] = {}
+        if config.role_defs:
+            for node_id, role in infer_role_labels(graph, hierarchy, config.role_defs):
+                self.roles.setdefault(node_id, []).append(role)
 
     def lineage(self, type_id: NodeId) -> frozenset:
         found = self.lineages.get(type_id)
@@ -159,78 +158,69 @@ class _TypeMemo:
             found = self.lineages[type_id] = self.hierarchy.ancestors(type_id)
         return found
 
-    def vector(self, type_id: NodeId) -> np.ndarray:
+    def type_vector(self, type_id: NodeId) -> np.ndarray:
         """Normalized mean of the phrase vectors along the lineage."""
-        found = self.vectors.get(type_id)
+        found = self.type_vectors.get(type_id)
         if found is None:
             config = self.config
             vectors = [
-                embed_phrase(config.provider, _type_phrase(self.labels, ancestor, config.pivot_lang))
+                embed_phrase(config.provider, _phrase(self.labels, ancestor, config.pivot_lang))
                 for ancestor in sorted(self.lineage(type_id), key=str)
             ]
-            found = self.vectors[type_id] = normalized(np.add.reduce(vectors) / float(len(vectors)))
+            found = self.type_vectors[type_id] = normalized(np.add.reduce(vectors) / float(len(vectors)))
         return found
 
+    def sign(self, node) -> EntitySignature:
+        config = self.config
+        provider = config.provider
+        hierarchy = self.hierarchy
+        graph = self.graph
+        slots: Dict[str, np.ndarray] = {}
 
-def _signature(
-    index: _GraphIndex,
-    memo: _TypeMemo,
-    node,
-    config: AlignmentConfig,
-    role_names: Sequence[str],
-) -> EntitySignature:
-    provider = config.provider
-    hierarchy = memo.hierarchy
-    labels = memo.labels
-    slots: Dict[str, np.ndarray] = {}
+        slots[SLOT_NAME] = embed_phrase(provider, _phrase(self.labels, node.id, config.pivot_lang))
 
-    name_text = labels.get(node.id, config.pivot_lang)
-    if name_text is None:
-        name_text = node.id.local
-    slots[SLOT_NAME] = embed_phrase(provider, name_text)
+        if node.inst_of is not None and node.inst_of in hierarchy:
+            slots[SLOT_TYPE] = self.type_vector(node.inst_of)
 
-    if node.inst_of is not None and node.inst_of in hierarchy:
-        slots[SLOT_TYPE] = memo.vector(node.inst_of)
-
-    graph = index.graph
-    for essential in sorted(config.essential_events, key=str):
-        if essential not in hierarchy:
-            continue
-        sums: Dict[NodeId, np.ndarray] = {}
-        for event_id in index.participants_by_entity.get(node.id, ()):
-            event = graph.nodes.get(event_id)
-            if event is None or event.kind is not NodeKind.OCCURRENT:
+        for essential in sorted(config.essential_events, key=str):
+            if essential not in hierarchy:
                 continue
-            if event.inst_of is None or event.inst_of not in hierarchy:
-                continue
-            if essential not in memo.lineage(event.inst_of):
-                continue
-            for attr_id in index.attrs_by_bearer.get(event_id, ()):
-                attr = graph.nodes.get(attr_id)
-                if attr is None or attr.kind is not NodeKind.ATTRIBUTE_INSTANCE or attr.inst_of is None:
+            sums: Dict[NodeId, np.ndarray] = {}
+            for event_id in self.participants_by_entity.get(node.id, ()):
+                event = graph.nodes.get(event_id)
+                if event is None or event.kind is not NodeKind.OCCURRENT:
                     continue
-                for value_id in index.values_by_attr.get(attr_id, ()):
-                    value = graph.nodes.get(value_id)
-                    if value is None or not value.literal:
+                if event.inst_of is None or event.inst_of not in hierarchy:
+                    continue
+                if essential not in self.lineage(event.inst_of):
+                    continue
+                for attr_id in self.attrs_by_bearer.get(event_id, ()):
+                    attr = graph.nodes.get(attr_id)
+                    if attr is None or attr.kind is not NodeKind.ATTRIBUTE_INSTANCE or attr.inst_of is None:
                         continue
-                    vector = embed_phrase(provider, value.literal)
-                    if not np.any(vector):
-                        continue
-                    if attr.inst_of in sums:
-                        sums[attr.inst_of] = sums[attr.inst_of] + vector
-                    else:
-                        sums[attr.inst_of] = vector
-        for attr_type, total in sums.items():
-            slots[fact_slot_key(essential, attr_type)] = normalized(total)
+                    for value_id in self.values_by_attr.get(attr_id, ()):
+                        value = graph.nodes.get(value_id)
+                        if value is None or not value.literal:
+                            continue
+                        vector = embed_phrase(provider, value.literal)
+                        if not np.any(vector):
+                            continue
+                        if attr.inst_of in sums:
+                            sums[attr.inst_of] = sums[attr.inst_of] + vector
+                        else:
+                            sums[attr.inst_of] = vector
+            for attr_type, total in sums.items():
+                slots[fact_slot_key(essential, attr_type)] = normalized(total)
 
-    if role_names:
-        total = np.zeros(provider.dim, dtype=np.float64)
-        for role in sorted(set(role_names)):
-            total = total + embed_phrase(provider, role)
-        if np.any(total):
-            slots[SLOT_ROLES] = normalized(total)
+        role_names = self.roles.get(node.id)
+        if role_names:
+            total = np.zeros(provider.dim, dtype=np.float64)
+            for role in sorted(set(role_names)):
+                total = total + embed_phrase(provider, role)
+            if np.any(total):
+                slots[SLOT_ROLES] = normalized(total)
 
-    return EntitySignature.from_slots(slots)
+        return EntitySignature.from_slots(slots)
 
 
 def signature_similarity(
@@ -299,24 +289,20 @@ def align(
     below the threshold, so it can neither match, nor bring a margin under
     the band, nor be listed as a rival.
     """
-    index_a = _GraphIndex(graph_a)
-    index_b = _GraphIndex(graph_b)
-    roles_a = _roles_by_entity(graph_a, hierarchy, config)
-    roles_b = _roles_by_entity(graph_b, hierarchy, config)
+    lineages: Dict[NodeId, frozenset] = {}
+    signer_a = _Signer(graph_a, hierarchy, labels_a, config, lineages)
+    signer_b = _Signer(graph_b, hierarchy, labels_b, config, lineages)
 
     conts_a = list(graph_a.continuants())
     conts_b = list(graph_b.continuants())
-    lineages: Dict[NodeId, frozenset] = {}
-    memo_a = _TypeMemo(hierarchy, labels_a, config, lineages)
-    memo_b = _TypeMemo(hierarchy, labels_b, config, lineages)
-    sigs_a = [_signature(index_a, memo_a, n, config, roles_a.get(n.id, ())) for n in conts_a]
-    sigs_b = [_signature(index_b, memo_b, n, config, roles_b.get(n.id, ())) for n in conts_b]
+    sigs_a = [signer_a.sign(n) for n in conts_a]
+    sigs_b = [signer_b.sign(n) for n in conts_b]
     ids_a = [n.id for n in conts_a]
     ids_b = [n.id for n in conts_b]
     names_a = [str(i) for i in ids_a]
     names_b = [str(i) for i in ids_b]
 
-    compatible = _compatibility([n.inst_of for n in conts_a], [n.inst_of for n in conts_b], memo_a)
+    compatible = _compatibility([n.inst_of for n in conts_a], [n.inst_of for n in conts_b], signer_a)
     floor = config.threshold - config.ambiguity_band - _SCREEN_SLACK
     near = compatible & (_screen_scores(sigs_a, sigs_b, config) >= floor)
 
@@ -374,12 +360,12 @@ def _best_alternative(candidates, excluded: int, free: set) -> float:
     return best
 
 
-def _compatibility(types_a: Sequence, types_b: Sequence, memo: _TypeMemo) -> np.ndarray:
+def _compatibility(types_a: Sequence, types_b: Sequence, signer: _Signer) -> np.ndarray:
     """Boolean ``len(types_a) x len(types_b)`` mask of type-compatible
     pairs: both types known and one a subtype of the other.  Ancestor sets
-    come from the memo, so each is computed once per distinct type."""
+    come from the signer, so each is computed once per distinct type."""
     lineage = {
-        t: memo.lineage(t) for t in set(types_a) | set(types_b) if t is not None and t in memo.hierarchy
+        t: signer.lineage(t) for t in set(types_a) | set(types_b) if t is not None and t in signer.hierarchy
     }
     distinct_a = {t: k for k, t in enumerate(dict.fromkeys(types_a))}
     distinct_b = {t: k for k, t in enumerate(dict.fromkeys(types_b))}
@@ -432,15 +418,6 @@ def _screen_scores(
     return np.divide(numerator, denominator, out=np.zeros_like(numerator), where=denominator > 0.0)
 
 
-def _roles_by_entity(graph, hierarchy, config) -> Dict[NodeId, list]:
-    if not config.role_defs:
-        return {}
-    by_entity: Dict[NodeId, list] = {}
-    for node_id, role in infer_role_labels(graph, hierarchy, config.role_defs):
-        by_entity.setdefault(node_id, []).append(role)
-    return by_entity
-
-
 def flat_align(
     triples_a: Sequence, triples_b: Sequence, config: AlignmentConfig
 ) -> Tuple[tuple, ...]:
@@ -472,18 +449,12 @@ def parse_alignment_tsv(text: str) -> AlignmentResult:
     are not serialized, so they come back empty."""
     matches: list = []
     ambiguous: Dict[NodeId, list] = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in _content_lines(text):
         fields = line.split("\t")
         if len(fields) != 4:
             raise GkgSyntaxError(line_no, f"expected 4 tab-separated fields, got {len(fields)}")
-        try:
-            id_a = NodeId.parse(fields[0])
-            id_b = NodeId.parse(fields[1])
-        except ValueError as exc:
-            raise GkgSyntaxError(line_no, str(exc)) from None
+        id_a = _node_id(fields[0], line_no)
+        id_b = _node_id(fields[1], line_no)
         try:
             score = float(fields[2])
         except ValueError:

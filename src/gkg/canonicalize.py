@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .embedding import tokenize
-from .errors import UnknownTypeError
+from .errors import IdCollisionError, UnknownTypeError
 from .formats import FlatTriple, GkgDocument
 from .hashing import fnv1a64_hex
 from .model import (
@@ -29,7 +29,6 @@ from .model import (
 from .multilingual import LabelTable
 from .schema import (
     AttrMode,
-    AttrSlot,
     Cardinality,
     ParticipantSlot,
     ReificationRule,
@@ -93,22 +92,6 @@ def _rules_by_token_key(rules: Sequence[ReificationRule]) -> dict:
     return by_key
 
 
-def canonicalize(
-    triples: Iterable[FlatTriple],
-    rules: Sequence[ReificationRule],
-    hierarchy: TypeHierarchy,
-    entity_types: Optional[Mapping[str, NodeId]] = None,
-    declarations: Optional[SchemaDeclarations] = None,
-) -> Tuple[GroundedGraph, CanonReport]:
-    """Ground flat triples against reification rules.
-
-    Unmapped relation names are reported, never fatal.  All types the rules
-    and the entity-type map mention must already be in the hierarchy.
-    """
-    graph, report, _ = _canonicalize(triples, rules, hierarchy, entity_types, declarations)
-    return graph, report
-
-
 def canonicalize_document(
     triples: Iterable[FlatTriple],
     rules: Sequence[ReificationRule],
@@ -119,43 +102,21 @@ def canonicalize_document(
     source_id: str = "",
     revision: int = 0,
 ) -> Tuple[GkgDocument, CanonReport]:
-    """Like :func:`canonicalize` but package the result as a document:
+    """Ground flat triples against reification rules into a document:
     entity labels are recorded under ``lang`` and the declarations ride
-    along.  Without an explicit hierarchy one is synthesized from every
-    type the rules, declarations and entity-type map mention."""
-    if hierarchy is None:
-        hierarchy = hierarchy_for_rules(rules, declarations, entity_types)
-    graph, report, entity_labels = _canonicalize(
-        triples, rules, hierarchy, entity_types, declarations
-    )
-    graph = GroundedGraph(graph.nodes, graph.edges, source_id, revision)
-    labels = LabelTable.from_entries(
-        (node_id, lang, label) for node_id, label in sorted(entity_labels.items(), key=lambda kv: str(kv[0]))
-    )
-    doc = GkgDocument(hierarchy, graph, labels, declarations or SchemaDeclarations.empty())
-    return doc, report
+    along.
 
-
-def hierarchy_for_rules(
-    rules: Sequence[ReificationRule],
-    declarations: Optional[SchemaDeclarations] = None,
-    entity_types: Optional[Mapping[str, NodeId]] = None,
-) -> TypeHierarchy:
-    """Root plus every type referenced by the rules, declarations and
-    entity-type map, all as direct children of the root."""
-    types: set = set()
-    for rule in rules:
-        types.update(rule.referenced_types())
-    if declarations is not None:
-        types.update(declarations.referenced_types())
-    if entity_types:
-        types.update(entity_types.values())
-    return TypeHierarchy.from_edges((t, None) for t in sorted(types, key=str))
-
-
-def _canonicalize(triples, rules, hierarchy, entity_types, declarations):
+    Unmapped relation names are reported, never fatal.  All types the rules
+    and the entity-type map mention must be in the hierarchy; without an
+    explicit one, one is synthesized from every type the rules,
+    declarations and entity-type map mention.  Raises
+    :class:`IdCollisionError` when one content-derived id would stand for
+    two different facts: two entity labels, or two types or literals.
+    """
     entity_types = dict(entity_types or {})
     declarations = declarations or SchemaDeclarations.empty()
+    if hierarchy is None:
+        hierarchy = hierarchy_for_rules(rules, declarations, entity_types)
 
     for rule in rules:
         for type_id in rule.referenced_types():
@@ -178,16 +139,16 @@ def _canonicalize(triples, rules, hierarchy, entity_types, declarations):
     slot_values: dict = {}
 
     def ensure_entity(label: str) -> NodeId:
-        nonlocal nodes
         existing = entity_ids.get(label)
         if existing is not None:
             return existing
         node_id = NodeId(ENTITY_NAMESPACE, fnv1a64_hex(label))
+        other = entity_labels.get(node_id)
+        if other is not None:
+            raise IdCollisionError(f"entity labels {other!r} and {label!r} share the id {node_id}")
+        _add(nodes, node_id, NodeKind.CONTINUANT, entity_types.get(label, ROOT_TYPE))
         entity_ids[label] = node_id
         entity_labels[node_id] = label
-        nodes[node_id] = Node(
-            node_id, NodeKind.CONTINUANT, inst_of=entity_types.get(label, ROOT_TYPE)
-        )
         return node_id
 
     rule_by_key = _rules_by_token_key(rules)
@@ -204,11 +165,10 @@ def _canonicalize(triples, rules, hierarchy, entity_types, declarations):
         else:
             event_key = fnv1a64_hex(f"{triple.e1}\t{triple.e2}")
         event_id = NodeId(EVENT_NAMESPACE, f"{rule.event_type.local}#{event_key}")
-        if event_id in nodes:
-            events_coalesced += 1
-        else:
-            nodes[event_id] = Node(event_id, NodeKind.OCCURRENT, inst_of=rule.event_type)
+        if _add(nodes, event_id, NodeKind.OCCURRENT, rule.event_type):
             events_created += 1
+        else:
+            events_coalesced += 1
         edges.add(Edge(event_id, rule.subject_role, subject_id))
 
         slot = rule.object_slot
@@ -218,18 +178,14 @@ def _canonicalize(triples, rules, hierarchy, entity_types, declarations):
 
         literal = triple.e2
         value_id = NodeId(VALUE_NAMESPACE, f"{slot.value_type.local}#{fnv1a64_hex(literal)}")
-        if value_id not in nodes:
-            nodes[value_id] = Node(
-                value_id, NodeKind.VALUE_LITERAL, inst_of=slot.value_type, literal=literal
-            )
+        _add(nodes, value_id, NodeKind.VALUE_LITERAL, slot.value_type, literal)
         mode = declarations.mode_of(rule.event_type, slot.attr_type)
         if mode is AttrMode.FUNCTIONAL:
             attr_key = fnv1a64_hex(str(event_id))
         else:
             attr_key = fnv1a64_hex(f"{event_id}\t{literal}")
         attr_id = NodeId(ATTRIBUTE_NAMESPACE, f"{slot.attr_type.local}#{attr_key}")
-        if attr_id not in nodes:
-            nodes[attr_id] = Node(attr_id, NodeKind.ATTRIBUTE_INSTANCE, inst_of=slot.attr_type)
+        _add(nodes, attr_id, NodeKind.ATTRIBUTE_INSTANCE, slot.attr_type)
         edges.add(Edge(attr_id, PrimitiveRelation.HAS_PROP, event_id))
         edges.add(Edge(attr_id, PrimitiveRelation.HAS_VALUE, value_id))
         if mode is AttrMode.FUNCTIONAL:
@@ -249,5 +205,45 @@ def _canonicalize(triples, rules, hierarchy, entity_types, declarations):
         entity_nodes_created=len(entity_ids),
         value_conflicts=conflicts,
     )
-    graph = GroundedGraph(nodes, frozenset(edges))
-    return graph, report, entity_labels
+    graph = GroundedGraph(nodes, frozenset(edges), source_id, revision)
+    labels = LabelTable.from_entries(
+        (node_id, lang, label) for node_id, label in sorted(entity_labels.items(), key=lambda kv: str(kv[0]))
+    )
+    return GkgDocument(hierarchy, graph, labels, declarations), report
+
+
+def hierarchy_for_rules(
+    rules: Sequence[ReificationRule],
+    declarations: Optional[SchemaDeclarations] = None,
+    entity_types: Optional[Mapping[str, NodeId]] = None,
+) -> TypeHierarchy:
+    """Root plus every type referenced by the rules, declarations and
+    entity-type map, all as direct children of the root."""
+    types: set = set()
+    for rule in rules:
+        types.update(rule.referenced_types())
+    if declarations is not None:
+        types.update(declarations.referenced_types())
+    if entity_types:
+        types.update(entity_types.values())
+    return TypeHierarchy.from_edges((t, None) for t in sorted(types, key=str))
+
+
+def _add(nodes: dict, node_id: NodeId, kind: NodeKind, inst_of: NodeId, literal: Optional[str] = None):
+    """Add the node unless ``node_id`` already holds it; returns whether it
+    was added.  An id that holds another node (another type or literal)
+    would fold two facts into one, so that raises :class:`IdCollisionError`."""
+    held = nodes.get(node_id)
+    if held is None:
+        nodes[node_id] = Node(node_id, kind, inst_of, literal)
+        return True
+    if held[1:] != (kind, inst_of, literal):
+        raise IdCollisionError(
+            f"id {node_id} stands for both {_content(*held[1:])} and {_content(kind, inst_of, literal)}"
+        )
+    return False
+
+
+def _content(kind: NodeKind, inst_of: Optional[NodeId], literal: Optional[str]) -> str:
+    text = f"{kind.name} {inst_of or '-'}"
+    return text if literal is None else f"{text} {literal!r}"

@@ -29,8 +29,12 @@ from .multilingual import check_isomorphic, render
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GkgSyntaxError(data.count(b"\n", 0, exc.start) + 1, f"{path} is not UTF-8 text") from None
 
 
 def _load_document(path: str) -> GkgDocument:

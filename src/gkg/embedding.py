@@ -12,8 +12,10 @@ additive scheme whose blind spots the evaluation commands demonstrate.
 
 from __future__ import annotations
 
+import io
 import math
 import re
+import sys
 from typing import Iterable, List
 
 import numpy as np
@@ -89,8 +91,14 @@ class FileEmbeddingProvider:
         self.misses = 0
         self._fallback = HashEmbeddingProvider(fallback_seed, dim)
         self._vectors: dict = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            self._load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise VectorFileError(data.count(b"\n", 0, exc.start) + 1, f"{path} is not UTF-8 text") from None
+        # Lines as a text-mode file yields them (universal newlines).
+        self._load(io.StringIO(text, newline=None))
 
     def _load(self, lines: Iterable[str]) -> None:
         first_data_line = True
@@ -121,6 +129,12 @@ class FileEmbeddingProvider:
                 raise VectorFileError(line_no, f"non-numeric component for {token!r}") from None
             if not np.isfinite(components).all():
                 raise VectorFileError(line_no, f"non-finite component for {token!r}")
+            # A squared norm that overflows would zero the vector, one below
+            # the smallest normal float would leave it unnormalized.
+            with np.errstate(over="ignore"):
+                square = float(np.dot(components, components))
+            if components.any() and not sys.float_info.min <= square < math.inf:
+                raise VectorFileError(line_no, f"components of {token!r} are too large or small to normalize")
             self._vectors[token] = normalized(components)
 
     def token_vector(self, token: str) -> np.ndarray:

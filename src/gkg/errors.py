@@ -107,4 +107,5 @@ class AlignmentMismatchError(GkgError):
 
 
 class IdCollisionError(GkgError):
-    """Two graphs being merged use one node id for different content."""
+    """One node id would stand for different content: in the two graphs of
+    a merge, or for two facts (or two entity labels) while canonicalizing."""

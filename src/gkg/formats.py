@@ -30,7 +30,7 @@ record, so equal documents produce byte-identical text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Mapping, Optional, Tuple
+from typing import List, Tuple
 
 from .embedding import tokenize
 from .errors import (
@@ -156,10 +156,7 @@ def parse_flat(text: str) -> Tuple[FlatTriple, ...]:
     """Parse tab-separated triples, one per line.  Lines must have exactly
     three non-empty fields; ``#`` comments and blank lines are skipped."""
     triples = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in _content_lines(text):
         fields = line.split("\t")
         if len(fields) != 3:
             raise MalformedLineError(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
@@ -250,11 +247,11 @@ class _DeclarationCollector:
 
 
 def _content_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield line_no, line
+    """(line number, line) of every line that is neither blank nor a
+    ``#`` comment."""
+    for line_no, line in enumerate(text.splitlines(), 1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield line_no, line
 
 
 def parse_gkg(text: str) -> GkgDocument:

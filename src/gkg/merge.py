@@ -12,9 +12,9 @@ Everything unmatched is unioned disjointly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Mapping, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from .alignment import AlignmentResult
 from .errors import AlignmentMismatchError, IdCollisionError
@@ -30,30 +30,6 @@ from .model import (
 )
 from .multilingual import GLOSS_NAMESPACE, LabelTable
 from .schema import AttrMode, Cardinality, SchemaDeclarations
-
-
-@dataclass(frozen=True)
-class MergePolicy:
-    """Slot modes and coalescing cardinalities for the merge universe.
-
-    Undeclared attribute slots accumulate (MULTI); undeclared event types
-    coalesce (ONE).  With ``prefer_newer`` off, differing FUNCTIONAL
-    values are never auto-resolved, only flagged.
-    """
-
-    attr_modes: Mapping[tuple, AttrMode] = field(default_factory=dict)
-    cardinality: Mapping[NodeId, Cardinality] = field(default_factory=dict)
-    prefer_newer: bool = True
-
-    @classmethod
-    def from_declarations(cls, decls: SchemaDeclarations, prefer_newer: bool = True) -> "MergePolicy":
-        return cls(dict(decls.attr_modes), dict(decls.cardinality), prefer_newer)
-
-    def mode_of(self, event_type: NodeId, attr_type: NodeId) -> AttrMode:
-        return self.attr_modes.get((event_type, attr_type), AttrMode.MULTI)
-
-    def card_of(self, event_type: NodeId) -> Cardinality:
-        return self.cardinality.get(event_type, Cardinality.ONE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,16 +82,23 @@ def merge(
     graph_a: GroundedGraph,
     graph_b: GroundedGraph,
     alignment: AlignmentResult,
-    policy: Optional[MergePolicy] = None,
+    declarations: Optional[SchemaDeclarations] = None,
+    *,
+    prefer_newer: bool = True,
 ) -> Tuple[GroundedGraph, MergeReport]:
     """Merge ``graph_b`` into ``graph_a`` along the alignment's matches.
+
+    ``declarations`` give the event cardinalities and attribute slot
+    modes; undeclared event types coalesce (ONE) and undeclared slots
+    accumulate (MULTI).  With ``prefer_newer`` off, differing FUNCTIONAL
+    values are never auto-resolved, only flagged.
 
     Ids of shared types must already agree across the two graphs.  Raises
     :class:`AlignmentMismatchError` if the alignment names nodes the
     graphs lack, :class:`IdCollisionError` if one id means different
     things on the two sides.
     """
-    policy = policy or MergePolicy()
+    declarations = declarations or SchemaDeclarations()
 
     id_map: Dict[NodeId, NodeId] = {}
     for id_a, id_b, _score in alignment.matches:
@@ -145,7 +128,7 @@ def merge(
     # Keyed by shared (participant entity, event type) for cardinality-ONE
     # types.  Only B-introduced nodes fold onto A-side representatives;
     # duplicates within one input are left as found.
-    event_map = _plan_event_coalescing(nodes, edges_a, edges_b, graph_a, policy)
+    event_map = _plan_event_coalescing(nodes, edges_a, edges_b, graph_a, declarations)
     _apply_rewrite(nodes, edges_a, edges_b, event_map)
 
     attr_map = _plan_attr_dedup(nodes, edges_a, edges_b, graph_a)
@@ -155,7 +138,7 @@ def merge(
 
     # --- FUNCTIONAL slot resolution ---------------------------------------
     updated, conflicts = _resolve_functional_slots(
-        nodes, edges, edges_a, edges_b, graph_a.revision, graph_b.revision, policy
+        nodes, edges, edges_a, edges_b, graph_a.revision, graph_b.revision, declarations, prefer_newer
     )
 
     merged_graph = GroundedGraph(
@@ -210,7 +193,7 @@ def _fold_cross_side(groups, graph_a) -> Dict[NodeId, NodeId]:
     return mapping
 
 
-def _plan_event_coalescing(nodes, edges_a, edges_b, graph_a, policy) -> Dict[NodeId, NodeId]:
+def _plan_event_coalescing(nodes, edges_a, edges_b, graph_a, declarations) -> Dict[NodeId, NodeId]:
     participant_entities: Dict[NodeId, Set[NodeId]] = {}
     for edge in chain(edges_a, edges_b):
         if edge.relation in PARTICIPANT_RELATIONS:
@@ -220,7 +203,7 @@ def _plan_event_coalescing(nodes, edges_a, edges_b, graph_a, policy) -> Dict[Nod
     for node_id, node in nodes.items():
         if node.kind is not NodeKind.OCCURRENT or node.inst_of is None:
             continue
-        if policy.card_of(node.inst_of) is not Cardinality.ONE:
+        if declarations.card_of(node.inst_of) is not Cardinality.ONE:
             continue
         for entity in participant_entities.get(node_id, ()):
             buckets.setdefault((node.inst_of, entity), []).append(node_id)
@@ -274,7 +257,7 @@ def _plan_attr_dedup(nodes, edges_a, edges_b, graph_a) -> Dict[NodeId, NodeId]:
     return _fold_cross_side(groups.values(), graph_a)
 
 
-def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, policy):
+def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, declarations, prefer_newer):
     attrs_by_event: Dict[NodeId, list] = {}
     values_by_attr: Dict[NodeId, list] = {}
     for edge in edges:
@@ -299,7 +282,7 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, poli
             slots.setdefault(attr.inst_of, []).append(attr_id)
 
         for attr_type in sorted(slots, key=str):
-            if policy.mode_of(event.inst_of, attr_type) is not AttrMode.FUNCTIONAL:
+            if declarations.mode_of(event.inst_of, attr_type) is not AttrMode.FUNCTIONAL:
                 continue
             value_edges: list = []  # (literal, Edge)
             for attr_id in slots[attr_type]:
@@ -313,12 +296,7 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, poli
                 continue
             side_a = {literal for literal, edge in value_edges if edge in edges_a}
             side_b = {literal for literal, edge in value_edges if edge in edges_b}
-            resolvable = (
-                policy.prefer_newer
-                and rev_a != rev_b
-                and bool(side_a)
-                and bool(side_b)
-            )
+            resolvable = prefer_newer and rev_a != rev_b and bool(side_a) and bool(side_b)
             if resolvable:
                 winner_side, winner_rev = (side_a, rev_a) if rev_a > rev_b else (side_b, rev_b)
                 losers = [literal for literal in literals if literal not in winner_side]
@@ -384,19 +362,15 @@ def merge_documents(
     doc_a: GkgDocument,
     doc_b: GkgDocument,
     alignment: AlignmentResult,
-    policy: Optional[MergePolicy] = None,
+    *,
+    prefer_newer: bool = True,
 ) -> Tuple[GkgDocument, MergeReport]:
     """Document-level merge: hierarchies union (cycle-checked), labels and
     declarations union with the A side winning clashes, and the graphs
-    merge per :func:`merge`.  The policy defaults to the unioned ATTRDECL
-    and CARD declarations of both documents."""
+    merge per :func:`merge` under the unioned declarations."""
     hierarchy = union_hierarchies(doc_a.hierarchy, doc_b.hierarchy)
-
     declarations = doc_a.declarations.merged_with(doc_b.declarations)
-    if policy is None:
-        policy = MergePolicy.from_declarations(declarations)
-
-    merged_graph, report = merge(doc_a.graph, doc_b.graph, alignment, policy)
+    merged_graph, report = merge(doc_a.graph, doc_b.graph, alignment, declarations, prefer_newer=prefer_newer)
 
     id_map = {id_b: id_a for id_a, id_b, _ in alignment.matches}
     entries = dict(doc_a.labels.entries)

@@ -18,7 +18,6 @@ from gkg import (
     FlatTriple,
     GroundedGraph,
     HashEmbeddingProvider,
-    MergePolicy,
     Node,
     NodeId,
     NodeKind,

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import gkg.canonicalize
 from gkg import (
     FlatTriple,
+    IdCollisionError,
     NodeId,
     NodeKind,
     PrimitiveRelation,
     UnknownTypeError,
-    canonicalize,
     canonicalize_document,
     hierarchy_for_rules,
     normalize_relation_name,
@@ -21,7 +22,9 @@ from gkg import (
     validate_document,
 )
 from gkg.canonicalize import CanonReport, ValueConflict, _rules_by_token_key
+from gkg.cli import main
 from gkg.embedding import tokenize
+from gkg.hashing import fnv1a64_hex
 
 BIRTH_RULES = """\
 RULE bornIn EVENT ont:Birth SUBJ participantIn OBJ ATTR ont:Location ont:Village
@@ -218,23 +221,23 @@ class TestUnmappedAndErrors:
     def test_unknown_entity_type_rejected(self):
         rules, _ = parse_rules(FORMATION_RULES)
         with pytest.raises(UnknownTypeError):
-            canonicalize(
+            canonicalize_document(
                 (FlatTriple("PinkFloyd", "FormedIn", "London"),),
                 rules,
-                hierarchy_for_rules(rules),
+                hierarchy=hierarchy_for_rules(rules),
                 entity_types={"PinkFloyd": NodeId("core", "Band")},
             )
 
     def test_entity_type_mapping_honored(self):
         rules, _ = parse_rules(FORMATION_RULES)
         hierarchy = hierarchy_for_rules(rules).add_type(NodeId("core", "Band"))
-        graph, _ = canonicalize(
+        doc, _ = canonicalize_document(
             (FlatTriple("PinkFloyd", "FormedIn", "London"),),
             rules,
-            hierarchy,
+            hierarchy=hierarchy,
             entity_types={"PinkFloyd": NodeId("core", "Band")},
         )
-        entity = next(graph.continuants())
+        entity = next(doc.graph.continuants())
         assert entity.inst_of == NodeId("core", "Band")
 
 
@@ -268,8 +271,8 @@ def first_matching_rule(label, rules):
 
 
 class TestRuleIndex:
-    """``normalize_relation_name`` and ``_canonicalize`` look rules up in
-    ``_rules_by_token_key``; it must pick the first matching rule."""
+    """``normalize_relation_name`` and ``canonicalize_document`` look rules
+    up in ``_rules_by_token_key``; it must pick the first matching rule."""
 
     BENCH_CORPUS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "gkgbench" / "corpus.py"))
 
@@ -324,3 +327,89 @@ class TestCanonReportTsv:
 
     def test_empty_report(self):
         assert CanonReport().to_tsv() == "events_created\t0\nevents_coalesced\t0\nentity_nodes_created\t0\n"
+
+
+class TestIdCollisions:
+    """Content-derived ids drop the type namespace and hash labels to 64
+    bits; two different facts that meet on one id are refused, through
+    the API and through ``gkg canonicalize`` (exit 1, one ``gkg:`` line)."""
+
+    # (rules, triples, the message's distinctive part): two facts that are
+    # each fine alone, then an entity whose id is a declared type's.
+    TWO_FACTS = {
+        "event_types": (
+            "RULE bornIn EVENT a:Birth SUBJ participantIn OBJ ATTR ont:Location ont:Village\n"
+            "RULE bornOn EVENT b:Birth SUBJ participantIn OBJ ATTR ont:Time ont:Date\n",
+            (("Ada", "bornIn", "London"), ("Ada", "bornOn", "1815")),
+            "stands for both OCCURRENT a:Birth and OCCURRENT b:Birth",
+        ),
+        "value_types": (
+            "RULE bornOn EVENT ont:Birth SUBJ participantIn OBJ ATTR ont:Time a:Date\n"
+            "RULE diedOn EVENT ont:Death SUBJ participantIn OBJ ATTR ont:Time b:Date\n",
+            (("Ada", "bornOn", "1815"), ("Ada", "diedOn", "1815")),
+            "stands for both VALUE_LITERAL a:Date '1815' and VALUE_LITERAL b:Date '1815'",
+        ),
+        "attribute_types": (
+            "RULE bornIn EVENT ont:Birth SUBJ participantIn OBJ ATTR a:Place ont:Village\n"
+            "RULE bornAt EVENT ont:Birth SUBJ participantIn OBJ ATTR b:Place ont:Village\n",
+            (("Ada", "bornIn", "London"), ("Ada", "bornAt", "London")),
+            "stands for both ATTRIBUTE_INSTANCE a:Place and ATTRIBUTE_INSTANCE b:Place",
+        ),
+    }
+    CASES = {
+        **TWO_FACTS,
+        "entity_and_type": (
+            "RULE knows EVENT ont:Meeting SUBJ participantIn OBJ PARTICIPANT participantIn\n"
+            f"ESSENTIAL ent:{fnv1a64_hex('Bob')}\n",
+            (("Ada", "knows", "Bob"),),
+            "stands for both TYPE_NODE - and CONTINUANT core:Entity",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_two_facts_on_one_id_are_refused(self, case):
+        rules_text, triples, message = self.CASES[case]
+        rules, decls = parse_rules(rules_text)
+        with pytest.raises(IdCollisionError, match=message):
+            canonicalize_document(tuple(FlatTriple(*t) for t in triples), rules, declarations=decls)
+
+    def test_each_fact_alone_is_accepted(self):
+        for rules_text, triples, _message in self.TWO_FACTS.values():
+            rules, decls = parse_rules(rules_text)
+            for triple in triples:
+                doc, _ = canonicalize_document((FlatTriple(*triple),), rules, declarations=decls)
+                assert validate_document(doc).ok
+
+    ADA_AND_BOB = (("Ada", "bornIn", "London"), ("Bob", "bornIn", "Paris"))
+
+    @pytest.fixture
+    def bob_hashes_as_ada(self, monkeypatch):
+        """Make ``Bob`` hash as ``Ada`` does; returns the expected message."""
+        real = gkg.canonicalize.fnv1a64_hex
+        monkeypatch.setattr(gkg.canonicalize, "fnv1a64_hex", lambda text: real("Ada" if text == "Bob" else text))
+        return f"entity labels 'Ada' and 'Bob' share the id ent:{real('Ada')}"
+
+    def test_entity_labels_with_one_hash(self, bob_hashes_as_ada):
+        rules, decls = parse_rules(BIRTH_RULES)
+        with pytest.raises(IdCollisionError, match=bob_hashes_as_ada):
+            canonicalize_document(tuple(FlatTriple(*t) for t in self.ADA_AND_BOB), rules, declarations=decls)
+
+    def _cli(self, tmp_path, capsys, rules_text, triples):
+        (tmp_path / "r.rules").write_text(rules_text, encoding="utf-8")
+        (tmp_path / "f.tsv").write_text("".join("\t".join(t) + "\n" for t in triples), encoding="utf-8")
+        out = tmp_path / "out.gkg"
+        code = main(["canonicalize", "--rules", str(tmp_path / "r.rules"), "--flat", str(tmp_path / "f.tsv"),
+                     "-o", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, out.exists()) == (1, "", False)
+        (line,) = captured.err.splitlines()
+        return line
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cli_exits_1(self, tmp_path, capsys, case):
+        rules_text, triples, message = self.CASES[case]
+        line = self._cli(tmp_path, capsys, rules_text, triples)
+        assert line.startswith("gkg: id ") and line.endswith(message)
+
+    def test_cli_entity_labels_with_one_hash(self, tmp_path, capsys, bob_hashes_as_ada):
+        assert self._cli(tmp_path, capsys, BIRTH_RULES, self.ADA_AND_BOB) == f"gkg: {bob_hashes_as_ada}"

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,37 @@ class TestCanonicalize:
             ]
         )
         assert code == 2
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 in any input file gives exit 2 and one
+    ``gkg:`` line naming the file and the line of the byte."""
+
+    @pytest.mark.parametrize(
+        "argv, good",
+        [
+            (["validate", "{bad}"], "a.gkg"),
+            (["canonicalize", "--rules", "{bad}", "--flat", "{ws}/a.flat"], "rules.rules"),
+            (["canonicalize", "--rules", "{ws}/rules.rules", "--flat", "{bad}"], "a.flat"),
+            (["align", "{ws}/a.gkg", "{bad}"], "a.gkg"),
+            (["align", "{ws}/a.gkg", "{ws}/a.gkg", "--provider", "file", "--vectors", "{bad}", "--dim", "3"],
+             "vectors.txt"),
+            (["merge", "{ws}/a.gkg", "{ws}/a.gkg", "--alignment", "{bad}"], "aa.align"),
+        ],
+    )
+    def test_exit_2_names_the_file(self, workspace, capsys, argv, good):
+        """The bad file is a good one with a comment line holding 0xff."""
+        canonicalize(workspace, "a.flat", "a.gkg")
+        (workspace / "vectors.txt").write_text("roger 1 0 0\n", encoding="utf-8")
+        (workspace / "aa.align").write_text("", encoding="utf-8")
+        capsys.readouterr()
+        target = workspace / "bad.txt"
+        target.write_bytes((workspace / good).read_bytes() + b"# \xff\n")
+        lines = target.read_bytes().count(b"\n")
+        code = main([arg.format(ws=workspace, bad=target) for arg in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"gkg: line {lines}: {target} is not UTF-8 text\n"
 
 
 class TestAlignAndMerge:
@@ -346,6 +378,48 @@ class TestFuzzedDocuments:
         assert "Traceback" not in err
 
 
+# --- fuzzing the vector-file parser through the command line -----------------
+
+_VECTOR_FIELDS = (
+    "roger", "waters", "human", "2", "3", "1", "0", "-2.5", "1e308", "-1e200", "1e-200", "1e-160", "5e-324",
+    "nan", "-inf", "x", "1_0", "0x1",
+)
+
+
+@st.composite
+def _vector_files(draw):
+    """Rows and header-like lines of 3-dimension vectors over the worked
+    document's tokens, with extreme components, sometimes a line of raw
+    bytes (not always UTF-8), under one of the three newline conventions."""
+    lines = [" ".join(draw(st.lists(st.sampled_from(_VECTOR_FIELDS), max_size=5))).encode()
+             for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.binary(max_size=6)))
+    newline = draw(st.sampled_from((b"\n", b"\r\n", b"\r")))
+    return b"".join(line + newline for line in lines)
+
+
+class TestFuzzedVectorFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(_vector_files())
+    def test_align_ends_in_documented_exit_code(self, data):
+        """No traceback and no numpy warning: exit 0 and a quiet stderr, or
+        one ``gkg:`` line."""
+        with tempfile.TemporaryDirectory() as work, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc, vectors = Path(work) / "worked.gkg", Path(work) / "vectors.txt"
+            doc.write_text(WORKED_TEXT, encoding="utf-8")
+            vectors.write_bytes(data)
+            code, err = _run_quietly(
+                ["align", str(doc), str(doc), "--provider", "file", "--vectors", str(vectors), "--dim", "3"]
+            )
+        if code == 0:
+            assert err == ""
+        else:
+            assert code in (1, 2, 3)
+            assert err.startswith("gkg: ") and err.count("\n") == 1
+
+
 # --- fuzzing the rules and flat-triple parsers through the command line -------
 
 _RULE_LINES = tuple(RULES.splitlines()) + (
@@ -426,6 +500,14 @@ def _flat_texts(draw, labels=_labels):
     return "".join(line + "\n" for line in lines)
 
 
+# Header options: plain, empty, "-", with blanks or line separators, non-ASCII.
+_source_ids = st.one_of(
+    st.sampled_from(("", "census", "-", "a b", "#x", "s-1")),
+    st.text(alphabet="a-#é \t\x1c\x85\u2028\x00", max_size=4),
+)
+_revisions = st.one_of(st.integers(-2, 3), st.integers(-(2**70), 2**70))
+
+
 class TestFuzzedCanonicalize:
     @settings(max_examples=150, deadline=None)
     @given(_rules_texts(), _flat_texts())
@@ -439,15 +521,16 @@ class TestFuzzedCanonicalize:
         assert "Traceback" not in err
 
     @settings(max_examples=150, deadline=None)
-    @given(_rules_texts(), _flat_texts(_spaced_labels))
-    def test_what_canonicalize_writes_reads_back(self, rules, flat):
+    @given(_rules_texts(), _flat_texts(_spaced_labels), _source_ids, _revisions)
+    def test_what_canonicalize_writes_reads_back(self, rules, flat, source_id, revision):
         """Wherever ``gkg canonicalize`` exits 0, ``gkg validate`` accepts
         its output and the document survives a serialize/parse round trip."""
         with tempfile.TemporaryDirectory() as work:
             paths = [Path(work) / name for name in ("r.rules", "f.tsv", "out.gkg")]
             for path, text in zip(paths, (rules, flat)):
                 path.write_text(text, encoding="utf-8")
-            argv = ["canonicalize", "--rules", str(paths[0]), "--flat", str(paths[1]), "-o", str(paths[2])]
+            argv = ["canonicalize", "--rules", str(paths[0]), "--flat", str(paths[1]), "-o", str(paths[2]),
+                    f"--source-id={source_id}", f"--revision={revision}"]
             code, _err = _run_quietly(argv)
             if code != 0:
                 return
@@ -457,8 +540,11 @@ class TestFuzzedCanonicalize:
         doc = parse_gkg(written)
         assert serialize_gkg(doc) == written
         rule_list, declarations = parse_rules(rules)
-        canonical, _report = canonicalize_document(parse_flat(flat), rule_list, declarations=declarations)
+        canonical, _report = canonicalize_document(
+            parse_flat(flat), rule_list, declarations=declarations, source_id=source_id, revision=revision
+        )
         assert parse_gkg(serialize_gkg(canonical)) == canonical == doc
+        assert (doc.graph.source_id, doc.graph.revision) == (source_id, revision)
 
 
 class TestCanonicalizeOptions:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import runpy
 import sys
 from pathlib import Path
 
@@ -62,11 +63,12 @@ CASES = [
 ]
 
 
-def _run(argv, out_path):
-    """Run ``gkg argv``; returns (exit code, stdout, stderr)."""
+def _run(argv, out_path, command=main):
+    """Run ``gkg argv`` through ``command``; returns (exit code, stdout,
+    stderr)."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(
+        code = command(
             [arg.format(**{"in": CORPUS, "exp": EXPECTED, "out": out_path}) for arg in argv]
         )
     return code, stdout.getvalue(), stderr.getvalue()
@@ -81,6 +83,30 @@ def test_output_is_byte_identical(tmp_path, case, argv, code, out_name):
     assert got_stderr == (EXPECTED / f"{case}.stderr").read_text(encoding="utf-8")
     if out_name is not None:
         assert out_path.read_bytes() == (EXPECTED / out_name).read_bytes()
+
+
+# The benchmark's traced runs (gkgbench/replay.py) wrap the gkg functions
+# below, looked up by name, and fail if one is renamed or deleted.  Traced,
+# each command must still open its span and write the same bytes.
+REPLAY = runpy.run_path(str(Path(__file__).resolve().parents[1] / "gkgbench" / "replay.py"))
+TRACED_SPANS = {
+    "canonicalize": "canonicalize.canonicalize_document",
+    "align": "alignment.align",
+    "merge": "merge.merge_documents",
+}
+TRACED = [case for case in CASES if case[1][0] in TRACED_SPANS]
+
+
+@pytest.mark.parametrize("case, argv, code, out_name", TRACED, ids=[case[0] for case in TRACED])
+def test_traced_run_is_byte_identical(tmp_path, case, argv, code, out_name):
+    tracer = REPLAY["Tracer"](case)
+    out_path = tmp_path / (out_name or "unused")
+    got = _run(argv, out_path, lambda args: REPLAY["run"](args, tracer))
+    expected = [(EXPECTED / f"{case}.{stream}").read_text(encoding="utf-8") for stream in ("stdout", "stderr")]
+    assert (code, got) == (0, (0, *expected))
+    if out_name is not None:
+        assert out_path.read_bytes() == (EXPECTED / out_name).read_bytes()
+    assert TRACED_SPANS[argv[0]] in {span["name"] for span in tracer.spans}
 
 
 def test_every_expected_file_belongs_to_a_case():

@@ -154,6 +154,49 @@ class TestFileProvider:
             FileEmbeddingProvider(path, dim=4)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "component, loads",
+        [("1e153", True), ("1e155", False), ("-1e308", False), ("1e-150", True), ("1e-160", False),
+         ("5e-324", False), ("0", True)],
+    )
+    def test_squared_norm_must_be_a_normal_float(self, tmp_path, component, loads):
+        """A row whose squared norm overflows, or underflows below the
+        normal range, is refused at its line; an all-zero row stays zero."""
+        path = self.write(tmp_path, f"london 1 0 0 0\nroger {component} {component} 0 0\n")
+        if loads:
+            vector = FileEmbeddingProvider(path, dim=4).token_vector("roger")
+            assert np.array_equal(vector, normalized(np.array([float(component)] * 2 + [0.0] * 2)))
+        else:
+            with pytest.raises(VectorFileError, match="too large or small to normalize") as exc:
+                FileEmbeddingProvider(path, dim=4)
+            assert exc.value.line_no == 2
+
+    def test_ordinary_vectors_load_normalized(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(60, 4)) * 10.0 ** rng.integers(-140, 140, size=(60, 1))
+        text = "".join(f"t{i} " + " ".join(repr(float(x)) for x in row) + "\n" for i, row in enumerate(rows))
+        provider = FileEmbeddingProvider(self.write(tmp_path, text), dim=4)
+        for i, row in enumerate(rows):
+            assert np.array_equal(provider.token_vector(f"t{i}"), normalized(row))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_newline_conventions_and_line_numbers(self, tmp_path, newline):
+        text = newline.join(["2 4", "london 1 0 0 0", "paris 0 1 0 0", "short 1", ""])
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(VectorFileError, match="expected 4 components") as exc:
+            FileEmbeddingProvider(path, dim=4)
+        assert exc.value.line_no == 4
+        path.write_bytes(text.replace("short 1", "rome 0 0 1 0").encode("utf-8"))
+        assert np.array_equal(FileEmbeddingProvider(path, dim=4).token_vector("paris"), [0, 1, 0, 0])
+
+    def test_undecodable_byte_carries_line(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(b"london 1 0 0 0\nparis\xff 0 1 0 0\n")
+        with pytest.raises(VectorFileError, match="is not UTF-8 text") as exc:
+            FileEmbeddingProvider(path, dim=4)
+        assert exc.value.line_no == 2
+
     def test_miss_falls_back_and_counts(self, tmp_path):
         path = self.write(tmp_path, "london 1 0 0 0\n")
         provider = FileEmbeddingProvider(path, dim=4, fallback_seed=9)

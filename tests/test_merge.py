@@ -7,7 +7,6 @@ from gkg import (
     AlignmentResult,
     FlatTriple,
     IdCollisionError,
-    MergePolicy,
     Node,
     NodeId,
     NodeKind,
@@ -103,11 +102,29 @@ class TestRevisionResolution:
     def test_prefer_newer_off_never_resolves(self):
         doc_v1 = residence_doc("WhiteHouse", revision=1)
         doc_v2 = residence_doc("Washington", revision=2)
-        rules, decls = parse_rules(RESIDENCE_RULES)
-        policy = MergePolicy.from_declarations(decls, prefer_newer=False)
-        merged, report = merge_documents(doc_v1, doc_v2, AlignmentResult(), policy=policy)
+        merged, report = merge_documents(doc_v1, doc_v2, AlignmentResult(), prefer_newer=False)
         assert value_literals(merged.graph) == {"WhiteHouse", "Washington"}
         assert len(report.conflicts) == 1
+
+    @pytest.mark.parametrize(
+        "with_declarations, prefer_newer, literals, updated, conflicts",
+        [
+            (True, True, {"Washington"}, 1, 0),
+            (True, False, {"WhiteHouse", "Washington"}, 0, 1),
+            (False, True, {"WhiteHouse", "Washington"}, 0, 0),  # undeclared slots accumulate
+        ],
+    )
+    def test_graph_merge_reads_the_declarations(
+        self, with_declarations, prefer_newer, literals, updated, conflicts
+    ):
+        doc_v1 = residence_doc("WhiteHouse", revision=1)
+        doc_v2 = residence_doc("Washington", revision=2)
+        declarations = doc_v1.declarations if with_declarations else None
+        graph, report = merge(
+            doc_v1.graph, doc_v2.graph, AlignmentResult(), declarations, prefer_newer=prefer_newer
+        )
+        assert value_literals(graph) == literals
+        assert (len(report.updated), len(report.conflicts)) == (updated, conflicts)
 
     def test_multi_slot_unions_without_conflict(self):
         rules_text = RESIDENCE_RULES.replace("FUNCTIONAL", "MULTI")
