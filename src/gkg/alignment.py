@@ -384,7 +384,8 @@ def _compatibility(types_a: Sequence, types_b: Sequence, signer: _Signer) -> np.
 def _unit_rows(sigs: Sequence[EntitySignature], key: str):
     """Which signatures hold ``key``, and a stack of their ``key`` vectors
     scaled to unit length once, with zero rows for the others (None when
-    no signature holds it)."""
+    no signature holds it).  A vector with a non-finite component gets a
+    zero row: its cosine with anything is non-finite, which counts 0."""
     present = np.array([key in sig.slots for sig in sigs], dtype=bool)
     if not present.any():
         return present, None
@@ -392,6 +393,7 @@ def _unit_rows(sigs: Sequence[EntitySignature], key: str):
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     stack = np.zeros((len(sigs), vectors.shape[1]), dtype=np.float64)
     stack[present] = vectors / np.where(norms == 0.0, 1.0, norms)
+    stack[~np.isfinite(stack).all(axis=1)] = 0.0
     return present, stack
 
 
@@ -403,7 +405,8 @@ def _screen_scores(
     Per slot key, in the sorted key order the exact score uses, the
     clamped cosines of all pairs come from one product of unit-row stacks;
     a key on one side only adds 0 to the numerator and its weight to the
-    denominator.  Non-finite cosines count as 0, as in :func:`cosine`.
+    denominator.  Non-finite cosines count as 0, as in :func:`cosine`:
+    :func:`_unit_rows` zeroes the rows that would give them.
     """
     numerator = np.zeros((len(sigs_a), len(sigs_b)), dtype=np.float64)
     denominator = np.zeros_like(numerator)
@@ -413,8 +416,7 @@ def _screen_scores(
         has_b, unit_b = _unit_rows(sigs_b, key)
         denominator += weight * (has_a[:, None] | has_b[None, :])
         if unit_a is not None and unit_b is not None:
-            cosines = np.nan_to_num(unit_a @ unit_b.T, nan=0.0, posinf=0.0, neginf=0.0)
-            numerator += weight * np.clip(cosines, 0.0, 1.0)
+            numerator += weight * np.clip(unit_a @ unit_b.T, 0.0, 1.0)
     return np.divide(numerator, denominator, out=np.zeros_like(numerator), where=denominator > 0.0)
 
 

@@ -111,7 +111,8 @@ def canonicalize_document(
     explicit one, one is synthesized from every type the rules,
     declarations and entity-type map mention.  Raises
     :class:`IdCollisionError` when one content-derived id would stand for
-    two different facts: two entity labels, or two types or literals.
+    two different facts: two entity labels, two event, attribute or value
+    keys, or two types or literals.
     """
     entity_types = dict(entity_types or {})
     declarations = declarations or SchemaDeclarations.empty()
@@ -137,6 +138,14 @@ def canonicalize_document(
     unmapped: set = set()
     # (event id, attr type) -> {literal: value id}; used for conflict flags.
     slot_values: dict = {}
+    key_texts: dict = {}  # event, attribute or value id -> the key text it hashes
+
+    def keyed_id(namespace: str, type_id: NodeId, text: str) -> NodeId:
+        node_id = NodeId(namespace, f"{type_id.local}#{fnv1a64_hex(text)}")
+        other = key_texts.setdefault(node_id, text)
+        if other != text:
+            raise IdCollisionError(f"keys {other!r} and {text!r} share the id {node_id}")
+        return node_id
 
     def ensure_entity(label: str) -> NodeId:
         existing = entity_ids.get(label)
@@ -161,10 +170,9 @@ def canonicalize_document(
         subject_id = ensure_entity(triple.e1)
 
         if declarations.card_of(rule.event_type) is Cardinality.ONE:
-            event_key = fnv1a64_hex(triple.e1)
+            event_id = keyed_id(EVENT_NAMESPACE, rule.event_type, triple.e1)
         else:
-            event_key = fnv1a64_hex(f"{triple.e1}\t{triple.e2}")
-        event_id = NodeId(EVENT_NAMESPACE, f"{rule.event_type.local}#{event_key}")
+            event_id = keyed_id(EVENT_NAMESPACE, rule.event_type, f"{triple.e1}\t{triple.e2}")
         if _add(nodes, event_id, NodeKind.OCCURRENT, rule.event_type):
             events_created += 1
         else:
@@ -177,14 +185,13 @@ def canonicalize_document(
             continue
 
         literal = triple.e2
-        value_id = NodeId(VALUE_NAMESPACE, f"{slot.value_type.local}#{fnv1a64_hex(literal)}")
+        value_id = keyed_id(VALUE_NAMESPACE, slot.value_type, literal)
         _add(nodes, value_id, NodeKind.VALUE_LITERAL, slot.value_type, literal)
         mode = declarations.mode_of(rule.event_type, slot.attr_type)
         if mode is AttrMode.FUNCTIONAL:
-            attr_key = fnv1a64_hex(str(event_id))
+            attr_id = keyed_id(ATTRIBUTE_NAMESPACE, slot.attr_type, str(event_id))
         else:
-            attr_key = fnv1a64_hex(f"{event_id}\t{literal}")
-        attr_id = NodeId(ATTRIBUTE_NAMESPACE, f"{slot.attr_type.local}#{attr_key}")
+            attr_id = keyed_id(ATTRIBUTE_NAMESPACE, slot.attr_type, f"{event_id}\t{literal}")
         _add(nodes, attr_id, NodeKind.ATTRIBUTE_INSTANCE, slot.attr_type)
         edges.add(Edge(attr_id, PrimitiveRelation.HAS_PROP, event_id))
         edges.add(Edge(attr_id, PrimitiveRelation.HAS_VALUE, value_id))

@@ -399,9 +399,11 @@ def serialize_gkg(doc: GkgDocument) -> str:
             raise ValueError(f"source id contains whitespace: {graph.source_id!r}")
         lines.append(f"G {graph.source_id or '-'} {graph.revision}")
 
+    # Each section's line sort alone sets the canonical order, which is not
+    # id order when an id holds a character that sorts below the space.
     type_lines = []
-    for type_id in doc.hierarchy.sorted_types():
-        parents = sorted(doc.hierarchy.parents.get(type_id, frozenset()), key=str)
+    for type_id in doc.hierarchy.types:
+        parents = doc.hierarchy.parents.get(type_id)
         if not parents:
             type_lines.append(f"T {type_id} -")
         else:
@@ -409,8 +411,7 @@ def serialize_gkg(doc: GkgDocument) -> str:
     lines.extend(sorted(type_lines))
 
     node_lines = []
-    for node_id in sorted(graph.nodes, key=str):
-        _, kind, inst_of, literal = graph.nodes[node_id]
+    for node_id, (_, kind, inst_of, literal) in graph.nodes.items():
         if kind is NodeKind.TYPE_NODE:
             continue
         if inst_of is None:
@@ -429,10 +430,9 @@ def serialize_gkg(doc: GkgDocument) -> str:
         sorted(f"E {subject} {relation.value} {obj}" for subject, relation, obj in graph.edges)
     )
 
-    label_lines = []
-    for (node_id, lang), label in doc.labels.items_sorted():
-        label_lines.append(f"L {node_id} {lang} {label}")
-    lines.extend(sorted(label_lines))
+    lines.extend(
+        sorted(f"L {node_id} {lang} {label}" for (node_id, lang), label in doc.labels.entries.items())
+    )
 
     decl_lines = []
     decls = doc.declarations

@@ -120,25 +120,23 @@ def merge(
         elif existing != node:
             raise IdCollisionError(f"id {node_id} holds different content in the two graphs")
 
-    edges_a: Set[Edge] = set(graph_a.edges)
+    # Every id merge folds away is B-only (the alignment maps B ids; event and
+    # attribute folds map only members absent from A), and a valid A graph's
+    # edges touch A's nodes alone, so A is read as is and only B is rewritten.
     edges_b: Set[Edge] = set(graph_b.edges)
     _rewrite_edges(edges_b, {id_b: id_a for id_b, id_a in id_map.items() if id_b != id_a})
-
-    # --- event coalescing -------------------------------------------------
-    # Keyed by shared (participant entity, event type) for cardinality-ONE
-    # types.  Only B-introduced nodes fold onto A-side representatives;
-    # duplicates within one input are left as found.
-    event_map = _plan_event_coalescing(nodes, edges_a, edges_b, graph_a, declarations)
-    _apply_rewrite(nodes, edges_a, edges_b, event_map)
-
-    attr_map = _plan_attr_dedup(nodes, edges_a, edges_b, graph_a)
-    _apply_rewrite(nodes, edges_a, edges_b, attr_map)
-
-    edges: Set[Edge] = edges_a | edges_b
+    # Event coalescing by shared (participant entity, event type) for
+    # cardinality-ONE types, then attribute dedup over the coalesced events.
+    for plan in (_plan_event_coalescing, _plan_attr_dedup):
+        mapping = plan(nodes, graph_a, edges_b, declarations)
+        for dropped in mapping:
+            del nodes[dropped]
+        _rewrite_edges(edges_b, mapping)
+    edges: Set[Edge] = edges_b.union(graph_a.edges)
 
     # --- FUNCTIONAL slot resolution ---------------------------------------
     updated, conflicts = _resolve_functional_slots(
-        nodes, edges, edges_a, edges_b, graph_a.revision, graph_b.revision, declarations, prefer_newer
+        nodes, edges, graph_a.edges, edges_b, graph_a.revision, graph_b.revision, declarations, prefer_newer
     )
 
     merged_graph = GroundedGraph(
@@ -153,15 +151,6 @@ def merge(
         added_edges=len(merged_graph.edges - graph_a.edges),
     )
     return merged_graph, report
-
-
-def _apply_rewrite(nodes, edges_a, edges_b, mapping: Dict[NodeId, NodeId]) -> None:
-    """Drop the mapped-away nodes and push the rewrite through both edge
-    sets, keeping side provenance intact."""
-    for dropped in mapping:
-        del nodes[dropped]
-    _rewrite_edges(edges_a, mapping)
-    _rewrite_edges(edges_b, mapping)
 
 
 def _rewrite_edges(edges: Set[Edge], mapping: Dict[NodeId, NodeId]) -> None:
@@ -193,9 +182,9 @@ def _fold_cross_side(groups, graph_a) -> Dict[NodeId, NodeId]:
     return mapping
 
 
-def _plan_event_coalescing(nodes, edges_a, edges_b, graph_a, declarations) -> Dict[NodeId, NodeId]:
+def _plan_event_coalescing(nodes, graph_a, edges_b, declarations) -> Dict[NodeId, NodeId]:
     participant_entities: Dict[NodeId, Set[NodeId]] = {}
-    for edge in chain(edges_a, edges_b):
+    for edge in chain(graph_a.edges, edges_b):
         if edge.relation in PARTICIPANT_RELATIONS:
             participant_entities.setdefault(edge.subject, set()).add(edge.obj)
 
@@ -234,12 +223,12 @@ def _plan_event_coalescing(nodes, edges_a, edges_b, graph_a, declarations) -> Di
     return _fold_cross_side(components.values(), graph_a)
 
 
-def _plan_attr_dedup(nodes, edges_a, edges_b, graph_a) -> Dict[NodeId, NodeId]:
+def _plan_attr_dedup(nodes, graph_a, edges_b, _declarations) -> Dict[NodeId, NodeId]:
     """Attribute instances with the same type, bearer set and value set
     are one slot entry told twice; fold the B copy onto the A one."""
     bearers: Dict[NodeId, Set[NodeId]] = {}
     values: Dict[NodeId, Set[NodeId]] = {}
-    for edge in chain(edges_a, edges_b):
+    for edge in chain(graph_a.edges, edges_b):
         if edge.relation is PrimitiveRelation.HAS_PROP:
             bearers.setdefault(edge.subject, set()).add(edge.obj)
         elif edge.relation is PrimitiveRelation.HAS_VALUE:
@@ -270,7 +259,7 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, decl
     conflicts: list = []
     dropped_edges: Set[Edge] = set()
 
-    for event_id in sorted(attrs_by_event, key=str):
+    for event_id in attrs_by_event:
         event = nodes.get(event_id)
         if event is None or event.kind is not NodeKind.OCCURRENT or event.inst_of is None:
             continue
@@ -281,7 +270,7 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, decl
                 continue
             slots.setdefault(attr.inst_of, []).append(attr_id)
 
-        for attr_type in sorted(slots, key=str):
+        for attr_type in slots:
             if declarations.mode_of(event.inst_of, attr_type) is not AttrMode.FUNCTIONAL:
                 continue
             value_edges: list = []  # (literal, Edge)

@@ -230,11 +230,6 @@ class TypeHierarchy:
     parents: Mapping[NodeId, frozenset] = field(default_factory=dict)
 
     @classmethod
-    def empty(cls) -> "TypeHierarchy":
-        """A hierarchy with no types at all (not even the root)."""
-        return cls()
-
-    @classmethod
     def root_only(cls) -> "TypeHierarchy":
         return cls(frozenset({ROOT_TYPE}), {ROOT_TYPE: frozenset()})
 
@@ -373,16 +368,6 @@ class GroundedGraph:
 
     def __contains__(self, node_id: NodeId) -> bool:
         return node_id in self.nodes
-
-    def with_node(self, node: Node) -> "GroundedGraph":
-        existing = self.nodes.get(node.id)
-        if existing == node:
-            return self
-        if existing is not None:
-            raise DuplicateNodeError(f"conflicting nodes under id {node.id}")
-        new_nodes = dict(self.nodes)
-        new_nodes[node.id] = node
-        return GroundedGraph(new_nodes, self.edges, self.source_id, self.revision)
 
     def add_edge(self, subject: NodeId, relation: PrimitiveRelation, obj: NodeId) -> "GroundedGraph":
         """Return a graph that also contains the edge.  Both endpoints must

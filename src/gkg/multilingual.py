@@ -9,7 +9,7 @@ gloss table is just label entries for ``rel:isA``, ``rel:hasAgent``, ...
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional
 
 from .model import Edge, GroundedGraph, NodeId, PrimitiveRelation
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 from .model import NodeId, PrimitiveRelation, RoleConceptDef, PARTICIPANT_RELATIONS
 

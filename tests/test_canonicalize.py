@@ -413,3 +413,50 @@ class TestIdCollisions:
 
     def test_cli_entity_labels_with_one_hash(self, tmp_path, capsys, bob_hashes_as_ada):
         assert self._cli(tmp_path, capsys, BIRTH_RULES, self.ADA_AND_BOB) == f"gkg: {bob_hashes_as_ada}"
+
+    # (rules, triples, the key text hashed first, the key text made to hash
+    # like it, the id's namespace and type): two keys of one kind on one id.
+    ADA_EVENT = f"ev:Birth#{fnv1a64_hex('Ada')}"
+    KEY_CASES = {
+        "card_many_events": (
+            BIRTH_RULES.replace("CARD ont:Birth ONE", "CARD ont:Birth MANY"),
+            (("Ada", "bornIn", "London"), ("Ada", "bornIn", "Paris")),
+            "Ada\tLondon", "Ada\tParis", "ev:Birth",
+        ),
+        "functional_attributes": (
+            BIRTH_RULES,
+            (("Ada", "bornIn", "London"), ("Bob", "bornIn", "London")),
+            ADA_EVENT, f"ev:Birth#{fnv1a64_hex('Bob')}", "at:Location",
+        ),
+        "multi_attributes": (
+            BIRTH_RULES.replace("ont:Location FUNCTIONAL", "ont:Location MULTI"),
+            (("Ada", "bornIn", "London"), ("Ada", "bornIn", "Paris")),
+            f"{ADA_EVENT}\tLondon", f"{ADA_EVENT}\tParis", "at:Location",
+        ),
+    }
+
+    @pytest.fixture(params=sorted(KEY_CASES))
+    def key_collision(self, request, monkeypatch):
+        """One case of ``KEY_CASES`` with its second key text hashing as
+        the first; yields the rules, triples and expected message."""
+        rules_text, triples, first, second, prefix = self.KEY_CASES[request.param]
+        real = gkg.canonicalize.fnv1a64_hex
+        monkeypatch.setattr(gkg.canonicalize, "fnv1a64_hex", lambda text: real(first if text == second else text))
+        return rules_text, triples, f"keys {first!r} and {second!r} share the id {prefix}#{real(first)}"
+
+    def test_keys_with_one_hash(self, key_collision):
+        rules_text, triples, message = key_collision
+        rules, decls = parse_rules(rules_text)
+        with pytest.raises(IdCollisionError) as caught:
+            canonicalize_document(tuple(FlatTriple(*t) for t in triples), rules, declarations=decls)
+        assert str(caught.value) == message
+
+    def test_cli_keys_with_one_hash(self, tmp_path, capsys, key_collision):
+        rules_text, triples, message = key_collision
+        assert self._cli(tmp_path, capsys, rules_text, triples) == f"gkg: {message}"
+
+    def test_each_key_alone_is_accepted(self):
+        for rules_text, triples, *_ in self.KEY_CASES.values():
+            rules, decls = parse_rules(rules_text)
+            doc, _ = canonicalize_document(tuple(FlatTriple(*t) for t in triples), rules, declarations=decls)
+            assert validate_document(doc).ok

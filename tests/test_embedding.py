@@ -21,8 +21,6 @@ from gkg import (
     tokenize,
 )
 
-from .support import BasisProvider
-
 MASK64 = (1 << 64) - 1
 
 

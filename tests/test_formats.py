@@ -393,6 +393,25 @@ class TestSerializeGkg:
         ranks = [order[h] for h in heads if h in order]
         assert ranks == sorted(ranks)
 
+    def test_ids_below_space_sort_by_line_not_by_id(self):
+        r"""``ex:a\x01`` follows ``ex:a`` as an id, but its record lines sort
+        first, because ``\x01`` sorts below the space that ends ``ex:a``."""
+        text = (
+            "T t:T\x01 core:Entity\nT t:T core:Entity\nT t:T t:T\x01\n"
+            "N ex:a C t:T\nN ex:a\x01 C t:T\x01\nN ex:e O t:T\n"
+            "E ex:e participantIn ex:a\nE ex:e participantIn ex:a\x01\n"
+            "L ex:a en A\nL ex:a\x01 en B\n"
+        )
+        serialized = serialize_gkg(parse_gkg(text))
+        assert serialized == (
+            "T core:Entity -\nT t:T\x01 core:Entity\nT t:T core:Entity\nT t:T t:T\x01\n"
+            "N ex:a\x01 C t:T\x01\nN ex:a C t:T\nN ex:e O t:T\n"
+            "E ex:e participantIn ex:a\nE ex:e participantIn ex:a\x01\n"
+            "L ex:a\x01 en B\nL ex:a en A\n"
+        )
+        assert parse_gkg(serialized) == parse_gkg(text)
+        assert serialize_gkg(parse_gkg(serialized)) == serialized
+
     @pytest.mark.parametrize("seed", range(60))
     def test_generated_documents_round_trip(self, seed):
         doc = random_document(seed)

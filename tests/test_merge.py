@@ -1,25 +1,43 @@
 """Alignment-driven merging, revision-aware slot resolution, reports."""
 
+from itertools import chain
+from typing import Dict, Optional, Set, Tuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkg import (
+    PARTICIPANT_RELATIONS,
     AlignmentMismatchError,
     AlignmentResult,
+    AttrMode,
+    AttrSlot,
+    Cardinality,
+    ConflictEntry,
+    Edge,
     FlatTriple,
+    GkgDocument,
+    GroundedGraph,
     IdCollisionError,
-    Node,
+    MergeReport,
     NodeId,
     NodeKind,
     PrimitiveRelation,
+    SchemaDeclarations,
+    UpdateEntry,
     canonicalize_document,
     merge,
     merge_documents,
     parse_gkg,
     parse_rules,
     serialize_gkg,
+    union_hierarchies,
     validate_document,
 )
 from gkg.evaluation import demo_document
+
+from .support import random_document
 
 RESIDENCE_RULES = """\
 RULE residesIn EVENT ont:Residence SUBJ participantIn OBJ ATTR ont:Location ont:Place
@@ -265,3 +283,399 @@ class TestMergeErrors:
         doc_b = parse_gkg("N ex:x O core:Thing\n")
         with pytest.raises(IdCollisionError):
             merge(doc_a.graph, doc_b.graph, AlignmentResult())
+
+
+def oracle_merge(
+    graph_a: GroundedGraph,
+    graph_b: GroundedGraph,
+    alignment: AlignmentResult,
+    declarations: Optional[SchemaDeclarations] = None,
+    *,
+    prefer_newer: bool = True,
+) -> Tuple[GroundedGraph, MergeReport]:
+    """The reference :func:`merge` is held to: the implementation that
+    copied A's edges too and pushed every fold through both edge sets,
+    kept verbatim with its helpers below."""
+    declarations = declarations or SchemaDeclarations()
+
+    id_map: Dict[NodeId, NodeId] = {}
+    for id_a, id_b, _score in alignment.matches:
+        node_a = graph_a.nodes.get(id_a)
+        node_b = graph_b.nodes.get(id_b)
+        if node_a is None or node_a.kind is not NodeKind.CONTINUANT:
+            raise AlignmentMismatchError(f"alignment names {id_a}, not a continuant of the first graph")
+        if node_b is None or node_b.kind is not NodeKind.CONTINUANT:
+            raise AlignmentMismatchError(f"alignment names {id_b}, not a continuant of the second graph")
+        id_map[id_b] = id_a
+
+    nodes: Dict[NodeId, object] = dict(graph_a.nodes)
+    for node_id, node in graph_b.nodes.items():
+        if node_id in id_map:
+            continue  # collapsed onto the A-side node, whose record wins
+        existing = nodes.get(node_id)
+        if existing is None:
+            nodes[node_id] = node
+        elif existing != node:
+            raise IdCollisionError(f"id {node_id} holds different content in the two graphs")
+
+    edges_a: Set[Edge] = set(graph_a.edges)
+    edges_b: Set[Edge] = set(graph_b.edges)
+    _rewrite_edges(edges_b, {id_b: id_a for id_b, id_a in id_map.items() if id_b != id_a})
+
+    # --- event coalescing -------------------------------------------------
+    # Keyed by shared (participant entity, event type) for cardinality-ONE
+    # types.  Only B-introduced nodes fold onto A-side representatives;
+    # duplicates within one input are left as found.
+    event_map = _plan_event_coalescing(nodes, edges_a, edges_b, graph_a, declarations)
+    _apply_rewrite(nodes, edges_a, edges_b, event_map)
+
+    attr_map = _plan_attr_dedup(nodes, edges_a, edges_b, graph_a)
+    _apply_rewrite(nodes, edges_a, edges_b, attr_map)
+
+    edges: Set[Edge] = edges_a | edges_b
+
+    # --- FUNCTIONAL slot resolution ---------------------------------------
+    updated, conflicts = _resolve_functional_slots(
+        nodes, edges, edges_a, edges_b, graph_a.revision, graph_b.revision, declarations, prefer_newer
+    )
+
+    merged_graph = GroundedGraph(
+        nodes, frozenset(edges), graph_a.source_id, max(graph_a.revision, graph_b.revision)
+    )
+    report = MergeReport(
+        merged=len(alignment.matches),
+        pairs=tuple(sorted(((a, b) for a, b, _ in alignment.matches), key=lambda p: (str(p[0]), str(p[1])))),
+        updated=tuple(sorted(updated, key=lambda u: (str(u.event), str(u.attr_type)))),
+        conflicts=tuple(sorted(conflicts, key=lambda c: (str(c.event), str(c.attr_type)))),
+        added_nodes=len(merged_graph.nodes.keys() - graph_a.nodes.keys()),
+        added_edges=len(merged_graph.edges - graph_a.edges),
+    )
+    return merged_graph, report
+
+
+def _apply_rewrite(nodes, edges_a, edges_b, mapping: Dict[NodeId, NodeId]) -> None:
+    """Drop the mapped-away nodes and push the rewrite through both edge
+    sets, keeping side provenance intact."""
+    for dropped in mapping:
+        del nodes[dropped]
+    _rewrite_edges(edges_a, mapping)
+    _rewrite_edges(edges_b, mapping)
+
+
+def _rewrite_edges(edges: Set[Edge], mapping: Dict[NodeId, NodeId]) -> None:
+    """Replace, in place, every edge with an endpoint in ``mapping`` by its
+    rewritten form; edges touching no mapped id stay as they are."""
+    if not mapping:
+        return
+    moved = [e for e in edges if e.subject in mapping or e.obj in mapping]
+    edges.difference_update(moved)
+    edges.update(
+        Edge(mapping.get(e.subject, e.subject), e.relation, mapping.get(e.obj, e.obj)) for e in moved
+    )
+
+
+def _fold_cross_side(groups, graph_a) -> Dict[NodeId, NodeId]:
+    """For each group, map B-introduced members onto the smallest A-side
+    member.  Groups living entirely on one side are left alone: merge
+    never restructures either input internally."""
+    mapping: Dict[NodeId, NodeId] = {}
+    for members in groups:
+        if len(members) < 2:
+            continue
+        a_side = sorted((m for m in members if m in graph_a.nodes), key=str)
+        b_only = sorted((m for m in members if m not in graph_a.nodes), key=str)
+        if not a_side or not b_only:
+            continue
+        for member in b_only:
+            mapping[member] = a_side[0]
+    return mapping
+
+
+def _plan_event_coalescing(nodes, edges_a, edges_b, graph_a, declarations) -> Dict[NodeId, NodeId]:
+    participant_entities: Dict[NodeId, Set[NodeId]] = {}
+    for edge in chain(edges_a, edges_b):
+        if edge.relation in PARTICIPANT_RELATIONS:
+            participant_entities.setdefault(edge.subject, set()).add(edge.obj)
+
+    buckets: Dict[tuple, list] = {}
+    for node_id, node in nodes.items():
+        if node.kind is not NodeKind.OCCURRENT or node.inst_of is None:
+            continue
+        if declarations.card_of(node.inst_of) is not Cardinality.ONE:
+            continue
+        for entity in participant_entities.get(node_id, ()):
+            buckets.setdefault((node.inst_of, entity), []).append(node_id)
+
+    # Events sharing any (type, entity) bucket belong to one group.
+    parent: Dict[NodeId, NodeId] = {}
+
+    def find(node_id: NodeId) -> NodeId:
+        root = node_id
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(node_id, node_id) != node_id:
+            next_id = parent[node_id]
+            parent[node_id] = root
+            node_id = next_id
+        return root
+
+    for members in buckets.values():
+        for other in members[1:]:
+            root_a, root_b = find(members[0]), find(other)
+            if root_a != root_b:
+                parent[max(root_a, root_b)] = min(root_a, root_b)
+
+    components: Dict[NodeId, Set[NodeId]] = {}
+    for members in buckets.values():
+        for member in members:
+            components.setdefault(find(member), set()).add(member)
+    return _fold_cross_side(components.values(), graph_a)
+
+
+def _plan_attr_dedup(nodes, edges_a, edges_b, graph_a) -> Dict[NodeId, NodeId]:
+    """Attribute instances with the same type, bearer set and value set
+    are one slot entry told twice; fold the B copy onto the A one."""
+    bearers: Dict[NodeId, Set[NodeId]] = {}
+    values: Dict[NodeId, Set[NodeId]] = {}
+    for edge in chain(edges_a, edges_b):
+        if edge.relation is PrimitiveRelation.HAS_PROP:
+            bearers.setdefault(edge.subject, set()).add(edge.obj)
+        elif edge.relation is PrimitiveRelation.HAS_VALUE:
+            values.setdefault(edge.subject, set()).add(edge.obj)
+
+    groups: Dict[tuple, list] = {}
+    for node_id, node in nodes.items():
+        if node.kind is not NodeKind.ATTRIBUTE_INSTANCE or node.inst_of is None:
+            continue
+        attached = bearers.get(node_id)
+        if not attached:
+            continue
+        key = (node.inst_of, frozenset(attached), frozenset(values.get(node_id, ())))
+        groups.setdefault(key, []).append(node_id)
+    return _fold_cross_side(groups.values(), graph_a)
+
+
+def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, declarations, prefer_newer):
+    attrs_by_event: Dict[NodeId, list] = {}
+    values_by_attr: Dict[NodeId, list] = {}
+    for edge in edges:
+        if edge.relation is PrimitiveRelation.HAS_PROP:
+            attrs_by_event.setdefault(edge.obj, []).append(edge.subject)
+        elif edge.relation is PrimitiveRelation.HAS_VALUE:
+            values_by_attr.setdefault(edge.subject, []).append(edge.obj)
+
+    updated: list = []
+    conflicts: list = []
+    dropped_edges: Set[Edge] = set()
+
+    for event_id in sorted(attrs_by_event, key=str):
+        event = nodes.get(event_id)
+        if event is None or event.kind is not NodeKind.OCCURRENT or event.inst_of is None:
+            continue
+        slots: Dict[NodeId, list] = {}
+        for attr_id in attrs_by_event[event_id]:
+            attr = nodes.get(attr_id)
+            if attr is None or attr.kind is not NodeKind.ATTRIBUTE_INSTANCE or attr.inst_of is None:
+                continue
+            slots.setdefault(attr.inst_of, []).append(attr_id)
+
+        for attr_type in sorted(slots, key=str):
+            if declarations.mode_of(event.inst_of, attr_type) is not AttrMode.FUNCTIONAL:
+                continue
+            value_edges: list = []  # (literal, Edge)
+            for attr_id in slots[attr_type]:
+                for value_id in values_by_attr.get(attr_id, ()):
+                    value = nodes.get(value_id)
+                    if value is None or value.literal is None:
+                        continue
+                    value_edges.append((value.literal, Edge(attr_id, PrimitiveRelation.HAS_VALUE, value_id)))
+            literals = sorted({literal for literal, _ in value_edges})
+            if len(literals) < 2:
+                continue
+            side_a = {literal for literal, edge in value_edges if edge in edges_a}
+            side_b = {literal for literal, edge in value_edges if edge in edges_b}
+            resolvable = prefer_newer and rev_a != rev_b and bool(side_a) and bool(side_b)
+            if resolvable:
+                winner_side, winner_rev = (side_a, rev_a) if rev_a > rev_b else (side_b, rev_b)
+                losers = [literal for literal in literals if literal not in winner_side]
+                if losers:
+                    for literal, edge in value_edges:
+                        if literal in winner_side:
+                            continue
+                        dropped_edges.add(edge)
+                    updated.append(
+                        UpdateEntry(
+                            event_id,
+                            attr_type,
+                            tuple(losers),
+                            tuple(sorted(winner_side)),
+                            winner_rev,
+                        )
+                    )
+                    continue
+            conflicts.append(ConflictEntry(event_id, attr_type, tuple(literals)))
+
+    if dropped_edges:
+        edges.difference_update(dropped_edges)
+        _prune_orphans(nodes, edges, dropped_edges)
+    return updated, conflicts
+
+
+def _prune_orphans(nodes, edges, dropped_edges) -> None:
+    """After value edges were dropped, remove attribute instances left with
+    no values and value nodes nothing references anymore."""
+    emptied = {edge.subject for edge in dropped_edges}
+    for edge in edges:
+        if edge.relation is PrimitiveRelation.HAS_VALUE:
+            emptied.discard(edge.subject)
+    if emptied:
+        edges.difference_update([e for e in edges if e.subject in emptied or e.obj in emptied])
+        for attr_id in emptied:
+            nodes.pop(attr_id, None)
+    referenced: Set[NodeId] = set()
+    for edge in edges:
+        referenced.add(edge.subject)
+        referenced.add(edge.obj)
+    for edge in dropped_edges:
+        value_id = edge.obj
+        node = nodes.get(value_id)
+        if node is not None and node.kind is NodeKind.VALUE_LITERAL and value_id not in referenced:
+            del nodes[value_id]
+
+
+# Random canonicalized documents for the merge properties: a few subjects
+# shared across the two sides (so ids meet, and aligned respellings fold
+# events and attributes), CARD ONE/MANY events, FUNCTIONAL/MULTI slots and
+# random revisions.
+MERGE_RULES, _ = parse_rules(
+    "RULE bornIn EVENT ont:Birth SUBJ participantIn OBJ ATTR ont:Place ont:City\n"
+    "RULE bornOn EVENT ont:Birth SUBJ participantIn OBJ ATTR ont:Time ont:Date\n"
+    "RULE livesIn EVENT ont:Residence SUBJ participantIn OBJ ATTR ont:Place ont:City\n"
+    "RULE wrote EVENT ont:Writing SUBJ hasAgent OBJ ATTR ont:Title ont:Text\n"
+    "RULE met EVENT ont:Meeting SUBJ participantIn OBJ PARTICIPANT participantIn\n"
+)
+EVENT_TYPES = sorted({rule.event_type for rule in MERGE_RULES}, key=str)
+ATTR_SLOTS = sorted(
+    {(rule.event_type, rule.object_slot.attr_type) for rule in MERGE_RULES if isinstance(rule.object_slot, AttrSlot)},
+    key=str,
+)
+SUBJECTS = ("Ada", "Ada L", "Bob")
+OBJECTS = ("London", "Paris", "Ada", "Bob")
+
+
+def declared(keys, choices):
+    """Each key undeclared or given one of ``choices``.  Hypothesis leans
+    toward a sample's first elements, so the declared ones come first."""
+    return st.fixed_dictionaries({key: st.sampled_from((*choices, None)) for key in keys}).map(
+        lambda drawn: {key: value for key, value in drawn.items() if value is not None}
+    )
+
+
+merge_declarations = st.builds(
+    SchemaDeclarations,
+    cardinality=declared(EVENT_TYPES, (Cardinality.ONE, Cardinality.MANY)),
+    attr_modes=declared(ATTR_SLOTS, (AttrMode.FUNCTIONAL, AttrMode.MULTI)),
+)
+
+
+triple_lists = st.lists(
+    st.tuples(
+        st.sampled_from(SUBJECTS), st.sampled_from([rule.rel_name for rule in MERGE_RULES]), st.sampled_from(OBJECTS)
+    ),
+    max_size=8,
+)
+
+
+@st.composite
+def revised(draw, triples):
+    """A later telling of ``triples``: each one given another object or
+    subject, kept, or dropped, plus a few new ones.  A new object for a
+    FUNCTIONAL slot is what the revision-aware resolution acts on."""
+    told = []
+    for subject, relation, obj in triples:
+        change = draw(st.sampled_from(("object", "subject", "keep", "drop")))
+        if change == "subject":
+            subject = draw(st.sampled_from(SUBJECTS))
+        elif change == "object":
+            obj = draw(st.sampled_from(OBJECTS))
+        if change != "drop":
+            told.append((subject, relation, obj))
+    return told + draw(triple_lists.map(lambda extra: extra[:3]))
+
+
+@st.composite
+def canonical_documents(draw, triples=triple_lists, declarations=merge_declarations, revision=st.integers(0, 3)):
+    doc, _ = canonicalize_document(
+        tuple(FlatTriple(*t) for t in draw(triples)),
+        MERGE_RULES,
+        declarations=draw(declarations),
+        source_id=draw(st.sampled_from(("", "wiki"))),
+        revision=draw(revision),
+    )
+    return doc
+
+
+@st.composite
+def merge_cases(draw):
+    """Two documents, B often a revision of A, a random one-to-one partial
+    alignment of their continuants (now and then naming a node that is
+    none), and the ``prefer_newer`` flag."""
+    triples_a = draw(triple_lists)
+    doc_a = draw(canonical_documents(st.just(triples_a), revision=st.integers(1, 3)))
+    rev_a = doc_a.graph.revision
+    doc_b = draw(canonical_documents(
+        st.one_of(revised(triples_a), triple_lists),
+        st.one_of(st.just(doc_a.declarations), merge_declarations),
+        st.sampled_from((rev_a - 1, rev_a + 1, rev_a)),
+    ))
+    ids_a = sorted((n.id for n in doc_a.graph.continuants()), key=str)
+    ids_b = sorted((n.id for n in doc_b.graph.continuants()), key=str)
+    matches = []
+    if ids_a and ids_b:
+        pairs = draw(st.lists(
+            st.tuples(st.sampled_from(ids_a), st.sampled_from(ids_b)),
+            max_size=3, unique_by=(lambda p: p[0], lambda p: p[1]),
+        ))
+        matches = [(a, b, 1.0) for a, b in pairs]
+    if draw(st.sampled_from(range(20))) == 19:
+        stray = sorted(doc_b.graph.nodes, key=str)
+        matches.append((ids_a[0] if ids_a else NodeId("ent", "absent"), draw(st.sampled_from(stray)), 0.9))
+    return doc_a, doc_b, AlignmentResult(matches=tuple(matches)), draw(st.booleans())
+
+
+def run_merge(merge_fn, doc_a, doc_b, alignment, prefer_newer):
+    """The serialized graph and report of one merge, or its error."""
+    declarations = doc_a.declarations.merged_with(doc_b.declarations)
+    try:
+        graph, report = merge_fn(doc_a.graph, doc_b.graph, alignment, declarations, prefer_newer=prefer_newer)
+    except (AlignmentMismatchError, IdCollisionError) as exc:
+        return type(exc), str(exc)
+    hierarchy = union_hierarchies(doc_a.hierarchy, doc_b.hierarchy)
+    return serialize_gkg(GkgDocument(hierarchy, graph, declarations=declarations)), report.to_tsv()
+
+
+def partial_identity(doc, keep):
+    return AlignmentResult(matches=tuple(
+        (n.id, n.id, 1.0) for n, kept in zip(sorted(doc.graph.continuants(), key=lambda n: str(n.id)), keep) if kept
+    ))
+
+
+class TestMergeProperties:
+    @given(merge_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_oracle(self, case):
+        """Same serialized graph and report TSV, or the same error."""
+        assert run_merge(merge, *case) == run_merge(oracle_merge, *case)
+
+    @given(
+        st.one_of(canonical_documents(), st.integers(0, 10**6).map(random_document)),
+        st.lists(st.booleans(), max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_self_merge_is_identity(self, doc, keep):
+        """Under any part of the identity alignment a document merged with
+        itself comes back unchanged and adds nothing."""
+        merged, report = merge_documents(doc, doc, partial_identity(doc, keep))
+        assert merged.graph == doc.graph
+        assert serialize_gkg(merged) == serialize_gkg(doc)
+        assert (report.added_nodes, report.added_edges) == (0, 0)

@@ -3,12 +3,9 @@
 import pytest
 
 from gkg import (
-    Edge,
     GroundedGraph,
     LabelTable,
-    Node,
     NodeId,
-    NodeKind,
     PrimitiveRelation,
     check_isomorphic,
     gloss_id,
