@@ -2,7 +2,7 @@
 
 An entity's signature is a small set of named embedding slots: its display
 name, its type lineage, one slot per (essential event type, attribute
-type) fact, and its inferred role names.  Similarity is a weighted mean of
+type) fact, and its inferred role names.  Similarity is the mean of
 per-slot cosines over the union of slot keys, so structure that one side
 lacks counts against the pair instead of being ignored.
 
@@ -14,7 +14,7 @@ relation and changing a fact move its cosine by about the same amount.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,11 +28,11 @@ from .model import (
     NodeKind,
     PARTICIPANT_RELATIONS,
     PrimitiveRelation,
-    RoleConceptDef,
     TypeHierarchy,
     infer_role_labels,
 )
 from .multilingual import LabelTable
+from .schema import SchemaDeclarations
 
 SLOT_NAME = "name"
 SLOT_TYPE = "type"
@@ -49,10 +49,6 @@ _SCREEN_SLACK = 1e-9
 
 def fact_slot_key(event_type: NodeId, attr_type: NodeId) -> str:
     return f"{_FACT_PREFIX}:{event_type}:{attr_type}"
-
-
-def slot_class(key: str) -> str:
-    return key.split(":", 1)[0]
 
 
 @dataclass(frozen=True)
@@ -74,22 +70,14 @@ class AlignmentConfig:
     provider: object
     threshold: float = DEFAULT_THRESHOLD
     ambiguity_band: float = DEFAULT_AMBIGUITY_BAND
-    weights: Mapping[str, float] = field(default_factory=dict)
     pivot_lang: str = "en"
-    essential_events: frozenset = frozenset()
-    role_defs: Tuple[RoleConceptDef, ...] = ()
+    declarations: SchemaDeclarations = SchemaDeclarations()
 
     def __post_init__(self):
         if not (0.0 < self.threshold <= 1.0):
             raise InvalidParameterError(f"threshold must be in (0, 1], got {self.threshold}")
-        if self.ambiguity_band < 0.0:
+        if not self.ambiguity_band >= 0.0:
             raise InvalidParameterError(f"ambiguity band must be non-negative, got {self.ambiguity_band}")
-        for cls_name, weight in self.weights.items():
-            if weight <= 0.0:
-                raise InvalidParameterError(f"weight for {cls_name!r} must be positive, got {weight}")
-
-    def weight_for(self, cls_name: str) -> float:
-        return self.weights.get(cls_name, 1.0)
 
 
 @dataclass(frozen=True)
@@ -108,8 +96,9 @@ def entity_signature(
     config: AlignmentConfig,
 ) -> EntitySignature:
     """Signature of one continuant.  Name and type slots are always
-    attempted; fact slots need an essential event type in the config; the
-    roles slot appears only when role definitions infer something."""
+    attempted; fact slots need an essential event type in the config's
+    declarations; the roles slot appears only when their role definitions
+    infer something."""
     node = graph.node(node_id)
     if node.kind is not NodeKind.CONTINUANT:
         raise NotAContinuantError(f"{node_id} is a {node.kind.name}, not a continuant")
@@ -148,8 +137,8 @@ class _Signer:
             elif edge.relation is PrimitiveRelation.HAS_VALUE:
                 self.values_by_attr.setdefault(edge.subject, []).append(edge.obj)
         self.roles: Dict[NodeId, list] = {}
-        if config.role_defs:
-            for node_id, role in infer_role_labels(graph, hierarchy, config.role_defs):
+        if config.declarations.roles:
+            for node_id, role in infer_role_labels(graph, hierarchy, config.declarations.roles):
                 self.roles.setdefault(node_id, []).append(role)
 
     def lineage(self, type_id: NodeId) -> frozenset:
@@ -182,7 +171,7 @@ class _Signer:
         if node.inst_of is not None and node.inst_of in hierarchy:
             slots[SLOT_TYPE] = self.type_vector(node.inst_of)
 
-        for essential in sorted(config.essential_events, key=str):
+        for essential in sorted(config.declarations.essential, key=str):
             if essential not in hierarchy:
                 continue
             sums: Dict[NodeId, np.ndarray] = {}
@@ -226,29 +215,25 @@ class _Signer:
 def signature_similarity(
     sig_a: EntitySignature, sig_b: EntitySignature, config: AlignmentConfig
 ) -> float:
-    """Weighted mean of clamped per-slot cosines over the union of keys.
-    A slot present on one side only contributes zero at full weight."""
-    keys = sorted(set(sig_a.slots) | set(sig_b.slots))
-    if not keys:
+    """Mean of :func:`slot_similarities` over the union of keys, a slot
+    present on one side only counting 0.  ``config`` is unused and kept
+    so that existing three-argument calls still work."""
+    scores = slot_similarities(sig_a, sig_b)
+    if not scores:
         return 0.0
-    numerator = 0.0
-    denominator = 0.0
-    for key in keys:
-        weight = config.weight_for(slot_class(key))
-        denominator += weight
-        vec_a = sig_a.slots.get(key)
-        vec_b = sig_b.slots.get(key)
-        if vec_a is None or vec_b is None:
-            continue
-        numerator += weight * max(0.0, cosine(vec_a, vec_b))
-    return numerator / denominator
+    # Summed left to right: sum() of floats compensates from Python 3.12.
+    total = 0.0
+    for score in scores.values():
+        if score is not None:
+            total += score
+    return total / len(scores)
 
 
 def slot_similarities(
     sig_a: EntitySignature, sig_b: EntitySignature
 ) -> Dict[str, Optional[float]]:
     """Per-slot clamped cosines over the union of keys; None marks a slot
-    present on one side only.  Diagnostic companion to the scalar score."""
+    present on one side only.  :func:`signature_similarity` is their mean."""
     result: Dict[str, Optional[float]] = {}
     for key in sorted(set(sig_a.slots) | set(sig_b.slots)):
         vec_a = sig_a.slots.get(key)
@@ -304,7 +289,7 @@ def align(
 
     compatible = _compatibility([n.inst_of for n in conts_a], [n.inst_of for n in conts_b], signer_a)
     floor = config.threshold - config.ambiguity_band - _SCREEN_SLACK
-    near = compatible & (_screen_scores(sigs_a, sigs_b, config) >= floor)
+    near = compatible & (_screen_scores(sigs_a, sigs_b) >= floor)
 
     cand_a: Dict[int, list] = {}
     cand_b: Dict[int, list] = {}
@@ -397,26 +382,23 @@ def _unit_rows(sigs: Sequence[EntitySignature], key: str):
     return present, stack
 
 
-def _screen_scores(
-    sigs_a: Sequence[EntitySignature], sigs_b: Sequence[EntitySignature], config: AlignmentConfig
-) -> np.ndarray:
+def _screen_scores(sigs_a: Sequence[EntitySignature], sigs_b: Sequence[EntitySignature]) -> np.ndarray:
     """:func:`signature_similarity` of every pair, up to rounding.
 
     Per slot key, in the sorted key order the exact score uses, the
     clamped cosines of all pairs come from one product of unit-row stacks;
-    a key on one side only adds 0 to the numerator and its weight to the
+    a key on one side only adds 0 to the numerator and 1 to the
     denominator.  Non-finite cosines count as 0, as in :func:`cosine`:
     :func:`_unit_rows` zeroes the rows that would give them.
     """
     numerator = np.zeros((len(sigs_a), len(sigs_b)), dtype=np.float64)
     denominator = np.zeros_like(numerator)
     for key in sorted({key for sig in (*sigs_a, *sigs_b) for key in sig.slots}):
-        weight = config.weight_for(slot_class(key))
         has_a, unit_a = _unit_rows(sigs_a, key)
         has_b, unit_b = _unit_rows(sigs_b, key)
-        denominator += weight * (has_a[:, None] | has_b[None, :])
+        denominator += has_a[:, None] | has_b[None, :]
         if unit_a is not None and unit_b is not None:
-            numerator += weight * np.clip(unit_a @ unit_b.T, 0.0, 1.0)
+            numerator += np.clip(unit_a @ unit_b.T, 0.0, 1.0)
     return np.divide(numerator, denominator, out=np.zeros_like(numerator), where=denominator > 0.0)
 
 

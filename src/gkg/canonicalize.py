@@ -115,7 +115,7 @@ def canonicalize_document(
     keys, or two types or literals.
     """
     entity_types = dict(entity_types or {})
-    declarations = declarations or SchemaDeclarations.empty()
+    declarations = declarations or SchemaDeclarations()
     if hierarchy is None:
         hierarchy = hierarchy_for_rules(rules, declarations, entity_types)
 

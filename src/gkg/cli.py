@@ -11,7 +11,14 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .alignment import AlignmentConfig, align, format_alignment_tsv, parse_alignment_tsv
+from .alignment import (
+    DEFAULT_AMBIGUITY_BAND,
+    DEFAULT_THRESHOLD,
+    AlignmentConfig,
+    align,
+    format_alignment_tsv,
+    parse_alignment_tsv,
+)
 from .canonicalize import canonicalize_document
 from .embedding import DEFAULT_DIM, FileEmbeddingProvider, HashEmbeddingProvider
 from .errors import GkgError, GkgSyntaxError, InvalidParameterError, ValidationFailedError
@@ -90,14 +97,12 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
 
 
 def _alignment_config(doc_a: GkgDocument, doc_b: GkgDocument, args: argparse.Namespace) -> AlignmentConfig:
-    declarations = doc_a.declarations.merged_with(doc_b.declarations)
     return AlignmentConfig(
         provider=_build_provider(args),
         threshold=args.threshold,
         ambiguity_band=args.ambiguity_band,
         pivot_lang=args.pivot_lang,
-        essential_events=declarations.essential,
-        role_defs=declarations.roles,
+        declarations=doc_a.declarations.merged_with(doc_b.declarations),
     )
 
 
@@ -180,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("document_a")
     p_align.add_argument("document_b")
     _add_provider_options(p_align)
-    p_align.add_argument("--threshold", type=float, default=0.9)
-    p_align.add_argument("--ambiguity-band", type=float, default=0.02)
+    p_align.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p_align.add_argument("--ambiguity-band", type=float, default=DEFAULT_AMBIGUITY_BAND)
     p_align.add_argument("--pivot-lang", default="en")
     p_align.add_argument("-o", "--output")
     p_align.set_defaults(func=cmd_align)
@@ -217,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grounded = eval_sub.add_parser("grounded", help="entity-signature mutant scoring")
     p_grounded.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_grounded.add_argument("--dim", type=int, default=DEFAULT_DIM)
-    p_grounded.add_argument("--threshold", type=float, default=0.9)
+    p_grounded.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p_grounded.set_defaults(func=cmd_eval_grounded)
 
     return parser

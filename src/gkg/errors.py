@@ -61,8 +61,8 @@ class EmptyTokenError(GkgError):
 
 
 class InvalidParameterError(GkgError, ValueError):
-    """A numeric setting (threshold, ambiguity band, weight, dimension,
-    trial count) is outside its range."""
+    """A numeric setting (threshold, ambiguity band, dimension, trial
+    count) is outside its range."""
 
 
 class GkgSyntaxError(GkgError):

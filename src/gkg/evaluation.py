@@ -21,6 +21,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .alignment import (
+    DEFAULT_THRESHOLD,
     AlignmentConfig,
     align,
     entity_signature,
@@ -213,15 +214,14 @@ class GroundedEvalReport:
 
 
 def run_eval_grounded(
-    seed: int = DEFAULT_SEED, dim: int = DEFAULT_DIM, threshold: float = 0.9
+    seed: int = DEFAULT_SEED, dim: int = DEFAULT_DIM, threshold: float = DEFAULT_THRESHOLD
 ) -> GroundedEvalReport:
     """Score three mutants of the demo document against it: a renamed
     entity, a changed birth location, and swapped relation glosses."""
-    provider = HashEmbeddingProvider(seed, dim)
-    config = AlignmentConfig(
-        provider=provider, threshold=threshold, essential_events=frozenset({BIRTH_TYPE})
-    )
     base = demo_document()
+    config = AlignmentConfig(
+        provider=HashEmbeddingProvider(seed, dim), threshold=threshold, declarations=base.declarations
+    )
     mutants = (
         ("renamed_entity", demo_document(subject="GeorgeRogerWaters")),
         ("changed_location", demo_document(birthplace="Chelsea")),

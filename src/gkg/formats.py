@@ -107,8 +107,8 @@ class GkgDocument:
 
     hierarchy: TypeHierarchy
     graph: GroundedGraph
-    labels: LabelTable = field(default_factory=LabelTable.empty)
-    declarations: SchemaDeclarations = field(default_factory=SchemaDeclarations.empty)
+    labels: LabelTable = field(default_factory=LabelTable)
+    declarations: SchemaDeclarations = field(default_factory=SchemaDeclarations)
 
     def __post_init__(self):
         nodes = dict(self.graph.nodes)
@@ -132,7 +132,7 @@ class GkgDocument:
 
     @classmethod
     def empty(cls) -> "GkgDocument":
-        return cls(TypeHierarchy.root_only(), GroundedGraph.empty())
+        return cls(TypeHierarchy.root_only(), GroundedGraph())
 
 
 def validate_document(doc: GkgDocument) -> ValidationReport:

@@ -339,11 +339,10 @@ def union_hierarchies(hier_a: TypeHierarchy, hier_b: TypeHierarchy) -> TypeHiera
     a cycle formed by disagreeing parent links is rejected."""
     pairs = []
     for hierarchy in (hier_a, hier_b):
-        for type_id in hierarchy.sorted_types():
-            parents = hierarchy.parents.get(type_id, frozenset())
+        for type_id, parents in hierarchy.parents.items():
             if not parents:
                 pairs.append((type_id, None))
-            pairs.extend((type_id, parent) for parent in sorted(parents, key=str))
+            pairs.extend((type_id, parent) for parent in parents)
     return TypeHierarchy.from_edges(pairs)
 
 

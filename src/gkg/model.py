@@ -314,9 +314,6 @@ class TypeHierarchy:
             raise UnknownTypeError(f"unknown type: {sup}")
         return sup in self.ancestors(sub)
 
-    def sorted_types(self) -> list:
-        return sorted(self.types, key=str)
-
 
 @dataclass(frozen=True)
 class GroundedGraph:
@@ -332,10 +329,6 @@ class GroundedGraph:
     edges: frozenset = frozenset()
     source_id: str = ""
     revision: int = 0
-
-    @classmethod
-    def empty(cls, source_id: str = "", revision: int = 0) -> "GroundedGraph":
-        return cls({}, frozenset(), source_id, revision)
 
     @classmethod
     def build(

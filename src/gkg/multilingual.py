@@ -30,10 +30,6 @@ class LabelTable:
     entries: Mapping[tuple, str] = field(default_factory=dict)
 
     @classmethod
-    def empty(cls) -> "LabelTable":
-        return cls({})
-
-    @classmethod
     def from_entries(cls, entries: Iterable[tuple]) -> "LabelTable":
         table: dict = {}
         for node_id, lang, label in entries:
@@ -91,17 +87,14 @@ def render(
     graph: GroundedGraph,
     labels: LabelTable,
     lang: str,
-    gloss_table: Optional[LabelTable] = None,
 ) -> LabeledView:
     """Project a graph into one language.
 
     Node labels fall back lang -> en -> the id's local part, so a render
     never fails for missing translations.  Relation glosses come from the
-    gloss table (default: the label table itself) and fall back to the
-    canonical relation name.
+    label table's ``rel:`` rows and fall back to the canonical relation
+    name.
     """
-    if gloss_table is None:
-        gloss_table = labels
     node_labels = {}
     for node_id in graph.nodes:
         label = labels.get(node_id, lang)
@@ -110,7 +103,7 @@ def render(
         node_labels[node_id] = label if label is not None else node_id.local
     glosses = {}
     for relation in PrimitiveRelation:
-        gloss = gloss_table.get(gloss_id(relation), lang)
+        gloss = labels.get(gloss_id(relation), lang)
         glosses[relation] = gloss if gloss is not None else relation.value
     return LabeledView(lang, node_labels, frozenset(graph.edges), glosses)
 

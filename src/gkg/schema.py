@@ -79,10 +79,6 @@ class SchemaDeclarations:
     attr_modes: Mapping[tuple, AttrMode] = field(default_factory=dict)
     roles: Tuple[RoleConceptDef, ...] = ()
 
-    @classmethod
-    def empty(cls) -> "SchemaDeclarations":
-        return cls()
-
     def card_of(self, event_type: NodeId) -> Cardinality:
         """Event cardinality; undeclared types coalesce (ONE)."""
         return self.cardinality.get(event_type, Cardinality.ONE)

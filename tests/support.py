@@ -182,7 +182,7 @@ def random_document(seed: int) -> GkgDocument:
     source_id = rng.choice(("", "", f"src{seed}"))
     revision = rng.choice((0, 0, 1, 3))
     graph = GroundedGraph(nodes, frozenset(edges), source_id, revision)
-    return GkgDocument(hierarchy, graph, labels and LabelTable(labels) or LabelTable.empty(), declarations)
+    return GkgDocument(hierarchy, graph, labels and LabelTable(labels) or LabelTable(), declarations)
 
 
 PARTICIPANT_CHOICES = (

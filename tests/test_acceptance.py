@@ -23,6 +23,7 @@ from gkg import (
     NodeKind,
     PrimitiveRelation,
     RoleConceptDef,
+    SchemaDeclarations,
     SignatureViolationError,
     TypeHierarchy,
     align,
@@ -145,7 +146,7 @@ def test_criterion_03_flat_eval_bands(capsys):
 DEMO_CONFIG = AlignmentConfig(
     provider=HashEmbeddingProvider(seed=42, dim=64),
     threshold=0.9,
-    essential_events=frozenset({BIRTH_TYPE}),
+    declarations=SchemaDeclarations(essential=frozenset({BIRTH_TYPE})),
 )
 
 

@@ -1,6 +1,7 @@
 """Entity signatures, similarity scoring and the alignment procedure."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from gkg import (
     GkgSyntaxError,
     HashEmbeddingProvider,
     FlatTriple,
+    InvalidParameterError,
     NodeId,
     NotAContinuantError,
+    SchemaDeclarations,
     align,
     canonicalize_document,
     entity_signature,
@@ -41,7 +44,7 @@ CHANGED_FACT_SCORE = 0.75  # one orthogonal slot of four
 
 
 def config(provider=None, **kw):
-    kw.setdefault("essential_events", frozenset({BIRTH_TYPE}))
+    kw.setdefault("declarations", SchemaDeclarations(essential=frozenset({BIRTH_TYPE})))
     return AlignmentConfig(provider=provider or BasisProvider(), **kw)
 
 
@@ -51,6 +54,25 @@ def only_entity(doc):
 
 def signature_of(doc, cfg):
     return entity_signature(doc.graph, doc.hierarchy, doc.labels, only_entity(doc), cfg)
+
+
+class TestAlignmentConfig:
+    @pytest.mark.parametrize("kw", [{"threshold": math.nan}, {"ambiguity_band": math.nan}])
+    def test_nan_setting_rejected(self, kw):
+        with pytest.raises(InvalidParameterError):
+            config(**kw)
+
+    def test_signature_reads_declared_roles(self):
+        doc = parse_gkg(
+            "N ex:rw C core:Human\nN ev:b O ont:Birth\nT core:Human core:Entity\nT ont:Birth core:Entity\n"
+            "E ev:b participantIn ex:rw\nROLE Newborn BASE core:Human VIA participantIn EVENT ont:Birth\n"
+        )
+        plain = entity_signature(doc.graph, doc.hierarchy, doc.labels, NodeId("ex", "rw"), config())
+        declared = entity_signature(
+            doc.graph, doc.hierarchy, doc.labels, NodeId("ex", "rw"), config(declarations=doc.declarations)
+        )
+        assert plain.slot_keys() == ("name", "type")
+        assert declared.slot_keys() == ("name", "roles", "type")
 
 
 class TestEntitySignature:
@@ -125,15 +147,6 @@ class TestSimilarityOracles:
         bare = entity_signature(bare_doc.graph, bare_doc.hierarchy, bare_doc.labels, NodeId("ex", "rw"), cfg)
         score = signature_similarity(rich, bare, cfg)
         assert score == pytest.approx(2 / 4)  # name and type agree; two facts one-sided
-
-    def test_weights_shift_the_mean(self):
-        cfg_flat = config()
-        cfg_namey = config(weights={"name": 8.0})
-        sig_a = signature_of(demo_document(), cfg_flat)
-        sig_b = signature_of(demo_document(subject="GeorgeRogerWaters"), cfg_flat)
-        assert signature_similarity(sig_a, sig_b, cfg_namey) < signature_similarity(
-            sig_a, sig_b, cfg_flat
-        )
 
     def test_negative_cosines_clamp_to_zero(self):
         cfg = config()
@@ -416,16 +429,11 @@ def joint_setup(doc_a, doc_b, provider, **kw):
         hierarchy = union_hierarchies(doc_a.hierarchy, doc_b.hierarchy)
     except CycleError:
         hierarchy = doc_a.hierarchy
-    roles = {}
-    for role in doc_a.declarations.roles + doc_b.declarations.roles:
-        if role.base_type in hierarchy and role.occurrent_type in hierarchy:
-            roles.setdefault(role.role_name, role)
-    cfg = AlignmentConfig(
-        provider=provider,
-        essential_events=doc_a.declarations.essential | doc_b.declarations.essential,
-        role_defs=tuple(roles.values()),
-        **kw,
+    declarations = doc_a.declarations.merged_with(doc_b.declarations)
+    roles = tuple(
+        role for role in declarations.roles if role.base_type in hierarchy and role.occurrent_type in hierarchy
     )
+    cfg = AlignmentConfig(provider=provider, declarations=replace(declarations, roles=roles), **kw)
     return hierarchy, cfg
 
 
@@ -460,9 +468,6 @@ settings_kw = st.fixed_dictionaries(
     {
         "threshold": st.floats(0.05, 1.0),
         "ambiguity_band": st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
-        "weights": st.dictionaries(
-            st.sampled_from(["name", "type", "fact", "roles"]), st.floats(0.1, 5.0), max_size=3
-        ),
     }
 )
 
@@ -486,7 +491,7 @@ class TestAlignAgainstOracle:
                   for n in doc_a.graph.continuants()]
         sigs_b = [entity_signature(doc_b.graph, hierarchy, doc_b.labels, n.id, cfg)
                   for n in doc_b.graph.continuants()]
-        screen = _screen_scores(sigs_a, sigs_b, cfg)
+        screen = _screen_scores(sigs_a, sigs_b)
         exact = np.array([[signature_similarity(a, b, cfg) for b in sigs_b] for a in sigs_a])
         assert screen.shape == (len(sigs_a), len(sigs_b))
         assert np.abs(screen - exact.reshape(screen.shape)).max(initial=0.0) < 1e-12
@@ -540,14 +545,6 @@ class TestAlignAgainstOracle:
         got, want = both_aligners(doc_a, doc_b, provider, threshold=best, ambiguity_band=wider)
         assert got == want
         assert got.matches == () and [s for _, s in got.ambiguous[0][1]] == [best, runner_up]
-
-    def test_custom_weights(self):
-        doc_a = people_document([("RogerWaters", "London", DATES[0]), ("DavidGilmour", "Cambridge", DATES[1])])
-        doc_b = people_document([("GeorgeRogerWaters", "London", DATES[0]), ("David Gilmour", "Chelsea", DATES[1])])
-        for weights in ({"name": 4.0}, {"fact": 0.25, "type": 3.0}, {"name": 0.1, "fact": 5.0}):
-            got, want = both_aligners(doc_a, doc_b, threshold=0.6, weights=weights)
-            assert got == want
-        assert got.matches  # the fact-heavy weighting still matches someone
 
     def test_slot_key_on_one_side_only(self):
         """B has no fact slots at all: those keys add weight to every

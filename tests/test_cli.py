@@ -169,6 +169,8 @@ class TestAlignAndMerge:
             ["--threshold", "2"],
             ["--threshold", "0"],
             ["--ambiguity-band", "-0.1"],
+            ["--ambiguity-band", "nan"],
+            ["--threshold", "nan"],
             ["--dim", "0"],
             ["--provider", "file", "--vectors", "unused.txt", "--dim", "-3"],
         ],

@@ -60,6 +60,8 @@ CASES = [
                     "--alignment", "{in}/rev1_self.align", "-o", "{out}"], 0, "merge_self.gkg"),
     ("isocheck_self", ["isocheck", "{exp}/canon_rev1.gkg", "{exp}/merge_self.gkg", "--lang", "fr"], 0, None),
     ("isocheck_rev", ["isocheck", "{exp}/canon_rev1.gkg", "{exp}/canon_rev2.gkg"], 1, None),
+    ("eval_grounded", ["eval", "grounded"], 0, None),
+    ("eval_flat", ["eval", "flat", "--trials", "10"], 0, None),
 ]
 
 

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package or of the tests imports a
-name it never uses."""
+name it never uses, and every function, method and class the package
+defines is referenced somewhere in the repository."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "gkg").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "gkg").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# Where a reference to a package definition may live.
+REFERRING = PACKAGE + [
+    path for folder in ("tests", "gkgbench", "scripts") for path in sorted((ROOT / folder).rglob("*.py"))
+]
 
 
 def imported_names(tree):
@@ -40,3 +46,31 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = [f"line {line}: {name}" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def referenced_names(tree):
+    """Every name the module reads, every attribute it looks up and every
+    name it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.rpartition(".")[2]
+
+
+def test_every_package_definition_is_referenced():
+    referenced = set()
+    for path in REFERRING:
+        referenced.update(referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+    orphans = [
+        f"{path.name} line {node.lineno}: {node.name}"
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
+    ]
+    assert not orphans, f"defined but never referenced: {', '.join(orphans)}"

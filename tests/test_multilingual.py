@@ -34,12 +34,12 @@ class TestLabelTable:
             LabelTable.from_entries([(RW, "en", "")])
 
     def test_with_label_replaces(self):
-        table = LabelTable.empty().with_label(RW, "en", "One").with_label(RW, "en", "Two")
+        table = LabelTable().with_label(RW, "en", "One").with_label(RW, "en", "Two")
         assert table.get(RW, "en") == "Two"
 
     def test_items_sorted_deterministic(self):
         table = (
-            LabelTable.empty()
+            LabelTable()
             .with_label(NodeId("ex", "b"), "en", "B")
             .with_label(NodeId("ex", "a"), "fr", "A")
             .with_label(NodeId("ex", "a"), "en", "A")
