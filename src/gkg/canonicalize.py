@@ -139,19 +139,36 @@ def canonicalize_document(
     # (event id, attr type) -> {literal: value id}; used for conflict flags.
     slot_values: dict = {}
     key_texts: dict = {}  # event, attribute or value id -> the key text it hashes
+    # Each distinct text is hashed once, and each distinct key builds and
+    # checks its id once: a repeated key passed the collision check the
+    # first time.  fnv1a64_hex is the module global, looked up at call
+    # time, so a wrapper set on this module sees every distinct text.
+    hashes: dict = {}  # text -> fnv1a64_hex(text)
+    keyed_ids: dict = {}  # (namespace, type, key text) -> id
+
+    def hex_of(text: str) -> str:
+        found = hashes.get(text)
+        if found is None:
+            found = hashes[text] = fnv1a64_hex(text)
+        return found
 
     def keyed_id(namespace: str, type_id: NodeId, text: str) -> NodeId:
-        node_id = NodeId(namespace, f"{type_id.local}#{fnv1a64_hex(text)}")
+        key = (namespace, type_id, text)
+        node_id = keyed_ids.get(key)
+        if node_id is not None:
+            return node_id
+        node_id = NodeId(namespace, f"{type_id.local}#{hex_of(text)}")
         other = key_texts.setdefault(node_id, text)
         if other != text:
             raise IdCollisionError(f"keys {other!r} and {text!r} share the id {node_id}")
+        keyed_ids[key] = node_id
         return node_id
 
     def ensure_entity(label: str) -> NodeId:
         existing = entity_ids.get(label)
         if existing is not None:
             return existing
-        node_id = NodeId(ENTITY_NAMESPACE, fnv1a64_hex(label))
+        node_id = NodeId(ENTITY_NAMESPACE, hex_of(label))
         other = entity_labels.get(node_id)
         if other is not None:
             raise IdCollisionError(f"entity labels {other!r} and {label!r} share the id {node_id}")
@@ -161,8 +178,12 @@ def canonicalize_document(
         return node_id
 
     rule_by_key = _rules_by_token_key(rules)
+    rule_by_spelling: dict = {}  # raw relation name -> its rule or None
     for triple in triples:
-        rule = rule_by_key.get(tuple(tokenize(triple.r)))
+        try:
+            rule = rule_by_spelling[triple.r]
+        except KeyError:
+            rule = rule_by_spelling[triple.r] = rule_by_key.get(tuple(tokenize(triple.r)))
         if rule is None:
             unmapped.add(triple.r)
             continue

@@ -73,6 +73,8 @@ _KIND_CODES = {
     "A": NodeKind.ATTRIBUTE_INSTANCE,
     "V": NodeKind.VALUE_LITERAL,
 }
+_KIND_CODE_OF = {kind: code for code, kind in _KIND_CODES.items()}
+_RELATION_CODE_OF = {relation: code for code, relation in _RELATIONS.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -390,24 +392,34 @@ def parse_gkg(text: str) -> GkgDocument:
 def serialize_gkg(doc: GkgDocument) -> str:
     """Render a document in canonical form (see the module docstring).
     Raises ValueError for documents that cannot be expressed, e.g. nodes
-    without a type or whitespace in a source id."""
+    without a type, or a header that would not read back as written."""
     lines: List[str] = []
     graph = doc.graph
+    source_id, revision = graph.source_id, graph.revision
 
-    if graph.source_id or graph.revision:
-        if any(ch.isspace() for ch in graph.source_id):
-            raise ValueError(f"source id contains whitespace: {graph.source_id!r}")
-        lines.append(f"G {graph.source_id or '-'} {graph.revision}")
+    if source_id or revision:
+        if any(ch.isspace() for ch in source_id):
+            raise ValueError(f"source id contains whitespace: {source_id!r}")
+        if source_id == "-":
+            raise ValueError("source id '-' would read back as no source id")
+        if revision < 0:
+            raise ValueError(f"revision must be non-negative, got {revision}")
+        lines.append(f"G {source_id or '-'} {revision}")
 
-    # Each section's line sort alone sets the canonical order, which is not
-    # id order when an id holds a character that sorts below the space.
+    # Ids are written from their two parts and node kinds and relations
+    # from code tables, since formatting an id or reading an enum's value
+    # runs Python code per field.  Each section's line sort alone sets the
+    # canonical order, which is not id order when an id holds a character
+    # that sorts below the space.
     type_lines = []
+    parents_of = doc.hierarchy.parents
     for type_id in doc.hierarchy.types:
-        parents = doc.hierarchy.parents.get(type_id)
+        namespace, local = type_id
+        parents = parents_of.get(type_id)
         if not parents:
-            type_lines.append(f"T {type_id} -")
+            type_lines.append(f"T {namespace}:{local} -")
         else:
-            type_lines.extend(f"T {type_id} {parent}" for parent in parents)
+            type_lines.extend(f"T {namespace}:{local} {p_ns}:{p_local}" for p_ns, p_local in parents)
     lines.extend(sorted(type_lines))
 
     node_lines = []
@@ -416,7 +428,9 @@ def serialize_gkg(doc: GkgDocument) -> str:
             continue
         if inst_of is None:
             raise ValueError(f"cannot serialize untyped node {node_id}")
-        record = f"N {node_id} {kind.value} {inst_of}"
+        namespace, local = node_id
+        type_ns, type_local = inst_of
+        record = f"N {namespace}:{local} {_KIND_CODE_OF[kind]} {type_ns}:{type_local}"
         if kind is NodeKind.VALUE_LITERAL:
             if not literal:
                 raise ValueError(f"cannot serialize value node {node_id} without a literal")
@@ -427,11 +441,17 @@ def serialize_gkg(doc: GkgDocument) -> str:
     lines.extend(sorted(node_lines))
 
     lines.extend(
-        sorted(f"E {subject} {relation.value} {obj}" for subject, relation, obj in graph.edges)
+        sorted(
+            f"E {s_ns}:{s_local} {_RELATION_CODE_OF[relation]} {o_ns}:{o_local}"
+            for (s_ns, s_local), relation, (o_ns, o_local) in graph.edges
+        )
     )
 
     lines.extend(
-        sorted(f"L {node_id} {lang} {label}" for (node_id, lang), label in doc.labels.entries.items())
+        sorted(
+            f"L {namespace}:{local} {lang} {label}"
+            for ((namespace, local), lang), label in doc.labels.entries.items()
+        )
     )
 
     decl_lines = []

@@ -305,6 +305,45 @@ class TestRuleIndex:
             assert [str(n.inst_of) for n in events] == [event_type]
 
 
+class TestWorkOncePerDistinctInput:
+    """``canonicalize_document`` hashes each distinct text once and
+    tokenizes each distinct relation spelling once per call."""
+
+    TRIPLES = (
+        ("Ada", "bornIn", "London"),
+        ("Ada", "bornIn", "London"),  # a duplicated triple
+        ("Ada", "bornOn", "1815"),  # CARD ONE: the event key is the label "Ada"
+        ("Bob", "born_in", "London"),  # a literal shared with Ada
+        ("Cy", "Born In", "Paris"),  # bornIn, spelled a third way
+        ("Cy", "diedIn", "Paris"),
+        ("Bob", "diedIn", "Rome"),  # an unmapped spelling, seen twice
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Record every call of canonicalize's ``fnv1a64_hex`` and
+        ``tokenize``; returns ``(hashed texts, tokenized labels)``."""
+        hashed, tokenized = [], []
+
+        def record(name, into):
+            real = getattr(gkg.canonicalize, name)
+            monkeypatch.setattr(gkg.canonicalize, name, lambda text: into.append(text) or real(text))
+
+        record("fnv1a64_hex", hashed)
+        record("tokenize", tokenized)
+        return hashed, tokenized
+
+    def test_one_call_per_distinct_input(self, calls):
+        hashed, tokenized = calls
+        _, report = birth_doc(self.TRIPLES)
+        assert (report.events_created, report.events_coalesced, report.unmapped_relations) == (3, 2, {"diedIn"})
+        events = [f"ev:Birth#{fnv1a64_hex(label)}" for label in ("Ada", "Bob", "Cy")]
+        # FUNCTIONAL attribute keys are the event id, shared by both slots.
+        assert sorted(hashed) == sorted(["Ada", "Bob", "Cy", "London", "1815", "Paris", *events])
+        rule_names = ["bornIn", "bornOn"]
+        assert sorted(tokenized) == sorted(rule_names + ["bornIn", "bornOn", "born_in", "Born In", "diedIn"])
+
+
 class TestCanonReportTsv:
     def test_every_row_kind(self):
         report = CanonReport(

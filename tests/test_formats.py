@@ -28,17 +28,20 @@ from gkg.formats import (
     validate_document,
 )
 from gkg.model import (
+    PARTICIPANT_RELATIONS,
     Edge,
     GroundedGraph,
     IssueKind,
     Node,
+    PrimitiveRelation,
+    RoleConceptDef,
     TypeHierarchy,
     ValidationIssue,
     ValidationReport,
 )
 from gkg.errors import CycleError
 from gkg.multilingual import LabelTable
-from gkg.schema import AttrMode, AttrSlot, Cardinality
+from gkg.schema import AttrMode, AttrSlot, Cardinality, SchemaDeclarations
 
 from .support import WORKED_TEXT, random_document
 
@@ -369,6 +372,142 @@ class TestParseGkgAgainstOracle:
         assert _outcome(parse_gkg, text) == _outcome(oracle_parse_gkg, text)
 
 
+def oracle_serialize_gkg(doc: GkgDocument) -> str:
+    """``serialize_gkg`` before it wrote ids from their parts: every field
+    goes through ``str(NodeId)`` or an enum's ``.value``.  It predates the
+    header checks, so it is only asked about headers that read back."""
+    lines = []
+    graph = doc.graph
+
+    if graph.source_id or graph.revision:
+        if any(ch.isspace() for ch in graph.source_id):
+            raise ValueError(f"source id contains whitespace: {graph.source_id!r}")
+        lines.append(f"G {graph.source_id or '-'} {graph.revision}")
+
+    type_lines = []
+    for type_id in doc.hierarchy.types:
+        parents = doc.hierarchy.parents.get(type_id)
+        if not parents:
+            type_lines.append(f"T {type_id} -")
+        else:
+            type_lines.extend(f"T {type_id} {parent}" for parent in parents)
+    lines.extend(sorted(type_lines))
+
+    node_lines = []
+    for node_id, (_, kind, inst_of, literal) in graph.nodes.items():
+        if kind is NodeKind.TYPE_NODE:
+            continue
+        if inst_of is None:
+            raise ValueError(f"cannot serialize untyped node {node_id}")
+        record = f"N {node_id} {kind.value} {inst_of}"
+        if kind is NodeKind.VALUE_LITERAL:
+            if not literal:
+                raise ValueError(f"cannot serialize value node {node_id} without a literal")
+            record += f" {literal}"
+        elif literal is not None:
+            raise ValueError(f"cannot serialize literal on non-value node {node_id}")
+        node_lines.append(record)
+    lines.extend(sorted(node_lines))
+
+    lines.extend(
+        sorted(f"E {subject} {relation.value} {obj}" for subject, relation, obj in graph.edges)
+    )
+
+    lines.extend(
+        sorted(f"L {node_id} {lang} {label}" for (node_id, lang), label in doc.labels.entries.items())
+    )
+
+    decl_lines = []
+    decls = doc.declarations
+    decl_lines.extend(f"ESSENTIAL {type_id}" for type_id in decls.essential)
+    decl_lines.extend(
+        f"CARD {type_id} {card.value}" for type_id, card in decls.cardinality.items()
+    )
+    decl_lines.extend(
+        f"ATTRDECL {event_type} {attr_type} {mode.value}"
+        for (event_type, attr_type), mode in decls.attr_modes.items()
+    )
+    decl_lines.extend(
+        f"ROLE {role.role_name} BASE {role.base_type} VIA {role.via.value} EVENT {role.occurrent_type}"
+        for role in decls.roles
+    )
+    lines.extend(sorted(decl_lines))
+
+    return "".join(line + "\n" for line in lines)
+
+
+def _serialized(serializer, doc: GkgDocument):
+    """The text ``serializer`` writes for ``doc``, or its ValueError message."""
+    try:
+        return serializer(doc)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+# Namespaces and locals hold ".", "-" and "!", which sort below ":" and
+# the space, and ":", which a local may hold after the first colon.
+_FUZZ_IDS = st.builds(
+    NodeId,
+    st.text(alphabet="ab.-!", min_size=1, max_size=3),
+    st.text(alphabet="ab.-!:1", min_size=1, max_size=3),
+)
+_FUZZ_TEXTS = st.text(alphabet="ab .-", min_size=1, max_size=6).filter(lambda text: not text[0].isspace())
+
+
+@st.composite
+def _fuzzed_documents(draw):
+    """A document that need not validate: several parents per type, nodes
+    with and without a type or literal, edges under any relation, labels
+    in several languages, declarations, and a header or none."""
+    types = draw(st.lists(_FUZZ_IDS, unique=True, max_size=5))
+    pairs = []
+    for i, type_id in enumerate(types):
+        parents = draw(st.lists(st.sampled_from(types[:i]), unique=True, max_size=3)) if i else []
+        pairs.extend((type_id, parent) for parent in parents or [None])
+    hierarchy = TypeHierarchy.from_edges(pairs)
+    type_ids = sorted(hierarchy.types)
+
+    nodes = {}
+    for node_id in draw(st.lists(_FUZZ_IDS.filter(lambda i: i not in hierarchy), unique=True, max_size=6)):
+        kind = draw(st.sampled_from(sorted(_KIND_CODES.values())))
+        inst_of = draw(st.one_of(st.sampled_from(type_ids), st.none())) if draw(st.booleans()) else type_ids[0]
+        if kind is NodeKind.VALUE_LITERAL:
+            literal = draw(st.one_of(_FUZZ_TEXTS, st.sampled_from(("", None))))
+        else:
+            literal = draw(st.one_of(st.none(), st.none(), _FUZZ_TEXTS))
+        nodes[node_id] = Node(node_id, kind, inst_of, literal)
+
+    all_ids = list(nodes) + type_ids
+    edges = draw(st.frozensets(st.builds(Edge, st.sampled_from(all_ids), st.sampled_from(list(PrimitiveRelation)),
+                                         st.sampled_from(all_ids)), max_size=8))
+    labels = draw(st.dictionaries(st.tuples(st.sampled_from(all_ids), st.sampled_from(("en", "fr", "de", "zh-Hant"))),
+                                  _FUZZ_TEXTS, max_size=6))
+    declarations = SchemaDeclarations(
+        essential=draw(st.frozensets(st.sampled_from(type_ids), max_size=2)),
+        cardinality=draw(st.dictionaries(st.sampled_from(type_ids), st.sampled_from(list(Cardinality)), max_size=2)),
+        attr_modes=draw(st.dictionaries(st.tuples(st.sampled_from(type_ids), st.sampled_from(type_ids)),
+                                        st.sampled_from(list(AttrMode)), max_size=2)),
+        roles=tuple(draw(st.lists(st.builds(RoleConceptDef, st.sampled_from(("Founder", "Member")),
+                                            st.sampled_from(type_ids), st.sampled_from(sorted(PARTICIPANT_RELATIONS)),
+                                            st.sampled_from(type_ids)), max_size=2))),
+    )
+    source_id = draw(st.sampled_from(("", "src", "a.b-c!", "a b", "a\tb")))
+    revision = draw(st.sampled_from((0, 1, 12)))
+    return GkgDocument(hierarchy, GroundedGraph(nodes, edges, source_id, revision), LabelTable(labels), declarations)
+
+
+class TestSerializeGkgAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_fuzzed_documents())
+    def test_fuzzed_documents(self, doc):
+        assert _serialized(serialize_gkg, doc) == _serialized(oracle_serialize_gkg, doc)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_generated_documents(self, seed):
+        doc = random_document(seed)
+        assert serialize_gkg(doc) == oracle_serialize_gkg(doc)
+
+
 class TestSerializeGkg:
     def test_canonical_round_trip_bytes(self):
         text = serialize_gkg(parse_gkg(WORKED_TEXT))
@@ -381,6 +520,21 @@ class TestSerializeGkg:
 
     def test_empty_document_is_root_line(self):
         assert serialize_gkg(GkgDocument.empty()) == "T core:Entity -\n"
+
+    @pytest.mark.parametrize(
+        "source_id, revision, message",
+        [
+            ("-", 0, "source id '-' would read back as no source id"),
+            ("-", 2, "source id '-' would read back as no source id"),
+            ("x", -1, "revision must be non-negative, got -1"),
+            ("", -3, "revision must be non-negative, got -3"),
+        ],
+    )
+    def test_header_that_would_not_read_back_is_refused(self, source_id, revision, message):
+        doc = GkgDocument(TypeHierarchy.root_only(), GroundedGraph(source_id=source_id, revision=revision))
+        with pytest.raises(ValueError) as caught:
+            serialize_gkg(doc)
+        assert str(caught.value) == message
 
     def test_header_omitted_at_defaults(self):
         assert "G " not in serialize_gkg(parse_gkg("T core:Entity -\n"))
