@@ -22,15 +22,7 @@ import numpy as np
 from .embedding import cosine, embed_phrase, embed_flat_triple, normalized
 from .errors import GkgSyntaxError, InvalidParameterError, NotAContinuantError
 from .formats import _content_lines, _node_id
-from .model import (
-    GroundedGraph,
-    NodeId,
-    NodeKind,
-    PARTICIPANT_RELATIONS,
-    PrimitiveRelation,
-    TypeHierarchy,
-    infer_role_labels,
-)
+from .model import Adjacency, GroundedGraph, NodeId, NodeKind, TypeHierarchy, infer_role_labels
 from .multilingual import LabelTable
 from .schema import SchemaDeclarations
 
@@ -76,8 +68,12 @@ class AlignmentConfig:
     def __post_init__(self):
         if not (0.0 < self.threshold <= 1.0):
             raise InvalidParameterError(f"threshold must be in (0, 1], got {self.threshold}")
-        if not self.ambiguity_band >= 0.0:
-            raise InvalidParameterError(f"ambiguity band must be non-negative, got {self.ambiguity_band}")
+        # A band as wide as the threshold would list every compatible pair as AMBIG.
+        if not 0.0 <= self.ambiguity_band < self.threshold:
+            raise InvalidParameterError(
+                f"ambiguity band must be non-negative and below the threshold {self.threshold}, "
+                f"got {self.ambiguity_band}"
+            )
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ def _phrase(labels: LabelTable, node_id: NodeId, pivot_lang: str) -> str:
 
 class _Signer:
     """Signs the continuants of one graph.  It holds what all signatures
-    over the graph share, each computed once: the edge indexes, the
+    over the graph share, each computed once: the graph's adjacency, the
     inferred roles, the ancestor sets of types (in a dict that the two
     sides of an alignment share) and the type-slot vectors, which read
     this side's labels."""
@@ -126,16 +122,7 @@ class _Signer:
         self.config = config
         self.lineages = lineages
         self.type_vectors: Dict[NodeId, np.ndarray] = {}
-        self.participants_by_entity: Dict[NodeId, list] = {}
-        self.attrs_by_bearer: Dict[NodeId, list] = {}
-        self.values_by_attr: Dict[NodeId, list] = {}
-        for edge in graph.edges:
-            if edge.relation in PARTICIPANT_RELATIONS:
-                self.participants_by_entity.setdefault(edge.obj, []).append(edge.subject)
-            elif edge.relation is PrimitiveRelation.HAS_PROP:
-                self.attrs_by_bearer.setdefault(edge.obj, []).append(edge.subject)
-            elif edge.relation is PrimitiveRelation.HAS_VALUE:
-                self.values_by_attr.setdefault(edge.subject, []).append(edge.obj)
+        self.adjacency = Adjacency(graph.edges)
         self.roles: Dict[NodeId, list] = {}
         if config.declarations.roles:
             for node_id, role in infer_role_labels(graph, hierarchy, config.declarations.roles):
@@ -175,7 +162,7 @@ class _Signer:
             if essential not in hierarchy:
                 continue
             sums: Dict[NodeId, np.ndarray] = {}
-            for event_id in self.participants_by_entity.get(node.id, ()):
+            for event_id in self.adjacency.events_of.get(node.id, ()):
                 event = graph.nodes.get(event_id)
                 if event is None or event.kind is not NodeKind.OCCURRENT:
                     continue
@@ -183,11 +170,11 @@ class _Signer:
                     continue
                 if essential not in self.lineage(event.inst_of):
                     continue
-                for attr_id in self.attrs_by_bearer.get(event_id, ()):
+                for attr_id in self.adjacency.attrs_of.get(event_id, ()):
                     attr = graph.nodes.get(attr_id)
                     if attr is None or attr.kind is not NodeKind.ATTRIBUTE_INSTANCE or attr.inst_of is None:
                         continue
-                    for value_id in self.values_by_attr.get(attr_id, ()):
+                    for value_id in self.adjacency.values.get(attr_id, ()):
                         value = graph.nodes.get(value_id)
                         if value is None or not value.literal:
                             continue

@@ -219,8 +219,10 @@ def run_eval_grounded(
     """Score three mutants of the demo document against it: a renamed
     entity, a changed birth location, and swapped relation glosses."""
     base = demo_document()
+    # Pairs are scored, never aligned, so no ambiguity band applies.
     config = AlignmentConfig(
-        provider=HashEmbeddingProvider(seed, dim), threshold=threshold, declarations=base.declarations
+        provider=HashEmbeddingProvider(seed, dim), threshold=threshold, ambiguity_band=0.0,
+        declarations=base.declarations,
     )
     mutants = (
         ("renamed_entity", demo_document(subject="GeorgeRogerWaters")),

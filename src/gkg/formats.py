@@ -470,7 +470,7 @@ def serialize_gkg(doc: GkgDocument) -> str:
     )
     lines.extend(sorted(decl_lines))
 
-    return "".join(line + "\n" for line in lines)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def parse_rules(text: str) -> Tuple[Tuple[ReificationRule, ...], SchemaDeclarations]:

@@ -12,6 +12,7 @@ Everything unmatched is unioned disjointly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Optional, Set, Tuple
@@ -20,11 +21,11 @@ from .alignment import AlignmentResult
 from .errors import AlignmentMismatchError, IdCollisionError
 from .formats import GkgDocument
 from .model import (
+    Adjacency,
     Edge,
     GroundedGraph,
     NodeId,
     NodeKind,
-    PARTICIPANT_RELATIONS,
     PrimitiveRelation,
     TypeHierarchy,
 )
@@ -123,15 +124,16 @@ def merge(
     # Every id merge folds away is B-only (the alignment maps B ids; event and
     # attribute folds map only members absent from A), and a valid A graph's
     # edges touch A's nodes alone, so A is read as is and only B is rewritten.
+    # Folds are planned from B's new nodes over one adjacency of both sides.
     edges_b: Set[Edge] = set(graph_b.edges)
     _rewrite_edges(edges_b, {id_b: id_a for id_b, id_a in id_map.items() if id_b != id_a})
-    # Event coalescing by shared (participant entity, event type) for
-    # cardinality-ONE types, then attribute dedup over the coalesced events.
-    for plan in (_plan_event_coalescing, _plan_attr_dedup):
-        mapping = plan(nodes, graph_a, edges_b, declarations)
-        for dropped in mapping:
-            del nodes[dropped]
-        _rewrite_edges(edges_b, mapping)
+    adjacency = Adjacency(chain(graph_a.edges, edges_b))
+    new_b = [node for node_id, node in graph_b.nodes.items() if node_id not in graph_a.nodes]
+    event_folds = _plan_event_folds(nodes, graph_a, new_b, adjacency, declarations)
+    folds = {**event_folds, **_plan_attr_folds(graph_a, new_b, adjacency, event_folds)}
+    for dropped in folds:
+        del nodes[dropped]
+    _rewrite_edges(edges_b, folds)
     edges: Set[Edge] = edges_b.union(graph_a.edges)
 
     # --- FUNCTIONAL slot resolution ---------------------------------------
@@ -165,106 +167,88 @@ def _rewrite_edges(edges: Set[Edge], mapping: Dict[NodeId, NodeId]) -> None:
     )
 
 
-def _fold_cross_side(groups, graph_a) -> Dict[NodeId, NodeId]:
-    """For each group, map B-introduced members onto the smallest A-side
-    member.  Groups living entirely on one side are left alone: merge
-    never restructures either input internally."""
-    mapping: Dict[NodeId, NodeId] = {}
-    for members in groups:
-        if len(members) < 2:
+def _plan_event_folds(nodes, graph_a, new_b, adjacency, declarations) -> Dict[NodeId, NodeId]:
+    """Events of one cardinality-ONE type that share a participant, directly
+    or along a chain of such events, are one event told more than once.
+    Walking out from each B-only event finds its group, whose B-only members
+    fold onto its smallest A-side member; a group with none is left alone,
+    as merge never restructures either input internally."""
+    folds: Dict[NodeId, NodeId] = {}
+    seen: Set[NodeId] = set()
+    for start in new_b:
+        event_type = start.inst_of
+        if start.id in seen or start.kind is not NodeKind.OCCURRENT or event_type is None:
             continue
-        a_side = sorted((m for m in members if m in graph_a.nodes), key=str)
-        b_only = sorted((m for m in members if m not in graph_a.nodes), key=str)
-        if not a_side or not b_only:
+        if declarations.card_of(event_type) is not Cardinality.ONE:
             continue
-        for member in b_only:
-            mapping[member] = a_side[0]
-    return mapping
+        group = {start.id}
+        frontier = [start.id]
+        while frontier:
+            for entity in adjacency.participants.get(frontier.pop(), ()):
+                for other in adjacency.events_of[entity]:
+                    node = nodes.get(other)
+                    if other in group or node is None or node.kind is not NodeKind.OCCURRENT:
+                        continue
+                    if node.inst_of == event_type:
+                        group.add(other)
+                        frontier.append(other)
+        seen |= group
+        a_side = [member for member in group if member in graph_a.nodes]
+        if a_side:
+            target = min(a_side)
+            folds.update((member, target) for member in group if member not in graph_a.nodes)
+    return folds
 
 
-def _plan_event_coalescing(nodes, graph_a, edges_b, declarations) -> Dict[NodeId, NodeId]:
-    participant_entities: Dict[NodeId, Set[NodeId]] = {}
-    for edge in chain(graph_a.edges, edges_b):
-        if edge.relation in PARTICIPANT_RELATIONS:
-            participant_entities.setdefault(edge.subject, set()).add(edge.obj)
+def _plan_attr_folds(graph_a, new_b, adjacency, event_folds) -> Dict[NodeId, NodeId]:
+    """Attribute instances with the same type, bearers and values are one
+    slot entry told twice: a B-only one folds onto its smallest A-side twin.
+    Bearers are read through the event folds; a twin hangs on every bearer,
+    so only the attributes on one bearer or on the events folded onto it
+    are compared."""
+    folded_into: Dict[NodeId, list] = {}
+    for source, target in event_folds.items():
+        folded_into.setdefault(target, []).append(source)
 
-    buckets: Dict[tuple, list] = {}
-    for node_id, node in nodes.items():
-        if node.kind is not NodeKind.OCCURRENT or node.inst_of is None:
+    def slot(attr_id):
+        return (
+            frozenset(event_folds.get(b, b) for b in adjacency.bearers.get(attr_id, ())),
+            frozenset(event_folds.get(v, v) for v in adjacency.values.get(attr_id, ())),
+        )
+
+    folds: Dict[NodeId, NodeId] = {}
+    for attr in new_b:
+        if attr.kind is not NodeKind.ATTRIBUTE_INSTANCE or attr.inst_of is None:
             continue
-        if declarations.card_of(node.inst_of) is not Cardinality.ONE:
+        key = slot(attr.id)
+        if not key[0]:
             continue
-        for entity in participant_entities.get(node_id, ()):
-            buckets.setdefault((node.inst_of, entity), []).append(node_id)
-
-    # Events sharing any (type, entity) bucket belong to one group.
-    parent: Dict[NodeId, NodeId] = {}
-
-    def find(node_id: NodeId) -> NodeId:
-        root = node_id
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(node_id, node_id) != node_id:
-            next_id = parent[node_id]
-            parent[node_id] = root
-            node_id = next_id
-        return root
-
-    for members in buckets.values():
-        for other in members[1:]:
-            root_a, root_b = find(members[0]), find(other)
-            if root_a != root_b:
-                parent[max(root_a, root_b)] = min(root_a, root_b)
-
-    components: Dict[NodeId, Set[NodeId]] = {}
-    for members in buckets.values():
-        for member in members:
-            components.setdefault(find(member), set()).add(member)
-    return _fold_cross_side(components.values(), graph_a)
-
-
-def _plan_attr_dedup(nodes, graph_a, edges_b, _declarations) -> Dict[NodeId, NodeId]:
-    """Attribute instances with the same type, bearer set and value set
-    are one slot entry told twice; fold the B copy onto the A one."""
-    bearers: Dict[NodeId, Set[NodeId]] = {}
-    values: Dict[NodeId, Set[NodeId]] = {}
-    for edge in chain(graph_a.edges, edges_b):
-        if edge.relation is PrimitiveRelation.HAS_PROP:
-            bearers.setdefault(edge.subject, set()).add(edge.obj)
-        elif edge.relation is PrimitiveRelation.HAS_VALUE:
-            values.setdefault(edge.subject, set()).add(edge.obj)
-
-    groups: Dict[tuple, list] = {}
-    for node_id, node in nodes.items():
-        if node.kind is not NodeKind.ATTRIBUTE_INSTANCE or node.inst_of is None:
-            continue
-        attached = bearers.get(node_id)
-        if not attached:
-            continue
-        key = (node.inst_of, frozenset(attached), frozenset(values.get(node_id, ())))
-        groups.setdefault(key, []).append(node_id)
-    return _fold_cross_side(groups.values(), graph_a)
+        bearer = next(iter(key[0]))
+        twins = []
+        for source in (bearer, *folded_into.get(bearer, ())):
+            for other in adjacency.attrs_of.get(source, ()):
+                twin = graph_a.nodes.get(other)
+                if twin is None or twin.kind is not NodeKind.ATTRIBUTE_INSTANCE:
+                    continue
+                if twin.inst_of == attr.inst_of and slot(other) == key:
+                    twins.append(other)
+        if twins:
+            folds[attr.id] = min(twins)
+    return folds
 
 
 def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, declarations, prefer_newer):
-    attrs_by_event: Dict[NodeId, list] = {}
-    values_by_attr: Dict[NodeId, list] = {}
-    for edge in edges:
-        if edge.relation is PrimitiveRelation.HAS_PROP:
-            attrs_by_event.setdefault(edge.obj, []).append(edge.subject)
-        elif edge.relation is PrimitiveRelation.HAS_VALUE:
-            values_by_attr.setdefault(edge.subject, []).append(edge.obj)
-
+    adjacency = Adjacency(edges)
     updated: list = []
     conflicts: list = []
     dropped_edges: Set[Edge] = set()
 
-    for event_id in attrs_by_event:
+    for event_id, attr_ids in adjacency.attrs_of.items():
         event = nodes.get(event_id)
         if event is None or event.kind is not NodeKind.OCCURRENT or event.inst_of is None:
             continue
         slots: Dict[NodeId, list] = {}
-        for attr_id in attrs_by_event[event_id]:
+        for attr_id in attr_ids:
             attr = nodes.get(attr_id)
             if attr is None or attr.kind is not NodeKind.ATTRIBUTE_INSTANCE or attr.inst_of is None:
                 continue
@@ -275,7 +259,7 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, decl
                 continue
             value_edges: list = []  # (literal, Edge)
             for attr_id in slots[attr_type]:
-                for value_id in values_by_attr.get(attr_id, ()):
+                for value_id in adjacency.values.get(attr_id, ()):
                     value = nodes.get(value_id)
                     if value is None or value.literal is None:
                         continue
@@ -308,17 +292,16 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, decl
 
     if dropped_edges:
         edges.difference_update(dropped_edges)
-        _prune_orphans(nodes, edges, dropped_edges)
+        _prune_orphans(nodes, edges, dropped_edges, adjacency)
     return updated, conflicts
 
 
-def _prune_orphans(nodes, edges, dropped_edges) -> None:
+def _prune_orphans(nodes, edges, dropped_edges, adjacency) -> None:
     """After value edges were dropped, remove attribute instances left with
-    no values and value nodes nothing references anymore."""
-    emptied = {edge.subject for edge in dropped_edges}
-    for edge in edges:
-        if edge.relation is PrimitiveRelation.HAS_VALUE:
-            emptied.discard(edge.subject)
+    no values and value nodes nothing references anymore.  ``adjacency``
+    is that of the edges before the drop."""
+    dropped_per_attr = Counter(attr_id for attr_id, _, _ in dropped_edges)
+    emptied = {attr_id for attr_id, count in dropped_per_attr.items() if count == len(adjacency.values[attr_id])}
     if emptied:
         edges.difference_update([e for e in edges if e.subject in emptied or e.obj in emptied])
         for attr_id in emptied:

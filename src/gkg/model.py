@@ -197,6 +197,27 @@ class Edge(NamedTuple):
         return (str(subject), relation.value, str(obj))
 
 
+class Adjacency:
+    """The participant, ``hasProp`` and ``hasValue`` links of an edge set,
+    indexed in one pass: ``events_of`` (entity -> events), ``participants``
+    (event -> entities), ``attrs_of`` (bearer -> attributes), ``bearers``
+    (attribute -> bearers) and ``values`` (attribute -> values).  Each list
+    holds one entry per edge, in edge order: an entity joined to one event
+    by two relations lists the event twice."""
+
+    def __init__(self, edges: Iterable[Edge]):
+        self.events_of, self.participants, self.attrs_of, self.bearers, self.values = {}, {}, {}, {}, {}
+        for subject, relation, obj in edges:
+            if relation in PARTICIPANT_RELATIONS:
+                self.events_of.setdefault(obj, []).append(subject)
+                self.participants.setdefault(subject, []).append(obj)
+            elif relation is PrimitiveRelation.HAS_PROP:
+                self.attrs_of.setdefault(obj, []).append(subject)
+                self.bearers.setdefault(subject, []).append(obj)
+            elif relation is PrimitiveRelation.HAS_VALUE:
+                self.values.setdefault(subject, []).append(obj)
+
+
 @dataclass(frozen=True, slots=True)
 class RoleConceptDef:
     """A role concept such as Teacher: instances of ``base_type`` that stand

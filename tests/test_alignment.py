@@ -35,6 +35,7 @@ from gkg import (
     union_hierarchies,
 )
 from gkg.alignment import _screen_scores
+from gkg.embedding import embed_phrase, normalized
 from gkg.evaluation import BIRTH_TYPE, DEMO_RULES_TEXT, HUMAN_TYPE, demo_document
 
 from .support import BasisProvider, random_document
@@ -61,6 +62,14 @@ class TestAlignmentConfig:
     def test_nan_setting_rejected(self, kw):
         with pytest.raises(InvalidParameterError):
             config(**kw)
+
+    @pytest.mark.parametrize("threshold, band", [(0.9, 0.9), (0.9, 1.0), (0.5, math.inf), (0.01, 0.02)])
+    def test_band_at_or_above_threshold_rejected(self, threshold, band):
+        """Such a band would screen in, and list as AMBIG, every
+        type-compatible pair."""
+        with pytest.raises(InvalidParameterError):
+            config(threshold=threshold, ambiguity_band=band)
+        assert config(threshold=threshold, ambiguity_band=float(np.nextafter(threshold, 0.0)))
 
     def test_signature_reads_declared_roles(self):
         doc = parse_gkg(
@@ -103,6 +112,23 @@ class TestEntitySignature:
         )
         with pytest.raises(NotAContinuantError):
             entity_signature(doc.graph, doc.hierarchy, doc.labels, event, config())
+
+    def test_fact_slot_counts_each_participant_edge(self):
+        """An entity joined to one birth by two relations counts its place
+        twice in the fact slot; the other birth's place counts once."""
+        doc = parse_gkg(
+            "T ont:Birth core:Entity\nN ex:rw C core:Human\n"
+            "N ex:b1 O ont:Birth\nN ex:b2 O ont:Birth\nN ex:p1 A ont:Place\nN ex:p2 A ont:Place\n"
+            "N ex:london V ont:City London\nN ex:paris V ont:City Paris\n"
+            "E ex:b1 hasAgent ex:rw\nE ex:b1 participantIn ex:rw\nE ex:b2 participantIn ex:rw\n"
+            "E ex:p1 hasProp ex:b1\nE ex:p1 hasValue ex:london\nE ex:p2 hasProp ex:b2\nE ex:p2 hasValue ex:paris\n"
+        )
+        cfg = config()
+        sig = signature_of(doc, cfg)
+        london, paris = (embed_phrase(cfg.provider, place) for place in ("London", "Paris"))
+        np.testing.assert_allclose(
+            sig.slots[fact_slot_key(BIRTH_TYPE, NodeId("ont", "Place"))], normalized(2 * london + paris)
+        )
 
     def test_label_fallback_to_local_part(self):
         doc = parse_gkg("N ex:Skywalker C core:Thing\n")
@@ -464,11 +490,17 @@ providers = st.one_of(
     st.builds(BasisProvider, st.just(64)),
     st.builds(HashEmbeddingProvider, st.integers(0, 3), st.sampled_from([4, 8, 64])),
 )
-settings_kw = st.fixed_dictionaries(
-    {
-        "threshold": st.floats(0.05, 1.0),
-        "ambiguity_band": st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
-    }
+# A band at or above the threshold is refused (TestAlignmentConfig), so the
+# band is drawn below the threshold.
+settings_kw = st.floats(0.05, 1.0).flatmap(
+    lambda threshold: st.fixed_dictionaries(
+        {
+            "threshold": st.just(threshold),
+            "ambiguity_band": st.one_of(
+                st.just(0.0), st.floats(0.0, min(0.3, threshold), exclude_max=threshold <= 0.3)
+            ),
+        }
+    )
 )
 
 

@@ -173,6 +173,8 @@ class TestAlignAndMerge:
             ["--threshold", "nan"],
             ["--dim", "0"],
             ["--provider", "file", "--vectors", "unused.txt", "--dim", "-3"],
+            ["--ambiguity-band", "0.9"],
+            ["--threshold", "0.5", "--ambiguity-band", "1"],
         ],
     )
     def test_align_bad_numeric_option_exit_2(self, workspace, capsys, option):

@@ -521,6 +521,10 @@ class TestSerializeGkg:
     def test_empty_document_is_root_line(self):
         assert serialize_gkg(GkgDocument.empty()) == "T core:Entity -\n"
 
+    def test_document_without_records_is_empty_text(self):
+        doc = GkgDocument(TypeHierarchy(), GroundedGraph())
+        assert serialize_gkg(doc) == oracle_serialize_gkg(doc) == ""
+
     @pytest.mark.parametrize(
         "source_id, revision, message",
         [

@@ -21,10 +21,12 @@ from gkg import (
     GroundedGraph,
     IdCollisionError,
     MergeReport,
+    Node,
     NodeId,
     NodeKind,
     PrimitiveRelation,
     SchemaDeclarations,
+    TypeHierarchy,
     UpdateEntry,
     canonicalize_document,
     merge,
@@ -616,10 +618,8 @@ def canonical_documents(draw, triples=triple_lists, declarations=merge_declarati
 
 
 @st.composite
-def merge_cases(draw):
-    """Two documents, B often a revision of A, a random one-to-one partial
-    alignment of their continuants (now and then naming a node that is
-    none), and the ``prefer_newer`` flag."""
+def canonical_pairs(draw):
+    """Two canonicalized documents, B often a revision of A."""
     triples_a = draw(triple_lists)
     doc_a = draw(canonical_documents(st.just(triples_a), revision=st.integers(1, 3)))
     rev_a = doc_a.graph.revision
@@ -628,6 +628,85 @@ def merge_cases(draw):
         st.one_of(st.just(doc_a.declarations), merge_declarations),
         st.sampled_from((rev_a - 1, rev_a + 1, rev_a)),
     ))
+    return doc_a, doc_b
+
+
+# Hand-built documents take shapes canonicalize never writes: events with
+# several participants (so cardinality-ONE events chain into one group with
+# several A-side members), an entity joined to one event by two relations,
+# attributes with two bearers or on an entity, and ids of every kind on
+# both sides.
+HAND_EVENT_TYPES = (NodeId("ont", "Birth"), NodeId("ont", "Meeting"))
+HAND_ATTR_TYPES = (NodeId("ont", "Place"), NodeId("ont", "Time"))
+HAND_HUMAN, HAND_CITY = NodeId("core", "Human"), NodeId("ont", "City")
+HAND_HIERARCHY = TypeHierarchy.from_edges(
+    (type_id, None) for type_id in (*HAND_EVENT_TYPES, *HAND_ATTR_TYPES, HAND_HUMAN, HAND_CITY)
+)
+hand_declarations = st.builds(
+    SchemaDeclarations,
+    cardinality=declared(HAND_EVENT_TYPES, (Cardinality.ONE, Cardinality.MANY)),
+    attr_modes=declared(
+        [(event_type, attr_type) for event_type in HAND_EVENT_TYPES for attr_type in HAND_ATTR_TYPES],
+        (AttrMode.FUNCTIONAL, AttrMode.MULTI),
+    ),
+)
+
+
+@st.composite
+def hand_built_pairs(draw):
+    """Two valid documents over one pool of nodes: each side takes some of
+    the pool and random edges among what it took."""
+    def pool(namespace, kind, types, literals=(None,) * 5):
+        return [
+            Node(NodeId(namespace, str(k)), kind, type_id, literal)
+            for k, (type_id, literal) in enumerate(zip(types, literals))
+        ]
+
+    def types(choices):
+        return draw(st.lists(st.sampled_from(choices), min_size=5, max_size=5))
+
+    nodes = [
+        *pool("ent", NodeKind.CONTINUANT, [HAND_HUMAN] * 4),
+        *pool("ev", NodeKind.OCCURRENT, types(HAND_EVENT_TYPES)),
+        *pool("at", NodeKind.ATTRIBUTE_INSTANCE, types(HAND_ATTR_TYPES)),
+        *pool("val", NodeKind.VALUE_LITERAL, [HAND_CITY] * 3, ("London", "Paris", "1955")),
+    ]
+
+    def side(declarations, revision):
+        taken = draw(st.lists(st.sampled_from(nodes), unique=True, max_size=12))
+        of_kind = {kind: [node.id for node in taken if node.kind is kind] for kind in NodeKind}
+        candidates = [
+            Edge(subject, relation, obj)
+            for subject_kind, relations, object_kinds in (
+                (NodeKind.OCCURRENT, sorted(PARTICIPANT_RELATIONS), (NodeKind.CONTINUANT,)),
+                (NodeKind.ATTRIBUTE_INSTANCE, [PrimitiveRelation.HAS_PROP], (NodeKind.OCCURRENT, NodeKind.CONTINUANT)),
+                (NodeKind.ATTRIBUTE_INSTANCE, [PrimitiveRelation.HAS_VALUE], (NodeKind.VALUE_LITERAL,)),
+            )
+            for subject in of_kind[subject_kind]
+            for relation in relations
+            for object_kind in object_kinds
+            for obj in of_kind[object_kind]
+        ]
+        edges = draw(st.lists(st.sampled_from(candidates), max_size=14)) if candidates else []
+        graph = GroundedGraph.build(taken, edges, "hand", revision)
+        return GkgDocument(HAND_HIERARCHY, graph, declarations=declarations)
+
+    declarations_a = draw(hand_declarations)
+    rev_a = draw(st.integers(1, 3))
+    doc_a = side(declarations_a, rev_a)
+    doc_b = side(
+        draw(st.one_of(st.just(declarations_a), hand_declarations)),
+        draw(st.sampled_from((rev_a - 1, rev_a + 1, rev_a))),
+    )
+    return doc_a, doc_b
+
+
+@st.composite
+def merge_cases(draw):
+    """Two documents, canonicalized or hand-built, a random one-to-one
+    partial alignment of their continuants (now and then naming a node
+    that is none), and the ``prefer_newer`` flag."""
+    doc_a, doc_b = draw(st.one_of(canonical_pairs(), hand_built_pairs()))
     ids_a = sorted((n.id for n in doc_a.graph.continuants()), key=str)
     ids_b = sorted((n.id for n in doc_b.graph.continuants()), key=str)
     matches = []
@@ -666,6 +745,25 @@ class TestMergeProperties:
     def test_equals_oracle(self, case):
         """Same serialized graph and report TSV, or the same error."""
         assert run_merge(merge, *case) == run_merge(oracle_merge, *case)
+
+    def test_attribute_twin_found_through_a_folded_event(self):
+        """A's ``at:a`` hangs on A's birth only through B's copy of it, on
+        a B event that folds onto that birth; B's ``at:b`` hangs on another
+        such event.  Both end on the same bearer and value, so ``at:b``
+        folds onto ``at:a``, found through the events folded onto the
+        bearer."""
+        head = "T ont:Birth core:Entity\nN ent:x C core:Human\nN at:a A ont:Place\nN val:l V ont:City London\n"
+        doc_a = parse_gkg(head + "N ev:a O ont:Birth\nE ev:a participantIn ent:x\nE at:a hasValue val:l\n")
+        doc_b = parse_gkg(
+            head + "N ev:b O ont:Birth\nN ev:c O ont:Birth\nN at:b A ont:Place\n"
+            "E ev:b participantIn ent:x\nE ev:c participantIn ent:x\nE at:a hasProp ev:b\nE at:a hasValue val:l\n"
+            "E at:b hasProp ev:c\nE at:b hasValue val:l\n"
+        )
+        case = (doc_a, doc_b, AlignmentResult(), True)
+        assert run_merge(merge, *case) == run_merge(oracle_merge, *case)
+        merged, _ = merge(doc_a.graph, doc_b.graph, AlignmentResult())
+        assert NodeId("at", "b") not in merged.nodes
+        assert Edge(NodeId("at", "a"), PrimitiveRelation.HAS_PROP, NodeId("ev", "a")) in merged.edges
 
     @given(
         st.one_of(canonical_documents(), st.integers(0, 10**6).map(random_document)),

@@ -33,6 +33,8 @@ from gkg import (
     validate_graph,
 )
 
+from gkg.model import Adjacency
+
 from .support import random_document, reachable
 
 
@@ -350,6 +352,39 @@ class TestEdgesAndSignatures:
 
     def test_inst_rejects_type_subject(self):
         assert not signature_allows(PrimitiveRelation.INST, NodeKind.TYPE_NODE, NodeKind.TYPE_NODE)
+
+
+class TestAdjacency:
+    def test_links_indexed_both_ways_in_edge_order(self):
+        c, o1, o2, a1, a2, v = (NodeId("x", name) for name in ("c", "o1", "o2", "a1", "a2", "v"))
+        rel = PrimitiveRelation
+        adjacency = Adjacency([
+            Edge(o2, rel.HAS_OBJECT, c),
+            Edge(o1, rel.PARTICIPANT_IN, c),
+            Edge(a1, rel.HAS_PROP, o1),
+            Edge(a1, rel.HAS_PROP, c),
+            Edge(a2, rel.HAS_PROP, o1),
+            Edge(a2, rel.HAS_VALUE, v),
+            Edge(a1, rel.HAS_VALUE, v),
+            Edge(o1, rel.PRECEDES, o2),
+            Edge(c, rel.INST, ROOT_TYPE),
+        ])
+        assert adjacency.events_of == {c: [o2, o1]}
+        assert adjacency.participants == {o2: [c], o1: [c]}
+        assert adjacency.attrs_of == {o1: [a1, a2], c: [a1]}
+        assert adjacency.bearers == {a1: [o1, c], a2: [o1]}
+        assert adjacency.values == {a2: [v], a1: [v]}
+
+    def test_one_entry_per_edge(self):
+        """An entity that is both agent and participant of one event lists
+        the event once per edge; the signature's fact sums count it so."""
+        c, o = NodeId("x", "c"), NodeId("x", "o")
+        adjacency = Adjacency([
+            Edge(o, PrimitiveRelation.HAS_AGENT, c),
+            Edge(o, PrimitiveRelation.PARTICIPANT_IN, c),
+        ])
+        assert adjacency.events_of == {c: [o, o]}
+        assert adjacency.participants == {o: [c, c]}
 
 
 class TestValidate:
