@@ -4,7 +4,9 @@
 
 Generates gkgbench's ``reconcile`` corpus (two sources about the same
 people, seed 1) at each size, in subjects per side, and runs the four
-commands of that workload: canonicalize A, canonicalize B, align, merge.
+commands of that workload (canonicalize A, canonicalize B, align, merge)
+and ``gkg validate`` of A, whose time is that of reading one document
+(``validate_a``), the parse that align and merge each pay twice.
 Each command runs in a fresh interpreter with one BLAS thread.  For each
 size the probe prints one JSON object: each command's wall time
 (interpreter start included) and peak RSS, read from the child's own
@@ -40,6 +42,7 @@ COMMANDS = (
                         "--source-id", "srcA", "--revision", "0", "-o", "a.gkg")),
     ("canonicalize_b", ("canonicalize", "--rules", "rules.txt", "--flat", "b.tsv",
                         "--source-id", "srcB", "--revision", "1", "-o", "b.gkg")),
+    ("validate_a", ("validate", "a.gkg")),
     ("align", ("align", "a.gkg", "b.gkg", "-o", "ab.align")),
     ("merge", ("merge", "a.gkg", "b.gkg", "--alignment", "ab.align", "-o", "ab.gkg")),
 )

@@ -30,6 +30,7 @@ record, so equal documents produce byte-identical text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import List, Tuple
 
 from .embedding import tokenize
@@ -79,9 +80,9 @@ _RELATION_CODE_OF = {relation: code for code, relation in _RELATIONS.items()}
 
 @dataclass(frozen=True, slots=True)
 class FlatTriple:
-    """One conventional KG triple: three non-empty, tab-free labels that
-    do not start with whitespace (a graph document could not carry such a
-    label or literal back)."""
+    """One conventional KG triple: three non-empty labels that hold no tab,
+    end no line for ``str.splitlines`` and do not start with whitespace (a
+    graph document could not carry such a label or literal back)."""
 
     e1: str
     r: str
@@ -91,8 +92,11 @@ class FlatTriple:
         for name, value in (("e1", self.e1), ("r", self.r), ("e2", self.e2)):
             if not value:
                 raise ValueError(f"flat triple field {name} is empty")
-            if "\t" in value or "\n" in value or "\r" in value:
-                raise ValueError(f"flat triple field {name} contains a tab or newline")
+            # Tabs and line breaks are unprintable, so one call clears a
+            # printable field.  Text is read with splitlines(), which sets
+            # where a line ends.
+            if not value.isprintable() and ("\t" in value or value.splitlines() != [value]):
+                raise ValueError(f"flat triple field {name} contains a tab or a line break")
             if value[0].isspace():
                 blank = "is blank" if value.isspace() else "starts with whitespace"
                 raise ValueError(f"flat triple field {name} {blank}")
@@ -113,19 +117,22 @@ class GkgDocument:
     declarations: SchemaDeclarations = field(default_factory=SchemaDeclarations)
 
     def __post_init__(self):
-        nodes = dict(self.graph.nodes)
-        changed = False
-        for node_id, node in nodes.items():
-            if node.kind is NodeKind.TYPE_NODE and node_id not in self.hierarchy:
+        nodes = self.graph.nodes
+        types = self.hierarchy.types
+        for node_id, (_, kind, _, _) in nodes.items():
+            if kind is NodeKind.TYPE_NODE and node_id not in types:
                 raise ValueError(f"graph type node {node_id} is absent from the hierarchy")
-        for type_id in self.hierarchy.types:
+        missing = []
+        for type_id in types:
             existing = nodes.get(type_id)
             if existing is None:
-                nodes[type_id] = Node(type_id, NodeKind.TYPE_NODE)
-                changed = True
+                missing.append(type_id)
             elif existing.kind is not NodeKind.TYPE_NODE:
                 raise ValueError(f"node {type_id} collides with a hierarchy type")
-        if changed:
+        if missing:
+            nodes = dict(nodes)
+            for type_id in missing:
+                nodes[type_id] = Node(type_id, NodeKind.TYPE_NODE)
             object.__setattr__(
                 self,
                 "graph",
@@ -264,14 +271,14 @@ def parse_gkg(text: str) -> GkgDocument:
     :class:`ValidationFailedError` carrying the full report.
     """
     type_pairs: list = []
-    node_records: list = []  # (line_no, NodeId, NodeKind, type NodeId, literal|None)
+    nodes: dict = {}  # node records, in record order
+    node_lines: dict = {}
     edge_records: list = []
     label_entries: dict = {}
     declarations = _DeclarationCollector()
     source_id = ""
     revision = 0
     saw_header = False
-    seen_node_lines: dict = {}
 
     # Each distinct id token is parsed once per document; a token that
     # fails is never stored, so it fails again with its own line number.
@@ -289,24 +296,61 @@ def parse_gkg(text: str) -> GkgDocument:
                 raise GkgSyntaxError(line_no, str(exc)) from None
         return found
 
+    # Edges and nodes are NamedTuples, whose constructor is Python code;
+    # tuple.__new__ builds the same objects directly.
+    new_tuple = tuple.__new__
     ids_get = ids.get
     relation_of = _RELATIONS.get
+    kind_of = _KIND_CODES.get
+    value_kind = NodeKind.VALUE_LITERAL
     for line_no, line in enumerate(text.splitlines(), 1):
-        fields = line.split()
-        if not fields or fields[0].startswith("#"):
-            continue  # blank line or comment
-        head = fields[0]
+        # Four fields and the rest of the line: all of an E record, and an
+        # N record with its greedy literal.  Other records split again.
+        fields = line.split(None, 4)
+        head = fields[0] if fields else "#"  # a blank line reads as a comment
         # Edges are the most common record, so they are tested first.  Ids
         # and relations are non-empty tuples and strings, so `or` falls back
         # to the checked parse only for an unseen or malformed token.
         if head == "E":
             if len(fields) != 4:
                 raise GkgSyntaxError(line_no, "E takes a subject, a relation and an object")
-            subject = ids_get(fields[1]) or node_id_of(fields[1], line_no)
-            relation = relation_of(fields[2]) or _relation(fields[2], line_no)
-            obj = ids_get(fields[3]) or node_id_of(fields[3], line_no)
-            edge_records.append(Edge(subject, relation, obj))
+            _, subject, relation, obj = fields
+            subject = ids_get(subject) or node_id_of(subject, line_no)
+            relation = relation_of(relation) or _relation(relation, line_no)
+            obj = ids_get(obj) or node_id_of(obj, line_no)
+            edge_records.append(new_tuple(Edge, (subject, relation, obj)))
+        elif head == "N":
+            if len(fields) < 4:
+                raise GkgSyntaxError(line_no, "N takes a node id, a kind code and a type id")
+            node_id = node_id_of(fields[1], line_no)
+            kind = kind_of(fields[2])
+            if kind is None:
+                raise GkgSyntaxError(line_no, f"bad node kind {fields[2]!r}")
+            type_id = ids_get(fields[3]) or node_id_of(fields[3], line_no)
+            literal = fields[4] if len(fields) == 5 else None
+            if kind is value_kind:
+                if literal is None:
+                    raise GkgSyntaxError(line_no, "value node needs a literal")
+            elif literal is not None:
+                raise GkgSyntaxError(line_no, "literal on a non-value node")
+            if node_id in nodes:
+                raise GkgSyntaxError(line_no, f"duplicate node {node_id}")
+            nodes[node_id] = new_tuple(Node, (node_id, kind, type_id, literal))
+            node_lines[node_id] = line_no
+        elif head[0] == "#":
+            continue  # blank line or comment
+        elif head == "L":
+            parts = line.split(None, 3)
+            if len(parts) != 4:
+                raise GkgSyntaxError(line_no, "L takes a node id, a language tag and a label")
+            node_id = node_id_of(parts[1], line_no)
+            lang = parts[2]
+            key = (node_id, lang)
+            if key in label_entries:
+                raise GkgSyntaxError(line_no, f"duplicate label for {node_id} [{lang}]")
+            label_entries[key] = parts[3]
         elif head == "G":
+            fields = line.split()
             if saw_header:
                 raise GkgSyntaxError(line_no, "duplicate G header")
             if len(fields) != 3:
@@ -320,49 +364,21 @@ def parse_gkg(text: str) -> GkgDocument:
             if revision < 0:
                 raise GkgSyntaxError(line_no, "revision must be non-negative")
         elif head == "T":
+            fields = line.split()
             if len(fields) != 3:
                 raise GkgSyntaxError(line_no, "T takes a type id and a parent id or -")
             type_id = node_id_of(fields[1], line_no)
             parent = None if fields[2] == "-" else node_id_of(fields[2], line_no)
             type_pairs.append((type_id, parent))
-        elif head == "N":
-            parts = line.split(None, 4)
-            if len(parts) < 4:
-                raise GkgSyntaxError(line_no, "N takes a node id, a kind code and a type id")
-            node_id = node_id_of(parts[1], line_no)
-            kind = _KIND_CODES.get(parts[2])
-            if kind is None:
-                raise GkgSyntaxError(line_no, f"bad node kind {parts[2]!r}")
-            type_id = node_id_of(parts[3], line_no)
-            literal = parts[4] if len(parts) == 5 else None
-            if kind is NodeKind.VALUE_LITERAL:
-                if literal is None:
-                    raise GkgSyntaxError(line_no, "value node needs a literal")
-            elif literal is not None:
-                raise GkgSyntaxError(line_no, "literal on a non-value node")
-            if node_id in seen_node_lines:
-                raise GkgSyntaxError(line_no, f"duplicate node {node_id}")
-            seen_node_lines[node_id] = line_no
-            node_records.append((line_no, node_id, kind, type_id, literal))
-        elif head == "L":
-            parts = line.split(None, 3)
-            if len(parts) != 4:
-                raise GkgSyntaxError(line_no, "L takes a node id, a language tag and a label")
-            node_id = node_id_of(parts[1], line_no)
-            lang = parts[2]
-            key = (node_id, lang)
-            if key in label_entries:
-                raise GkgSyntaxError(line_no, f"duplicate label for {node_id} [{lang}]")
-            label_entries[key] = parts[3]
         elif declarations.handles(head):
-            declarations.take(fields, line_no)
+            declarations.take(line.split(), line_no)
         else:
             raise GkgSyntaxError(line_no, f"unknown record {head!r}")
 
     schema = declarations.build()
 
     # Types referenced but never declared become direct children of the root.
-    referenced = {record[3] for record in node_records}
+    referenced = set(map(itemgetter(2), nodes.values()))
     referenced.update(schema.referenced_types())
     declared = {pair[0] for pair in type_pairs}
     for type_id in sorted(referenced - declared, key=str):
@@ -374,13 +390,15 @@ def parse_gkg(text: str) -> GkgDocument:
         issue = ValidationIssue(IssueKind.HIERARCHY_MISMATCH, "hierarchy", str(exc))
         raise ValidationFailedError(ValidationReport((issue,))) from None
 
-    nodes: dict = {type_id: Node(type_id, NodeKind.TYPE_NODE) for type_id in hierarchy.types}
-    for line_no, node_id, kind, type_id, literal in node_records:
-        if node_id in nodes and nodes[node_id].kind is NodeKind.TYPE_NODE:
-            raise GkgSyntaxError(line_no, f"node {node_id} collides with a declared type")
-        nodes[node_id] = Node(node_id, kind, inst_of=type_id, literal=literal)
+    types = hierarchy.types
+    collisions = types & nodes.keys()
+    if collisions:
+        line_no, node_id = min((node_lines[node_id], node_id) for node_id in collisions)
+        raise GkgSyntaxError(line_no, f"node {node_id} collides with a declared type")
+    graph_nodes: dict = {type_id: Node(type_id, NodeKind.TYPE_NODE) for type_id in types}
+    graph_nodes.update(nodes)
 
-    graph = GroundedGraph(nodes, frozenset(edge_records), source_id, revision)
+    graph = GroundedGraph(graph_nodes, frozenset(edge_records), source_id, revision)
     labels = LabelTable(label_entries)
     doc = GkgDocument(hierarchy, graph, labels, schema)
     report = validate_document(doc)
@@ -392,7 +410,8 @@ def parse_gkg(text: str) -> GkgDocument:
 def serialize_gkg(doc: GkgDocument) -> str:
     """Render a document in canonical form (see the module docstring).
     Raises ValueError for documents that cannot be expressed, e.g. nodes
-    without a type, or a header that would not read back as written."""
+    without a type, a literal or label with a line break, or a header that
+    would not read back as written."""
     lines: List[str] = []
     graph = doc.graph
     source_id, revision = graph.source_id, graph.revision
@@ -434,6 +453,8 @@ def serialize_gkg(doc: GkgDocument) -> str:
         if kind is NodeKind.VALUE_LITERAL:
             if not literal:
                 raise ValueError(f"cannot serialize value node {node_id} without a literal")
+            if literal.splitlines() != [literal]:
+                raise ValueError(f"cannot serialize literal with a line break on value node {node_id}")
             record += f" {literal}"
         elif literal is not None:
             raise ValueError(f"cannot serialize literal on non-value node {node_id}")
@@ -447,12 +468,12 @@ def serialize_gkg(doc: GkgDocument) -> str:
         )
     )
 
-    lines.extend(
-        sorted(
-            f"L {namespace}:{local} {lang} {label}"
-            for ((namespace, local), lang), label in doc.labels.entries.items()
-        )
-    )
+    label_lines = []
+    for ((namespace, local), lang), label in doc.labels.entries.items():
+        if label and label.splitlines() != [label]:
+            raise ValueError(f"cannot serialize label with a line break on {namespace}:{local} [{lang}]")
+        label_lines.append(f"L {namespace}:{local} {lang} {label}")
+    lines.extend(sorted(label_lines))
 
     decl_lines = []
     decls = doc.declarations

@@ -58,6 +58,10 @@ class NodeId(tuple):
     def parse(cls, text: str) -> "NodeId":
         """Split ``namespace:local`` on the first colon."""
         namespace, sep, local = text.partition(":")
+        # A valid id is built from its parts at once; any other text goes
+        # through the constructor, whose checks word the error.
+        if namespace and local and text.isascii() and text.split() == [text]:
+            return tuple.__new__(cls, (namespace, local))
         if not sep:
             raise ValueError(f"node id must contain a colon: {text!r}")
         return cls(namespace, local)
@@ -166,8 +170,17 @@ RELATION_SIGNATURES: Mapping[PrimitiveRelation, frozenset] = {
 }
 
 
+#: Every admissible (relation, subject kind, object kind) triple, so one
+#: set lookup checks an edge.
+_ADMISSIBLE = frozenset(
+    (relation, subject_kind, object_kind)
+    for relation, pairs in RELATION_SIGNATURES.items()
+    for subject_kind, object_kind in pairs
+)
+
+
 def signature_allows(rel: PrimitiveRelation, subject_kind: NodeKind, object_kind: NodeKind) -> bool:
-    return (subject_kind, object_kind) in RELATION_SIGNATURES[rel]
+    return (rel, subject_kind, object_kind) in _ADMISSIBLE
 
 
 class Node(NamedTuple):
@@ -470,40 +483,41 @@ def validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Validation
     def report(kind: IssueKind, context, message: str) -> None:
         issues.append(ValidationIssue(kind, str(context), message))
 
-    for node_id, node in graph.nodes.items():
-        if node.kind is NodeKind.TYPE_NODE:
-            if node.inst_of is not None:
+    types = hierarchy.types
+    for node_id, (_, kind, inst_of, literal) in graph.nodes.items():
+        if kind is NodeKind.TYPE_NODE:
+            if inst_of is not None:
                 report(IssueKind.TYPE_NODE_TYPED, node_id, "type node carries inst_of")
-            if node.literal is not None:
+            if literal is not None:
                 report(IssueKind.LITERAL_MISMATCH, node_id, "type node carries a literal")
-            if node_id not in hierarchy:
+            if node_id not in types:
                 report(IssueKind.HIERARCHY_MISMATCH, node_id, "type node absent from hierarchy")
             continue
-        if node.inst_of is None:
+        if inst_of is None:
             report(IssueKind.UNTYPED_NODE, node_id, "non-type node without inst_of")
-        elif node.inst_of not in hierarchy:
-            report(IssueKind.UNKNOWN_TYPE_TARGET, node_id, f"inst target {node.inst_of} not in hierarchy")
-        if node.kind is NodeKind.VALUE_LITERAL:
-            if not node.literal:
+        elif inst_of not in types:
+            report(IssueKind.UNKNOWN_TYPE_TARGET, node_id, f"inst target {inst_of} not in hierarchy")
+        if kind is NodeKind.VALUE_LITERAL:
+            if not literal:
                 report(IssueKind.LITERAL_MISMATCH, node_id, "value literal without literal text")
-        elif node.literal is not None:
+        elif literal is not None:
             report(IssueKind.LITERAL_MISMATCH, node_id, "literal on a non-value node")
 
-    for edge in graph.edges:
-        subject_node = graph.nodes.get(edge.subject)
-        object_node = graph.nodes.get(edge.obj)
+    nodes_get = graph.nodes.get
+    for subject, relation, obj in graph.edges:
+        subject_node = nodes_get(subject)
+        object_node = nodes_get(obj)
         if subject_node is None or object_node is None:
-            context = f"{edge.subject} {edge.relation.value} {edge.obj}"
+            context = f"{subject} {relation.value} {obj}"
             if subject_node is None:
-                report(IssueKind.DANGLING_REFERENCE, context, f"missing subject {edge.subject}")
+                report(IssueKind.DANGLING_REFERENCE, context, f"missing subject {subject}")
             if object_node is None:
-                report(IssueKind.DANGLING_REFERENCE, context, f"missing object {edge.obj}")
-        elif not signature_allows(edge.relation, subject_node.kind, object_node.kind):
+                report(IssueKind.DANGLING_REFERENCE, context, f"missing object {obj}")
+        elif (relation, subject_node[1], object_node[1]) not in _ADMISSIBLE:
             report(
                 IssueKind.SIGNATURE_VIOLATION,
-                f"{edge.subject} {edge.relation.value} {edge.obj}",
-                f"{edge.relation.value} does not admit "
-                f"({subject_node.kind.name}, {object_node.kind.name})",
+                f"{subject} {relation.value} {obj}",
+                f"{relation.value} does not admit ({subject_node.kind.name}, {object_node.kind.name})",
             )
 
     return ValidationReport(tuple(sorted(issues, key=ValidationIssue.sort_key)))

@@ -9,6 +9,7 @@ gloss table is just label entries for ``rel:isA``, ``rel:hasAgent``, ...
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable, Mapping, Optional
 
 from .model import Edge, GroundedGraph, NodeId, PrimitiveRelation
@@ -71,16 +72,28 @@ class LabeledView:
 
     def to_tsv(self) -> str:
         """Two-column node rows, then three-column labelled edge rows."""
-        lines = []
-        for node_id in sorted(self.node_labels, key=str):
-            lines.append(f"{node_id}\t{self.node_labels[node_id]}")
-        for edge in sorted(self.edges, key=Edge.sort_key):
-            lines.append(
-                f"{self.node_labels[edge.subject]}"
-                f"\t{self.relation_glosses[edge.relation]}"
-                f"\t{self.node_labels[edge.obj]}"
-            )
-        return "".join(line + "\n" for line in lines)
+        # Node rows follow the ids' string form, written from their parts;
+        # it is not the tuple order of the parts when a namespace holds a
+        # character that sorts below ":".  Edges sort by subject, relation
+        # and object, an id standing for its place in that order (ids with
+        # one string form share a place).  Each sort key ends in the item's
+        # position, so ties keep iteration order and no id is compared.
+        labels, glosses = self.node_labels, self.relation_glosses
+        rows, place, previous = [], {}, None
+        for id_text, _, node_id in sorted(zip([f"{ns}:{local}" for ns, local in labels], count(), labels)):
+            if id_text != previous:
+                previous, rank = id_text, len(rows)
+            place[node_id] = rank
+            rows.append(f"{id_text}\t{labels[node_id]}\n")
+        edges = sorted(
+            (place[subject], relation, place[obj], position, subject, obj)
+            for position, (subject, relation, obj) in enumerate(self.edges)
+        )
+        rows.extend(
+            f"{labels[subject]}\t{glosses[relation]}\t{labels[obj]}\n"
+            for _, relation, _, _, subject, obj in edges
+        )
+        return "".join(rows)
 
 
 def render(

@@ -472,9 +472,10 @@ def _rules_texts(draw):
     return "".join(line + "\n" for line in lines)
 
 
+# Labels with characters at which str.splitlines() also ends a line.
 _labels = st.one_of(
     st.sampled_from(("RogerWaters", "Roger Waters", "Great Bookham", "01/08/1955", "PinkFloyd", " ")),
-    st.text(alphabet="aZ é#:\x1f\xa0", min_size=1, max_size=5),
+    st.text(alphabet="aZ é#:\x1f\xa0\x85\u2028", min_size=1, max_size=5),
 )
 
 

@@ -15,6 +15,7 @@ from gkg import (
     ROOT_TYPE,
     UnknownRoleError,
     ValidationFailedError,
+    canonicalize_document,
     parse_flat,
     parse_gkg,
     parse_rules,
@@ -45,6 +46,15 @@ from gkg.schema import AttrMode, AttrSlot, Cardinality, SchemaDeclarations
 
 from .support import WORKED_TEXT, random_document
 
+# The characters at which str.splitlines() ends a line.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+_BIRTH_RULES = """\
+RULE bornIn EVENT ont:Birth SUBJ participantIn OBJ ATTR ont:Location ont:Village
+RULE bornOn EVENT ont:Birth SUBJ participantIn OBJ ATTR ont:Time ont:Date
+CARD ont:Birth ONE
+"""
+
 
 class TestFlatTriples:
     def test_basic_parse(self):
@@ -67,6 +77,46 @@ class TestFlatTriples:
     def test_triple_rejects_embedded_tab(self):
         with pytest.raises(ValueError):
             FlatTriple("a", "r", "b\tc")
+
+    @pytest.mark.parametrize("field", range(3))
+    @pytest.mark.parametrize("ch", "\t" + _LINE_BREAKS)
+    def test_triple_rejects_tab_or_line_break(self, ch, field):
+        """A graph document is read with ``str.splitlines``, so a field that
+        holds any character it breaks at could not be read back."""
+        values = ["Ann Lee", "bornIn", "Oslo"]
+        values[field] += f"{ch}X"
+        name = ("e1", "r", "e2")[field]
+        with pytest.raises(ValueError, match=f"^flat triple field {name} contains a tab or a line break$"):
+            FlatTriple(*values)
+
+    def test_line_breaks_are_those_of_splitlines(self):
+        breaks = {chr(code) for code in range(0x110000) if len(f"a{chr(code)}b".splitlines()) > 1}
+        assert breaks == set(_LINE_BREAKS)
+        assert not any(ch.isprintable() for ch in "\t" + _LINE_BREAKS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet="aZ é\x1f\x85\u2028\x1c\x0b\r", min_size=1, max_size=5),
+                st.sampled_from(("bornIn", "bornOn", "born\x85In", "unmapped")),
+                st.text(alphabet="aZ 1/\xa0\x85\u2029\x1e\x0c\n", min_size=1, max_size=5),
+            ),
+            max_size=4,
+        )
+    )
+    def test_canonicalized_triples_read_back(self, rows):
+        """A field that a graph document could not carry is refused as the
+        triple is made; any other triples canonicalize to a document that
+        reads back equal."""
+        try:
+            triples = tuple(FlatTriple(*row) for row in rows)
+        except ValueError as exc:
+            assert str(exc).startswith("flat triple field ")
+            return
+        rules, declarations = parse_rules(_BIRTH_RULES)
+        doc, _report = canonicalize_document(triples, rules, declarations=declarations)
+        assert parse_gkg(serialize_gkg(doc)) == doc
 
     @pytest.mark.parametrize(
         "line, message",
@@ -333,6 +383,71 @@ _EDGE_CASES = [
 ]
 
 
+# Well-formed records over node ids that repeat or name a type, and types
+# that T records may put in a cycle: duplicate nodes, labels, headers and
+# declarations, collisions, cycles and failed validation all arise.
+_ORACLE_IDS = st.sampled_from(("ex:a", "ex:b", "ex:c", "ex:d", "t:A", "core:Entity"))
+_ORACLE_TYPES = st.sampled_from(("t:A", "t:B", "t:C", "core:Entity"))
+_ORACLE_RECORDS = {
+    # Value nodes carry a literal of two words or with inner or trailing spaces.
+    "N": st.one_of(
+        st.tuples(_ORACLE_IDS, st.sampled_from(("C", "O", "A")), _ORACLE_TYPES),
+        st.tuples(_ORACLE_IDS, st.just("V"), _ORACLE_TYPES, st.sampled_from(("1955", "x  ", "a  b "))),
+        st.tuples(_ORACLE_IDS, st.just("V"), _ORACLE_TYPES, st.just("Great"), st.just("Bookham")),
+    ),
+    "E": st.tuples(
+        _ORACLE_IDS,
+        st.sampled_from(("participantIn", "hasAgent", "hasProp", "hasValue", "inst", "isA", "eq")),
+        st.one_of(_ORACLE_IDS, _ORACLE_TYPES),
+    ),
+    "T": st.tuples(_ORACLE_TYPES, st.one_of(st.just("-"), _ORACLE_TYPES)),
+    "L": st.tuples(
+        st.one_of(_ORACLE_IDS, _ORACLE_TYPES), st.sampled_from(("en", "fr")), st.sampled_from(("Ann", "A  b "))
+    ),
+    "G": st.tuples(st.sampled_from(("src", "-")), st.sampled_from(("0", "3"))),
+    "ESSENTIAL": st.tuples(_ORACLE_TYPES),
+    "CARD": st.tuples(_ORACLE_TYPES, st.sampled_from(("ONE", "MANY"))),
+    "ATTRDECL": st.tuples(_ORACLE_TYPES, _ORACLE_TYPES, st.sampled_from(("FUNCTIONAL", "MULTI"))),
+    "ROLE": st.tuples(
+        st.sampled_from(("Founder", "Member")),
+        st.just("BASE"),
+        _ORACLE_TYPES,
+        st.just("VIA"),
+        st.sampled_from(("hasAgent", "participantIn")),
+        st.just("EVENT"),
+        _ORACLE_TYPES,
+    ),
+    "#": st.sampled_from(((), ("N", "ex:a", "C", "t:A"), ("bogus",))),
+    "": st.just(()),
+}
+
+# Records that fail on their own: a bad field, or one field short or too many.
+_MALFORMED_RECORDS = (
+    "N ex:a c t:A", "N ex:a T t:A", "N ex:a V t:A", "N ex:a C t:A x", "N ex:a C", "N ex C t:A", "N ex:a O é:x",
+    "E ex:a participantIn", "E ex:a nope ex:b", "E ex: hasAgent ex:a", "E ex:a hasAgent ex:b ex:c",
+    "T t:A", "T t:A t:B t:C", "T t -",
+    "L ex:a en", "L ex en Ann",
+    "G src", "G src x", "G src -1", "G src 1.5", "G a b c",
+    "ESSENTIAL", "ESSENTIAL t", "CARD t:A SOME", "CARD t:A", "ATTRDECL t:A t:B", "ATTRDECL t:A t:B SOMETIMES",
+    "ROLE R BASE t:A VIA isA EVENT t:B", "ROLE R BASE t:A", "ROLE R BASE t:A VIA hasAgent EVENT t",
+    "X ex:a", "n ex:a C t:A",
+)
+
+
+@st.composite
+def _any_record(draw):
+    """A well-formed record, a comment or a blank line, or now and then a
+    malformed record, with its fields separated by any whitespace."""
+    if draw(st.integers(0, 15)):
+        head = draw(st.sampled_from(["N", "E"] * 3 + sorted(_ORACLE_RECORDS)))
+        fields = [head, *draw(_ORACLE_RECORDS[head])] if head else []
+    else:
+        fields = draw(st.sampled_from(_MALFORMED_RECORDS)).split()
+    separator = draw(st.sampled_from((" ", " ", " ", "\t", "\x1f", "\u3000", "  ")))
+    indent = draw(st.sampled_from(("", "", "", " ", "\t")))
+    return indent + separator.join(fields)
+
+
 class TestParseGkgAgainstOracle:
     @pytest.mark.parametrize("line", _EDGE_CASES)
     def test_edge_and_skipped_lines(self, line):
@@ -342,6 +457,12 @@ class TestParseGkgAgainstOracle:
             _EDGE_BASE + "E ex:b hasAgent ex:a\n" + line + "\nE ex:b participantIn ex:a\n",
         ):
             assert _outcome(parse_gkg, text) == _outcome(oracle_parse_gkg, text)
+
+    def test_first_collision_in_record_order(self):
+        text = "T t:A -\nT t:B -\nN t:B C t:A\nN ex:a C t:A\nN t:A C t:B\n"
+        assert _outcome(parse_gkg, text) == _outcome(oracle_parse_gkg, text)
+        with pytest.raises(GkgSyntaxError, match=r"^line 3: node t:B collides with a declared type$"):
+            parse_gkg(text)
 
     def test_bad_edges_keep_their_messages(self):
         text = _EDGE_BASE + "E ex:b participantIn ex:a\nE ex:b bogus ex:a\n"
@@ -370,6 +491,49 @@ class TestParseGkgAgainstOracle:
     def test_any_edge_heavy_text(self, lines):
         text = "".join(line + "\n" for line in lines)
         assert _outcome(parse_gkg, text) == _outcome(oracle_parse_gkg, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_any_record(), max_size=12), st.sampled_from(("\n", "\n", "\r\n", "\u2028")))
+    def test_any_record_text(self, lines, end):
+        text = "".join(line + end for line in lines)
+        assert _outcome(parse_gkg, text) == _outcome(oracle_parse_gkg, text)
+
+
+# Fields that hold node ids, by record head.  A declaration's ids are read
+# apart from the document's id memo, once per occurrence.
+_RECORD_ID_FIELDS = {"T": (1, 2), "N": (1, 3), "E": (1, 3), "L": (1,)}
+_DECLARATION_ID_FIELDS = {"ESSENTIAL": (1,), "CARD": (1,), "ATTRDECL": (1, 2), "ROLE": (3, 7)}
+
+
+class TestNodeIdParseCalls:
+    """``model.nodeid_parse_calls`` in a traced benchmark run counts the
+    calls ``parse_gkg`` makes through ``NodeId.parse``, wrapped on the class
+    as ``gkgbench/replay.py`` wraps it: one per distinct id token of the
+    records, plus one per id in a declaration."""
+
+    @pytest.mark.parametrize("seed", [None, *range(12)])
+    def test_one_call_per_distinct_record_token(self, monkeypatch, seed):
+        text = WORKED_TEXT if seed is None else serialize_gkg(random_document(seed))
+        record_tokens, declaration_tokens = set(), []
+        for line in text.splitlines():
+            fields = line.split()
+            for index in _RECORD_ID_FIELDS.get(fields[0], ()):
+                if fields[index] != "-":
+                    record_tokens.add(fields[index])
+            declaration_tokens.extend(fields[index] for index in _DECLARATION_ID_FIELDS.get(fields[0], ()))
+
+        calls = []
+        parse = NodeId.parse
+
+        def recording(token):
+            calls.append(token)
+            return parse(token)
+
+        monkeypatch.setattr(NodeId, "parse", staticmethod(recording))
+        doc = parse_gkg(text)
+        assert sorted(calls) == sorted([*record_tokens, *declaration_tokens])
+        monkeypatch.undo()
+        assert parse_gkg(text) == doc
 
 
 def oracle_serialize_gkg(doc: GkgDocument) -> str:
@@ -508,6 +672,32 @@ class TestSerializeGkgAgainstOracle:
         assert serialize_gkg(doc) == oracle_serialize_gkg(doc)
 
 
+class TestGkgDocument:
+    def test_missing_hierarchy_types_become_type_nodes(self):
+        """The graph gains a node per hierarchy type it lacks; the caller's
+        node table is left as it was."""
+        node = Node(NodeId("ex", "a"), NodeKind.CONTINUANT, ROOT_TYPE)
+        nodes = {node.id: node}
+        doc = GkgDocument(TypeHierarchy.root_only(), GroundedGraph(nodes))
+        assert doc.graph.nodes == {node.id: node, ROOT_TYPE: Node(ROOT_TYPE, NodeKind.TYPE_NODE)}
+        assert nodes == {node.id: node}
+
+    def test_graph_with_every_type_node_is_kept(self):
+        graph = GroundedGraph({ROOT_TYPE: Node(ROOT_TYPE, NodeKind.TYPE_NODE)})
+        assert GkgDocument(TypeHierarchy.root_only(), graph).graph is graph
+
+    def test_type_node_absent_from_the_hierarchy_is_refused(self):
+        stray = NodeId("t", "Stray")
+        graph = GroundedGraph({stray: Node(stray, NodeKind.TYPE_NODE)})
+        with pytest.raises(ValueError, match=r"^graph type node t:Stray is absent from the hierarchy$"):
+            GkgDocument(TypeHierarchy.root_only(), graph)
+
+    def test_node_on_a_hierarchy_type_is_refused(self):
+        graph = GroundedGraph({ROOT_TYPE: Node(ROOT_TYPE, NodeKind.CONTINUANT, ROOT_TYPE)})
+        with pytest.raises(ValueError, match=r"^node core:Entity collides with a hierarchy type$"):
+            GkgDocument(TypeHierarchy.root_only(), graph)
+
+
 class TestSerializeGkg:
     def test_canonical_round_trip_bytes(self):
         text = serialize_gkg(parse_gkg(WORKED_TEXT))
@@ -539,6 +729,20 @@ class TestSerializeGkg:
         with pytest.raises(ValueError) as caught:
             serialize_gkg(doc)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("ch", _LINE_BREAKS)
+    def test_literal_or_label_with_a_line_break_is_refused(self, ch):
+        """Such text would be read back as two records, or fail to read."""
+        doc = parse_gkg(WORKED_TEXT)
+        value_id = NodeId("ex", "v1")
+        nodes = dict(doc.graph.nodes)
+        nodes[value_id] = nodes[value_id]._replace(literal=f"Oslo{ch}X")
+        with_literal = GkgDocument(doc.hierarchy, GroundedGraph(nodes, doc.graph.edges), doc.labels)
+        with pytest.raises(ValueError, match=r"^cannot serialize literal with a line break on value node ex:v1$"):
+            serialize_gkg(with_literal)
+        labels = doc.labels.with_label(NodeId("ex", "rw"), "fr", f"Roger{ch}X")
+        with pytest.raises(ValueError, match=r"^cannot serialize label with a line break on ex:rw \[fr\]$"):
+            serialize_gkg(GkgDocument(doc.hierarchy, doc.graph, labels))
 
     def test_header_omitted_at_defaults(self):
         assert "G " not in serialize_gkg(parse_gkg("T core:Entity -\n"))

@@ -1,10 +1,14 @@
 """Label tables, per-language rendering and the structural equality check."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkg import (
+    Edge,
     GroundedGraph,
     LabelTable,
+    LabeledView,
     NodeId,
     PrimitiveRelation,
     check_isomorphic,
@@ -98,6 +102,75 @@ class TestRender:
     def test_tsv_deterministic(self):
         graph, labels = worked_with_labels()
         assert render(graph, labels, "fr").to_tsv() == render(graph, labels, "fr").to_tsv()
+
+
+def oracle_to_tsv(self) -> str:
+    """``LabeledView.to_tsv`` before its sort keys were built from id parts."""
+    lines = []
+    for node_id in sorted(self.node_labels, key=str):
+        lines.append(f"{node_id}\t{self.node_labels[node_id]}")
+    for edge in sorted(self.edges, key=Edge.sort_key):
+        lines.append(
+            f"{self.node_labels[edge.subject]}"
+            f"\t{self.relation_glosses[edge.relation]}"
+            f"\t{self.node_labels[edge.obj]}"
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+# Namespaces hold ".", "-" and "!", which sort below ":", so that string
+# order and part order differ ("a.:x" < "a:y", but ("a.", "x") > ("a", "y")),
+# and ":", so that ids such as ("a:", "x") and ("a", ":x") share one string
+# form.  Few ids, so each subject has several edges.
+_VIEW_IDS = st.one_of(
+    st.builds(NodeId, st.sampled_from(("a", "a:", "a.", "a.:", "a!")), st.sampled_from(("x", ":x", "y"))),
+    st.builds(NodeId, st.text(alphabet="a.-!:", min_size=1, max_size=3), st.text("xy:", min_size=1, max_size=2)),
+)
+
+
+@st.composite
+def _views(draw):
+    ids = draw(st.lists(_VIEW_IDS, min_size=1, max_size=8, unique=True))
+    node_labels = {node_id: draw(st.text(alphabet="ab \t.", max_size=3)) for node_id in ids}
+    ends = st.sampled_from(ids)
+    edges = draw(st.frozensets(st.builds(Edge, ends, st.sampled_from(list(PrimitiveRelation)), ends), max_size=20))
+    glosses = {relation: draw(st.sampled_from((relation.value, "g", ""))) for relation in PrimitiveRelation}
+    return LabeledView("fr", node_labels, edges, glosses)
+
+
+class TestToTsvAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_views())
+    def test_views(self, view):
+        assert view.to_tsv() == oracle_to_tsv(view)
+
+    def test_string_order_not_part_order(self):
+        first, second = NodeId("a.", "x"), NodeId("a", "y")
+        view = LabeledView(
+            "en",
+            {second: "Y", first: "X"},
+            frozenset({Edge(second, PrimitiveRelation.EQ, second), Edge(first, PrimitiveRelation.EQ, first)}),
+            {relation: relation.value for relation in PrimitiveRelation},
+        )
+        assert view.to_tsv() == oracle_to_tsv(view) == "a.:x\tX\na:y\tY\nX\teq\tX\nY\teq\tY\n"
+
+    def test_ids_with_one_string_form_tie(self):
+        """``('a:', 'x')`` and ``('a', ':x')`` both read ``a::x``: their rows
+        keep iteration order, and their edges sort by relation."""
+        first, second, other = NodeId("a:", "x"), NodeId("a", ":x"), NodeId("b", "y")
+        view = LabeledView(
+            "en",
+            {first: "F", second: "S", other: "O"},
+            frozenset({Edge(first, PrimitiveRelation.REALIZES, other), Edge(second, PrimitiveRelation.EQ, other)}),
+            {relation: relation.value for relation in PrimitiveRelation},
+        )
+        assert view.to_tsv() == oracle_to_tsv(view) == "a::x\tF\na::x\tS\nb:y\tO\nS\teq\tO\nF\trealizes\tO\n"
+
+    def test_worked_document(self):
+        graph, labels = worked_with_labels()
+        for lang in ("en", "fr", "ar"):
+            view = render(graph, labels, lang)
+            assert view.to_tsv() == oracle_to_tsv(view)
 
 
 class TestIsomorphism:
