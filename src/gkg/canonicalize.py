@@ -39,6 +39,8 @@ ENTITY_NAMESPACE = "ent"
 EVENT_NAMESPACE = "ev"
 ATTRIBUTE_NAMESPACE = "at"
 VALUE_NAMESPACE = "val"
+_KIND_OF = {ENTITY_NAMESPACE: NodeKind.CONTINUANT, EVENT_NAMESPACE: NodeKind.OCCURRENT,
+            ATTRIBUTE_NAMESPACE: NodeKind.ATTRIBUTE_INSTANCE, VALUE_NAMESPACE: NodeKind.VALUE_LITERAL}
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,94 +133,67 @@ def canonicalize_document(
 
     nodes: dict = {t: Node(t, NodeKind.TYPE_NODE) for t in hierarchy.types}
     edges: set = set()
-    entity_ids: dict = {}  # label -> NodeId
-    entity_labels: dict = {}  # NodeId -> label
-    events_created = 0
-    events_coalesced = 0
-    unmapped: set = set()
-    # (event id, attr type) -> {literal: value id}; used for conflict flags.
-    slot_values: dict = {}
-    key_texts: dict = {}  # event, attribute or value id -> the key text it hashes
-    # Each distinct text is hashed once, and each distinct key builds and
-    # checks its id once: a repeated key passed the collision check the
-    # first time.  fnv1a64_hex is the module global, looked up at call
-    # time, so a wrapper set on this module sees every distinct text.
+    # Each distinct text is hashed once per call, and each id is checked
+    # against the key texts of every table: see _IdTable.
     hashes: dict = {}  # text -> fnv1a64_hex(text)
-    keyed_ids: dict = {}  # (namespace, type, key text) -> id
+    key_texts: dict = {}  # id -> the label or key text it hashes
+    tables: dict = {}  # (namespace, type) -> its _IdTable
+    entities = _IdTable(ENTITY_NAMESPACE, ROOT_TYPE, hashes, key_texts, nodes, entity_types, "entity labels")
 
-    def hex_of(text: str) -> str:
-        found = hashes.get(text)
-        if found is None:
-            found = hashes[text] = fnv1a64_hex(text)
-        return found
+    def table(namespace: str, type_id: NodeId) -> _IdTable:
+        return tables.setdefault((namespace, type_id), _IdTable(namespace, type_id, hashes, key_texts, nodes))
 
-    def keyed_id(namespace: str, type_id: NodeId, text: str) -> NodeId:
-        key = (namespace, type_id, text)
-        node_id = keyed_ids.get(key)
-        if node_id is not None:
-            return node_id
-        node_id = NodeId(namespace, f"{type_id.local}#{hex_of(text)}")
-        other = key_texts.setdefault(node_id, text)
-        if other != text:
-            raise IdCollisionError(f"keys {other!r} and {text!r} share the id {node_id}")
-        keyed_ids[key] = node_id
-        return node_id
-
-    def ensure_entity(label: str) -> NodeId:
-        existing = entity_ids.get(label)
-        if existing is not None:
-            return existing
-        node_id = NodeId(ENTITY_NAMESPACE, hex_of(label))
-        other = entity_labels.get(node_id)
-        if other is not None:
-            raise IdCollisionError(f"entity labels {other!r} and {label!r} share the id {node_id}")
-        _add(nodes, node_id, NodeKind.CONTINUANT, entity_types.get(label, ROOT_TYPE))
-        entity_ids[label] = node_id
-        entity_labels[node_id] = label
-        return node_id
+    def plan_of(rule: ReificationRule) -> tuple:
+        """(event table, CARD ONE?, subject role, object role, value table,
+        attribute table, attribute type, FUNCTIONAL?) of a rule."""
+        event_type, slot = rule.event_type, rule.object_slot
+        events = table(EVENT_NAMESPACE, event_type)
+        one = declarations.card_of(event_type) is Cardinality.ONE
+        if isinstance(slot, ParticipantSlot):
+            return events, one, rule.subject_role, slot.role, None, None, None, False
+        functional = declarations.mode_of(event_type, slot.attr_type) is AttrMode.FUNCTIONAL
+        return (events, one, rule.subject_role, None, table(VALUE_NAMESPACE, slot.value_type),
+                table(ATTRIBUTE_NAMESPACE, slot.attr_type), slot.attr_type, functional)
 
     rule_by_key = _rules_by_token_key(rules)
-    rule_by_spelling: dict = {}  # raw relation name -> its rule or None
+    plans: dict = {}  # raw relation name -> its rule's plan or None
+    unmapped: set = set()
+    mapped = 0
+    # (event id, attr type) -> {literal: value id}; used for conflict flags.
+    slot_values: dict = {}
+    # Edge is a NamedTuple, whose constructor is Python code.
+    new_tuple = tuple.__new__
+    has_prop, has_value = PrimitiveRelation.HAS_PROP, PrimitiveRelation.HAS_VALUE
     for triple in triples:
+        spelling = triple.r
         try:
-            rule = rule_by_spelling[triple.r]
+            plan = plans[spelling]
         except KeyError:
-            rule = rule_by_spelling[triple.r] = rule_by_key.get(tuple(tokenize(triple.r)))
-        if rule is None:
-            unmapped.add(triple.r)
+            rule = rule_by_key.get(tuple(tokenize(spelling)))
+            plan = plans[spelling] = None if rule is None else plan_of(rule)
+        if plan is None:
+            unmapped.add(spelling)
+            continue
+        mapped += 1
+        events, one, subject_role, object_role, values, attrs, attr_type, functional = plan
+        subject, obj = triple.e1, triple.e2
+        subject_id = entities[subject]
+        event_id = events[subject if one else f"{subject}\t{obj}"]
+        edges.add(new_tuple(Edge, (event_id, subject_role, subject_id)))
+        if object_role is not None:
+            edges.add(new_tuple(Edge, (event_id, object_role, entities[obj])))
             continue
 
-        subject_id = ensure_entity(triple.e1)
+        value_id = values[obj]
+        attr_id = attrs[str(event_id) if functional else f"{event_id}\t{obj}"]
+        edges.add(new_tuple(Edge, (attr_id, has_prop, event_id)))
+        edges.add(new_tuple(Edge, (attr_id, has_value, value_id)))
+        if functional:
+            slot_values.setdefault((event_id, attr_type), {})[obj] = value_id
 
-        if declarations.card_of(rule.event_type) is Cardinality.ONE:
-            event_id = keyed_id(EVENT_NAMESPACE, rule.event_type, triple.e1)
-        else:
-            event_id = keyed_id(EVENT_NAMESPACE, rule.event_type, f"{triple.e1}\t{triple.e2}")
-        if _add(nodes, event_id, NodeKind.OCCURRENT, rule.event_type):
-            events_created += 1
-        else:
-            events_coalesced += 1
-        edges.add(Edge(event_id, rule.subject_role, subject_id))
-
-        slot = rule.object_slot
-        if isinstance(slot, ParticipantSlot):
-            edges.add(Edge(event_id, slot.role, ensure_entity(triple.e2)))
-            continue
-
-        literal = triple.e2
-        value_id = keyed_id(VALUE_NAMESPACE, slot.value_type, literal)
-        _add(nodes, value_id, NodeKind.VALUE_LITERAL, slot.value_type, literal)
-        mode = declarations.mode_of(rule.event_type, slot.attr_type)
-        if mode is AttrMode.FUNCTIONAL:
-            attr_id = keyed_id(ATTRIBUTE_NAMESPACE, slot.attr_type, str(event_id))
-        else:
-            attr_id = keyed_id(ATTRIBUTE_NAMESPACE, slot.attr_type, f"{event_id}\t{literal}")
-        _add(nodes, attr_id, NodeKind.ATTRIBUTE_INSTANCE, slot.attr_type)
-        edges.add(Edge(attr_id, PrimitiveRelation.HAS_PROP, event_id))
-        edges.add(Edge(attr_id, PrimitiveRelation.HAS_VALUE, value_id))
-        if mode is AttrMode.FUNCTIONAL:
-            slot_values.setdefault((event_id, slot.attr_type), {})[literal] = value_id
-
+    # An event table holds the events it created; every other mapped
+    # triple coalesced into one of them.
+    events_created = sum(len(t) for (namespace, _), t in tables.items() if namespace == EVENT_NAMESPACE)
     conflicts = tuple(
         ValueConflict(event_id, attr_type, tuple(sorted(values)))
         for (event_id, attr_type), values in sorted(
@@ -228,14 +203,14 @@ def canonicalize_document(
     )
     report = CanonReport(
         events_created=events_created,
-        events_coalesced=events_coalesced,
+        events_coalesced=mapped - events_created,
         unmapped_relations=frozenset(unmapped),
-        entity_nodes_created=len(entity_ids),
+        entity_nodes_created=len(entities),
         value_conflicts=conflicts,
     )
     graph = GroundedGraph(nodes, frozenset(edges), source_id, revision)
     labels = LabelTable.from_entries(
-        (node_id, lang, label) for node_id, label in sorted(entity_labels.items(), key=lambda kv: str(kv[0]))
+        (node_id, lang, label) for label, node_id in sorted(entities.items(), key=lambda kv: str(kv[1]))
     )
     return GkgDocument(hierarchy, graph, labels, declarations), report
 
@@ -257,19 +232,38 @@ def hierarchy_for_rules(
     return TypeHierarchy.from_edges((t, None) for t in sorted(types, key=str))
 
 
-def _add(nodes: dict, node_id: NodeId, kind: NodeKind, inst_of: NodeId, literal: Optional[str] = None):
-    """Add the node unless ``node_id`` already holds it; returns whether it
-    was added.  An id that holds another node (another type or literal)
-    would fold two facts into one, so that raises :class:`IdCollisionError`."""
-    held = nodes.get(node_id)
-    if held is None:
-        nodes[node_id] = Node(node_id, kind, inst_of, literal)
-        return True
-    if held[1:] != (kind, inst_of, literal):
-        raise IdCollisionError(
-            f"id {node_id} stands for both {_content(*held[1:])} and {_content(kind, inst_of, literal)}"
-        )
-    return False
+class _IdTable(dict):
+    """Label or key text -> id, for the nodes of one namespace and type
+    made in one call (``types`` may give an entity another type).  A hit is
+    a plain dict lookup.  A miss hashes the text through the call's memo and
+    the module global ``fnv1a64_hex``, refuses an id that another text
+    already holds, and adds the node."""
+
+    __slots__ = ("namespace", "kind", "type_id", "prefix", "hashes", "key_texts", "nodes", "types", "noun")
+
+    def __init__(self, namespace, type_id, hashes, key_texts, nodes, types=None, noun="keys"):
+        self.namespace, self.kind, self.type_id = namespace, _KIND_OF[namespace], type_id
+        self.prefix = "" if namespace == ENTITY_NAMESPACE else type_id.local + "#"
+        self.hashes, self.key_texts, self.nodes, self.types, self.noun = hashes, key_texts, nodes, types or {}, noun
+
+    def __missing__(self, text: str) -> NodeId:
+        digest = self.hashes.get(text)
+        if digest is None:
+            digest = self.hashes[text] = fnv1a64_hex(text)
+        # A type's local part, "#" and hex digits pass NodeId's checks.
+        node_id = tuple.__new__(NodeId, (self.namespace, self.prefix + digest))
+        other = self.key_texts.setdefault(node_id, text)
+        if other != text:
+            raise IdCollisionError(f"{self.noun} {other!r} and {text!r} share the id {node_id}")
+        # Another node on the id (another type or literal, or a hierarchy
+        # type) would fold two facts into one.
+        literal = text if self.namespace == VALUE_NAMESPACE else None
+        node = tuple.__new__(Node, (node_id, self.kind, self.types.get(text, self.type_id), literal))
+        held = self.nodes.setdefault(node_id, node)
+        if held != node:
+            raise IdCollisionError(f"id {node_id} stands for both {_content(*held[1:])} and {_content(*node[1:])}")
+        self[text] = node_id
+        return node_id
 
 
 def _content(kind: NodeKind, inst_of: Optional[NodeId], literal: Optional[str]) -> str:

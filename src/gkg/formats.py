@@ -410,8 +410,9 @@ def parse_gkg(text: str) -> GkgDocument:
 def serialize_gkg(doc: GkgDocument) -> str:
     """Render a document in canonical form (see the module docstring).
     Raises ValueError for documents that cannot be expressed, e.g. nodes
-    without a type, a literal or label with a line break, or a header that
-    would not read back as written."""
+    without a type, a literal or label with a line break or leading
+    whitespace, an empty language tag or one with whitespace, or a header
+    that would not read back as written."""
     lines: List[str] = []
     graph = doc.graph
     source_id, revision = graph.source_id, graph.revision
@@ -455,6 +456,8 @@ def serialize_gkg(doc: GkgDocument) -> str:
                 raise ValueError(f"cannot serialize value node {node_id} without a literal")
             if literal.splitlines() != [literal]:
                 raise ValueError(f"cannot serialize literal with a line break on value node {node_id}")
+            if literal[0].isspace():
+                raise ValueError(f"cannot serialize literal that starts with whitespace on value node {node_id}")
             record += f" {literal}"
         elif literal is not None:
             raise ValueError(f"cannot serialize literal on non-value node {node_id}")
@@ -470,8 +473,16 @@ def serialize_gkg(doc: GkgDocument) -> str:
 
     label_lines = []
     for ((namespace, local), lang), label in doc.labels.entries.items():
+        # The tag is one field of the record, and the label the rest of
+        # the line after the whitespace that ends the tag.
+        if not lang:
+            raise ValueError(f"cannot serialize empty language tag on {namespace}:{local}")
+        if lang.split() != [lang]:
+            raise ValueError(f"cannot serialize language tag with whitespace on {namespace}:{local} [{lang!r}]")
         if label and label.splitlines() != [label]:
             raise ValueError(f"cannot serialize label with a line break on {namespace}:{local} [{lang}]")
+        if label[:1].isspace():
+            raise ValueError(f"cannot serialize label that starts with whitespace on {namespace}:{local} [{lang}]")
         label_lines.append(f"L {namespace}:{local} {lang} {label}")
     lines.extend(sorted(label_lines))
 

@@ -3,12 +3,18 @@
 import itertools
 import runpy
 from pathlib import Path
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gkg.canonicalize
 from gkg import (
     FlatTriple,
+    GkgDocument,
+    GkgError,
     IdCollisionError,
     NodeId,
     NodeKind,
@@ -21,10 +27,21 @@ from gkg import (
     serialize_gkg,
     validate_document,
 )
-from gkg.canonicalize import CanonReport, ValueConflict, _rules_by_token_key
+from gkg.canonicalize import (
+    ATTRIBUTE_NAMESPACE,
+    ENTITY_NAMESPACE,
+    EVENT_NAMESPACE,
+    VALUE_NAMESPACE,
+    CanonReport,
+    ValueConflict,
+    _rules_by_token_key,
+)
 from gkg.cli import main
 from gkg.embedding import tokenize
 from gkg.hashing import fnv1a64_hex
+from gkg.model import PARTICIPANT_RELATIONS, ROOT_TYPE, Edge, GroundedGraph, Node, TypeHierarchy
+from gkg.multilingual import LabelTable
+from gkg.schema import AttrMode, AttrSlot, Cardinality, ParticipantSlot, ReificationRule, SchemaDeclarations
 
 BIRTH_RULES = """\
 RULE bornIn EVENT ont:Birth SUBJ participantIn OBJ ATTR ont:Location ont:Village
@@ -499,3 +516,278 @@ class TestIdCollisions:
             rules, decls = parse_rules(rules_text)
             doc, _ = canonicalize_document(tuple(FlatTriple(*t) for t in triples), rules, declarations=decls)
             assert validate_document(doc).ok
+
+
+# --- canonicalize against the record loop it replaced ------------------------
+
+def oracle_canonicalize_document(
+    triples: Iterable[FlatTriple],
+    rules: Sequence[ReificationRule],
+    declarations: Optional[SchemaDeclarations] = None,
+    hierarchy: Optional[TypeHierarchy] = None,
+    entity_types: Optional[Mapping[str, NodeId]] = None,
+    lang: str = "en",
+    source_id: str = "",
+    revision: int = 0,
+) -> Tuple[GkgDocument, CanonReport]:
+    """``canonicalize_document`` before it planned each relation spelling
+    and kept one id table per namespace and type: copied as it was, with
+    its helpers ``_add`` and ``_content`` renamed, except that it hashes
+    through ``gkg.canonicalize.fnv1a64_hex`` so that a wrapper set there
+    reaches both versions."""
+    entity_types = dict(entity_types or {})
+    declarations = declarations or SchemaDeclarations()
+    if hierarchy is None:
+        hierarchy = hierarchy_for_rules(rules, declarations, entity_types)
+
+    for rule in rules:
+        for type_id in rule.referenced_types():
+            if type_id not in hierarchy:
+                raise UnknownTypeError(f"rule {rule.rel_name!r} references unknown type {type_id}")
+    for label, type_id in entity_types.items():
+        if type_id not in hierarchy:
+            raise UnknownTypeError(f"entity type for {label!r} unknown: {type_id}")
+    if ROOT_TYPE not in hierarchy:
+        raise UnknownTypeError(f"hierarchy lacks the root type {ROOT_TYPE}")
+
+    nodes: dict = {t: Node(t, NodeKind.TYPE_NODE) for t in hierarchy.types}
+    edges: set = set()
+    entity_ids: dict = {}  # label -> NodeId
+    entity_labels: dict = {}  # NodeId -> label
+    events_created = 0
+    events_coalesced = 0
+    unmapped: set = set()
+    # (event id, attr type) -> {literal: value id}; used for conflict flags.
+    slot_values: dict = {}
+    key_texts: dict = {}  # event, attribute or value id -> the key text it hashes
+    # Each distinct text is hashed once, and each distinct key builds and
+    # checks its id once: a repeated key passed the collision check the
+    # first time.  fnv1a64_hex is the module global, looked up at call
+    # time, so a wrapper set on this module sees every distinct text.
+    hashes: dict = {}  # text -> fnv1a64_hex(text)
+    keyed_ids: dict = {}  # (namespace, type, key text) -> id
+
+    def hex_of(text: str) -> str:
+        found = hashes.get(text)
+        if found is None:
+            found = hashes[text] = gkg.canonicalize.fnv1a64_hex(text)
+        return found
+
+    def keyed_id(namespace: str, type_id: NodeId, text: str) -> NodeId:
+        key = (namespace, type_id, text)
+        node_id = keyed_ids.get(key)
+        if node_id is not None:
+            return node_id
+        node_id = NodeId(namespace, f"{type_id.local}#{hex_of(text)}")
+        other = key_texts.setdefault(node_id, text)
+        if other != text:
+            raise IdCollisionError(f"keys {other!r} and {text!r} share the id {node_id}")
+        keyed_ids[key] = node_id
+        return node_id
+
+    def ensure_entity(label: str) -> NodeId:
+        existing = entity_ids.get(label)
+        if existing is not None:
+            return existing
+        node_id = NodeId(ENTITY_NAMESPACE, hex_of(label))
+        other = entity_labels.get(node_id)
+        if other is not None:
+            raise IdCollisionError(f"entity labels {other!r} and {label!r} share the id {node_id}")
+        _oracle_add(nodes, node_id, NodeKind.CONTINUANT, entity_types.get(label, ROOT_TYPE))
+        entity_ids[label] = node_id
+        entity_labels[node_id] = label
+        return node_id
+
+    rule_by_key = _rules_by_token_key(rules)
+    rule_by_spelling: dict = {}  # raw relation name -> its rule or None
+    for triple in triples:
+        try:
+            rule = rule_by_spelling[triple.r]
+        except KeyError:
+            rule = rule_by_spelling[triple.r] = rule_by_key.get(tuple(tokenize(triple.r)))
+        if rule is None:
+            unmapped.add(triple.r)
+            continue
+
+        subject_id = ensure_entity(triple.e1)
+
+        if declarations.card_of(rule.event_type) is Cardinality.ONE:
+            event_id = keyed_id(EVENT_NAMESPACE, rule.event_type, triple.e1)
+        else:
+            event_id = keyed_id(EVENT_NAMESPACE, rule.event_type, f"{triple.e1}\t{triple.e2}")
+        if _oracle_add(nodes, event_id, NodeKind.OCCURRENT, rule.event_type):
+            events_created += 1
+        else:
+            events_coalesced += 1
+        edges.add(Edge(event_id, rule.subject_role, subject_id))
+
+        slot = rule.object_slot
+        if isinstance(slot, ParticipantSlot):
+            edges.add(Edge(event_id, slot.role, ensure_entity(triple.e2)))
+            continue
+
+        literal = triple.e2
+        value_id = keyed_id(VALUE_NAMESPACE, slot.value_type, literal)
+        _oracle_add(nodes, value_id, NodeKind.VALUE_LITERAL, slot.value_type, literal)
+        mode = declarations.mode_of(rule.event_type, slot.attr_type)
+        if mode is AttrMode.FUNCTIONAL:
+            attr_id = keyed_id(ATTRIBUTE_NAMESPACE, slot.attr_type, str(event_id))
+        else:
+            attr_id = keyed_id(ATTRIBUTE_NAMESPACE, slot.attr_type, f"{event_id}\t{literal}")
+        _oracle_add(nodes, attr_id, NodeKind.ATTRIBUTE_INSTANCE, slot.attr_type)
+        edges.add(Edge(attr_id, PrimitiveRelation.HAS_PROP, event_id))
+        edges.add(Edge(attr_id, PrimitiveRelation.HAS_VALUE, value_id))
+        if mode is AttrMode.FUNCTIONAL:
+            slot_values.setdefault((event_id, slot.attr_type), {})[literal] = value_id
+
+    conflicts = tuple(
+        ValueConflict(event_id, attr_type, tuple(sorted(values)))
+        for (event_id, attr_type), values in sorted(
+            slot_values.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
+        )
+        if len(values) > 1
+    )
+    report = CanonReport(
+        events_created=events_created,
+        events_coalesced=events_coalesced,
+        unmapped_relations=frozenset(unmapped),
+        entity_nodes_created=len(entity_ids),
+        value_conflicts=conflicts,
+    )
+    graph = GroundedGraph(nodes, frozenset(edges), source_id, revision)
+    labels = LabelTable.from_entries(
+        (node_id, lang, label) for node_id, label in sorted(entity_labels.items(), key=lambda kv: str(kv[0]))
+    )
+    return GkgDocument(hierarchy, graph, labels, declarations), report
+
+
+def _oracle_add(nodes: dict, node_id: NodeId, kind: NodeKind, inst_of: NodeId, literal: Optional[str] = None):
+    """Add the node unless ``node_id`` already holds it; returns whether it
+    was added.  An id that holds another node (another type or literal)
+    would fold two facts into one, so that raises :class:`IdCollisionError`."""
+    held = nodes.get(node_id)
+    if held is None:
+        nodes[node_id] = Node(node_id, kind, inst_of, literal)
+        return True
+    if held[1:] != (kind, inst_of, literal):
+        raise IdCollisionError(
+            f"id {node_id} stands for both {_oracle_content(*held[1:])} and {_oracle_content(kind, inst_of, literal)}"
+        )
+    return False
+
+
+def _oracle_content(kind: NodeKind, inst_of: Optional[NodeId], literal: Optional[str]) -> str:
+    text = f"{kind.name} {inst_of or '-'}"
+    return text if literal is None else f"{text} {literal!r}"
+
+
+# Types whose local parts meet, so event, attribute and value ids of two
+# types can fall on one id; "ent:<hash of Bob>" is a type on Bob's id.
+_EVENT_TYPES = (NodeId("a", "Birth"), NodeId("b", "Birth"), NodeId("ont", "Meeting"))
+_ATTR_TYPES = (NodeId("a", "Place"), NodeId("b", "Place"), NodeId("ont", "Time"))
+_VALUE_TYPES = (NodeId("a", "Date"), NodeId("b", "Date"), NodeId("ont", "City"))
+_BOB_TYPE = NodeId(ENTITY_NAMESPACE, fnv1a64_hex("Bob"))
+_ROLES = sorted(PARTICIPANT_RELATIONS)
+# Several spellings of each rule name, and three that meet no rule.
+_SPELLINGS = ("bornIn", "born_in", "Born In", "bornOn", "BORN_ON", "knows", "Knows", "worksFor", "diedIn", "bandOf")
+# Labels that are also literals, so entities, event keys and values share texts.
+_LABELS = ("Ada", "Bob", "Cy", "London")
+_LITERALS = ("London", "Paris", "1815", "Ada")
+
+
+@st.composite
+def _canonicalize_inputs(draw):
+    """Triples, rules and options for ``canonicalize_document``: CARD ONE
+    and MANY events, FUNCTIONAL and MULTI slots (with conflicting values),
+    participant slots, two rules on one name, typed entities, and a
+    hierarchy that may lack the types the rules or entity types name."""
+    slot = st.one_of(st.builds(ParticipantSlot, st.sampled_from(_ROLES)),
+                     st.builds(AttrSlot, st.sampled_from(_ATTR_TYPES), st.sampled_from(_VALUE_TYPES)))
+    # One or two rules on each name; the first of two wins.
+    rules = tuple(rule for name in ("bornIn", "bornOn", "knows")
+                  for rule in draw(st.lists(st.builds(ReificationRule, st.just(name), st.sampled_from(_EVENT_TYPES),
+                                                      st.sampled_from(_ROLES), slot), min_size=1, max_size=2)))
+    declarations = SchemaDeclarations(
+        essential=draw(st.frozensets(st.sampled_from(_EVENT_TYPES + (_BOB_TYPE,)), max_size=2)),
+        # Undeclared events are CARD ONE and undeclared slots MULTI.
+        cardinality={rule.event_type: draw(st.sampled_from(list(Cardinality))) for rule in rules if draw(st.booleans())},
+        attr_modes={(rule.event_type, rule.object_slot.attr_type): draw(st.sampled_from(list(AttrMode)))
+                    for rule in rules if isinstance(rule.object_slot, AttrSlot) and draw(st.integers(0, 2))},
+    )
+    entity_types = draw(st.dictionaries(st.sampled_from(_LABELS),
+                                        st.sampled_from((NodeId("p", "Person"), _VALUE_TYPES[2], ROOT_TYPE)),
+                                        max_size=2))
+    hierarchy = draw(st.sampled_from((None, None, None, hierarchy_for_rules(rules, declarations),
+                                      TypeHierarchy.root_only())))
+    # A subject and spelling with one to three objects: repeated triples
+    # and, on a FUNCTIONAL slot, conflicting values.
+    groups = draw(st.lists(st.tuples(st.sampled_from(_LABELS), st.sampled_from(_SPELLINGS),
+                                     st.lists(st.sampled_from(_LABELS + _LITERALS), min_size=1, max_size=3)),
+                           min_size=1, max_size=6))
+    triples = draw(st.permutations([FlatTriple(e1, r, e2) for e1, r, objects in groups for e2 in objects]))
+    options = dict(declarations=declarations, hierarchy=hierarchy, entity_types=entity_types,
+                   lang=draw(st.sampled_from(("en", "fr", "zh-Hant"))), source_id="src", revision=draw(st.integers(0, 2)))
+    return triples, rules, options
+
+
+def _shape(text: str) -> tuple:
+    """Labels, CARD MANY event keys, FUNCTIONAL and MULTI attribute keys."""
+    return "\t" in text, "#" in text
+
+
+@st.composite
+def _forced_hashes(draw, texts):
+    """Up to three of ``texts``, each mapped onto a text of its shape whose
+    hash it is to take."""
+    forced = {}
+    for text in draw(st.lists(st.sampled_from(texts), max_size=3)) if texts else ():
+        forced[text] = draw(st.sampled_from([other for other in texts if _shape(other) == _shape(text)]))
+    return forced
+
+
+def _outcome(canonicalize, triples, rules, options):
+    """The document, report and bytes ``canonicalize`` makes, or the type
+    and message of the error it raises."""
+    try:
+        doc, report = canonicalize(triples, rules, **options)
+    except GkgError as exc:
+        return type(exc), str(exc)
+    return doc, report, serialize_gkg(doc)
+
+
+class TestCanonicalizeAgainstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_canonicalize_inputs(), st.data())
+    def test_same_document_report_or_error(self, inputs, data):
+        """A few texts are made to hash as others do, so ids collide."""
+        triples, rules, options = inputs
+        real = gkg.canonicalize.fnv1a64_hex
+        hashed = set()
+        with mock.patch.object(gkg.canonicalize, "fnv1a64_hex", lambda text: hashed.add(text) or real(text)):
+            _outcome(oracle_canonicalize_document, triples, rules, options)
+        forced = data.draw(_forced_hashes(sorted(hashed)))
+        with mock.patch.object(gkg.canonicalize, "fnv1a64_hex", lambda text: real(forced.get(text, text))):
+            expected = _outcome(oracle_canonicalize_document, triples, rules, options)
+            got = _outcome(canonicalize_document, triples, rules, options)
+        assert got == expected
+        if isinstance(got[0], GkgDocument):
+            graph = got[0].graph
+            assert all(type(node) is Node and type(node.id) is NodeId for node in graph.nodes.values())
+            assert all(type(edge) is Edge for edge in graph.edges)
+
+    def test_draws_reach_every_outcome(self):
+        """The strategy above meets documents, both error types and value
+        conflicts, without forced collisions."""
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(_canonicalize_inputs())
+        def record(inputs):
+            outcome = _outcome(canonicalize_document, *inputs)
+            if isinstance(outcome[0], GkgDocument):
+                seen.add("conflict" if outcome[1].value_conflicts else "document")
+            else:
+                seen.add(outcome[0].__name__)
+
+        record()
+        assert seen == {"document", "conflict", "IdCollisionError", "UnknownTypeError"}

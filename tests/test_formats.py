@@ -616,6 +616,24 @@ _FUZZ_IDS = st.builds(
     st.text(alphabet="ab.-!:1", min_size=1, max_size=3),
 )
 _FUZZ_TEXTS = st.text(alphabet="ab .-", min_size=1, max_size=6).filter(lambda text: not text[0].isspace())
+# Labels and literals that may start with whitespace, which a record
+# would not carry back, and tags that are empty or more than one token.
+_FUZZ_TEXTS_ANY = st.text(alphabet="ab .-\t\u3000", min_size=1, max_size=6)
+_FUZZ_TAGS = st.one_of(st.sampled_from(("en", "fr", "de", "zh-Hant")),
+                       st.sampled_from(("", "de fr", "en\t", " en", "\u3000")))
+
+
+def _unwritable(doc: GkgDocument) -> bool:
+    """Whether ``doc`` holds a language tag that is empty or holds
+    whitespace, or a label or non-type node literal that starts with
+    whitespace: text that ``serialize_gkg`` must refuse."""
+    entries = doc.labels.entries
+    return (
+        any(lang.split() != [lang] for _, lang in entries)
+        or any(label[:1].isspace() for label in entries.values())
+        or any(node.literal and node.literal[0].isspace()
+               for node in doc.graph.nodes.values() if node.kind is not NodeKind.TYPE_NODE)
+    )
 
 
 @st.composite
@@ -636,16 +654,16 @@ def _fuzzed_documents(draw):
         kind = draw(st.sampled_from(sorted(_KIND_CODES.values())))
         inst_of = draw(st.one_of(st.sampled_from(type_ids), st.none())) if draw(st.booleans()) else type_ids[0]
         if kind is NodeKind.VALUE_LITERAL:
-            literal = draw(st.one_of(_FUZZ_TEXTS, st.sampled_from(("", None))))
+            literal = draw(st.one_of(_FUZZ_TEXTS, _FUZZ_TEXTS_ANY, st.sampled_from(("", None))))
         else:
-            literal = draw(st.one_of(st.none(), st.none(), _FUZZ_TEXTS))
+            literal = draw(st.one_of(st.none(), st.none(), _FUZZ_TEXTS, _FUZZ_TEXTS_ANY))
         nodes[node_id] = Node(node_id, kind, inst_of, literal)
 
     all_ids = list(nodes) + type_ids
     edges = draw(st.frozensets(st.builds(Edge, st.sampled_from(all_ids), st.sampled_from(list(PrimitiveRelation)),
                                          st.sampled_from(all_ids)), max_size=8))
-    labels = draw(st.dictionaries(st.tuples(st.sampled_from(all_ids), st.sampled_from(("en", "fr", "de", "zh-Hant"))),
-                                  _FUZZ_TEXTS, max_size=6))
+    labels = draw(st.dictionaries(st.tuples(st.sampled_from(all_ids), _FUZZ_TAGS),
+                                  st.one_of(_FUZZ_TEXTS, _FUZZ_TEXTS_ANY), max_size=6))
     declarations = SchemaDeclarations(
         essential=draw(st.frozensets(st.sampled_from(type_ids), max_size=2)),
         cardinality=draw(st.dictionaries(st.sampled_from(type_ids), st.sampled_from(list(Cardinality)), max_size=2)),
@@ -660,11 +678,44 @@ def _fuzzed_documents(draw):
     return GkgDocument(hierarchy, GroundedGraph(nodes, edges, source_id, revision), LabelTable(labels), declarations)
 
 
+_REFUSED_TEXT = (
+    r"^cannot serialize (empty language tag|language tag with whitespace|label that starts with whitespace"
+    r"|literal that starts with whitespace) on "
+)
+
+
 class TestSerializeGkgAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(_fuzzed_documents())
     def test_fuzzed_documents(self, doc):
-        assert _serialized(serialize_gkg, doc) == _serialized(oracle_serialize_gkg, doc)
+        """The oracle writes any tag, label and literal; text that would not
+        read back is refused instead, by this or an earlier check."""
+        if _unwritable(doc):
+            with pytest.raises(ValueError):
+                serialize_gkg(doc)
+        else:
+            assert _serialized(serialize_gkg, doc) == _serialized(oracle_serialize_gkg, doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 999), st.data())
+    def test_accepted_documents_read_back(self, seed, data):
+        """A valid document with drawn labels and literals is either refused
+        for one of them or satisfies ``parse(serialize(d)) == d``."""
+        doc = random_document(seed)
+        nodes = dict(doc.graph.nodes)
+        for node_id in data.draw(st.lists(st.sampled_from(sorted(nodes)), max_size=2)):
+            if nodes[node_id].kind is NodeKind.VALUE_LITERAL:
+                nodes[node_id] = nodes[node_id]._replace(literal=data.draw(_FUZZ_TEXTS_ANY))
+        labels = dict(doc.labels.entries)
+        labels.update(data.draw(st.dictionaries(st.tuples(st.sampled_from(sorted(nodes)), _FUZZ_TAGS),
+                                                _FUZZ_TEXTS_ANY, max_size=3)))
+        doc = GkgDocument(doc.hierarchy, GroundedGraph(nodes, doc.graph.edges, doc.graph.source_id,
+                                                       doc.graph.revision), LabelTable(labels), doc.declarations)
+        if _unwritable(doc):
+            with pytest.raises(ValueError, match=_REFUSED_TEXT):
+                serialize_gkg(doc)
+        else:
+            assert parse_gkg(serialize_gkg(doc)) == doc
 
     @pytest.mark.parametrize("seed", range(60))
     def test_generated_documents(self, seed):
@@ -743,6 +794,43 @@ class TestSerializeGkg:
         labels = doc.labels.with_label(NodeId("ex", "rw"), "fr", f"Roger{ch}X")
         with pytest.raises(ValueError, match=r"^cannot serialize label with a line break on ex:rw \[fr\]$"):
             serialize_gkg(GkgDocument(doc.hierarchy, doc.graph, labels))
+
+    @pytest.mark.parametrize(
+        "lang, label, message",
+        [
+            ("de fr", "Roger", "cannot serialize language tag with whitespace on ex:rw ['de fr']"),
+            ("en\t", "Roger", "cannot serialize language tag with whitespace on ex:rw ['en\\t']"),
+            ("", "Roger", "cannot serialize empty language tag on ex:rw"),
+            ("fr", " Roger", "cannot serialize label that starts with whitespace on ex:rw [fr]"),
+            ("fr", "\u3000Roger", "cannot serialize label that starts with whitespace on ex:rw [fr]"),
+        ],
+    )
+    def test_tag_or_label_that_would_not_read_back_is_refused(self, lang, label, message):
+        """``L ex:rw de fr Roger`` would read back as the tag ``de`` and the
+        label ``fr Roger``, and a label's leading whitespace is lost."""
+        doc = parse_gkg(WORKED_TEXT)
+        labels = doc.labels.with_label(NodeId("ex", "rw"), lang, label)
+        with pytest.raises(ValueError) as caught:
+            serialize_gkg(GkgDocument(doc.hierarchy, doc.graph, labels))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("literal", [" 1955", "\t1955", " "])
+    def test_literal_that_starts_with_whitespace_is_refused(self, literal):
+        doc = parse_gkg(WORKED_TEXT)
+        value_id = NodeId("ex", "v1")
+        nodes = dict(doc.graph.nodes)
+        nodes[value_id] = nodes[value_id]._replace(literal=literal)
+        with pytest.raises(ValueError, match=r"^cannot serialize literal that starts with whitespace on value node ex:v1$"):
+            serialize_gkg(GkgDocument(doc.hierarchy, GroundedGraph(nodes, doc.graph.edges), doc.labels))
+
+    def test_trailing_whitespace_reads_back(self):
+        doc = parse_gkg(WORKED_TEXT)
+        value_id = NodeId("ex", "v1")
+        nodes = dict(doc.graph.nodes)
+        nodes[value_id] = nodes[value_id]._replace(literal="1955 \t")
+        labels = doc.labels.with_label(NodeId("ex", "rw"), "fr", "Roger ")
+        edited = GkgDocument(doc.hierarchy, GroundedGraph(nodes, doc.graph.edges), labels)
+        assert parse_gkg(serialize_gkg(edited)) == edited
 
     def test_header_omitted_at_defaults(self):
         assert "G " not in serialize_gkg(parse_gkg("T core:Entity -\n"))
