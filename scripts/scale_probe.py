@@ -116,6 +116,9 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = "1"
+    # Let the untimed import below write the bytecode that every timed
+    # command then reads, as an installed package would have it.
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     subprocess.run([sys.executable, "-c", "import gkg.cli"], env=env, check=True)  # compile once, untimed
     corpus = load_corpus_module()
 

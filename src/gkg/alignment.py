@@ -98,7 +98,7 @@ def entity_signature(
     node = graph.node(node_id)
     if node.kind is not NodeKind.CONTINUANT:
         raise NotAContinuantError(f"{node_id} is a {node.kind.name}, not a continuant")
-    return _Signer(graph, hierarchy, labels, config, {}).sign(node)
+    return _Signer(graph, hierarchy, labels, config).sign(node)
 
 
 def _phrase(labels: LabelTable, node_id: NodeId, pivot_lang: str) -> str:
@@ -110,29 +110,21 @@ def _phrase(labels: LabelTable, node_id: NodeId, pivot_lang: str) -> str:
 class _Signer:
     """Signs the continuants of one graph.  It holds what all signatures
     over the graph share, each computed once: the graph's adjacency, the
-    inferred roles, the ancestor sets of types (in a dict that the two
-    sides of an alignment share) and the type-slot vectors, which read
-    this side's labels."""
+    inferred roles and the type-slot vectors, which read this side's
+    labels.  Ancestor sets are the hierarchy's own."""
 
     def __init__(self, graph: GroundedGraph, hierarchy: TypeHierarchy, labels: LabelTable,
-                 config: AlignmentConfig, lineages: Dict[NodeId, frozenset]):
+                 config: AlignmentConfig):
         self.graph = graph
         self.hierarchy = hierarchy
         self.labels = labels
         self.config = config
-        self.lineages = lineages
         self.type_vectors: Dict[NodeId, np.ndarray] = {}
         self.adjacency = Adjacency(graph.edges)
         self.roles: Dict[NodeId, list] = {}
         if config.declarations.roles:
             for node_id, role in infer_role_labels(graph, hierarchy, config.declarations.roles):
                 self.roles.setdefault(node_id, []).append(role)
-
-    def lineage(self, type_id: NodeId) -> frozenset:
-        found = self.lineages.get(type_id)
-        if found is None:
-            found = self.lineages[type_id] = self.hierarchy.ancestors(type_id)
-        return found
 
     def type_vector(self, type_id: NodeId) -> np.ndarray:
         """Normalized mean of the phrase vectors along the lineage."""
@@ -141,7 +133,7 @@ class _Signer:
             config = self.config
             vectors = [
                 embed_phrase(config.provider, _phrase(self.labels, ancestor, config.pivot_lang))
-                for ancestor in sorted(self.lineage(type_id), key=str)
+                for ancestor in sorted(self.hierarchy.ancestors(type_id), key=str)
             ]
             found = self.type_vectors[type_id] = normalized(np.add.reduce(vectors) / float(len(vectors)))
         return found
@@ -168,7 +160,7 @@ class _Signer:
                     continue
                 if event.inst_of is None or event.inst_of not in hierarchy:
                     continue
-                if essential not in self.lineage(event.inst_of):
+                if essential not in hierarchy.ancestors(event.inst_of):
                     continue
                 for attr_id in self.adjacency.attrs_of.get(event_id, ()):
                     attr = graph.nodes.get(attr_id)
@@ -199,12 +191,9 @@ class _Signer:
         return EntitySignature.from_slots(slots)
 
 
-def signature_similarity(
-    sig_a: EntitySignature, sig_b: EntitySignature, config: AlignmentConfig
-) -> float:
+def signature_similarity(sig_a: EntitySignature, sig_b: EntitySignature) -> float:
     """Mean of :func:`slot_similarities` over the union of keys, a slot
-    present on one side only counting 0.  ``config`` is unused and kept
-    so that existing three-argument calls still work."""
+    present on one side only counting 0."""
     scores = slot_similarities(sig_a, sig_b)
     if not scores:
         return 0.0
@@ -261,9 +250,8 @@ def align(
     below the threshold, so it can neither match, nor bring a margin under
     the band, nor be listed as a rival.
     """
-    lineages: Dict[NodeId, frozenset] = {}
-    signer_a = _Signer(graph_a, hierarchy, labels_a, config, lineages)
-    signer_b = _Signer(graph_b, hierarchy, labels_b, config, lineages)
+    signer_a = _Signer(graph_a, hierarchy, labels_a, config)
+    signer_b = _Signer(graph_b, hierarchy, labels_b, config)
 
     conts_a = list(graph_a.continuants())
     conts_b = list(graph_b.continuants())
@@ -274,7 +262,7 @@ def align(
     names_a = [str(i) for i in ids_a]
     names_b = [str(i) for i in ids_b]
 
-    compatible = _compatibility([n.inst_of for n in conts_a], [n.inst_of for n in conts_b], signer_a)
+    compatible = _compatibility([n.inst_of for n in conts_a], [n.inst_of for n in conts_b], hierarchy)
     floor = config.threshold - config.ambiguity_band - _SCREEN_SLACK
     near = compatible & (_screen_scores(sigs_a, sigs_b) >= floor)
 
@@ -282,7 +270,7 @@ def align(
     cand_b: Dict[int, list] = {}
     ordered = []
     for i, j in zip(*(axis.tolist() for axis in np.nonzero(near))):
-        value = signature_similarity(sigs_a[i], sigs_b[j], config)
+        value = signature_similarity(sigs_a[i], sigs_b[j])
         cand_a.setdefault(i, []).append((j, value))
         cand_b.setdefault(j, []).append((i, value))
         if value >= config.threshold:
@@ -332,18 +320,16 @@ def _best_alternative(candidates, excluded: int, free: set) -> float:
     return best
 
 
-def _compatibility(types_a: Sequence, types_b: Sequence, signer: _Signer) -> np.ndarray:
+def _compatibility(types_a: Sequence, types_b: Sequence, hierarchy: TypeHierarchy) -> np.ndarray:
     """Boolean ``len(types_a) x len(types_b)`` mask of type-compatible
-    pairs: both types known and one a subtype of the other.  Ancestor sets
-    come from the signer, so each is computed once per distinct type."""
-    lineage = {
-        t: signer.lineage(t) for t in set(types_a) | set(types_b) if t is not None and t in signer.hierarchy
-    }
+    pairs: both types known and one a subtype of the other, asked once
+    per pair of distinct types."""
+    known, ancestors = hierarchy.types, hierarchy.ancestors
     distinct_a = {t: k for k, t in enumerate(dict.fromkeys(types_a))}
     distinct_b = {t: k for k, t in enumerate(dict.fromkeys(types_b))}
     table = np.array(
         [
-            [ta in lineage and tb in lineage and (tb in lineage[ta] or ta in lineage[tb]) for tb in distinct_b]
+            [ta in known and tb in known and (tb in ancestors(ta) or ta in ancestors(tb)) for tb in distinct_b]
             for ta in distinct_a
         ],
         dtype=bool,

@@ -22,14 +22,7 @@ from .alignment import (
 from .canonicalize import canonicalize_document
 from .embedding import DEFAULT_DIM, FileEmbeddingProvider, HashEmbeddingProvider
 from .errors import GkgError, GkgSyntaxError, InvalidParameterError, ValidationFailedError
-from .evaluation import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    format_eval_flat,
-    format_eval_grounded,
-    run_eval_flat,
-    run_eval_grounded,
-)
+from .evaluation import DEFAULT_SEED, DEFAULT_TRIALS, eval_flat, eval_grounded
 from .formats import GkgDocument, parse_flat, parse_gkg, parse_rules, serialize_gkg
 from .merge import merge_documents, union_hierarchies
 from .multilingual import check_isomorphic, render
@@ -147,14 +140,12 @@ def cmd_isocheck(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_flat(args: argparse.Namespace) -> int:
-    stats = run_eval_flat(seed=args.seed, dim=args.dim, trials=args.trials)
-    sys.stdout.write(format_eval_flat(stats))
+    sys.stdout.write(eval_flat(seed=args.seed, dim=args.dim, trials=args.trials))
     return 0
 
 
 def cmd_eval_grounded(args: argparse.Namespace) -> int:
-    report = run_eval_grounded(seed=args.seed, dim=args.dim, threshold=args.threshold)
-    sys.stdout.write(format_eval_grounded(report))
+    sys.stdout.write(eval_grounded(seed=args.seed, dim=args.dim, threshold=args.threshold))
     return 0
 
 

@@ -171,15 +171,10 @@ def embed_phrase(provider, label: str) -> np.ndarray:
 
 
 def embed_flat_triple(provider, triple) -> np.ndarray:
-    """Normalized sum of the three phrase vectors of a flat triple.
-
-    Accepts anything with e1/r/e2 attributes, or a 3-sequence of strings.
-    """
-    if hasattr(triple, "e1"):
-        e1, r, e2 = triple.e1, triple.r, triple.e2
-    else:
-        e1, r, e2 = triple
-    return normalized(embed_phrase(provider, e1) + embed_phrase(provider, r) + embed_phrase(provider, e2))
+    """Normalized sum of the three phrase vectors of a ``FlatTriple``."""
+    return normalized(
+        embed_phrase(provider, triple.e1) + embed_phrase(provider, triple.r) + embed_phrase(provider, triple.e2)
+    )
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -15,8 +15,8 @@ printed for qualitative comparison only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -64,21 +64,6 @@ REFERENCE_FLAT_COSINES: Mapping[Tuple[str, str], float] = {
 REFERENCE_GROUNDED_CHANGED_LOCATION = 0.688
 
 
-@dataclass(frozen=True)
-class FlatEvalStats:
-    seed: int
-    dim: int
-    trials: int
-    pair_means: Mapping[Tuple[str, str], float]
-    pair_stds: Mapping[Tuple[str, str], float]
-    band_means: Mapping[str, float]
-    band_stds: Mapping[str, float]
-
-    @property
-    def delta_means(self) -> float:
-        return abs(self.band_means["relation_renamed"] - self.band_means["fact_changed"])
-
-
 def _fresh_tokens(rng: SplitMix64, count: int, used: set) -> list:
     tokens = []
     while len(tokens) < count:
@@ -89,10 +74,11 @@ def _fresh_tokens(rng: SplitMix64, count: int, used: set) -> list:
     return tokens
 
 
-def run_eval_flat(
-    seed: int = DEFAULT_SEED, dim: int = DEFAULT_DIM, trials: int = DEFAULT_TRIALS
-) -> FlatEvalStats:
-    """Cosine statistics over ``trials`` random triple quartets.
+def eval_flat(seed: int = DEFAULT_SEED, dim: int = DEFAULT_DIM, trials: int = DEFAULT_TRIALS) -> str:
+    """Report of cosine statistics over ``trials`` random triple quartets:
+    the mean and standard deviation of each pair and of each band of
+    pairs, and how far apart the renamed-relation and changed-fact bands'
+    means lie.
 
     Each quartet holds one entity token, two relation tokens and two
     location tokens: t1=(E,R1,L1), t2=(E,R2,L1), t3=(E,R1,L2),
@@ -117,28 +103,16 @@ def run_eval_flat(
         for left, right in PAIR_CLASSES:
             samples[(left, right)].append(cosine(vectors[left], vectors[right]))
 
-    pair_means = {pair: float(np.mean(vals)) for pair, vals in samples.items()}
-    pair_stds = {pair: float(np.std(vals)) for pair, vals in samples.items()}
-    band_samples: Dict[str, list] = {}
-    for pair, cls_name in PAIR_CLASSES.items():
-        band_samples.setdefault(cls_name, []).extend(samples[pair])
-    band_means = {cls_name: float(np.mean(vals)) for cls_name, vals in band_samples.items()}
-    band_stds = {cls_name: float(np.std(vals)) for cls_name, vals in band_samples.items()}
-    return FlatEvalStats(seed, dim, trials, pair_means, pair_stds, band_means, band_stds)
-
-
-def format_eval_flat(stats: FlatEvalStats) -> str:
-    lines = [f"trials\t{stats.trials}\tseed\t{stats.seed}\tdim\t{stats.dim}"]
-    for pair in sorted(PAIR_CLASSES):
-        lines.append(
-            f"pair\t{pair[0]}-{pair[1]}\t{PAIR_CLASSES[pair]}"
-            f"\t{stats.pair_means[pair]:.4f}\t{stats.pair_stds[pair]:.4f}"
-        )
+    lines = [f"trials\t{trials}\tseed\t{seed}\tdim\t{dim}"]
+    bands: Dict[str, list] = {}
+    for pair, cls_name in sorted(PAIR_CLASSES.items()):
+        values = samples[pair]
+        bands.setdefault(cls_name, []).extend(values)
+        lines.append(f"pair\t{pair[0]}-{pair[1]}\t{cls_name}\t{np.mean(values):.4f}\t{np.std(values):.4f}")
+    means = {cls_name: float(np.mean(values)) for cls_name, values in bands.items()}
     for cls_name in ("relation_renamed", "fact_changed", "both_changed"):
-        lines.append(
-            f"band\t{cls_name}\t{stats.band_means[cls_name]:.4f}\t{stats.band_stds[cls_name]:.4f}"
-        )
-    lines.append(f"band_delta\t{stats.delta_means:.4f}")
+        lines.append(f"band\t{cls_name}\t{means[cls_name]:.4f}\t{np.std(bands[cls_name]):.4f}")
+    lines.append(f"band_delta\t{abs(means['relation_renamed'] - means['fact_changed']):.4f}")
     reference = "  ".join(
         f"{pair[0]}-{pair[1]} {value:.4f}" for pair, value in sorted(REFERENCE_FLAT_COSINES.items())
     )
@@ -197,27 +171,13 @@ def _with_swapped_glosses(doc: GkgDocument) -> GkgDocument:
     return replace(doc, labels=labels)
 
 
-@dataclass(frozen=True)
-class GroundedEvalCase:
-    name: str
-    similarity: float
-    matched: bool
-    slot_sims: Mapping[str, Optional[float]]
-
-
-@dataclass(frozen=True)
-class GroundedEvalReport:
-    seed: int
-    dim: int
-    threshold: float
-    cases: Tuple[GroundedEvalCase, ...]
-
-
-def run_eval_grounded(
+def eval_grounded(
     seed: int = DEFAULT_SEED, dim: int = DEFAULT_DIM, threshold: float = DEFAULT_THRESHOLD
-) -> GroundedEvalReport:
-    """Score three mutants of the demo document against it: a renamed
-    entity, a changed birth location, and swapped relation glosses."""
+) -> str:
+    """Report of three mutants of the demo document scored against it (a
+    renamed entity, a changed birth location, and swapped relation
+    glosses): one ``mutant`` row each with its similarity and whether
+    :func:`align` matches it, then one ``slot`` row per slot of each."""
     base = demo_document()
     # Pairs are scored, never aligned, so no ambiguity band applies.
     config = AlignmentConfig(
@@ -231,34 +191,20 @@ def run_eval_grounded(
     )
 
     base_entity = next(base.graph.continuants())
-    cases = []
+    sig_base = entity_signature(base.graph, base.hierarchy, base.labels, base_entity.id, config)
+    lines = [f"seed\t{seed}\tdim\t{dim}\tthreshold\t{threshold:.4f}"]
+    slot_lines = []
     for name, mutant in mutants:
         mutant_entity = next(mutant.graph.continuants())
-        sig_base = entity_signature(base.graph, base.hierarchy, base.labels, base_entity.id, config)
-        sig_mut = entity_signature(
-            mutant.graph, mutant.hierarchy, mutant.labels, mutant_entity.id, config
-        )
-        similarity = signature_similarity(sig_base, sig_mut, config)
+        sig_mut = entity_signature(mutant.graph, mutant.hierarchy, mutant.labels, mutant_entity.id, config)
         result = align(base.graph, mutant.graph, base.hierarchy, base.labels, mutant.labels, config)
-        matched = any(
-            a == base_entity.id and b == mutant_entity.id for a, b, _ in result.matches
-        )
-        cases.append(GroundedEvalCase(name, similarity, matched, slot_similarities(sig_base, sig_mut)))
-
-    return GroundedEvalReport(seed, dim, threshold, tuple(cases))
-
-
-def format_eval_grounded(report: GroundedEvalReport) -> str:
-    lines = [
-        f"seed\t{report.seed}\tdim\t{report.dim}\tthreshold\t{report.threshold:.4f}"
-    ]
-    for case in report.cases:
-        status = "MATCH" if case.matched else "NO_MATCH"
-        lines.append(f"mutant\t{case.name}\t{case.similarity:.4f}\t{status}")
-    for case in report.cases:
-        for key, value in case.slot_sims.items():
+        matched = any(a == base_entity.id and b == mutant_entity.id for a, b, _ in result.matches)
+        status = "MATCH" if matched else "NO_MATCH"
+        lines.append(f"mutant\t{name}\t{signature_similarity(sig_base, sig_mut):.4f}\t{status}")
+        for key, value in slot_similarities(sig_base, sig_mut).items():
             rendered = "absent" if value is None else f"{value:.4f}"
-            lines.append(f"slot\t{case.name}\t{key}\t{rendered}")
+            slot_lines.append(f"slot\t{name}\t{key}\t{rendered}")
+    lines.extend(slot_lines)
     lines.append(
         "# external-model analogue for changed_location: "
         f"{REFERENCE_GROUNDED_CHANGED_LOCATION:.3f} (not reproducible here)"

@@ -411,7 +411,8 @@ def serialize_gkg(doc: GkgDocument) -> str:
     """Render a document in canonical form (see the module docstring).
     Raises ValueError for documents that cannot be expressed, e.g. nodes
     without a type, a literal or label with a line break or leading
-    whitespace, an empty language tag or one with whitespace, or a header
+    whitespace, an empty label, an empty language tag or one with
+    whitespace, or a header
     that would not read back as written."""
     lines: List[str] = []
     graph = doc.graph
@@ -479,7 +480,9 @@ def serialize_gkg(doc: GkgDocument) -> str:
             raise ValueError(f"cannot serialize empty language tag on {namespace}:{local}")
         if lang.split() != [lang]:
             raise ValueError(f"cannot serialize language tag with whitespace on {namespace}:{local} [{lang!r}]")
-        if label and label.splitlines() != [label]:
+        if not label:
+            raise ValueError(f"cannot serialize empty label on {namespace}:{local} [{lang}]")
+        if label.splitlines() != [label]:
             raise ValueError(f"cannot serialize label with a line break on {namespace}:{local} [{lang}]")
         if label[:1].isspace():
             raise ValueError(f"cannot serialize label that starts with whitespace on {namespace}:{local} [{lang}]")

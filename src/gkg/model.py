@@ -258,10 +258,13 @@ class TypeHierarchy:
     and ``core:Entity`` is an ancestor of every other type.
 
     ``parents`` holds an entry for every type (empty only for the root).
+    Each type's ancestor set is computed once, on its first question, and
+    kept: the hierarchy never changes, so the set never goes stale.
     """
 
     types: frozenset = frozenset()
     parents: Mapping[NodeId, frozenset] = field(default_factory=dict)
+    _ancestors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def root_only(cls) -> "TypeHierarchy":
@@ -328,6 +331,9 @@ class TypeHierarchy:
 
     def ancestors(self, type_id: NodeId) -> frozenset:
         """All supertypes of ``type_id`` including itself."""
+        found = self._ancestors.get(type_id)
+        if found is not None:
+            return found
         if type_id not in self.types:
             raise UnknownTypeError(f"unknown type: {type_id}")
         closed: set = set()
@@ -338,15 +344,15 @@ class TypeHierarchy:
                 continue
             closed.add(current)
             frontier.extend(self.parents.get(current, frozenset()))
-        return frozenset(closed)
+        found = self._ancestors[type_id] = frozenset(closed)
+        return found
 
     def is_subtype(self, sub: NodeId, sup: NodeId) -> bool:
         """Reflexive-transitive reachability over the parent edges."""
-        if sub not in self.types:
-            raise UnknownTypeError(f"unknown type: {sub}")
+        ancestors = self.ancestors(sub)
         if sup not in self.types:
             raise UnknownTypeError(f"unknown type: {sup}")
-        return sup in self.ancestors(sub)
+        return sup in ancestors
 
 
 @dataclass(frozen=True)
@@ -552,26 +558,17 @@ def infer_role_labels(
             continue
         attachments.setdefault(edge.relation, []).append((subject.inst_of, edge.obj))
 
-    # Many attachments share a (type, type) question; answer each once.
-    subtype_answers: dict = {}
-
-    def is_subtype(sub: NodeId, sup: NodeId) -> bool:
-        found = subtype_answers.get((sub, sup))
-        if found is None:
-            found = subtype_answers[(sub, sup)] = hierarchy.is_subtype(sub, sup)
-        return found
-
     pairs: set = set()
     for role_def in defs:
         for occurrent_type, participant in attachments.get(role_def.via, ()):
             if occurrent_type not in hierarchy:
                 continue
-            if not is_subtype(occurrent_type, role_def.occurrent_type):
+            if not hierarchy.is_subtype(occurrent_type, role_def.occurrent_type):
                 continue
             node = graph.nodes.get(participant)
             if node is None or node.inst_of is None or node.inst_of not in hierarchy:
                 continue
-            if is_subtype(node.inst_of, role_def.base_type):
+            if hierarchy.is_subtype(node.inst_of, role_def.base_type):
                 pairs.add((participant, role_def.role_name))
 
     return tuple(sorted(pairs, key=lambda pair: (str(pair[0]), pair[1])))

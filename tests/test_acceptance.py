@@ -172,7 +172,7 @@ def test_criterion_05_changed_birth_location_scores_below_threshold():
     [id_b] = [n.id for n in doc_b.graph.continuants()]
     sig_a = entity_signature(doc_a.graph, doc_a.hierarchy, doc_a.labels, id_a, DEMO_CONFIG)
     sig_b = entity_signature(doc_b.graph, doc_b.hierarchy, doc_b.labels, id_b, DEMO_CONFIG)
-    score = signature_similarity(sig_a, sig_b, DEMO_CONFIG)
+    score = signature_similarity(sig_a, sig_b)
     result = _demo_align(doc_a, doc_b)
     ok = 0.70 <= score <= 0.80 and not result.matches
     _verdict(5, ok, f"score={score:.4f}, matches={len(result.matches)}")

@@ -144,7 +144,7 @@ class TestSimilarityOracles:
     def test_identical_entities_score_one(self):
         cfg = config()
         sig = signature_of(demo_document(), cfg)
-        assert signature_similarity(sig, sig, cfg) == pytest.approx(1.0)
+        assert signature_similarity(sig, sig) == pytest.approx(1.0)
 
     def test_rename_score_exact(self):
         """Four equally weighted slots; only the name disagrees, and on
@@ -152,14 +152,14 @@ class TestSimilarityOracles:
         cfg = config()
         sig_a = signature_of(demo_document(), cfg)
         sig_b = signature_of(demo_document(subject="GeorgeRogerWaters"), cfg)
-        assert signature_similarity(sig_a, sig_b, cfg) == pytest.approx(RENAME_SCORE, abs=1e-12)
+        assert signature_similarity(sig_a, sig_b) == pytest.approx(RENAME_SCORE, abs=1e-12)
         assert RENAME_SCORE == pytest.approx(0.9541241452319315, abs=1e-12)
 
     def test_changed_location_score_exact(self):
         cfg = config()
         sig_a = signature_of(demo_document(birthplace="London"), cfg)
         sig_b = signature_of(demo_document(birthplace="Chelsea"), cfg)
-        assert signature_similarity(sig_a, sig_b, cfg) == pytest.approx(CHANGED_FACT_SCORE, abs=1e-12)
+        assert signature_similarity(sig_a, sig_b) == pytest.approx(CHANGED_FACT_SCORE, abs=1e-12)
         sims = slot_similarities(sig_a, sig_b)
         assert sims[fact_slot_key(BIRTH_TYPE, NodeId("ont", "Location"))] == pytest.approx(0.0)
         assert sims["name"] == pytest.approx(1.0)
@@ -171,7 +171,7 @@ class TestSimilarityOracles:
         rich = signature_of(demo_document(), cfg)
         bare_doc = parse_gkg("N ex:rw C core:Human\nL ex:rw en RogerWaters\n")
         bare = entity_signature(bare_doc.graph, bare_doc.hierarchy, bare_doc.labels, NodeId("ex", "rw"), cfg)
-        score = signature_similarity(rich, bare, cfg)
+        score = signature_similarity(rich, bare)
         assert score == pytest.approx(2 / 4)  # name and type agree; two facts one-sided
 
     def test_negative_cosines_clamp_to_zero(self):
@@ -230,7 +230,7 @@ class TestAlign:
         cfg = config(provider=HashEmbeddingProvider(42, 64))
         sig_a = signature_of(demo_document(birthplace="London"), cfg)
         sig_b = signature_of(demo_document(birthplace="Chelsea"), cfg)
-        score = signature_similarity(sig_a, sig_b, cfg)
+        score = signature_similarity(sig_a, sig_b)
         assert 0.70 <= score <= 0.80
         result = align_docs(
             demo_document(birthplace="London"), demo_document(birthplace="Chelsea"), cfg
@@ -386,7 +386,7 @@ def oracle_align(graph_a, graph_b, hierarchy, labels_a, labels_b, cfg):
         for node_b in conts_b:
             if not compatible(node_a, node_b):
                 continue
-            score = signature_similarity(sigs_a[node_a.id], sigs_b[node_b.id], cfg)
+            score = signature_similarity(sigs_a[node_a.id], sigs_b[node_b.id])
             scores[(node_a.id, node_b.id)] = score
             cand_a[node_a.id].append((node_b.id, score))
             cand_b[node_b.id].append((node_a.id, score))
@@ -524,7 +524,7 @@ class TestAlignAgainstOracle:
         sigs_b = [entity_signature(doc_b.graph, hierarchy, doc_b.labels, n.id, cfg)
                   for n in doc_b.graph.continuants()]
         screen = _screen_scores(sigs_a, sigs_b)
-        exact = np.array([[signature_similarity(a, b, cfg) for b in sigs_b] for a in sigs_a])
+        exact = np.array([[signature_similarity(a, b) for b in sigs_b] for a in sigs_a])
         assert screen.shape == (len(sigs_a), len(sigs_b))
         assert np.abs(screen - exact.reshape(screen.shape)).max(initial=0.0) < 1e-12
 
@@ -563,8 +563,8 @@ class TestAlignAgainstOracle:
         hierarchy, cfg = joint_setup(doc_a, doc_b, provider)
         person_a = only_entity(doc_a)
         sig = lambda doc, node: entity_signature(doc.graph, hierarchy, doc.labels, node, cfg)
-        best = signature_similarity(sig(doc_a, person_a), sig(doc_b, only_entity(demo_document())), cfg)
-        runner_up = signature_similarity(sig(doc_a, person_a), sig(doc_b, NodeId("ex", "bare")), cfg)
+        best = signature_similarity(sig(doc_a, person_a), sig(doc_b, only_entity(demo_document())))
+        runner_up = signature_similarity(sig(doc_a, person_a), sig(doc_b, NodeId("ex", "bare")))
         band = best - runner_up
         assert (best, runner_up) == pytest.approx((CHANGED_FACT_SCORE, 0.5))
         assert best - band == runner_up
@@ -606,7 +606,7 @@ class TestAlignAgainstOracle:
         calls = []
         exact = gkg.alignment.signature_similarity
         monkeypatch.setattr(
-            gkg.alignment, "signature_similarity", lambda a, b, c: calls.append(1) or exact(a, b, c)
+            gkg.alignment, "signature_similarity", lambda a, b: calls.append(1) or exact(a, b)
         )
         rows = [(name, "London", DATES[0]) for name in ("RogerWaters", "DavidGilmour", "NickMason")]
         doc = people_document(rows)
@@ -673,7 +673,7 @@ class TestAmbiguousRows:
         )
         hierarchy, cfg = joint_setup(doc_a, doc_b, BasisProvider(64))
         sig = lambda doc, node: entity_signature(doc.graph, hierarchy, doc.labels, NodeId("ex", node), cfg)
-        far = signature_similarity(sig(doc_a, "a1"), sig(doc_b, "b3"), cfg)
+        far = signature_similarity(sig(doc_a, "a1"), sig(doc_b, "b3"))
         assert far == pytest.approx((1 + 1 / math.sqrt(2)) / 2)
         band = 1.0 - far
         got, want = both_aligners(doc_a, doc_b, threshold=0.9, ambiguity_band=band)
@@ -695,7 +695,7 @@ class TestAmbiguousRows:
         calls = []
         exact = gkg.alignment.signature_similarity
         monkeypatch.setattr(
-            gkg.alignment, "signature_similarity", lambda a, b, c: calls.append(1) or exact(a, b, c)
+            gkg.alignment, "signature_similarity", lambda a, b: calls.append(1) or exact(a, b)
         )
         doc_a = parse_gkg("N ex:a1 C core:Thing\nL ex:a1 en Smith\nN ex:a2 C core:Thing\nL ex:a2 en Smith Jones\n")
         doc_b = parse_gkg(

@@ -62,6 +62,8 @@ CASES = [
     ("isocheck_rev", ["isocheck", "{exp}/canon_rev1.gkg", "{exp}/canon_rev2.gkg"], 1, None),
     ("eval_grounded", ["eval", "grounded"], 0, None),
     ("eval_flat", ["eval", "flat", "--trials", "10"], 0, None),
+    ("eval_flat_s3_d16_t37", ["eval", "flat", "--seed", "3", "--dim", "16", "--trials", "37"], 0, None),
+    ("eval_grounded_s5_d32_th07", ["eval", "grounded", "--seed", "5", "--dim", "32", "--threshold", "0.7"], 0, None),
 ]
 
 

@@ -243,10 +243,10 @@ class TestFlatTripleEmbedding:
         assert cosine(base, renamed) == pytest.approx(2 / 3, abs=1e-12)
         assert cosine(base, moved) == pytest.approx(2 / 3, abs=1e-12)
 
-    def test_accepts_plain_sequences(self, basis):
-        a = embed_flat_triple(basis, ("a", "r", "b"))
-        b = embed_flat_triple(basis, FlatTriple("a", "r", "b"))
-        assert np.array_equal(a, b)
+    def test_normalized_sum_of_the_three_phrases(self, basis):
+        triple = FlatTriple("RogerWaters", "livesIn", "Great Bookham")
+        total = sum(embed_phrase(basis, phrase) for phrase in ("RogerWaters", "livesIn", "Great Bookham"))
+        assert np.array_equal(embed_flat_triple(basis, triple), normalized(total))
 
 
 class TestCosine:

@@ -619,18 +619,20 @@ _FUZZ_TEXTS = st.text(alphabet="ab .-", min_size=1, max_size=6).filter(lambda te
 # Labels and literals that may start with whitespace, which a record
 # would not carry back, and tags that are empty or more than one token.
 _FUZZ_TEXTS_ANY = st.text(alphabet="ab .-\t\u3000", min_size=1, max_size=6)
+# Labels as ``_FUZZ_TEXTS_ANY``, or empty, which an L record cannot carry.
+_FUZZ_LABELS = st.one_of(_FUZZ_TEXTS_ANY, st.just(""))
 _FUZZ_TAGS = st.one_of(st.sampled_from(("en", "fr", "de", "zh-Hant")),
                        st.sampled_from(("", "de fr", "en\t", " en", "\u3000")))
 
 
 def _unwritable(doc: GkgDocument) -> bool:
     """Whether ``doc`` holds a language tag that is empty or holds
-    whitespace, or a label or non-type node literal that starts with
-    whitespace: text that ``serialize_gkg`` must refuse."""
+    whitespace, an empty label, or a label or non-type node literal that
+    starts with whitespace: text that ``serialize_gkg`` must refuse."""
     entries = doc.labels.entries
     return (
         any(lang.split() != [lang] for _, lang in entries)
-        or any(label[:1].isspace() for label in entries.values())
+        or any(not label or label[:1].isspace() for label in entries.values())
         or any(node.literal and node.literal[0].isspace()
                for node in doc.graph.nodes.values() if node.kind is not NodeKind.TYPE_NODE)
     )
@@ -663,7 +665,7 @@ def _fuzzed_documents(draw):
     edges = draw(st.frozensets(st.builds(Edge, st.sampled_from(all_ids), st.sampled_from(list(PrimitiveRelation)),
                                          st.sampled_from(all_ids)), max_size=8))
     labels = draw(st.dictionaries(st.tuples(st.sampled_from(all_ids), _FUZZ_TAGS),
-                                  st.one_of(_FUZZ_TEXTS, _FUZZ_TEXTS_ANY), max_size=6))
+                                  st.one_of(_FUZZ_TEXTS, _FUZZ_LABELS), max_size=6))
     declarations = SchemaDeclarations(
         essential=draw(st.frozensets(st.sampled_from(type_ids), max_size=2)),
         cardinality=draw(st.dictionaries(st.sampled_from(type_ids), st.sampled_from(list(Cardinality)), max_size=2)),
@@ -679,7 +681,7 @@ def _fuzzed_documents(draw):
 
 
 _REFUSED_TEXT = (
-    r"^cannot serialize (empty language tag|language tag with whitespace|label that starts with whitespace"
+    r"^cannot serialize (empty language tag|language tag with whitespace|empty label|label that starts with whitespace"
     r"|literal that starts with whitespace) on "
 )
 
@@ -708,7 +710,7 @@ class TestSerializeGkgAgainstOracle:
                 nodes[node_id] = nodes[node_id]._replace(literal=data.draw(_FUZZ_TEXTS_ANY))
         labels = dict(doc.labels.entries)
         labels.update(data.draw(st.dictionaries(st.tuples(st.sampled_from(sorted(nodes)), _FUZZ_TAGS),
-                                                _FUZZ_TEXTS_ANY, max_size=3)))
+                                                _FUZZ_LABELS, max_size=3)))
         doc = GkgDocument(doc.hierarchy, GroundedGraph(nodes, doc.graph.edges, doc.graph.source_id,
                                                        doc.graph.revision), LabelTable(labels), doc.declarations)
         if _unwritable(doc):
@@ -803,13 +805,16 @@ class TestSerializeGkg:
             ("", "Roger", "cannot serialize empty language tag on ex:rw"),
             ("fr", " Roger", "cannot serialize label that starts with whitespace on ex:rw [fr]"),
             ("fr", "\u3000Roger", "cannot serialize label that starts with whitespace on ex:rw [fr]"),
+            ("fr", "", "cannot serialize empty label on ex:rw [fr]"),
         ],
     )
     def test_tag_or_label_that_would_not_read_back_is_refused(self, lang, label, message):
         """``L ex:rw de fr Roger`` would read back as the tag ``de`` and the
-        label ``fr Roger``, and a label's leading whitespace is lost."""
+        label ``fr Roger``, a label's leading whitespace is lost, and
+        ``L ex:rw fr `` does not read back at all.  The table is built from
+        a dict, as ``with_label`` refuses an empty label."""
         doc = parse_gkg(WORKED_TEXT)
-        labels = doc.labels.with_label(NodeId("ex", "rw"), lang, label)
+        labels = LabelTable({**doc.labels.entries, (NodeId("ex", "rw"), lang): label})
         with pytest.raises(ValueError) as caught:
             serialize_gkg(GkgDocument(doc.hierarchy, doc.graph, labels))
         assert str(caught.value) == message

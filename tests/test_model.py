@@ -286,6 +286,14 @@ class TestTypeHierarchy:
             for b in ids:
                 assert h.is_subtype(a, b) == (b in expected)
             assert h.ancestors(a) == expected | {ROOT_TYPE}
+            assert h.ancestors(a) is h.ancestors(a)
+
+    def test_answered_ancestors_leave_equality_and_repr(self):
+        pairs = [(tid("A"), None), (tid("B"), tid("A")), (tid("C"), tid("A")), (tid("C"), tid("B"))]
+        asked, fresh = TypeHierarchy.from_edges(pairs), TypeHierarchy.from_edges(pairs)
+        assert asked.ancestors(tid("C")) == {tid("A"), tid("B"), tid("C"), ROOT_TYPE}
+        assert asked == fresh
+        assert repr(asked) == repr(fresh)
 
     def test_partial_order_on_dag(self):
         h = TypeHierarchy.from_edges(
