@@ -1,6 +1,6 @@
 """Scale probe: how ``gkg align`` and ``gkg merge`` grow with the corpus.
 
-    python3 scripts/scale_probe.py [--sizes 400 1600 3200] [--repeat 1] [--src PATH]
+    python3 scripts/scale_probe.py [--sizes 400 1600 3200] [--repeat 1] [--src PATH ...]
 
 Generates gkgbench's ``reconcile`` corpus (two sources about the same
 people, seed 1) at each size, in subjects per side, and runs the four
@@ -8,14 +8,16 @@ commands of that workload (canonicalize A, canonicalize B, align, merge)
 and ``gkg validate`` of A, whose time is that of reading one document
 (``validate_a``), the parse that align and merge each pay twice.
 Each command runs in a fresh interpreter with one BLAS thread.  For each
-size the probe prints one JSON object: each command's wall time
-(interpreter start included) and peak RSS, read from the child's own
-rusage, and the ``MATCH`` and ``AMBIG`` rows of the alignment.  With
+size and checkout the probe prints one JSON object: each command's wall
+time (interpreter start included) and peak RSS, read from the child's
+own rusage, and the ``MATCH`` and ``AMBIG`` rows of the alignment.  With
 ``--repeat N`` each size runs N times and the median time and largest
-RSS are kept.  ``--src`` points at the ``src`` directory of the checkout
-to probe (default: this one), so two versions can be probed with one
-generator.  Inputs and outputs live in a temporary directory under
-``.bench_work/``.
+RSS are kept.  ``--src`` names the ``src`` directory of each checkout to
+probe (default: this one's), so several versions are probed with one
+generator.  Within each repeat the checkouts run one after another, in
+reverse order every other repeat, so an A/B comparison sees one machine
+speed rather than two.  Inputs and outputs live in a temporary directory
+under ``.bench_work/``.
 
 This is a probe, not a benchmark: it checks no output and gates nothing.
 Its numbers are recorded by hand next to a change (``BENCH_*.json``).
@@ -82,48 +84,61 @@ def alignment_rows(path: Path) -> dict:
     return {"match_rows": counts["MATCH"], "ambig_rows": counts["AMBIG"], "align_bytes": path.stat().st_size}
 
 
-def probe(size: int, repeat: int, env: dict, corpus) -> dict:
+def probe(size: int, repeat: int, envs: dict, corpus) -> list:
+    """One record per checkout in ``envs`` (src path -> environment)."""
     generated = corpus.reconcile(SEED, size)
-    times = {name: [] for name, _ in COMMANDS}
-    rss = dict.fromkeys(times, 0.0)
+    times = {src: {name: [] for name, _ in COMMANDS} for src in envs}
+    rss = {src: dict.fromkeys(times[src], 0.0) for src in envs}
+    records = []
     WORK.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="scale_probe_", dir=WORK) as tmp:
-        work = Path(tmp)
-        for name in ("rules.txt", "a.tsv", "b.tsv"):
-            (work / name).write_text(generated.files[name], encoding="utf-8")
-        for _ in range(repeat):
-            for name, argv in COMMANDS:
-                wall, peak = run_command(argv, work, env)
-                times[name].append(wall)
-                rss[name] = max(rss[name], peak)
-        record = {"subjects_per_side": size, "seed": SEED, "repeat": repeat}
-        for name in times:
-            record[f"{name}_s"] = round(statistics.median(times[name]), 3)
-            record[f"{name}_rss_mib"] = round(rss[name], 1)
-        record.update(alignment_rows(work / "ab.align"))
-    return record
+        works = {}
+        for k, src in enumerate(envs):
+            work = works[src] = Path(tmp) / str(k)
+            work.mkdir()
+            for name in ("rules.txt", "a.tsv", "b.tsv"):
+                (work / name).write_text(generated.files[name], encoding="utf-8")
+        for turn in range(repeat):
+            for src in list(envs)[::-1 if turn % 2 else 1]:
+                for name, argv in COMMANDS:
+                    wall, peak = run_command(argv, works[src], envs[src])
+                    times[src][name].append(wall)
+                    rss[src][name] = max(rss[src][name], peak)
+        for src in envs:
+            record = {"subjects_per_side": size, "seed": SEED, "repeat": repeat, "src": src}
+            for name in times[src]:
+                record[f"{name}_s"] = round(statistics.median(times[src][name]), 3)
+                record[f"{name}_rss_mib"] = round(rss[src][name], 1)
+            record.update(alignment_rows(works[src] / "ab.align"))
+            records.append(record)
+    return records
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[400, 1600, 3200])
     parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="src directory of the checkout to probe")
+    parser.add_argument("--src", type=Path, nargs="+", default=[ROOT / "src"],
+                        help="src directory of each checkout to probe")
     args = parser.parse_args(argv)
     if args.repeat < 1 or min(args.sizes) < 1:
         parser.error("--repeat and --sizes must be positive")
 
-    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[name] = "1"
-    # Let the untimed import below write the bytecode that every timed
-    # command then reads, as an installed package would have it.
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
-    subprocess.run([sys.executable, "-c", "import gkg.cli"], env=env, check=True)  # compile once, untimed
+    envs = {}
+    for src in args.src:
+        env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = "1"
+        # Let the untimed import below write the bytecode that every timed
+        # command then reads, as an installed package would have it.
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        subprocess.run([sys.executable, "-c", "import gkg.cli"], env=env, check=True)  # compile once, untimed
+        envs[str(src)] = env
     corpus = load_corpus_module()
 
     for size in args.sizes:
-        print(json.dumps(probe(size, args.repeat, env, corpus)), flush=True)
+        for record in probe(size, args.repeat, envs, corpus):
+            print(json.dumps(record), flush=True)
     return 0
 
 

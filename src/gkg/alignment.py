@@ -98,7 +98,7 @@ def entity_signature(
     node = graph.node(node_id)
     if node.kind is not NodeKind.CONTINUANT:
         raise NotAContinuantError(f"{node_id} is a {node.kind.name}, not a continuant")
-    return _Signer(graph, hierarchy, labels, config).sign(node)
+    return _Signer(graph, hierarchy, labels, config, {}).sign(node)
 
 
 def _phrase(labels: LabelTable, node_id: NodeId, pivot_lang: str) -> str:
@@ -110,68 +110,79 @@ def _phrase(labels: LabelTable, node_id: NodeId, pivot_lang: str) -> str:
 class _Signer:
     """Signs the continuants of one graph.  It holds what all signatures
     over the graph share, each computed once: the graph's adjacency, the
-    inferred roles and the type-slot vectors, which read this side's
-    labels.  Ancestor sets are the hierarchy's own."""
+    essential types it can sign, the roles-slot vector of each distinct
+    role set and the type-slot vectors, which read this side's labels.
+    ``phrases`` maps each phrase embedded so far to its vector; ``align``
+    hands both sides one table.  Ancestor sets are the hierarchy's own."""
 
     def __init__(self, graph: GroundedGraph, hierarchy: TypeHierarchy, labels: LabelTable,
-                 config: AlignmentConfig):
+                 config: AlignmentConfig, phrases: Dict[str, np.ndarray]):
         self.graph = graph
         self.hierarchy = hierarchy
         self.labels = labels
         self.config = config
+        self.phrases = phrases
         self.type_vectors: Dict[NodeId, np.ndarray] = {}
         self.adjacency = Adjacency(graph.edges)
-        self.roles: Dict[NodeId, list] = {}
+        self.essentials = [e for e in sorted(config.declarations.essential, key=str) if e in hierarchy]
+        role_names: Dict[NodeId, set] = {}
         if config.declarations.roles:
             for node_id, role in infer_role_labels(graph, hierarchy, config.declarations.roles):
-                self.roles.setdefault(node_id, []).append(role)
+                role_names.setdefault(node_id, set()).add(role)
+        self.roles = {node_id: tuple(sorted(names)) for node_id, names in role_names.items()}
+        self.role_vectors: Dict[tuple, Optional[np.ndarray]] = {}
+
+    def phrase_vector(self, text: str) -> np.ndarray:
+        """The phrase's vector, from the module global ``embed_phrase`` the
+        first time the table is asked for it."""
+        found = self.phrases.get(text)
+        if found is None:
+            found = self.phrases[text] = embed_phrase(self.config.provider, text)
+        return found
 
     def type_vector(self, type_id: NodeId) -> np.ndarray:
         """Normalized mean of the phrase vectors along the lineage."""
         found = self.type_vectors.get(type_id)
         if found is None:
-            config = self.config
+            pivot_lang = self.config.pivot_lang
             vectors = [
-                embed_phrase(config.provider, _phrase(self.labels, ancestor, config.pivot_lang))
+                self.phrase_vector(_phrase(self.labels, ancestor, pivot_lang))
                 for ancestor in sorted(self.hierarchy.ancestors(type_id), key=str)
             ]
             found = self.type_vectors[type_id] = normalized(np.add.reduce(vectors) / float(len(vectors)))
         return found
 
     def sign(self, node) -> EntitySignature:
-        config = self.config
-        provider = config.provider
         hierarchy = self.hierarchy
-        graph = self.graph
+        nodes = self.graph.nodes
+        adjacency = self.adjacency
         slots: Dict[str, np.ndarray] = {}
 
-        slots[SLOT_NAME] = embed_phrase(provider, _phrase(self.labels, node.id, config.pivot_lang))
+        slots[SLOT_NAME] = self.phrase_vector(_phrase(self.labels, node.id, self.config.pivot_lang))
 
         if node.inst_of is not None and node.inst_of in hierarchy:
             slots[SLOT_TYPE] = self.type_vector(node.inst_of)
 
-        for essential in sorted(config.declarations.essential, key=str):
-            if essential not in hierarchy:
-                continue
+        for essential in self.essentials:
             sums: Dict[NodeId, np.ndarray] = {}
-            for event_id in self.adjacency.events_of.get(node.id, ()):
-                event = graph.nodes.get(event_id)
+            for event_id in adjacency.events_of.get(node.id, ()):
+                event = nodes.get(event_id)
                 if event is None or event.kind is not NodeKind.OCCURRENT:
                     continue
                 if event.inst_of is None or event.inst_of not in hierarchy:
                     continue
                 if essential not in hierarchy.ancestors(event.inst_of):
                     continue
-                for attr_id in self.adjacency.attrs_of.get(event_id, ()):
-                    attr = graph.nodes.get(attr_id)
+                for attr_id in adjacency.attrs_of.get(event_id, ()):
+                    attr = nodes.get(attr_id)
                     if attr is None or attr.kind is not NodeKind.ATTRIBUTE_INSTANCE or attr.inst_of is None:
                         continue
-                    for value_id in self.adjacency.values.get(attr_id, ()):
-                        value = graph.nodes.get(value_id)
+                    for value_id in adjacency.values.get(attr_id, ()):
+                        value = nodes.get(value_id)
                         if value is None or not value.literal:
                             continue
-                        vector = embed_phrase(provider, value.literal)
-                        if not np.any(vector):
+                        vector = self.phrase_vector(value.literal)
+                        if not vector.any():
                             continue
                         if attr.inst_of in sums:
                             sums[attr.inst_of] = sums[attr.inst_of] + vector
@@ -180,13 +191,15 @@ class _Signer:
             for attr_type, total in sums.items():
                 slots[fact_slot_key(essential, attr_type)] = normalized(total)
 
-        role_names = self.roles.get(node.id)
-        if role_names:
-            total = np.zeros(provider.dim, dtype=np.float64)
-            for role in sorted(set(role_names)):
-                total = total + embed_phrase(provider, role)
-            if np.any(total):
-                slots[SLOT_ROLES] = normalized(total)
+        roles = self.roles.get(node.id)
+        if roles is not None and roles not in self.role_vectors:
+            total = np.zeros(self.config.provider.dim, dtype=np.float64)
+            for role in roles:
+                total = total + self.phrase_vector(role)
+            self.role_vectors[roles] = normalized(total) if total.any() else None
+        roles_vector = self.role_vectors.get(roles)
+        if roles_vector is not None:
+            slots[SLOT_ROLES] = roles_vector
 
         return EntitySignature.from_slots(slots)
 
@@ -250,8 +263,9 @@ def align(
     below the threshold, so it can neither match, nor bring a margin under
     the band, nor be listed as a rival.
     """
-    signer_a = _Signer(graph_a, hierarchy, labels_a, config)
-    signer_b = _Signer(graph_b, hierarchy, labels_b, config)
+    phrases: Dict[str, np.ndarray] = {}
+    signer_a = _Signer(graph_a, hierarchy, labels_a, config, phrases)
+    signer_b = _Signer(graph_b, hierarchy, labels_b, config, phrases)
 
     conts_a = list(graph_a.continuants())
     conts_b = list(graph_b.continuants())
@@ -403,7 +417,8 @@ def format_alignment_tsv(result: AlignmentResult) -> str:
 
 def parse_alignment_tsv(text: str) -> AlignmentResult:
     """Read rows written by :func:`format_alignment_tsv`.  Unmatched sides
-    are not serialized, so they come back empty."""
+    are not serialized, so they come back empty.  A score outside [0, 1]
+    (NaN and infinities included) is a syntax error."""
     matches: list = []
     ambiguous: Dict[NodeId, list] = {}
     for line_no, line in _content_lines(text):
@@ -416,6 +431,9 @@ def parse_alignment_tsv(text: str) -> AlignmentResult:
             score = float(fields[2])
         except ValueError:
             raise GkgSyntaxError(line_no, f"bad score {fields[2]!r}") from None
+        # A score is a mean of clamped cosines; NaN fails both comparisons.
+        if not 0.0 <= score <= 1.0:
+            raise GkgSyntaxError(line_no, f"score {fields[2]!r} is not a number in [0, 1]")
         status = fields[3]
         if status == "MATCH":
             matches.append((id_a, id_b, score))

@@ -43,8 +43,10 @@ def tokenize(label: str) -> List[str]:
 
 
 def normalized(vector: np.ndarray) -> np.ndarray:
-    """L2-normalize; the zero vector stays zero."""
-    norm = float(np.linalg.norm(vector))
+    """L2-normalize; the zero vector stays zero.  The norm is the square
+    root of ``vector.dot(vector)``, which is what ``np.linalg.norm``
+    computes for a real vector, without its Python-level dispatch."""
+    norm = math.sqrt(vector.dot(vector))
     if norm == 0.0:
         return vector
     return vector / norm
@@ -67,10 +69,7 @@ class HashEmbeddingProvider:
         cached = self._cache.get(token)
         if cached is None:
             state = fnv1a64(token.encode("utf-8")) ^ (self.seed & MASK64)
-            stream = SplitMix64(state)
-            raw = np.array([stream.next_symmetric() for _ in range(self.dim)], dtype=np.float64)
-            cached = normalized(raw)
-            self._cache[token] = cached
+            cached = self._cache[token] = normalized(SplitMix64(state).next_symmetric_block(self.dim))
         return cached
 
 
@@ -179,12 +178,13 @@ def embed_flat_triple(provider, triple) -> np.ndarray:
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity clamped to [-1, 1]; zero inputs and non-finite
-    results (a NaN or infinite component) give 0.0."""
-    norm_u = float(np.linalg.norm(u))
-    norm_v = float(np.linalg.norm(v))
+    results (a NaN or infinite component) give 0.0.  Norms are taken as in
+    :func:`normalized`."""
+    norm_u = math.sqrt(u.dot(u))
+    norm_v = math.sqrt(v.dot(v))
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
-    value = float(np.dot(u, v)) / (norm_u * norm_v)
+    value = float(u.dot(v)) / (norm_u * norm_v)
     if not math.isfinite(value):
         return 0.0
     return max(-1.0, min(1.0, value))

@@ -47,6 +47,18 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _SM64_MIX2) & MASK64
         return z ^ (z >> 31)
 
-    def next_symmetric(self) -> float:
-        """Next float in [-1.0, 1.0), from the top 53 bits of one output."""
-        return (self.next_u64() >> 11) / 4503599627370496.0 - 1.0
+    def next_symmetric_block(self, count: int):
+        """The next ``count`` outputs of :meth:`next_u64`, each mapped to a
+        float in [-1.0, 1.0) from its top 53 bits, as one float64 array.
+        The k-th step's state is the current one plus k gammas (mod 2**64),
+        so all steps run at once in wrapping uint64 arithmetic; the values
+        and the state left behind are bit for bit those of ``count`` calls."""
+        # Imported here: the id hashing canonicalize uses needs no numpy.
+        import numpy as np
+
+        states = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_SM64_GAMMA)
+        self._state = (self._state + count * _SM64_GAMMA) & MASK64
+        z = (states ^ (states >> np.uint64(30))) * np.uint64(_SM64_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM64_MIX2)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(np.float64) / 4503599627370496.0 - 1.0

@@ -416,10 +416,9 @@ class GroundedGraph:
         return self.node(node_id).kind
 
     def nodes_of_kind(self, kind: NodeKind) -> Iterator[Node]:
-        for node_id in sorted(self.nodes, key=str):
-            node = self.nodes[node_id]
-            if node.kind is kind:
-                yield node
+        nodes = self.nodes
+        for node_id in sorted((node_id for node_id, node in nodes.items() if node.kind is kind), key=str):
+            yield nodes[node_id]
 
     def continuants(self) -> Iterator[Node]:
         return self.nodes_of_kind(NodeKind.CONTINUANT)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gkg.alignment
+import gkg.embedding
 from gkg import (
     AlignmentConfig,
     AlignmentResult,
@@ -32,6 +33,7 @@ from gkg import (
     serialize_gkg,
     signature_similarity,
     slot_similarities,
+    tokenize,
     union_hierarchies,
 )
 from gkg.alignment import _screen_scores
@@ -719,3 +721,71 @@ class TestAmbiguousRows:
         calls.clear()
         align_docs(doc_a, doc_b, config(threshold=0.9, ambiguity_band=0.2))
         assert len(calls) == 4
+
+
+STAFF_RULES_TEXT = DEMO_RULES_TEXT + """\
+RULE worksFor EVENT ont:Employment SUBJ hasAgent OBJ PARTICIPANT hasObject
+ROLE Employee BASE core:Entity VIA hasAgent EVENT ont:Employment
+CARD ont:Employment MANY
+"""
+
+
+def staff_document(rows):
+    """(name, birthplace, birthdate, employer) rows; employers become
+    continuants and employees get the ``Employee`` role."""
+    rules, decls = parse_rules(STAFF_RULES_TEXT)
+    triples = []
+    for name, place, date, employer in rows:
+        triples += [FlatTriple(name, "bornIn", place), FlatTriple(name, "bornOn", date),
+                    FlatTriple(name, "worksFor", employer)]
+    doc, _report = canonicalize_document(triples, rules, declarations=decls)
+    return doc
+
+
+class TestSigningWorkCounts:
+    """``align`` embeds each distinct phrase once for both sides (names,
+    lineage labels, fact values and role names, through the module global
+    ``embed_phrase``), and its provider generates each distinct token's
+    vector once (one ``embedding.SplitMix64`` stream per cache miss)."""
+
+    STAFF = staff_document([
+        ("RogerWaters", "Great Bookham", "06/09/1943", "Pink Floyd"),
+        ("DavidGilmour", "Cambridge", "06/03/1946", "Pink Floyd"),
+        ("NickMason", "Birmingham", "27/01/1944", "Pink Floyd"),
+        ("SydBarrett", "Cambridge", "06/01/1946", "Stars"),
+    ])
+    STAFF_B = staff_document([
+        ("Roger Waters", "Great Bookham", "06/09/1943", "Pink Floyd"),
+        ("David Gilmour", "Cambridge", "06/03/1946", "Jokers Wild"),
+        ("RichardWright", "London", "28/07/1943", "Pink Floyd"),
+    ])
+    PAIRS = [
+        (STAFF, STAFF),
+        (STAFF, STAFF_B),
+        (demo_document(), demo_document(subject="GeorgeRogerWaters")),
+        *((random_document(seed), random_document(seed + 100)) for seed in range(8)),
+    ]
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=range(len(PAIRS)))
+    def test_one_embedding_per_distinct_phrase_and_token(self, monkeypatch, pair):
+        doc_a, doc_b = pair
+        hierarchy, cfg = joint_setup(doc_a, doc_b, HashEmbeddingProvider(3, 16))
+        sides = (doc_a.graph, doc_b.graph, hierarchy, doc_a.labels, doc_b.labels)
+        reference = align(*sides, cfg)
+
+        # The phrases each continuant's signature embeds when it is signed alone.
+        needed, phrases, streams = set(), [], []
+        embed, split_mix = gkg.alignment.embed_phrase, gkg.embedding.SplitMix64
+        monkeypatch.setattr(gkg.alignment, "embed_phrase",
+                            lambda provider, text: needed.add(text) or embed(provider, text))
+        for graph, labels in ((doc_a.graph, doc_a.labels), (doc_b.graph, doc_b.labels)):
+            for node in graph.continuants():
+                entity_signature(graph, hierarchy, labels, node.id, cfg)
+
+        monkeypatch.setattr(gkg.alignment, "embed_phrase",
+                            lambda provider, text: phrases.append(text) or embed(provider, text))
+        monkeypatch.setattr(gkg.embedding, "SplitMix64", lambda seed: streams.append(seed) or split_mix(seed))
+        fresh = replace(cfg, provider=HashEmbeddingProvider(3, 16))
+        assert align(*sides, fresh) == reference
+        assert sorted(phrases) == sorted(needed)
+        assert len(streams) == len({token for text in needed for token in tokenize(text)})

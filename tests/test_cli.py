@@ -208,6 +208,29 @@ class TestAlignAndMerge:
         assert "merged\t1" in report
         assert merged.read_text(encoding="utf-8") == doc_a.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "score, code",
+        [("1e999", 2), ("inf", 2), ("-inf", 2), ("nan", 2), ("-7", 2), ("1.5", 2), ("-0.0001", 2), ("1.00001", 2),
+         ("0", 0), ("0.0000", 0), ("1", 0), ("1.0000", 0), ("0.9512", 0)],
+    )
+    def test_merge_refuses_score_outside_unit_interval(self, workspace, capsys, score, code):
+        """A score ``format_alignment_tsv`` could not have written (align's
+        scores are means of clamped cosines) is refused, naming its line."""
+        doc_a = canonicalize(workspace, "a.flat", "a.gkg")
+        doc_b = canonicalize(workspace, "b.flat", "b.gkg")
+        tsv = workspace / "ab.tsv"
+        assert main(["align", str(doc_a), str(doc_b), "-o", str(tsv)]) == 0
+        id_a, id_b, _score, status = tsv.read_text(encoding="utf-8").rstrip("\n").split("\t")
+        tsv.write_text(f"# edited\n{id_a}\t{id_b}\t{score}\t{status}\n", encoding="utf-8")
+        capsys.readouterr()
+        merged = workspace / "merged.gkg"
+        assert main(["merge", str(doc_a), str(doc_b), "--alignment", str(tsv), "-o", str(merged)]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == ""
+            assert captured.err == f"gkg: line 2: score {score!r} is not a number in [0, 1]\n"
+            assert not merged.exists()
+
     def test_merge_missing_alignment_file_exit_3(self, workspace):
         doc_a = canonicalize(workspace, "a.flat", "a.gkg")
         code = main(["merge", str(doc_a), str(doc_a), "--alignment", str(workspace / "no.tsv")])

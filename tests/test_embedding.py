@@ -12,6 +12,7 @@ from gkg import (
     FileEmbeddingProvider,
     FlatTriple,
     HashEmbeddingProvider,
+    SplitMix64,
     VectorFileError,
     cosine,
     embed_flat_triple,
@@ -290,3 +291,91 @@ def test_normalized_zero_stays_zero():
 
 def test_normalized_is_unit_otherwise():
     assert float(np.linalg.norm(normalized(np.array([3.0, 4.0])))) == pytest.approx(1.0)
+
+
+class _ScalarSplitMix64:
+    """The oracle of ``next_symmetric_block``: SplitMix64's scalar
+    recurrence and the one-float-at-a-time draw the block replaced."""
+
+    def __init__(self, seed: int):
+        self._state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def next_symmetric(self) -> float:
+        """Next float in [-1.0, 1.0), from the top 53 bits of one output."""
+        return (self.next_u64() >> 11) / 4503599627370496.0 - 1.0
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestSymmetricBlock:
+    """One vectorised draw equals ``count`` scalar draws bit for bit, and
+    leaves the stream where they would."""
+
+    @given(
+        st.one_of(st.sampled_from([0, 1, MASK64, MASK64 - 0x9E3779B97F4A7C15]), st.integers(0, MASK64)),
+        st.one_of(st.sampled_from([0, 1, 3, 63, 64, 65]), st.integers(0, 300)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_recurrence(self, seed, count):
+        stream, oracle = SplitMix64(seed), _ScalarSplitMix64(seed)
+        block = stream.next_symmetric_block(count)
+        assert block.dtype == np.float64 and block.shape == (count,)
+        assert _bits(block) == _bits([oracle.next_symmetric() for _ in range(count)])
+        assert stream.next_u64() == oracle.next_u64()
+
+
+def _norm_normalized(vector):
+    """``normalized`` as it was written with ``np.linalg.norm``."""
+    norm = float(np.linalg.norm(vector))
+    if norm == 0.0:
+        return vector
+    return vector / norm
+
+
+def _norm_cosine(u, v):
+    """``cosine`` as it was written with ``np.linalg.norm``."""
+    norm_u = float(np.linalg.norm(u))
+    norm_v = float(np.linalg.norm(v))
+    if norm_u == 0.0 or norm_v == 0.0:
+        return 0.0
+    value = float(np.dot(u, v)) / (norm_u * norm_v)
+    if not math.isfinite(value):
+        return 0.0
+    return max(-1.0, min(1.0, value))
+
+
+# Zeros, subnormals, values whose squares overflow or underflow, and
+# non-finite components, besides any float64.
+_components = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-200, 1e-160, 1.0, -3.5, 1e154, 1e200, -1e300,
+                     1.7976931348623157e308, math.nan, math.inf, -math.inf]),
+    st.floats(width=64),
+)
+
+
+class TestNormsWithoutDispatch:
+    """``normalized`` and ``cosine`` take norms as ``sqrt(v.dot(v))``; they
+    equal their ``np.linalg.norm`` forms bit for bit."""
+
+    @given(st.lists(_components, max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_normalized(self, components):
+        vector = np.array(components, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            assert _bits(normalized(vector)) == _bits(_norm_normalized(vector))
+
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(*[st.lists(_components, min_size=n, max_size=n)] * 2)))
+    @settings(max_examples=400, deadline=None)
+    def test_cosine(self, pair):
+        u, v = (np.array(components, dtype=np.float64) for components in pair)
+        with np.errstate(all="ignore"):
+            assert _bits(cosine(u, v)) == _bits(_norm_cosine(u, v))
