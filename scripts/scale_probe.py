@@ -4,9 +4,13 @@
 
 Generates gkgbench's ``reconcile`` corpus (two sources about the same
 people, seed 1) at each size, in subjects per side, and runs the four
-commands of that workload (canonicalize A, canonicalize B, align, merge)
-and ``gkg validate`` of A, whose time is that of reading one document
-(``validate_a``), the parse that align and merge each pay twice.
+commands of that workload (canonicalize A, canonicalize B, align, merge),
+``gkg validate`` of A, whose time is that of reading one document
+(``validate_a``), the parse that align and merge each pay twice, and
+``gkg merge`` of A with itself along A's identity alignment
+(``merge_self``), a merge like a revision's that has nothing to fold.
+The identity alignment is written from ``a.gkg``'s continuants, untimed,
+right after ``canonicalize_a``.
 Each command runs in a fresh interpreter with one BLAS thread.  For each
 size and checkout the probe prints one JSON object: each command's wall
 time (interpreter start included) and peak RSS, read from the child's
@@ -47,6 +51,7 @@ COMMANDS = (
     ("validate_a", ("validate", "a.gkg")),
     ("align", ("align", "a.gkg", "b.gkg", "-o", "ab.align")),
     ("merge", ("merge", "a.gkg", "b.gkg", "--alignment", "ab.align", "-o", "ab.gkg")),
+    ("merge_self", ("merge", "a.gkg", "a.gkg", "--alignment", "aa.align", "-o", "aa.gkg")),
 )
 
 
@@ -74,6 +79,17 @@ def run_command(argv, work: Path, env: dict):
             message = err.read().decode("utf-8", "replace").strip()
             raise SystemExit(f"gkg {' '.join(argv)} exited {code}: {message}")
     return wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+
+
+def write_identity_alignment(document: Path, out: Path) -> None:
+    """One ``MATCH`` row pairing each continuant (``N <id> C``) of the
+    document with itself, in gkg's alignment TSV format."""
+    ids = sorted(
+        line.split()[1]
+        for line in document.read_text(encoding="utf-8").splitlines()
+        if line.startswith("N ") and line.split()[2] == "C"
+    )
+    out.write_text("".join(f"{node_id}\t{node_id}\t1.0000\tMATCH\n" for node_id in ids), encoding="utf-8")
 
 
 def alignment_rows(path: Path) -> dict:
@@ -104,6 +120,8 @@ def probe(size: int, repeat: int, envs: dict, corpus) -> list:
                     wall, peak = run_command(argv, works[src], envs[src])
                     times[src][name].append(wall)
                     rss[src][name] = max(rss[src][name], peak)
+                    if name == "canonicalize_a":
+                        write_identity_alignment(works[src] / "a.gkg", works[src] / "aa.align")
         for src in envs:
             record = {"subjects_per_side": size, "seed": SEED, "repeat": repeat, "src": src}
             for name in times[src]:

@@ -22,7 +22,7 @@ import numpy as np
 from .embedding import cosine, embed_phrase, embed_flat_triple, normalized
 from .errors import GkgSyntaxError, InvalidParameterError, NotAContinuantError
 from .formats import _content_lines, _node_id
-from .model import Adjacency, GroundedGraph, NodeId, NodeKind, TypeHierarchy, infer_role_labels
+from .model import GroundedGraph, NodeId, NodeKind, TypeHierarchy, _ForwardLinks, infer_role_labels
 from .multilingual import LabelTable
 from .schema import SchemaDeclarations
 
@@ -109,7 +109,7 @@ def _phrase(labels: LabelTable, node_id: NodeId, pivot_lang: str) -> str:
 
 class _Signer:
     """Signs the continuants of one graph.  It holds what all signatures
-    over the graph share, each computed once: the graph's adjacency, the
+    over the graph share, each computed once: the graph's forward links, the
     essential types it can sign, the roles-slot vector of each distinct
     role set and the type-slot vectors, which read this side's labels.
     ``phrases`` maps each phrase embedded so far to its vector; ``align``
@@ -123,7 +123,7 @@ class _Signer:
         self.config = config
         self.phrases = phrases
         self.type_vectors: Dict[NodeId, np.ndarray] = {}
-        self.adjacency = Adjacency(graph.edges)
+        self.links = _ForwardLinks(graph.edges)
         self.essentials = [e for e in sorted(config.declarations.essential, key=str) if e in hierarchy]
         role_names: Dict[NodeId, set] = {}
         if config.declarations.roles:
@@ -155,7 +155,7 @@ class _Signer:
     def sign(self, node) -> EntitySignature:
         hierarchy = self.hierarchy
         nodes = self.graph.nodes
-        adjacency = self.adjacency
+        links = self.links
         slots: Dict[str, np.ndarray] = {}
 
         slots[SLOT_NAME] = self.phrase_vector(_phrase(self.labels, node.id, self.config.pivot_lang))
@@ -165,7 +165,7 @@ class _Signer:
 
         for essential in self.essentials:
             sums: Dict[NodeId, np.ndarray] = {}
-            for event_id in adjacency.events_of.get(node.id, ()):
+            for event_id in links.events_of.get(node.id, ()):
                 event = nodes.get(event_id)
                 if event is None or event.kind is not NodeKind.OCCURRENT:
                     continue
@@ -173,11 +173,11 @@ class _Signer:
                     continue
                 if essential not in hierarchy.ancestors(event.inst_of):
                     continue
-                for attr_id in adjacency.attrs_of.get(event_id, ()):
+                for attr_id in links.attrs_of.get(event_id, ()):
                     attr = nodes.get(attr_id)
                     if attr is None or attr.kind is not NodeKind.ATTRIBUTE_INSTANCE or attr.inst_of is None:
                         continue
-                    for value_id in adjacency.values.get(attr_id, ()):
+                    for value_id in links.values.get(attr_id, ()):
                         value = nodes.get(value_id)
                         if value is None or not value.literal:
                             continue

@@ -8,6 +8,7 @@ Results go to stdout (or ``-o``), diagnostics to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Optional, Sequence
 
@@ -220,9 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A command's graphs hold no reference cycles, so the cyclic
+    # collector's passes over their nodes and edges would free nothing;
+    # the cycles a command does make (argparse's parser, the same on any
+    # input) wait for the first pass after it.  So the collector is paused
+    # for the command and left as it was found.  Library calls never touch
+    # it: only a command owns its process.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationFailedError as error:
         sys.stdout.write(error.report.to_tsv())
@@ -237,6 +245,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as error:
         sys.stderr.write(f"gkg: {error}\n")
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

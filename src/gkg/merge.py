@@ -28,6 +28,7 @@ from .model import (
     NodeKind,
     PrimitiveRelation,
     TypeHierarchy,
+    _ForwardLinks,
 )
 from .multilingual import GLOSS_NAMESPACE, LabelTable
 from .schema import AttrMode, Cardinality, SchemaDeclarations
@@ -124,16 +125,20 @@ def merge(
     # Every id merge folds away is B-only (the alignment maps B ids; event and
     # attribute folds map only members absent from A), and a valid A graph's
     # edges touch A's nodes alone, so A is read as is and only B is rewritten.
-    # Folds are planned from B's new nodes over one adjacency of both sides.
+    # Folds are planned from B's new nodes over one adjacency of both sides;
+    # only a new occurrent or attribute instance starts a walk, so without
+    # one there is nothing to fold and no adjacency to build.
     edges_b: Set[Edge] = set(graph_b.edges)
     _rewrite_edges(edges_b, {id_b: id_a for id_b, id_a in id_map.items() if id_b != id_a})
-    adjacency = Adjacency(chain(graph_a.edges, edges_b))
     new_b = [node for node_id, node in graph_b.nodes.items() if node_id not in graph_a.nodes]
-    event_folds = _plan_event_folds(nodes, graph_a, new_b, adjacency, declarations)
-    folds = {**event_folds, **_plan_attr_folds(graph_a, new_b, adjacency, event_folds)}
-    for dropped in folds:
-        del nodes[dropped]
-    _rewrite_edges(edges_b, folds)
+    folds: Dict[NodeId, NodeId] = {}
+    if any(node.kind is NodeKind.OCCURRENT or node.kind is NodeKind.ATTRIBUTE_INSTANCE for node in new_b):
+        adjacency = Adjacency(chain(graph_a.edges, edges_b))
+        event_folds = _plan_event_folds(nodes, graph_a, new_b, adjacency, declarations)
+        folds = {**event_folds, **_plan_attr_folds(graph_a, new_b, adjacency, event_folds)}
+        for dropped in folds:
+            del nodes[dropped]
+        _rewrite_edges(edges_b, folds)
     edges: Set[Edge] = edges_b.union(graph_a.edges)
 
     # --- FUNCTIONAL slot resolution ---------------------------------------
@@ -238,12 +243,12 @@ def _plan_attr_folds(graph_a, new_b, adjacency, event_folds) -> Dict[NodeId, Nod
 
 
 def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, declarations, prefer_newer):
-    adjacency = Adjacency(edges)
+    links = _ForwardLinks(edges)
     updated: list = []
     conflicts: list = []
     dropped_edges: Set[Edge] = set()
 
-    for event_id, attr_ids in adjacency.attrs_of.items():
+    for event_id, attr_ids in links.attrs_of.items():
         event = nodes.get(event_id)
         if event is None or event.kind is not NodeKind.OCCURRENT or event.inst_of is None:
             continue
@@ -259,7 +264,7 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, decl
                 continue
             value_edges: list = []  # (literal, Edge)
             for attr_id in slots[attr_type]:
-                for value_id in adjacency.values.get(attr_id, ()):
+                for value_id in links.values.get(attr_id, ()):
                     value = nodes.get(value_id)
                     if value is None or value.literal is None:
                         continue
@@ -292,16 +297,16 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, decl
 
     if dropped_edges:
         edges.difference_update(dropped_edges)
-        _prune_orphans(nodes, edges, dropped_edges, adjacency)
+        _prune_orphans(nodes, edges, dropped_edges, links)
     return updated, conflicts
 
 
-def _prune_orphans(nodes, edges, dropped_edges, adjacency) -> None:
+def _prune_orphans(nodes, edges, dropped_edges, links) -> None:
     """After value edges were dropped, remove attribute instances left with
-    no values and value nodes nothing references anymore.  ``adjacency``
-    is that of the edges before the drop."""
+    no values and value nodes nothing references anymore.  ``links`` index
+    the edges before the drop."""
     dropped_per_attr = Counter(attr_id for attr_id, _, _ in dropped_edges)
-    emptied = {attr_id for attr_id, count in dropped_per_attr.items() if count == len(adjacency.values[attr_id])}
+    emptied = {attr_id for attr_id, count in dropped_per_attr.items() if count == len(links.values[attr_id])}
     if emptied:
         edges.difference_update([e for e in edges if e.subject in emptied or e.obj in emptied])
         for attr_id in emptied:

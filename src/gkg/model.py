@@ -210,13 +210,29 @@ class Edge(NamedTuple):
         return (str(subject), relation.value, str(obj))
 
 
-class Adjacency:
+class _ForwardLinks:
     """The participant, ``hasProp`` and ``hasValue`` links of an edge set,
-    indexed in one pass: ``events_of`` (entity -> events), ``participants``
-    (event -> entities), ``attrs_of`` (bearer -> attributes), ``bearers``
-    (attribute -> bearers) and ``values`` (attribute -> values).  Each list
-    holds one entry per edge, in edge order: an entity joined to one event
-    by two relations lists the event twice."""
+    indexed one way in one pass: ``events_of`` (entity -> events),
+    ``attrs_of`` (bearer -> attributes) and ``values`` (attribute ->
+    values).  Each list holds one entry per edge, in edge order: an entity
+    joined to one event by two relations lists the event twice.  Signing
+    and merge's slot resolution read no more than this."""
+
+    def __init__(self, edges: Iterable[Edge]):
+        self.events_of, self.attrs_of, self.values = {}, {}, {}
+        for subject, relation, obj in edges:
+            if relation in PARTICIPANT_RELATIONS:
+                self.events_of.setdefault(obj, []).append(subject)
+            elif relation is PrimitiveRelation.HAS_PROP:
+                self.attrs_of.setdefault(obj, []).append(subject)
+            elif relation is PrimitiveRelation.HAS_VALUE:
+                self.values.setdefault(subject, []).append(obj)
+
+
+class Adjacency(_ForwardLinks):
+    """The forward links of :class:`_ForwardLinks` and, in the same pass,
+    two maps back: ``participants`` (event -> entities) and ``bearers``
+    (attribute -> bearers), in edge order too."""
 
     def __init__(self, edges: Iterable[Edge]):
         self.events_of, self.participants, self.attrs_of, self.bearers, self.values = {}, {}, {}, {}, {}
@@ -508,6 +524,15 @@ def validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Validation
         elif literal is not None:
             report(IssueKind.LITERAL_MISMATCH, node_id, "literal on a non-value node")
 
+    issues.extend(_edge_issues(graph))
+    return ValidationReport(tuple(sorted(issues, key=ValidationIssue.sort_key)))
+
+
+def _edge_issues(graph: GroundedGraph) -> list:
+    """The issues of :func:`validate_graph` that edges raise: ends missing
+    from the graph and relations that do not admit their ends' kinds,
+    unsorted."""
+    issues: list = []
     nodes_get = graph.nodes.get
     for subject, relation, obj in graph.edges:
         subject_node = nodes_get(subject)
@@ -515,17 +540,16 @@ def validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Validation
         if subject_node is None or object_node is None:
             context = f"{subject} {relation.value} {obj}"
             if subject_node is None:
-                report(IssueKind.DANGLING_REFERENCE, context, f"missing subject {subject}")
+                issues.append(ValidationIssue(IssueKind.DANGLING_REFERENCE, context, f"missing subject {subject}"))
             if object_node is None:
-                report(IssueKind.DANGLING_REFERENCE, context, f"missing object {obj}")
+                issues.append(ValidationIssue(IssueKind.DANGLING_REFERENCE, context, f"missing object {obj}"))
         elif (relation, subject_node[1], object_node[1]) not in _ADMISSIBLE:
-            report(
+            issues.append(ValidationIssue(
                 IssueKind.SIGNATURE_VIOLATION,
                 f"{subject} {relation.value} {obj}",
                 f"{relation.value} does not admit ({subject_node.kind.name}, {object_node.kind.name})",
-            )
-
-    return ValidationReport(tuple(sorted(issues, key=ValidationIssue.sort_key)))
+            ))
+    return issues
 
 
 def infer_role_labels(

@@ -1,6 +1,7 @@
 """End-to-end command line coverage via main(argv)."""
 
 import contextlib
+import gc
 import io
 import tempfile
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkg import canonicalize_document, parse_flat, parse_gkg, parse_rules, serialize_gkg
+from gkg import cli
 from gkg.cli import main
 
 from .support import WORKED_TEXT
@@ -598,3 +600,125 @@ class TestCanonicalizeOptions:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"gkg: {message}")
         assert not out.exists()
+
+
+CORPUS = Path(__file__).parent / "data" / "cli_corpus"
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic collector back as the test found it."""
+    collecting = gc.isenabled()
+    yield
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _spy(monkeypatch, name, seen, raises=None):
+    """Replace ``gkg.cli.<name>`` by a wrapper that notes whether the
+    collector runs when it is called, then raises ``raises`` or calls the
+    original."""
+    original = getattr(cli, name)
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        if raises is not None:
+            raise raises
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, spy)
+
+
+class TestCollector:
+    """Commands run with the cyclic collector paused, put it back as they
+    found it, and leave it the same garbage whatever the input's size."""
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "argv, outcome",
+        [
+            (["validate", "{w}/worked.gkg"], 0),
+            (["validate", "{w}/dangling.gkg"], 1),
+            (["validate", "{w}/syntax.gkg"], 2),
+            (["validate", "{w}/missing.gkg"], 3),
+            (["validate"], SystemExit),
+            (["--help"], SystemExit),
+            (["render", "{w}/worked.gkg"], RuntimeError),
+        ],
+        ids=["exit-0", "exit-1", "exit-2", "exit-3", "usage-error", "help", "raised"],
+    )
+    def test_paused_for_the_command_and_put_back(self, workspace, monkeypatch, capsys, collector,
+                                                 collecting, argv, outcome):
+        (workspace / "dangling.gkg").write_text("N ex:a C core:T\nE ex:a dep ex:ghost\n", encoding="utf-8")
+        (workspace / "syntax.gkg").write_text("WHAT is this\n", encoding="utf-8")
+        seen: list = []
+        _spy(monkeypatch, "build_parser", seen)
+        _spy(monkeypatch, "_read", seen)
+        if outcome is RuntimeError:
+            _spy(monkeypatch, "render", seen, raises=RuntimeError("out of a command"))
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
+        argv = [arg.format(w=workspace) for arg in argv]
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is collecting
+        assert seen and not any(seen), "the collector ran inside the command"
+
+    @staticmethod
+    def _garbage(argv):
+        """(collector passes that ran before the command's garbage was
+        counted, unreachable objects found from the command's start to a
+        full collection after it)."""
+        found: list = []
+
+        def on_pass(phase, info):
+            if phase == "stop":
+                found.append(info["collected"])
+
+        gc.collect()
+        gc.callbacks.append(on_pass)
+        try:
+            code, err = _run_quietly(argv)
+            gc.collect()
+        finally:
+            gc.callbacks.remove(on_pass)
+        assert code == 0, err
+        return len(found) - 1, sum(found)
+
+    def test_commands_leave_the_same_garbage_at_any_size(self, tmp_path, collector):
+        """The only cycles a command makes are argparse's, so the count
+        does not grow with the input; and no collector pass runs while a
+        command does, except the one that re-enabling may start."""
+        gc.enable()
+        found = {}
+        for copies in (1, 5):
+            work = tmp_path / str(copies)
+            work.mkdir()
+            for side in ("a", "b"):
+                rows = (CORPUS / f"{side}.tsv").read_text(encoding="utf-8").splitlines()
+                (work / f"{side}.tsv").write_text(
+                    "".join(
+                        row.replace("\t", f" {copy}\t", 1) + "\n" if copy else row + "\n"
+                        for copy in range(copies)
+                        for row in rows
+                    ),
+                    encoding="utf-8",
+                )
+            found[copies] = [
+                self._garbage([arg.format(w=work, c=CORPUS) for arg in argv])
+                for argv in (
+                    ["canonicalize", "--rules", "{c}/rules.txt", "--flat", "{w}/a.tsv", "-o", "{w}/a.gkg"],
+                    ["canonicalize", "--rules", "{c}/rules.txt", "--flat", "{w}/b.tsv", "-o", "{w}/b.gkg"],
+                    ["align", "{w}/a.gkg", "{w}/b.gkg", "-o", "{w}/ab.align"],
+                    ["merge", "{w}/a.gkg", "{w}/b.gkg", "--alignment", "{w}/ab.align", "-o", "{w}/ab.gkg"],
+                )
+            ]
+        assert all(passes <= 1 for passes, _ in found[1] + found[5]), found
+        assert [count for _, count in found[1]] == [count for _, count in found[5]], found

@@ -33,7 +33,7 @@ from gkg import (
     validate_graph,
 )
 
-from gkg.model import Adjacency
+from gkg.model import Adjacency, _ForwardLinks
 
 from .support import random_document, reachable
 
@@ -393,6 +393,22 @@ class TestAdjacency:
         ])
         assert adjacency.events_of == {c: [o, o]}
         assert adjacency.participants == {o: [c, c]}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(
+        Edge,
+        st.sampled_from([NodeId("x", name) for name in "abcd"]),
+        st.sampled_from(list(PrimitiveRelation)),
+        st.sampled_from([NodeId("x", name) for name in "abcd"]),
+    ), max_size=20))
+    def test_forward_links_are_adjacency_without_the_maps_back(self, edges):
+        """Signing and slot resolution read only the forward maps, which
+        hold what the full adjacency holds, lists in the same order."""
+        links, adjacency = _ForwardLinks(edges), Adjacency(edges)
+        assert (links.events_of, links.attrs_of, links.values) == (
+            adjacency.events_of, adjacency.attrs_of, adjacency.values
+        )
+        assert not hasattr(links, "participants") and not hasattr(links, "bearers")
 
 
 class TestValidate:
