@@ -54,7 +54,6 @@ from .model import (
     TypeHierarchy,
     ValidationIssue,
     ValidationReport,
-    _edge_issues,
     validate_graph,
 )
 from .multilingual import LabelTable
@@ -402,14 +401,9 @@ def parse_gkg(text: str) -> GkgDocument:
     graph = GroundedGraph(graph_nodes, frozenset(edge_records), source_id, revision)
     labels = LabelTable(label_entries)
     doc = GkgDocument(hierarchy, graph, labels, schema)
-    # Of validate_document's checks only the edge half can fire here.  The
-    # records rule out every node issue: type nodes come from the hierarchy
-    # alone, every N record names a type and a kind other than T, a literal
-    # was checked against its kind above and is never empty, and every type
-    # an N record or a declaration names was registered in the hierarchy.
-    issues = _edge_issues(doc.graph)
-    if issues:
-        raise ValidationFailedError(ValidationReport(tuple(sorted(issues, key=ValidationIssue.sort_key))))
+    report = validate_document(doc)
+    if not report.ok:
+        raise ValidationFailedError(report)
     return doc
 
 

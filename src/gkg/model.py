@@ -219,14 +219,23 @@ class _ForwardLinks:
     and merge's slot resolution read no more than this."""
 
     def __init__(self, edges: Iterable[Edge]):
-        self.events_of, self.attrs_of, self.values = {}, {}, {}
+        self._index(edges, None, None)
+
+    def _index(self, edges: Iterable[Edge], participants: Optional[dict], bearers: Optional[dict]) -> None:
+        """The one pass over ``edges``; it also fills ``participants`` and
+        ``bearers`` with the links back, when they are given."""
+        self.events_of, self.attrs_of, self.values = events_of, attrs_of, values = {}, {}, {}
         for subject, relation, obj in edges:
             if relation in PARTICIPANT_RELATIONS:
-                self.events_of.setdefault(obj, []).append(subject)
+                events_of.setdefault(obj, []).append(subject)
+                if participants is not None:
+                    participants.setdefault(subject, []).append(obj)
             elif relation is PrimitiveRelation.HAS_PROP:
-                self.attrs_of.setdefault(obj, []).append(subject)
+                attrs_of.setdefault(obj, []).append(subject)
+                if bearers is not None:
+                    bearers.setdefault(subject, []).append(obj)
             elif relation is PrimitiveRelation.HAS_VALUE:
-                self.values.setdefault(subject, []).append(obj)
+                values.setdefault(subject, []).append(obj)
 
 
 class Adjacency(_ForwardLinks):
@@ -235,16 +244,8 @@ class Adjacency(_ForwardLinks):
     (attribute -> bearers), in edge order too."""
 
     def __init__(self, edges: Iterable[Edge]):
-        self.events_of, self.participants, self.attrs_of, self.bearers, self.values = {}, {}, {}, {}, {}
-        for subject, relation, obj in edges:
-            if relation in PARTICIPANT_RELATIONS:
-                self.events_of.setdefault(obj, []).append(subject)
-                self.participants.setdefault(subject, []).append(obj)
-            elif relation is PrimitiveRelation.HAS_PROP:
-                self.attrs_of.setdefault(obj, []).append(subject)
-                self.bearers.setdefault(subject, []).append(obj)
-            elif relation is PrimitiveRelation.HAS_VALUE:
-                self.values.setdefault(subject, []).append(obj)
+        self.participants, self.bearers = {}, {}
+        self._index(edges, self.participants, self.bearers)
 
 
 @dataclass(frozen=True, slots=True)
@@ -524,15 +525,6 @@ def validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Validation
         elif literal is not None:
             report(IssueKind.LITERAL_MISMATCH, node_id, "literal on a non-value node")
 
-    issues.extend(_edge_issues(graph))
-    return ValidationReport(tuple(sorted(issues, key=ValidationIssue.sort_key)))
-
-
-def _edge_issues(graph: GroundedGraph) -> list:
-    """The issues of :func:`validate_graph` that edges raise: ends missing
-    from the graph and relations that do not admit their ends' kinds,
-    unsorted."""
-    issues: list = []
     nodes_get = graph.nodes.get
     for subject, relation, obj in graph.edges:
         subject_node = nodes_get(subject)
@@ -540,16 +532,17 @@ def _edge_issues(graph: GroundedGraph) -> list:
         if subject_node is None or object_node is None:
             context = f"{subject} {relation.value} {obj}"
             if subject_node is None:
-                issues.append(ValidationIssue(IssueKind.DANGLING_REFERENCE, context, f"missing subject {subject}"))
+                report(IssueKind.DANGLING_REFERENCE, context, f"missing subject {subject}")
             if object_node is None:
-                issues.append(ValidationIssue(IssueKind.DANGLING_REFERENCE, context, f"missing object {obj}"))
+                report(IssueKind.DANGLING_REFERENCE, context, f"missing object {obj}")
         elif (relation, subject_node[1], object_node[1]) not in _ADMISSIBLE:
-            issues.append(ValidationIssue(
+            report(
                 IssueKind.SIGNATURE_VIOLATION,
                 f"{subject} {relation.value} {obj}",
                 f"{relation.value} does not admit ({subject_node.kind.name}, {object_node.kind.name})",
-            ))
-    return issues
+            )
+
+    return ValidationReport(tuple(sorted(issues, key=ValidationIssue.sort_key)))
 
 
 def infer_role_labels(
