@@ -14,14 +14,16 @@ right after ``canonicalize_a``.
 Each command runs in a fresh interpreter with one BLAS thread.  For each
 size and checkout the probe prints one JSON object: each command's wall
 time (interpreter start included) and peak RSS, read from the child's
-own rusage, and the ``MATCH`` and ``AMBIG`` rows of the alignment.  With
-``--repeat N`` each size runs N times and the median time and largest
-RSS are kept.  ``--src`` names the ``src`` directory of each checkout to
-probe (default: this one's), so several versions are probed with one
-generator.  Within each repeat the checkouts run one after another, in
-reverse order every other repeat, so an A/B comparison sees one machine
-speed rather than two.  Inputs and outputs live in a temporary directory
-under ``.bench_work/``.
+own rusage, the ``MATCH`` and ``AMBIG`` rows of the alignment, and the
+SHA-256 of ``ab.align``, ``ab.gkg`` and ``aa.gkg`` as the last repeat
+left them, so equal digests across checkouts show byte-identical
+output without a diff.  With ``--repeat N`` each size runs N times and
+the median time and largest RSS are kept.  ``--src`` names the ``src``
+directory of each checkout to probe (default: this one's), so several
+versions are probed with one generator.  Within each repeat the
+checkouts run one after another, in reverse order every other repeat, so
+an A/B comparison sees one machine speed rather than two.  Inputs and
+outputs live in a temporary directory under ``.bench_work/``.
 
 This is a probe, not a benchmark: it checks no output and gates nothing.
 Its numbers are recorded by hand next to a change (``BENCH_*.json``).
@@ -30,6 +32,7 @@ Its numbers are recorded by hand next to a change (``BENCH_*.json``).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -128,6 +131,9 @@ def probe(size: int, repeat: int, envs: dict, corpus) -> list:
                 record[f"{name}_s"] = round(statistics.median(times[src][name]), 3)
                 record[f"{name}_rss_mib"] = round(rss[src][name], 1)
             record.update(alignment_rows(works[src] / "ab.align"))
+            for name in ("ab.align", "ab.gkg", "aa.gkg"):
+                digest = hashlib.sha256((works[src] / name).read_bytes()).hexdigest()
+                record[f"{name.replace('.', '_')}_sha256"] = digest
             records.append(record)
     return records
 

@@ -1,14 +1,10 @@
-"""Entity alignment over grounded graphs, plus the flat baseline.
+"""Entity alignment over grounded graphs.
 
 An entity's signature is a small set of named embedding slots: its display
 name, its type lineage, one slot per (essential event type, attribute
 type) fact, and its inferred role names.  Similarity is the mean of
 per-slot cosines over the union of slot keys, so structure that one side
 lacks counts against the pair instead of being ignored.
-
-``flat_align`` scores whole flat triples against each other with the
-additive phrase embedding.  It exists as the contrast baseline: renaming a
-relation and changing a fact move its cosine by about the same amount.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .embedding import cosine, embed_phrase, embed_flat_triple, normalized
+from .embedding import cosine, embed_phrase, normalized
 from .errors import GkgSyntaxError, InvalidParameterError, NotAContinuantError
 from .formats import _content_lines, _node_id
 from .model import GroundedGraph, NodeId, NodeKind, TypeHierarchy, _ForwardLinks, infer_role_labels
@@ -241,12 +237,12 @@ def align(
 ) -> AlignmentResult:
     """Greedy mutual-best one-to-one matching of continuants.
 
-    Candidate pairs are blocked to type-compatible entities (one inst type
-    a subtype of the other).  Pairs are accepted in descending score order
-    at or above the threshold; a pair whose winning score beats the best
-    alternative of either endpoint by less than the ambiguity band is
-    recorded as ambiguous and both endpoints are withdrawn: neither is
-    listed as unmatched.  The result is symmetric in the argument order.
+    Candidates are type-compatible pairs (one inst type a subtype of the
+    other).  Pairs are accepted in descending score order at or above the
+    threshold; a pair whose winning score beats the best alternative of
+    either endpoint by less than the ambiguity band is recorded as
+    ambiguous and both endpoints are withdrawn: neither is listed as
+    unmatched.  The result is symmetric in the argument order.
 
     An ambiguous pair's ``ambiguous`` rows are the pair itself and every
     rival still free on either side (another B candidate of its A end,
@@ -255,13 +251,14 @@ def align(
     A rival stays free, so it may still match or be contested later.
     Rows are grouped by A id.
 
-    Every candidate is screened with one matrix product per slot key
+    Every pair is screened with one matrix product per slot key
     (:func:`_screen_scores`), which gives each score up to rounding.  Only
-    pairs screened at or above ``threshold - ambiguity_band`` are rescored
-    with :func:`signature_similarity`, and only those exact scores decide
-    or appear in the result.  A pair screened out lies more than the band
-    below the threshold, so it can neither match, nor bring a margin under
-    the band, nor be listed as a rival.
+    pairs screened at or above ``threshold - ambiguity_band`` are checked
+    for type compatibility, once per pair of types, and only compatible
+    ones are rescored with :func:`signature_similarity`; only those exact
+    scores decide or appear in the result.  A pair screened out lies more
+    than the band below the threshold, so it can neither match, nor bring
+    a margin under the band, nor be listed as a rival.
     """
     phrases: Dict[str, np.ndarray] = {}
     signer_a = _Signer(graph_a, hierarchy, labels_a, config, phrases)
@@ -276,14 +273,21 @@ def align(
     names_a = [str(i) for i in ids_a]
     names_b = [str(i) for i in ids_b]
 
-    compatible = _compatibility([n.inst_of for n in conts_a], [n.inst_of for n in conts_b], hierarchy)
     floor = config.threshold - config.ambiguity_band - _SCREEN_SLACK
-    near = compatible & (_screen_scores(sigs_a, sigs_b) >= floor)
+    near = _screen_scores(sigs_a, sigs_b) >= floor
 
+    known, ancestors = hierarchy.types, hierarchy.ancestors
+    compatible: Dict[tuple, bool] = {}
     cand_a: Dict[int, list] = {}
     cand_b: Dict[int, list] = {}
     ordered = []
     for i, j in zip(*(axis.tolist() for axis in np.nonzero(near))):
+        types = (conts_a[i].inst_of, conts_b[j].inst_of)
+        if types not in compatible:
+            ta, tb = types
+            compatible[types] = ta in known and tb in known and (tb in ancestors(ta) or ta in ancestors(tb))
+        if not compatible[types]:
+            continue
         value = signature_similarity(sigs_a[i], sigs_b[j])
         cand_a.setdefault(i, []).append((j, value))
         cand_b.setdefault(j, []).append((i, value))
@@ -297,31 +301,42 @@ def align(
     free_a = set(range(len(conts_a)))
     free_b = set(range(len(conts_b)))
     matches: list = []
-    ambiguous: Dict[int, list] = {}
+    ambiguous: Dict[NodeId, list] = {}
     for value, i, j in ordered:
         if i not in free_a or j not in free_b:
             continue
         margin_a = value - _best_alternative(cand_a[i], j, free_b)
         margin_b = value - _best_alternative(cand_b[j], i, free_a)
         if min(margin_a, margin_b) < band:
-            row = ambiguous.setdefault(i, [])
+            row = ambiguous.setdefault(ids_a[i], [])
             row.append((ids_b[j], value))
             row.extend((ids_b[k], s) for k, s in cand_a[i] if k != j and k in free_b and value - s < band)
             for k, s in cand_b[j]:
                 if k != i and k in free_a and value - s < band:
-                    ambiguous.setdefault(k, []).append((ids_b[j], s))
+                    ambiguous.setdefault(ids_a[k], []).append((ids_b[j], s))
         else:
             matches.append((ids_a[i], ids_b[j], value))
         free_a.discard(i)
         free_b.discard(j)
 
-    return AlignmentResult(
-        matches=tuple(sorted(matches, key=lambda m: (str(m[0]), str(m[1])))),
+    return _ordered_result(
+        matches,
+        ambiguous,
         unmatched_a=tuple(ids_a[i] for i in sorted(free_a)),
         unmatched_b=tuple(ids_b[j] for j in sorted(free_b)),
+    )
+
+
+def _ordered_result(matches: list, ambiguous: Dict[NodeId, list], unmatched_a=(), unmatched_b=()) -> AlignmentResult:
+    """The result in its one order: matches by (idA, idB); ``AMBIG`` rows
+    grouped by idA, each group by descending score, then idB."""
+    return AlignmentResult(
+        matches=tuple(sorted(matches, key=lambda m: (str(m[0]), str(m[1])))),
+        unmatched_a=unmatched_a,
+        unmatched_b=unmatched_b,
         ambiguous=tuple(
-            (ids_a[i], tuple(sorted(row, key=lambda pair: (-pair[1], str(pair[0])))))
-            for i, row in sorted(ambiguous.items(), key=lambda kv: names_a[kv[0]])
+            (id_a, tuple(sorted(row, key=lambda pair: (-pair[1], str(pair[0])))))
+            for id_a, row in sorted(ambiguous.items(), key=lambda kv: str(kv[0]))
         ),
     )
 
@@ -332,25 +347,6 @@ def _best_alternative(candidates, excluded: int, free: set) -> float:
         if other != excluded and other in free and other_score > best:
             best = other_score
     return best
-
-
-def _compatibility(types_a: Sequence, types_b: Sequence, hierarchy: TypeHierarchy) -> np.ndarray:
-    """Boolean ``len(types_a) x len(types_b)`` mask of type-compatible
-    pairs: both types known and one a subtype of the other, asked once
-    per pair of distinct types."""
-    known, ancestors = hierarchy.types, hierarchy.ancestors
-    distinct_a = {t: k for k, t in enumerate(dict.fromkeys(types_a))}
-    distinct_b = {t: k for k, t in enumerate(dict.fromkeys(types_b))}
-    table = np.array(
-        [
-            [ta in known and tb in known and (tb in ancestors(ta) or ta in ancestors(tb)) for tb in distinct_b]
-            for ta in distinct_a
-        ],
-        dtype=bool,
-    ).reshape(len(distinct_a), len(distinct_b))
-    rows = np.array([distinct_a[t] for t in types_a], dtype=np.intp)
-    cols = np.array([distinct_b[t] for t in types_b], dtype=np.intp)
-    return table[np.ix_(rows, cols)]
 
 
 def _unit_rows(sigs: Sequence[EntitySignature], key: str):
@@ -389,22 +385,6 @@ def _screen_scores(sigs_a: Sequence[EntitySignature], sigs_b: Sequence[EntitySig
     return np.divide(numerator, denominator, out=np.zeros_like(numerator), where=denominator > 0.0)
 
 
-def flat_align(
-    triples_a: Sequence, triples_b: Sequence, config: AlignmentConfig
-) -> Tuple[tuple, ...]:
-    """Score every cross pair of flat triples by additive-embedding cosine,
-    best first.  No blocking, no threshold: this is the baseline whose
-    indistinguishable score bands motivate grounding."""
-    vectors_a = [embed_flat_triple(config.provider, t) for t in triples_a]
-    vectors_b = [embed_flat_triple(config.provider, t) for t in triples_b]
-    scored = []
-    for i, triple_a in enumerate(triples_a):
-        for j, triple_b in enumerate(triples_b):
-            scored.append((cosine(vectors_a[i], vectors_b[j]), i, j))
-    scored.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return tuple((triples_a[i], triples_b[j], score) for score, i, j in scored)
-
-
 def format_alignment_tsv(result: AlignmentResult) -> str:
     """Rows ``idA  idB  score  MATCH|AMBIG`` sorted by (idA, idB), scores
     to four decimals."""
@@ -441,10 +421,4 @@ def parse_alignment_tsv(text: str) -> AlignmentResult:
             ambiguous.setdefault(id_a, []).append((id_b, score))
         else:
             raise GkgSyntaxError(line_no, f"bad status {status!r}")
-    return AlignmentResult(
-        matches=tuple(sorted(matches, key=lambda m: (str(m[0]), str(m[1])))),
-        ambiguous=tuple(
-            (id_a, tuple(sorted(cands, key=lambda pair: (-pair[1], str(pair[0])))))
-            for id_a, cands in sorted(ambiguous.items(), key=lambda kv: str(kv[0]))
-        ),
-    )
+    return _ordered_result(matches, ambiguous)

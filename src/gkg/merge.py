@@ -30,7 +30,7 @@ from .model import (
     TypeHierarchy,
     _ForwardLinks,
 )
-from .multilingual import GLOSS_NAMESPACE, LabelTable
+from .multilingual import LabelTable
 from .schema import AttrMode, Cardinality, SchemaDeclarations
 
 
@@ -97,12 +97,13 @@ def merge(
 
     Ids of shared types must already agree across the two graphs.  Raises
     :class:`AlignmentMismatchError` if the alignment names nodes the
-    graphs lack, :class:`IdCollisionError` if one id means different
-    things on the two sides.
+    graphs lack or is not one-to-one, :class:`IdCollisionError` if one id
+    means different things on the two sides.
     """
     declarations = declarations or SchemaDeclarations()
 
     id_map: Dict[NodeId, NodeId] = {}
+    matched_a: Set[NodeId] = set()
     for id_a, id_b, _score in alignment.matches:
         node_a = graph_a.nodes.get(id_a)
         node_b = graph_b.nodes.get(id_b)
@@ -110,7 +111,10 @@ def merge(
             raise AlignmentMismatchError(f"alignment names {id_a}, not a continuant of the first graph")
         if node_b is None or node_b.kind is not NodeKind.CONTINUANT:
             raise AlignmentMismatchError(f"alignment names {id_b}, not a continuant of the second graph")
+        if id_a in matched_a or id_b in id_map:
+            raise AlignmentMismatchError(f"alignment is not one-to-one: MATCH {id_a} {id_b} repeats an id")
         id_map[id_b] = id_a
+        matched_a.add(id_a)
 
     nodes: Dict[NodeId, object] = dict(graph_a.nodes)
     for node_id, node in graph_b.nodes.items():
@@ -355,13 +359,14 @@ def merge_documents(
         if key not in entries:
             entries[key] = label
     # Labels for nodes that folded away or were pruned would serialize as
-    # dangling rows; glosses (rel: pseudo-ids) are never graph nodes.
-    entries = {
+    # dangling rows; a label on an id that was no node of either input (a
+    # rel: gloss, say) is kept as read.
+    nodes_a, nodes_b, kept = doc_a.graph.nodes, doc_b.graph.nodes, merged_graph.nodes
+    labels = LabelTable({
         (node_id, lang): label
         for (node_id, lang), label in entries.items()
-        if node_id in merged_graph.nodes or node_id.namespace == GLOSS_NAMESPACE
-    }
-    labels = LabelTable(entries)
+        if node_id in kept or (node_id not in nodes_a and node_id not in nodes_b)
+    })
 
     merged_doc = GkgDocument(hierarchy, merged_graph, labels, declarations)
     return merged_doc, report

@@ -23,9 +23,10 @@ from gkg import (
     SchemaDeclarations,
     align,
     canonicalize_document,
+    cosine,
+    embed_flat_triple,
     entity_signature,
     fact_slot_key,
-    flat_align,
     format_alignment_tsv,
     parse_alignment_tsv,
     parse_gkg,
@@ -334,32 +335,24 @@ class TestAlignmentTsv:
         assert len(parsed.matches) == 1
 
 
-class TestFlatAlign:
-    def test_scores_and_ordering(self, basis):
-        cfg = AlignmentConfig(provider=basis, threshold=0.5)
-        a = [FlatTriple("roger", "lives", "london")]
-        b = [
-            FlatTriple("roger", "lives", "london"),
-            FlatTriple("roger", "dwells", "london"),
-            FlatTriple("paris", "eats", "cake"),
-        ]
-        ranked = flat_align(a, b, cfg)
-        assert [item[1].e2 for item in ranked][:2] == ["london", "london"]
-        assert ranked[0][2] == pytest.approx(1.0)
-        assert ranked[1][2] == pytest.approx(2 / 3, abs=1e-12)
-        assert ranked[2][2] == pytest.approx(0.0)
+class TestFlatBaseline:
+    """The flat baseline ``gkg eval flat`` measures: whole triples scored
+    by the cosine of their additive embeddings."""
+
+    def test_cosine_bands(self, basis):
+        base = embed_flat_triple(basis, FlatTriple("roger", "lives", "london"))
+        score = lambda *triple: cosine(base, embed_flat_triple(basis, FlatTriple(*triple)))
+        assert score("roger", "lives", "london") == pytest.approx(1.0)
+        assert score("roger", "dwells", "london") == pytest.approx(2 / 3, abs=1e-12)
+        assert score("paris", "eats", "cake") == pytest.approx(0.0)
 
     def test_rename_and_refact_indistinguishable(self, basis):
         """The flat baseline's defining failure: both edits cost exactly
         one of three phrases."""
-        cfg = AlignmentConfig(provider=basis)
-        base = [FlatTriple("roger", "lives", "london")]
-        edits = [
-            FlatTriple("roger", "dwells", "london"),  # harmless rewording
-            FlatTriple("roger", "lives", "paris"),  # different fact
-        ]
-        ranked = flat_align(base, edits, cfg)
-        assert ranked[0][2] == pytest.approx(ranked[1][2], abs=1e-12)
+        base = embed_flat_triple(basis, FlatTriple("roger", "lives", "london"))
+        reworded = embed_flat_triple(basis, FlatTriple("roger", "dwells", "london"))  # harmless rewording
+        refacted = embed_flat_triple(basis, FlatTriple("roger", "lives", "paris"))  # different fact
+        assert cosine(base, reworded) == pytest.approx(cosine(base, refacted), abs=1e-12)
 
 
 def oracle_align(graph_a, graph_b, hierarchy, labels_a, labels_b, cfg):
@@ -615,6 +608,46 @@ class TestAlignAgainstOracle:
         result = align_docs(doc, doc, config())
         assert len(result.matches) == 3
         assert len(calls) == 3
+
+    def test_screened_pair_of_incompatible_types_is_not_rescored(self, monkeypatch):
+        """Same name and facts, types neither a subtype of the other: the
+        pair screens at 0.875, above the floor, and is still neither
+        rescored nor listed."""
+        calls = []
+        exact = gkg.alignment.signature_similarity
+        monkeypatch.setattr(
+            gkg.alignment, "signature_similarity", lambda a, b: calls.append(1) or exact(a, b)
+        )
+        doc_a = demo_document()
+        doc_b = parse_gkg(
+            "T t:Robot core:Entity\n" + serialize_gkg(doc_a).replace(" C core:Human", " C t:Robot")
+        )
+        hierarchy, cfg = joint_setup(doc_a, doc_b, BasisProvider(64), threshold=0.8)
+        sigs = [
+            entity_signature(doc.graph, hierarchy, doc.labels, only_entity(doc), cfg) for doc in (doc_a, doc_b)
+        ]
+        assert _screen_scores(sigs[:1], sigs[1:])[0, 0] == pytest.approx(0.875)
+        result = align(doc_a.graph, doc_b.graph, hierarchy, doc_a.labels, doc_b.labels, cfg)
+        assert (result.matches, result.ambiguous) == ((), ())
+        assert result.unmatched_a == (only_entity(doc_a),)
+        assert calls == []
+
+    def test_score_capped_by_key_sets_matches_at_the_cap(self):
+        """B lacks the birth date, so one of the four slot keys is on A's
+        side only and the score can be at most 3/4; here it is exactly
+        3/4, which a threshold of 0.75 accepts."""
+        rules, decls = parse_rules(DEMO_RULES_TEXT)
+        doc_b, _report = canonicalize_document(
+            [FlatTriple("RogerWaters", "bornIn", "Great Bookham")],
+            rules,
+            declarations=decls,
+            entity_types={"RogerWaters": HUMAN_TYPE},
+        )
+        for pair in ((demo_document(), doc_b), (doc_b, demo_document())):
+            got, want = both_aligners(*pair, threshold=0.75, ambiguity_band=0.0)
+            assert got == want
+            assert [s for _, _, s in got.matches] == [0.75]
+            assert format_alignment_tsv(got).split("\t")[2] == "0.7500"
 
 
 class TestAmbiguityBookkeeping:

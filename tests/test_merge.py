@@ -1,5 +1,6 @@
 """Alignment-driven merging, revision-aware slot resolution, reports."""
 
+from dataclasses import replace
 from itertools import chain
 from typing import Dict, Optional, Set, Tuple
 
@@ -31,12 +32,14 @@ from gkg import (
     canonicalize_document,
     merge,
     merge_documents,
+    parse_alignment_tsv,
     parse_gkg,
     parse_rules,
     serialize_gkg,
     union_hierarchies,
     validate_document,
 )
+from gkg import cli
 from gkg.evaluation import demo_document
 
 from .support import random_document
@@ -265,6 +268,13 @@ class TestOrphanPruning:
         assert validate_document(merged).ok
 
 
+NOT_ONE_TO_ONE = {
+    "b_matched_twice": (("ex:a1", "ex:b"), ("ex:a2", "ex:b")),
+    "a_matched_twice": (("ex:a1", "ex:b"), ("ex:a1", "ex:c")),
+    "row_repeated": (("ex:a1", "ex:b"), ("ex:a1", "ex:b")),
+}
+
+
 class TestMergeErrors:
     def test_alignment_naming_missing_node(self):
         doc = demo_document()
@@ -286,6 +296,26 @@ class TestMergeErrors:
         with pytest.raises(IdCollisionError):
             merge(doc_a.graph, doc_b.graph, AlignmentResult())
 
+    @pytest.mark.parametrize("rows", NOT_ONE_TO_ONE.values(), ids=list(NOT_ONE_TO_ONE))
+    def test_alignment_not_one_to_one(self, rows, tmp_path, capsys):
+        """Through the API and through ``gkg merge``: refused with exit 1,
+        nothing written."""
+        text_a = "N ex:a1 C core:Thing\nN ex:a2 C core:Thing\n"
+        text_b = "N ex:b C core:Thing\nN ex:c C core:Thing\n"
+        rows_text = "".join(f"{a}\t{b}\t0.9500\tMATCH\n" for a, b in rows)
+        with pytest.raises(AlignmentMismatchError, match="not one-to-one"):
+            merge(parse_gkg(text_a).graph, parse_gkg(text_b).graph, parse_alignment_tsv(rows_text))
+
+        for name, text in (("a.gkg", text_a), ("b.gkg", text_b), ("ab.align", rows_text)):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        out = tmp_path / "ab.gkg"
+        argv = ["merge", str(tmp_path / "a.gkg"), str(tmp_path / "b.gkg"), "--alignment", str(tmp_path / "ab.align")]
+        assert cli.main([*argv, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.count("\n")) == ("", 1)
+        assert "not one-to-one" in captured.err
+        assert not out.exists()
+
 
 def oracle_merge(
     graph_a: GroundedGraph,
@@ -297,7 +327,8 @@ def oracle_merge(
 ) -> Tuple[GroundedGraph, MergeReport]:
     """The reference :func:`merge` is held to: the implementation that
     copied A's edges too and pushed every fold through both edge sets,
-    kept verbatim with its helpers below."""
+    kept verbatim with its helpers below, except that it refuses an
+    alignment that is not one-to-one, as :func:`merge` does."""
     declarations = declarations or SchemaDeclarations()
 
     id_map: Dict[NodeId, NodeId] = {}
@@ -308,6 +339,8 @@ def oracle_merge(
             raise AlignmentMismatchError(f"alignment names {id_a}, not a continuant of the first graph")
         if node_b is None or node_b.kind is not NodeKind.CONTINUANT:
             raise AlignmentMismatchError(f"alignment names {id_b}, not a continuant of the second graph")
+        if id_a in id_map.values() or id_b in id_map:
+            raise AlignmentMismatchError(f"alignment is not one-to-one: MATCH {id_a} {id_b} repeats an id")
         id_map[id_b] = id_a
 
     nodes: Dict[NodeId, object] = dict(graph_a.nodes)
@@ -704,8 +737,9 @@ def hand_built_pairs(draw):
 @st.composite
 def merge_cases(draw):
     """Two documents, canonicalized or hand-built, a random one-to-one
-    partial alignment of their continuants (now and then naming a node
-    that is none), and the ``prefer_newer`` flag."""
+    partial alignment of their continuants (now and then with a stray row,
+    which may name a node that is none or repeat an id of another row),
+    and the ``prefer_newer`` flag."""
     doc_a, doc_b = draw(st.one_of(canonical_pairs(), hand_built_pairs()))
     ids_a = sorted((n.id for n in doc_a.graph.continuants()), key=str)
     ids_b = sorted((n.id for n in doc_b.graph.continuants()), key=str)
@@ -731,6 +765,10 @@ def run_merge(merge_fn, doc_a, doc_b, alignment, prefer_newer):
         return type(exc), str(exc)
     hierarchy = union_hierarchies(doc_a.hierarchy, doc_b.hierarchy)
     return serialize_gkg(GkgDocument(hierarchy, graph, declarations=declarations)), report.to_tsv()
+
+
+# Ids no generated document holds as a node: parse_gkg accepts labels on them.
+NON_NODE_IDS = (NodeId("ex", "ghost"), NodeId("t", "X"))
 
 
 def partial_identity(doc, keep):
@@ -768,11 +806,17 @@ class TestMergeProperties:
     @given(
         st.one_of(canonical_documents(), st.integers(0, 10**6).map(random_document)),
         st.lists(st.booleans(), max_size=8),
+        st.lists(st.tuples(st.sampled_from(NON_NODE_IDS), st.sampled_from(("en", "fr"))), max_size=3),
     )
     @settings(max_examples=200, deadline=None)
-    def test_self_merge_is_identity(self, doc, keep):
+    def test_self_merge_is_identity(self, doc, keep, stray_labels):
         """Under any part of the identity alignment a document merged with
-        itself comes back unchanged and adds nothing."""
+        itself comes back unchanged and adds nothing, labels on ids that
+        are no node included."""
+        labels = doc.labels
+        for node_id, lang in stray_labels:
+            labels = labels.with_label(node_id, lang, node_id.local.capitalize())
+        doc = replace(doc, labels=labels)
         merged, report = merge_documents(doc, doc, partial_identity(doc, keep))
         assert merged.graph == doc.graph
         assert serialize_gkg(merged) == serialize_gkg(doc)
