@@ -22,8 +22,9 @@ the median time and largest RSS are kept.  ``--src`` names the ``src``
 directory of each checkout to probe (default: this one's), so several
 versions are probed with one generator.  Within each repeat the
 checkouts run one after another, in reverse order every other repeat, so
-an A/B comparison sees one machine speed rather than two.  Inputs and
-outputs live in a temporary directory under ``.bench_work/``.
+an A/B comparison sees one machine speed rather than two.  Inputs,
+outputs and the bytecode cache live in one temporary directory under
+``.bench_work/``, so a probed ``src`` is left without a ``__pycache__``.
 
 This is a probe, not a benchmark: it checks no output and gates nothing.
 Its numbers are recorded by hand next to a change (``BENCH_*.json``).
@@ -103,14 +104,13 @@ def alignment_rows(path: Path) -> dict:
     return {"match_rows": counts["MATCH"], "ambig_rows": counts["AMBIG"], "align_bytes": path.stat().st_size}
 
 
-def probe(size: int, repeat: int, envs: dict, corpus) -> list:
+def probe(size: int, repeat: int, envs: dict, corpus, run_dir: Path) -> list:
     """One record per checkout in ``envs`` (src path -> environment)."""
     generated = corpus.reconcile(SEED, size)
     times = {src: {name: [] for name, _ in COMMANDS} for src in envs}
     rss = {src: dict.fromkeys(times[src], 0.0) for src in envs}
     records = []
-    WORK.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix="scale_probe_", dir=WORK) as tmp:
+    with tempfile.TemporaryDirectory(prefix=f"size{size}_", dir=run_dir) as tmp:
         works = {}
         for k, src in enumerate(envs):
             work = works[src] = Path(tmp) / str(k)
@@ -148,21 +148,26 @@ def main(argv=None) -> int:
     if args.repeat < 1 or min(args.sizes) < 1:
         parser.error("--repeat and --sizes must be positive")
 
-    envs = {}
-    for src in args.src:
-        env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[name] = "1"
-        # Let the untimed import below write the bytecode that every timed
-        # command then reads, as an installed package would have it.
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
-        subprocess.run([sys.executable, "-c", "import gkg.cli"], env=env, check=True)  # compile once, untimed
-        envs[str(src)] = env
-    corpus = load_corpus_module()
+    WORK.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix="scale_probe_", dir=WORK) as tmp:
+        run_dir = Path(tmp)
+        envs = {}
+        for src in args.src:
+            env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[name] = "1"
+            # Let the untimed import below write the bytecode that every timed
+            # command then reads, as an installed package would have it, into
+            # this run's cache rather than next to the probed sources.
+            env.pop("PYTHONDONTWRITEBYTECODE", None)
+            env["PYTHONPYCACHEPREFIX"] = str(run_dir / "pycache")
+            subprocess.run([sys.executable, "-c", "import gkg.cli"], env=env, check=True)  # compile once, untimed
+            envs[str(src)] = env
+        corpus = load_corpus_module()
 
-    for size in args.sizes:
-        for record in probe(size, args.repeat, envs, corpus):
-            print(json.dumps(record), flush=True)
+        for size in args.sizes:
+            for record in probe(size, args.repeat, envs, corpus, run_dir):
+                print(json.dumps(record), flush=True)
     return 0
 
 

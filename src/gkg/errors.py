@@ -11,14 +11,6 @@ class GkgError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DuplicateTypeError(GkgError):
-    """A type was added to a hierarchy that already contains it."""
-
-
-class UnknownParentError(GkgError):
-    """A type was added under a parent the hierarchy does not know."""
-
-
 class UnknownTypeError(GkgError):
     """A type id was referenced that is absent from the hierarchy."""
 
@@ -33,23 +25,6 @@ class CycleError(GkgError):
 
 class UnknownNodeError(GkgError):
     """A node id was referenced that is absent from the graph."""
-
-
-class DuplicateNodeError(GkgError):
-    """Two different nodes were registered under the same id."""
-
-
-class SignatureViolationError(GkgError):
-    """An edge was proposed whose endpoint kinds the relation does not admit."""
-
-    def __init__(self, relation, subject_kind, object_kind):
-        self.relation = relation
-        self.subject_kind = subject_kind
-        self.object_kind = object_kind
-        super().__init__(
-            f"{relation.value} does not admit "
-            f"({subject_kind.name}, {object_kind.name})"
-        )
 
 
 class NotAContinuantError(GkgError):

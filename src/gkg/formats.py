@@ -139,10 +139,6 @@ class GkgDocument:
                 GroundedGraph(nodes, self.graph.edges, self.graph.source_id, self.graph.revision),
             )
 
-    @classmethod
-    def empty(cls) -> "GkgDocument":
-        return cls(TypeHierarchy.root_only(), GroundedGraph())
-
 
 def validate_document(doc: GkgDocument) -> ValidationReport:
     """Graph validation plus a check that declarations only reference
@@ -301,7 +297,7 @@ def parse_gkg(text: str) -> GkgDocument:
     new_tuple = tuple.__new__
     ids_get = ids.get
     relation_of = _RELATIONS.get
-    kind_of = _KIND_CODES.get
+    kind_code = _KIND_CODES.get
     value_kind = NodeKind.VALUE_LITERAL
     for line_no, line in enumerate(text.splitlines(), 1):
         # Four fields and the rest of the line: all of an E record, and an
@@ -323,7 +319,7 @@ def parse_gkg(text: str) -> GkgDocument:
             if len(fields) < 4:
                 raise GkgSyntaxError(line_no, "N takes a node id, a kind code and a type id")
             node_id = node_id_of(fields[1], line_no)
-            kind = kind_of(fields[2])
+            kind = kind_code(fields[2])
             if kind is None:
                 raise GkgSyntaxError(line_no, f"bad node kind {fields[2]!r}")
             type_id = ids_get(fields[3]) or node_id_of(fields[3], line_no)

@@ -85,15 +85,13 @@ def merge(
     graph_b: GroundedGraph,
     alignment: AlignmentResult,
     declarations: Optional[SchemaDeclarations] = None,
-    *,
-    prefer_newer: bool = True,
 ) -> Tuple[GroundedGraph, MergeReport]:
     """Merge ``graph_b`` into ``graph_a`` along the alignment's matches.
 
     ``declarations`` give the event cardinalities and attribute slot
     modes; undeclared event types coalesce (ONE) and undeclared slots
-    accumulate (MULTI).  With ``prefer_newer`` off, differing FUNCTIONAL
-    values are never auto-resolved, only flagged.
+    accumulate (MULTI).  Differing FUNCTIONAL values held on both sides
+    resolve to the higher revision; otherwise they are only flagged.
 
     Ids of shared types must already agree across the two graphs.  Raises
     :class:`AlignmentMismatchError` if the alignment names nodes the
@@ -147,7 +145,7 @@ def merge(
 
     # --- FUNCTIONAL slot resolution ---------------------------------------
     updated, conflicts = _resolve_functional_slots(
-        nodes, edges, graph_a.edges, edges_b, graph_a.revision, graph_b.revision, declarations, prefer_newer
+        nodes, edges, graph_a.edges, edges_b, graph_a.revision, graph_b.revision, declarations
     )
 
     merged_graph = GroundedGraph(
@@ -246,7 +244,7 @@ def _plan_attr_folds(graph_a, new_b, adjacency, event_folds) -> Dict[NodeId, Nod
     return folds
 
 
-def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, declarations, prefer_newer):
+def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, declarations):
     links = _ForwardLinks(edges)
     updated: list = []
     conflicts: list = []
@@ -278,7 +276,7 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, decl
                 continue
             side_a = {literal for literal, edge in value_edges if edge in edges_a}
             side_b = {literal for literal, edge in value_edges if edge in edges_b}
-            resolvable = prefer_newer and rev_a != rev_b and bool(side_a) and bool(side_b)
+            resolvable = rev_a != rev_b and bool(side_a) and bool(side_b)
             if resolvable:
                 winner_side, winner_rev = (side_a, rev_a) if rev_a > rev_b else (side_b, rev_b)
                 losers = [literal for literal in literals if literal not in winner_side]
@@ -342,15 +340,13 @@ def merge_documents(
     doc_a: GkgDocument,
     doc_b: GkgDocument,
     alignment: AlignmentResult,
-    *,
-    prefer_newer: bool = True,
 ) -> Tuple[GkgDocument, MergeReport]:
     """Document-level merge: hierarchies union (cycle-checked), labels and
     declarations union with the A side winning clashes, and the graphs
     merge per :func:`merge` under the unioned declarations."""
     hierarchy = union_hierarchies(doc_a.hierarchy, doc_b.hierarchy)
     declarations = doc_a.declarations.merged_with(doc_b.declarations)
-    merged_graph, report = merge(doc_a.graph, doc_b.graph, alignment, declarations, prefer_newer=prefer_newer)
+    merged_graph, report = merge(doc_a.graph, doc_b.graph, alignment, declarations)
 
     id_map = {id_b: id_a for id_a, id_b, _ in alignment.matches}
     entries = dict(doc_a.labels.entries)

@@ -5,8 +5,8 @@ instances, value literals) and edges may only carry one of the thirteen
 primitive relations.  Everything else that looks like a relation in source
 data must be reified into typed nodes before it enters a graph.
 
-All values are treated as immutable; operations that "modify" a hierarchy
-or a graph return a new instance.
+All values are immutable.  A graph is built whole and checked by
+:func:`validate_graph`, which reports issues instead of raising.
 """
 
 from __future__ import annotations
@@ -16,15 +16,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import (
-    CycleError,
-    DuplicateNodeError,
-    DuplicateTypeError,
-    SignatureViolationError,
-    UnknownNodeError,
-    UnknownParentError,
-    UnknownTypeError,
-)
+from .errors import CycleError, UnknownNodeError, UnknownTypeError
 
 
 class NodeId(tuple):
@@ -290,20 +282,6 @@ class TypeHierarchy:
     def __contains__(self, type_id: NodeId) -> bool:
         return type_id in self.types
 
-    def add_type(self, type_id: NodeId, parent: Optional[NodeId] = None) -> "TypeHierarchy":
-        """Insert one new type.  ``parent`` defaults to the root; only the
-        root itself may be inserted without a parent."""
-        if type_id in self.types:
-            raise DuplicateTypeError(f"type already present: {type_id}")
-        if parent is None and type_id != ROOT_TYPE:
-            parent = ROOT_TYPE
-        if parent is not None and parent not in self.types:
-            raise UnknownParentError(f"unknown parent type: {parent}")
-        parent_set = frozenset() if parent is None else frozenset({parent})
-        new_parents = dict(self.parents)
-        new_parents[type_id] = parent_set
-        return TypeHierarchy(self.types | {type_id}, new_parents)
-
     @classmethod
     def from_edges(cls, pairs: Iterable[tuple]) -> "TypeHierarchy":
         """Batch-load (type, parent-or-None) pairs.
@@ -387,29 +365,6 @@ class GroundedGraph:
     source_id: str = ""
     revision: int = 0
 
-    @classmethod
-    def build(
-        cls,
-        nodes: Iterable[Node] = (),
-        edges: Iterable = (),
-        source_id: str = "",
-        revision: int = 0,
-    ) -> "GroundedGraph":
-        """Construct a graph in one shot with the same checks as the
-        incremental operations (duplicate ids, edge signatures)."""
-        table: dict = {}
-        for node in nodes:
-            existing = table.get(node.id)
-            if existing is not None and existing != node:
-                raise DuplicateNodeError(f"conflicting nodes under id {node.id}")
-            table[node.id] = node
-        edge_set: set = set()
-        for item in edges:
-            edge = item if isinstance(item, Edge) else Edge(*item)
-            _check_edge(table, edge.subject, edge.relation, edge.obj)
-            edge_set.add(edge)
-        return cls(table, frozenset(edge_set), source_id, revision)
-
     def node(self, node_id: NodeId) -> Node:
         try:
             return self.nodes[node_id]
@@ -419,19 +374,6 @@ class GroundedGraph:
     def __contains__(self, node_id: NodeId) -> bool:
         return node_id in self.nodes
 
-    def add_edge(self, subject: NodeId, relation: PrimitiveRelation, obj: NodeId) -> "GroundedGraph":
-        """Return a graph that also contains the edge.  Both endpoints must
-        already exist and the relation must admit their kinds.  Re-adding an
-        existing edge is a no-op."""
-        _check_edge(self.nodes, subject, relation, obj)
-        edge = Edge(subject, relation, obj)
-        if edge in self.edges:
-            return self
-        return GroundedGraph(self.nodes, self.edges | {edge}, self.source_id, self.revision)
-
-    def kind_of(self, node_id: NodeId) -> NodeKind:
-        return self.node(node_id).kind
-
     def nodes_of_kind(self, kind: NodeKind) -> Iterator[Node]:
         nodes = self.nodes
         for node_id in sorted((node_id for node_id, node in nodes.items() if node.kind is kind), key=str):
@@ -439,20 +381,6 @@ class GroundedGraph:
 
     def continuants(self) -> Iterator[Node]:
         return self.nodes_of_kind(NodeKind.CONTINUANT)
-
-    def edges_sorted(self) -> list:
-        return sorted(self.edges, key=Edge.sort_key)
-
-
-def _check_edge(nodes: Mapping[NodeId, Node], subject: NodeId, relation: PrimitiveRelation, obj: NodeId) -> None:
-    subject_node = nodes.get(subject)
-    if subject_node is None:
-        raise UnknownNodeError(f"unknown node: {subject}")
-    object_node = nodes.get(obj)
-    if object_node is None:
-        raise UnknownNodeError(f"unknown node: {obj}")
-    if not signature_allows(relation, subject_node.kind, object_node.kind):
-        raise SignatureViolationError(relation, subject_node.kind, object_node.kind)
 
 
 class IssueKind(str, Enum):

@@ -132,9 +132,9 @@ def random_document(seed: int) -> GkgDocument:
     del continuants, occurrents, attrs, values
 
     node_ids = sorted(nodes)
-    kind_of = {node_id: nodes[node_id].kind for node_id in node_ids}
+    kind_by_id = {node_id: nodes[node_id].kind for node_id in node_ids}
     for type_id in all_types:
-        kind_of[type_id] = NodeKind.TYPE_NODE
+        kind_by_id[type_id] = NodeKind.TYPE_NODE
     pool = node_ids + all_types
 
     edges: Set[Edge] = set()
@@ -143,7 +143,7 @@ def random_document(seed: int) -> GkgDocument:
             subject = rng.choice(pool)
             obj = rng.choice(pool)
             relation = rng.choice(list(PrimitiveRelation))
-            if signature_allows(relation, kind_of[subject], kind_of[obj]):
+            if signature_allows(relation, kind_by_id[subject], kind_by_id[obj]):
                 edges.add(Edge(subject, relation, obj))
                 break
 

@@ -18,13 +18,13 @@ from gkg import (
     FlatTriple,
     GroundedGraph,
     HashEmbeddingProvider,
+    IssueKind,
     Node,
     NodeId,
     NodeKind,
     PrimitiveRelation,
     RoleConceptDef,
     SchemaDeclarations,
-    SignatureViolationError,
     TypeHierarchy,
     align,
     canonicalize_document,
@@ -39,6 +39,7 @@ from gkg import (
     signature_allows,
     signature_similarity,
     validate_document,
+    validate_graph,
 )
 from gkg.cli import main
 from gkg.evaluation import BIRTH_TYPE, demo_document
@@ -212,28 +213,26 @@ def test_criterion_07_fuzzed_edge_insertions_respect_the_closed_vocabulary():
         pool.append(Node(NodeId("x", f"a{i}"), NodeKind.ATTRIBUTE_INSTANCE, NodeId("t", "T2")))
     for i in range(3):
         pool.append(Node(NodeId("x", f"v{i}"), NodeKind.VALUE_LITERAL, NodeId("t", "T3"), literal=f"v{i}"))
-    graph = GroundedGraph.build(pool)
     kinds = {n.id: n.kind for n in pool}
     relations = list(PrimitiveRelation)
 
-    edge_attempts = 0
-    accepted = 0
-    rejected = 0
-    for _ in range(800):
-        edge_attempts += 1
+    # Random edges go into the pool graph at once; validation must report
+    # a signature violation for exactly the edges the vocabulary refuses.
+    edge_attempts = 800
+    attempts: set = set()
+    for _ in range(edge_attempts):
         rel = rng.choice(relations)
-        subj = rng.choice(pool).id
-        obj = rng.choice(pool).id
-        legal = signature_allows(rel, kinds[subj], kinds[obj])
-        try:
-            graph = graph.add_edge(subj, rel, obj)
-        except SignatureViolationError:
-            assert not legal
-            rejected += 1
-        else:
-            assert legal
-            accepted += 1
-    vocabulary_closed = all(e.relation in set(PrimitiveRelation) for e in graph.edges)
+        attempts.add(Edge(rng.choice(pool).id, rel, rng.choice(pool).id))
+    refused = {
+        f"{e.subject} {e.relation.value} {e.obj}"
+        for e in attempts
+        if not signature_allows(e.relation, kinds[e.subject], kinds[e.obj])
+    }
+    report = validate_graph(GroundedGraph({n.id: n for n in pool}, frozenset(attempts)), hierarchy)
+    reported = [i.context for i in report.issues if i.kind is IssueKind.SIGNATURE_VIOLATION]
+    vocabulary_closed = len(reported) == len(report.issues) and sorted(reported) == sorted(refused)
+    rejected = len(refused)
+    accepted = len(attempts) - rejected
 
     # Random subtype insertions: every attempt that would close a loop in
     # the child -> parent reachability must be rejected.
@@ -341,15 +340,14 @@ def test_criterion_10_role_concepts_from_agent_edges():
     hierarchy = TypeHierarchy.from_edges([(human, None), (teaching, None)])
     x = Node(NodeId("x", "p"), NodeKind.CONTINUANT, human)
     lesson = Node(NodeId("x", "lesson"), NodeKind.OCCURRENT, teaching)
-    graph = GroundedGraph.build(
-        [x, lesson],
-        [Edge(lesson.id, PrimitiveRelation.HAS_AGENT, x.id)],
-    )
+    nodes = {x.id: x, lesson.id: lesson}
+    graph = GroundedGraph(nodes, frozenset({Edge(lesson.id, PrimitiveRelation.HAS_AGENT, x.id)}))
+    valid = validate_graph(graph, hierarchy).ok
     teacher = RoleConceptDef("Teacher", human, PrimitiveRelation.HAS_AGENT, teaching)
 
     with_edge = infer_role_labels(graph, hierarchy, (teacher,))
-    stripped = GroundedGraph.build([x, lesson], [])
+    stripped = GroundedGraph(nodes)
     without_edge = infer_role_labels(stripped, hierarchy, (teacher,))
 
-    ok = with_edge == ((x.id, "Teacher"),) and without_edge == ()
-    _verdict(10, ok, f"with_edge={with_edge}, without_edge={without_edge}")
+    ok = valid and with_edge == ((x.id, "Teacher"),) and without_edge == ()
+    _verdict(10, ok, f"valid={valid}, with_edge={with_edge}, without_edge={without_edge}")

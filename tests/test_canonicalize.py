@@ -19,6 +19,7 @@ from gkg import (
     NodeId,
     NodeKind,
     PrimitiveRelation,
+    TypeHierarchy,
     UnknownTypeError,
     canonicalize_document,
     hierarchy_for_rules,
@@ -247,7 +248,10 @@ class TestUnmappedAndErrors:
 
     def test_entity_type_mapping_honored(self):
         rules, _ = parse_rules(FORMATION_RULES)
-        hierarchy = hierarchy_for_rules(rules).add_type(NodeId("core", "Band"))
+        base = hierarchy_for_rules(rules)
+        hierarchy = TypeHierarchy.from_edges(
+            [(t, p) for t, parents in base.parents.items() for p in parents] + [(NodeId("core", "Band"), None)]
+        )
         doc, _ = canonicalize_document(
             (FlatTriple("PinkFloyd", "FormedIn", "London"),),
             rules,

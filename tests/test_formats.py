@@ -769,7 +769,7 @@ class TestSerializeGkg:
         assert serialize_gkg(parse_gkg(permuted)) == serialize_gkg(parse_gkg(WORKED_TEXT))
 
     def test_empty_document_is_root_line(self):
-        assert serialize_gkg(GkgDocument.empty()) == "T core:Entity -\n"
+        assert serialize_gkg(GkgDocument(TypeHierarchy.root_only(), GroundedGraph())) == "T core:Entity -\n"
 
     def test_document_without_records_is_empty_text(self):
         doc = GkgDocument(TypeHierarchy(), GroundedGraph())

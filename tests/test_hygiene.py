@@ -1,11 +1,14 @@
 """Source hygiene: no module of the package or of the tests imports a
-name it never uses, and every function, method and class the package
-defines is referenced somewhere in the repository."""
+name it never uses, every function, method and class the package
+defines is referenced somewhere in the repository, and every name
+``gkg.__all__`` exports exists, once."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import gkg
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "gkg").glob("*.py"))
@@ -48,29 +51,42 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
-def referenced_names(tree):
-    """Every name the module reads, every attribute it looks up and every
-    name it imports."""
+def referenced_names(tree, names, attributes):
+    """Add every name the module reads to ``names``, and every attribute
+    it looks up and every name it imports to ``attributes``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            attributes.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                yield alias.name.rpartition(".")[2]
+            attributes.update(alias.name.rpartition(".")[2] for alias in node.names)
 
 
 def test_every_package_definition_is_referenced():
-    referenced = set()
+    """A member of a class counts as referenced only through an attribute
+    (``x.name``) or an import: a bare name spelled the same is some other
+    variable."""
+    names: set = set()
+    attributes: set = set()
     for path in REFERRING:
-        referenced.update(referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
-    orphans = [
-        f"{path.name} line {node.lineno}: {node.name}"
-        for path in PACKAGE
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in referenced
-    ]
+        referenced_names(ast.parse(path.read_text(encoding="utf-8")), names, attributes)
+    orphans = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        members = {id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for item in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if node.name not in attributes and (id(node) in members or node.name not in names):
+                orphans.append(f"{path.name} line {node.lineno}: {node.name}")
     assert not orphans, f"defined but never referenced: {', '.join(orphans)}"
+
+
+def test_every_exported_name_exists_once():
+    missing = [name for name in gkg.__all__ if not hasattr(gkg, name)]
+    repeated = sorted({name for name in gkg.__all__ if gkg.__all__.count(name) > 1})
+    assert not missing, f"gkg.__all__ names what gkg lacks: {', '.join(missing)}"
+    assert not repeated, f"gkg.__all__ repeats: {', '.join(repeated)}"

@@ -38,6 +38,7 @@ from gkg import (
     serialize_gkg,
     union_hierarchies,
     validate_document,
+    validate_graph,
 )
 from gkg import cli
 from gkg.evaluation import demo_document
@@ -122,30 +123,21 @@ class TestRevisionResolution:
         assert len(report.conflicts) == 1
         assert report.conflicts[0].values == ("Washington", "WhiteHouse")
 
-    def test_prefer_newer_off_never_resolves(self):
-        doc_v1 = residence_doc("WhiteHouse", revision=1)
-        doc_v2 = residence_doc("Washington", revision=2)
-        merged, report = merge_documents(doc_v1, doc_v2, AlignmentResult(), prefer_newer=False)
-        assert value_literals(merged.graph) == {"WhiteHouse", "Washington"}
-        assert len(report.conflicts) == 1
-
     @pytest.mark.parametrize(
-        "with_declarations, prefer_newer, literals, updated, conflicts",
+        "with_declarations, b_is_newer, literals, updated, conflicts",
         [
             (True, True, {"Washington"}, 1, 0),
-            (True, False, {"WhiteHouse", "Washington"}, 0, 1),
+            (True, False, {"WhiteHouse", "Washington"}, 0, 1),  # equal revisions conflict
             (False, True, {"WhiteHouse", "Washington"}, 0, 0),  # undeclared slots accumulate
         ],
     )
     def test_graph_merge_reads_the_declarations(
-        self, with_declarations, prefer_newer, literals, updated, conflicts
+        self, with_declarations, b_is_newer, literals, updated, conflicts
     ):
         doc_v1 = residence_doc("WhiteHouse", revision=1)
-        doc_v2 = residence_doc("Washington", revision=2)
+        doc_v2 = residence_doc("Washington", revision=2 if b_is_newer else 1)
         declarations = doc_v1.declarations if with_declarations else None
-        graph, report = merge(
-            doc_v1.graph, doc_v2.graph, AlignmentResult(), declarations, prefer_newer=prefer_newer
-        )
+        graph, report = merge(doc_v1.graph, doc_v2.graph, AlignmentResult(), declarations)
         assert value_literals(graph) == literals
         assert (len(report.updated), len(report.conflicts)) == (updated, conflicts)
 
@@ -322,8 +314,6 @@ def oracle_merge(
     graph_b: GroundedGraph,
     alignment: AlignmentResult,
     declarations: Optional[SchemaDeclarations] = None,
-    *,
-    prefer_newer: bool = True,
 ) -> Tuple[GroundedGraph, MergeReport]:
     """The reference :func:`merge` is held to: the implementation that
     copied A's edges too and pushed every fold through both edge sets,
@@ -371,7 +361,7 @@ def oracle_merge(
 
     # --- FUNCTIONAL slot resolution ---------------------------------------
     updated, conflicts = _resolve_functional_slots(
-        nodes, edges, edges_a, edges_b, graph_a.revision, graph_b.revision, declarations, prefer_newer
+        nodes, edges, edges_a, edges_b, graph_a.revision, graph_b.revision, declarations
     )
 
     merged_graph = GroundedGraph(
@@ -490,7 +480,7 @@ def _plan_attr_dedup(nodes, edges_a, edges_b, graph_a) -> Dict[NodeId, NodeId]:
     return _fold_cross_side(groups.values(), graph_a)
 
 
-def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, declarations, prefer_newer):
+def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, declarations):
     attrs_by_event: Dict[NodeId, list] = {}
     values_by_attr: Dict[NodeId, list] = {}
     for edge in edges:
@@ -529,7 +519,7 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, decl
                 continue
             side_a = {literal for literal, edge in value_edges if edge in edges_a}
             side_b = {literal for literal, edge in value_edges if edge in edges_b}
-            resolvable = prefer_newer and rev_a != rev_b and bool(side_a) and bool(side_b)
+            resolvable = rev_a != rev_b and bool(side_a) and bool(side_b)
             if resolvable:
                 winner_side, winner_rev = (side_a, rev_a) if rev_a > rev_b else (side_b, rev_b)
                 losers = [literal for literal in literals if literal not in winner_side]
@@ -721,7 +711,8 @@ def hand_built_pairs(draw):
             for obj in of_kind[object_kind]
         ]
         edges = draw(st.lists(st.sampled_from(candidates), max_size=14)) if candidates else []
-        graph = GroundedGraph.build(taken, edges, "hand", revision)
+        graph = GroundedGraph({node.id: node for node in taken}, frozenset(edges), "hand", revision)
+        assert validate_graph(graph, HAND_HIERARCHY).ok
         return GkgDocument(HAND_HIERARCHY, graph, declarations=declarations)
 
     declarations_a = draw(hand_declarations)
@@ -738,8 +729,7 @@ def hand_built_pairs(draw):
 def merge_cases(draw):
     """Two documents, canonicalized or hand-built, a random one-to-one
     partial alignment of their continuants (now and then with a stray row,
-    which may name a node that is none or repeat an id of another row),
-    and the ``prefer_newer`` flag."""
+    which may name a node that is none or repeat an id of another row)."""
     doc_a, doc_b = draw(st.one_of(canonical_pairs(), hand_built_pairs()))
     ids_a = sorted((n.id for n in doc_a.graph.continuants()), key=str)
     ids_b = sorted((n.id for n in doc_b.graph.continuants()), key=str)
@@ -753,14 +743,14 @@ def merge_cases(draw):
     if draw(st.sampled_from(range(20))) == 19:
         stray = sorted(doc_b.graph.nodes, key=str)
         matches.append((ids_a[0] if ids_a else NodeId("ent", "absent"), draw(st.sampled_from(stray)), 0.9))
-    return doc_a, doc_b, AlignmentResult(matches=tuple(matches)), draw(st.booleans())
+    return doc_a, doc_b, AlignmentResult(matches=tuple(matches))
 
 
-def run_merge(merge_fn, doc_a, doc_b, alignment, prefer_newer):
+def run_merge(merge_fn, doc_a, doc_b, alignment):
     """The serialized graph and report of one merge, or its error."""
     declarations = doc_a.declarations.merged_with(doc_b.declarations)
     try:
-        graph, report = merge_fn(doc_a.graph, doc_b.graph, alignment, declarations, prefer_newer=prefer_newer)
+        graph, report = merge_fn(doc_a.graph, doc_b.graph, alignment, declarations)
     except (AlignmentMismatchError, IdCollisionError) as exc:
         return type(exc), str(exc)
     hierarchy = union_hierarchies(doc_a.hierarchy, doc_b.hierarchy)
@@ -797,7 +787,7 @@ class TestMergeProperties:
             "E ev:b participantIn ent:x\nE ev:c participantIn ent:x\nE at:a hasProp ev:b\nE at:a hasValue val:l\n"
             "E at:b hasProp ev:c\nE at:b hasValue val:l\n"
         )
-        case = (doc_a, doc_b, AlignmentResult(), True)
+        case = (doc_a, doc_b, AlignmentResult())
         assert run_merge(merge, *case) == run_merge(oracle_merge, *case)
         merged, _ = merge(doc_a.graph, doc_b.graph, AlignmentResult())
         assert NodeId("at", "b") not in merged.nodes

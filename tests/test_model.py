@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from gkg import (
     CycleError,
-    DuplicateTypeError,
     Edge,
     GroundedGraph,
     IssueKind,
@@ -21,10 +20,8 @@ from gkg import (
     PrimitiveRelation,
     ROOT_TYPE,
     RoleConceptDef,
-    SignatureViolationError,
     TypeHierarchy,
     UnknownNodeError,
-    UnknownParentError,
     UnknownTypeError,
     ValidationIssue,
     ValidationReport,
@@ -229,18 +226,21 @@ class TestTypeHierarchy:
         assert h.is_subtype(ROOT_TYPE, ROOT_TYPE)
         assert h.types == frozenset({ROOT_TYPE})
 
-    def test_add_type_defaults_to_root_parent(self):
-        h = TypeHierarchy.root_only().add_type(tid("A"))
+    def test_parentless_type_gets_the_root_as_parent(self):
+        h = TypeHierarchy.from_edges([(tid("A"), None)])
+        assert h.parents[tid("A")] == frozenset({ROOT_TYPE})
         assert h.is_subtype(tid("A"), ROOT_TYPE)
 
-    def test_add_duplicate_type(self):
-        h = TypeHierarchy.root_only().add_type(tid("A"))
-        with pytest.raises(DuplicateTypeError):
-            h.add_type(tid("A"))
+    def test_repeated_type_is_tolerated(self):
+        once = TypeHierarchy.from_edges([(tid("A"), None), (tid("B"), tid("A"))])
+        twice = TypeHierarchy.from_edges([(tid("A"), None), (tid("B"), tid("A"))] * 2 + [(tid("B"), None)])
+        assert twice == once
 
-    def test_add_under_unknown_parent(self):
-        with pytest.raises(UnknownParentError):
-            TypeHierarchy.root_only().add_type(tid("A"), parent=tid("Missing"))
+    def test_unlisted_parent_is_registered(self):
+        h = TypeHierarchy.from_edges([(tid("A"), tid("Missing"))])
+        assert h.types == {ROOT_TYPE, tid("A"), tid("Missing")}
+        assert h.parents[tid("Missing")] == frozenset({ROOT_TYPE})
+        assert h.is_subtype(tid("A"), tid("Missing"))
 
     def test_multi_parent_dag(self):
         h = TypeHierarchy.from_edges(
@@ -320,26 +320,39 @@ def small_graph():
         NodeId("x", "v"): Node(NodeId("x", "v"), NodeKind.VALUE_LITERAL, inst_of=ROOT_TYPE, literal="7"),
         ROOT_TYPE: Node(ROOT_TYPE, NodeKind.TYPE_NODE),
     }
-    return GroundedGraph.build(nodes.values()), h
+    return GroundedGraph(nodes), h
+
+
+def with_edge(graph, subject, relation, obj):
+    return GroundedGraph(graph.nodes, graph.edges | {Edge(subject, relation, obj)})
 
 
 class TestEdgesAndSignatures:
-    def test_add_edge_accepts_legal_relation(self):
-        g, _h = small_graph()
-        g2 = g.add_edge(NodeId("x", "o"), PrimitiveRelation.PARTICIPANT_IN, NodeId("x", "c"))
-        assert Edge(NodeId("x", "o"), PrimitiveRelation.PARTICIPANT_IN, NodeId("x", "c")) in g2.edges
-        assert g2.edges >= g.edges  # original untouched, pure update
-        assert len(g.edges) == 0
+    def test_legal_edge_validates_clean(self):
+        g, h = small_graph()
+        g2 = with_edge(g, NodeId("x", "o"), PrimitiveRelation.PARTICIPANT_IN, NodeId("x", "c"))
+        assert validate_graph(g2, h).ok
+        assert len(g.edges) == 0  # the original graph is untouched
 
-    def test_add_edge_rejects_signature_violation(self):
-        g, _h = small_graph()
-        with pytest.raises(SignatureViolationError):
-            g.add_edge(NodeId("x", "c"), PrimitiveRelation.IS_A, ROOT_TYPE)
+    def test_signature_violation_is_reported(self):
+        g, h = small_graph()
+        g2 = with_edge(g, NodeId("x", "c"), PrimitiveRelation.IS_A, ROOT_TYPE)
+        assert validate_graph(g2, h).issues == (
+            ValidationIssue(
+                IssueKind.SIGNATURE_VIOLATION,
+                "x:c isA core:Entity",
+                "isA does not admit (CONTINUANT, TYPE_NODE)",
+            ),
+        )
 
-    def test_add_edge_unknown_endpoint(self):
-        g, _h = small_graph()
+    def test_edge_to_unknown_node_is_dangling(self):
+        g, h = small_graph()
+        g2 = with_edge(g, NodeId("x", "c"), PrimitiveRelation.DEP, NodeId("x", "ghost"))
+        assert validate_graph(g2, h).issues == (
+            ValidationIssue(IssueKind.DANGLING_REFERENCE, "x:c dep x:ghost", "missing object x:ghost"),
+        )
         with pytest.raises(UnknownNodeError):
-            g.add_edge(NodeId("x", "c"), PrimitiveRelation.DEP, NodeId("x", "ghost"))
+            g2.node(NodeId("x", "ghost"))
 
     def test_eq_requires_same_kind(self):
         assert signature_allows(PrimitiveRelation.EQ, NodeKind.CONTINUANT, NodeKind.CONTINUANT)
@@ -493,7 +506,7 @@ def oracle_validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Val
         elif node.literal is not None:
             report(IssueKind.LITERAL_MISMATCH, node_id, "literal on a non-value node")
 
-    for edge in graph.edges_sorted():
+    for edge in sorted(graph.edges, key=Edge.sort_key):
         subject_node = graph.nodes.get(edge.subject)
         object_node = graph.nodes.get(edge.obj)
         context = f"{edge.subject} {edge.relation.value} {edge.obj}"
@@ -588,7 +601,8 @@ def teaching_graph(person_type=HUMAN, with_agent=True):
     edges = set()
     if with_agent:
         edges.add(Edge(o.id, PrimitiveRelation.HAS_AGENT, x.id))
-    g = GroundedGraph.build([x, o, *types], edges)
+    g = GroundedGraph({n.id: n for n in [x, o, *types]}, frozenset(edges))
+    assert validate_graph(g, h).ok
     return g, h
 
 
@@ -623,6 +637,6 @@ class TestRoleInference:
     def test_monotone_under_added_edges(self):
         g, h = teaching_graph()
         before = set(infer_role_labels(g, h, [TEACHER]))
-        g2 = g.add_edge(NodeId("x", "lesson"), PrimitiveRelation.PARTICIPANT_IN, NodeId("x", "p"))
+        g2 = with_edge(g, NodeId("x", "lesson"), PrimitiveRelation.PARTICIPANT_IN, NodeId("x", "p"))
         after = set(infer_role_labels(g2, h, [TEACHER]))
         assert before <= after

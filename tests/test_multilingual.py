@@ -193,7 +193,8 @@ class TestIsomorphism:
 
     def test_extra_edge_witnessed(self):
         graph, labels = worked_with_labels()
-        extra = graph.add_edge(NodeId("ex", "birth1"), PrimitiveRelation.HAS_AGENT, RW)
+        edge = Edge(NodeId("ex", "birth1"), PrimitiveRelation.HAS_AGENT, RW)
+        extra = GroundedGraph(graph.nodes, graph.edges | {edge})
         result = check_isomorphic(render(graph, labels, "en"), render(extra, labels, "en"))
         assert not result.ok
         assert "hasAgent" in result.witness
