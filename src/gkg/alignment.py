@@ -11,14 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .embedding import cosine, embed_phrase, normalized
 from .errors import GkgSyntaxError, InvalidParameterError, NotAContinuantError
 from .formats import _content_lines, _node_id
-from .model import GroundedGraph, NodeId, NodeKind, TypeHierarchy, _ForwardLinks, infer_role_labels
+from .model import (
+    GroundedGraph,
+    NodeId,
+    NodeKind,
+    TypeHierarchy,
+    _equal_to_own_type,
+    _ForwardLinks,
+    infer_role_labels,
+)
 from .multilingual import LabelTable
 from .schema import SchemaDeclarations
 
@@ -39,8 +47,8 @@ def fact_slot_key(event_type: NodeId, attr_type: NodeId) -> str:
     return f"{_FACT_PREFIX}:{event_type}:{attr_type}"
 
 
-@dataclass(frozen=True)
-class EntitySignature:
+@_equal_to_own_type
+class EntitySignature(NamedTuple):
     """Slot key -> unit vector, keys sorted."""
 
     slots: Mapping[str, np.ndarray]
@@ -72,8 +80,8 @@ class AlignmentConfig:
             )
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
+@_equal_to_own_type
+class AlignmentResult(NamedTuple):
     matches: Tuple[Tuple[NodeId, NodeId, float], ...] = ()
     unmatched_a: Tuple[NodeId, ...] = ()
     unmatched_b: Tuple[NodeId, ...] = ()

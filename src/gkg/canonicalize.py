@@ -9,8 +9,7 @@ relation names that normalize to the same rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .embedding import tokenize
 from .errors import IdCollisionError, UnknownTypeError
@@ -25,6 +24,9 @@ from .model import (
     PrimitiveRelation,
     ROOT_TYPE,
     TypeHierarchy,
+    _equal_to_own_type,
+    _Frozen,
+    _set_field,
 )
 from .multilingual import LabelTable
 from .schema import (
@@ -43,8 +45,8 @@ _KIND_OF = {ENTITY_NAMESPACE: NodeKind.CONTINUANT, EVENT_NAMESPACE: NodeKind.OCC
             ATTRIBUTE_NAMESPACE: NodeKind.ATTRIBUTE_INSTANCE, VALUE_NAMESPACE: NodeKind.VALUE_LITERAL}
 
 
-@dataclass(frozen=True, slots=True)
-class ValueConflict:
+@_equal_to_own_type
+class ValueConflict(NamedTuple):
     """A FUNCTIONAL slot received more than one distinct value in one run.
     Both values stay in the graph; the conflict is only flagged here."""
 
@@ -53,13 +55,24 @@ class ValueConflict:
     literals: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CanonReport:
-    events_created: int = 0
-    events_coalesced: int = 0
-    unmapped_relations: FrozenSet[str] = frozenset()
-    entity_nodes_created: int = 0
-    value_conflicts: Tuple[ValueConflict, ...] = ()
+class CanonReport(_Frozen):
+    __slots__ = _fields = (
+        "events_created", "events_coalesced", "unmapped_relations", "entity_nodes_created", "value_conflicts"
+    )
+
+    def __init__(
+        self,
+        events_created: int = 0,
+        events_coalesced: int = 0,
+        unmapped_relations: FrozenSet[str] = frozenset(),
+        entity_nodes_created: int = 0,
+        value_conflicts: Tuple[ValueConflict, ...] = (),
+    ):
+        _set_field(self, "events_created", events_created)
+        _set_field(self, "events_coalesced", events_coalesced)
+        _set_field(self, "unmapped_relations", unmapped_relations)
+        _set_field(self, "entity_nodes_created", entity_nodes_created)
+        _set_field(self, "value_conflicts", value_conflicts)
 
     def to_tsv(self) -> str:
         lines = [

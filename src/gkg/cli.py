@@ -21,9 +21,8 @@ from .alignment import (
     parse_alignment_tsv,
 )
 from .canonicalize import canonicalize_document
-from .embedding import DEFAULT_DIM, FileEmbeddingProvider, HashEmbeddingProvider
+from .embedding import DEFAULT_DIM, DEFAULT_SEED, DEFAULT_TRIALS, FileEmbeddingProvider, HashEmbeddingProvider
 from .errors import GkgError, GkgSyntaxError, InvalidParameterError, ValidationFailedError
-from .evaluation import DEFAULT_SEED, DEFAULT_TRIALS, eval_flat, eval_grounded
 from .formats import GkgDocument, parse_flat, parse_gkg, parse_rules, serialize_gkg
 from .merge import merge_documents, union_hierarchies
 from .multilingual import check_isomorphic, render
@@ -58,7 +57,7 @@ def _report_stream(out_path: Optional[str]):
 def _build_provider(args: argparse.Namespace):
     if args.provider == "file":
         if not args.vectors:
-            raise GkgError("--vectors is required with --provider file")
+            raise InvalidParameterError("--vectors is required with --provider file")
         return FileEmbeddingProvider(args.vectors, dim=args.dim, fallback_seed=args.seed)
     return HashEmbeddingProvider(seed=args.seed, dim=args.dim)
 
@@ -140,12 +139,18 @@ def cmd_isocheck(args: argparse.Namespace) -> int:
     return 1
 
 
+# Only the eval commands import gkg.evaluation, so no other command pays
+# for compiling and running it.
 def cmd_eval_flat(args: argparse.Namespace) -> int:
+    from .evaluation import eval_flat
+
     sys.stdout.write(eval_flat(seed=args.seed, dim=args.dim, trials=args.trials))
     return 0
 
 
 def cmd_eval_grounded(args: argparse.Namespace) -> int:
+    from .evaluation import eval_grounded
+
     sys.stdout.write(eval_grounded(seed=args.seed, dim=args.dim, threshold=args.threshold))
     return 0
 

@@ -24,6 +24,10 @@ from .errors import EmptyTokenError, InvalidParameterError, VectorFileError
 from .hashing import MASK64, SplitMix64, fnv1a64
 
 DEFAULT_DIM = 64
+#: Defaults of the built-in evaluation suites, kept out of
+#: ``gkg.evaluation`` so that only the ``gkg eval`` commands import it.
+DEFAULT_SEED = 42
+DEFAULT_TRIALS = 100
 
 _SEPARATORS = re.compile(r"[\s_\-]+")
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")

@@ -15,7 +15,6 @@ printed for qualitative comparison only.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
@@ -29,15 +28,12 @@ from .alignment import (
     slot_similarities,
 )
 from .canonicalize import canonicalize_document
-from .embedding import DEFAULT_DIM, HashEmbeddingProvider, cosine, embed_flat_triple
+from .embedding import DEFAULT_DIM, DEFAULT_SEED, DEFAULT_TRIALS, HashEmbeddingProvider, cosine, embed_flat_triple
 from .errors import InvalidParameterError
 from .formats import FlatTriple, GkgDocument, parse_rules
 from .hashing import SplitMix64
 from .model import NodeId, PrimitiveRelation
 from .multilingual import gloss_id
-
-DEFAULT_SEED = 42
-DEFAULT_TRIALS = 100
 
 #: Pair -> what changed between the two triples of the quartet.
 PAIR_CLASSES: Mapping[Tuple[str, str], str] = {
@@ -168,7 +164,7 @@ def _with_swapped_glosses(doc: GkgDocument) -> GkgDocument:
     labels = labels.with_label(gloss_id(PrimitiveRelation.HAS_PROP), "en", "bears")
     labels = labels.with_label(gloss_id(PrimitiveRelation.HAS_VALUE), "en", "equals")
     labels = labels.with_label(gloss_id(PrimitiveRelation.PARTICIPANT_IN), "fr", "participe a")
-    return replace(doc, labels=labels)
+    return GkgDocument(doc.hierarchy, doc.graph, labels, doc.declarations)
 
 
 def eval_grounded(

@@ -29,9 +29,8 @@ record, so equal documents produce byte-identical text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .embedding import tokenize
 from .errors import (
@@ -54,6 +53,8 @@ from .model import (
     TypeHierarchy,
     ValidationIssue,
     ValidationReport,
+    _Frozen,
+    _set_field,
     validate_graph,
 )
 from .multilingual import LabelTable
@@ -78,18 +79,15 @@ _KIND_CODE_OF = {kind: code for code, kind in _KIND_CODES.items()}
 _RELATION_CODE_OF = {relation: code for code, relation in _RELATIONS.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class FlatTriple:
+class FlatTriple(_Frozen):
     """One conventional KG triple: three non-empty labels that hold no tab,
     end no line for ``str.splitlines`` and do not start with whitespace (a
     graph document could not carry such a label or literal back)."""
 
-    e1: str
-    r: str
-    e2: str
+    __slots__ = _fields = ("e1", "r", "e2")
 
-    def __post_init__(self):
-        for name, value in (("e1", self.e1), ("r", self.r), ("e2", self.e2)):
+    def __init__(self, e1: str, r: str, e2: str):
+        for name, value in (("e1", e1), ("r", r), ("e2", e2)):
             if not value:
                 raise ValueError(f"flat triple field {name} is empty")
             # Tabs and line breaks are unprintable, so one call clears a
@@ -100,25 +98,31 @@ class FlatTriple:
             if value[0].isspace():
                 blank = "is blank" if value.isspace() else "starts with whitespace"
                 raise ValueError(f"flat triple field {name} {blank}")
+        _set_field(self, "e1", e1)
+        _set_field(self, "r", r)
+        _set_field(self, "e2", e2)
 
 
-@dataclass(frozen=True)
-class GkgDocument:
+class GkgDocument(_Frozen):
     """A hierarchy, a graph, display labels and schema declarations.
 
     On construction the graph is synchronized with the hierarchy: every
     hierarchy type gains a type node in the graph, and a graph type node
-    that the hierarchy does not know is rejected.
+    that the hierarchy does not know is rejected.  Missing labels and
+    declarations are empty ones.
     """
 
-    hierarchy: TypeHierarchy
-    graph: GroundedGraph
-    labels: LabelTable = field(default_factory=LabelTable)
-    declarations: SchemaDeclarations = field(default_factory=SchemaDeclarations)
+    __slots__ = _fields = ("hierarchy", "graph", "labels", "declarations")
 
-    def __post_init__(self):
-        nodes = self.graph.nodes
-        types = self.hierarchy.types
+    def __init__(
+        self,
+        hierarchy: TypeHierarchy,
+        graph: GroundedGraph,
+        labels: Optional[LabelTable] = None,
+        declarations: Optional[SchemaDeclarations] = None,
+    ):
+        nodes = graph.nodes
+        types = hierarchy.types
         for node_id, (_, kind, _, _) in nodes.items():
             if kind is NodeKind.TYPE_NODE and node_id not in types:
                 raise ValueError(f"graph type node {node_id} is absent from the hierarchy")
@@ -133,11 +137,11 @@ class GkgDocument:
             nodes = dict(nodes)
             for type_id in missing:
                 nodes[type_id] = Node(type_id, NodeKind.TYPE_NODE)
-            object.__setattr__(
-                self,
-                "graph",
-                GroundedGraph(nodes, self.graph.edges, self.graph.source_id, self.graph.revision),
-            )
+            graph = GroundedGraph(nodes, graph.edges, graph.source_id, graph.revision)
+        _set_field(self, "hierarchy", hierarchy)
+        _set_field(self, "graph", graph)
+        _set_field(self, "labels", LabelTable() if labels is None else labels)
+        _set_field(self, "declarations", SchemaDeclarations() if declarations is None else declarations)
 
 
 def validate_document(doc: GkgDocument) -> ValidationReport:

@@ -13,9 +13,8 @@ Everything unmatched is unioned disjointly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Set, Tuple
 
 from .alignment import AlignmentResult
 from .errors import AlignmentMismatchError, IdCollisionError
@@ -28,14 +27,17 @@ from .model import (
     NodeKind,
     PrimitiveRelation,
     TypeHierarchy,
+    _equal_to_own_type,
     _ForwardLinks,
+    _Frozen,
+    _set_field,
 )
 from .multilingual import LabelTable
 from .schema import AttrMode, Cardinality, SchemaDeclarations
 
 
-@dataclass(frozen=True, slots=True)
-class UpdateEntry:
+@_equal_to_own_type
+class UpdateEntry(NamedTuple):
     """A FUNCTIONAL slot where the higher-revision side replaced values."""
 
     event: NodeId
@@ -45,8 +47,8 @@ class UpdateEntry:
     winner_revision: int
 
 
-@dataclass(frozen=True, slots=True)
-class ConflictEntry:
+@_equal_to_own_type
+class ConflictEntry(NamedTuple):
     """A FUNCTIONAL slot with differing values that nothing resolved; all
     values remain in the graph."""
 
@@ -55,14 +57,24 @@ class ConflictEntry:
     values: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class MergeReport:
-    merged: int = 0
-    pairs: Tuple[Tuple[NodeId, NodeId], ...] = ()
-    updated: Tuple[UpdateEntry, ...] = ()
-    conflicts: Tuple[ConflictEntry, ...] = ()
-    added_nodes: int = 0
-    added_edges: int = 0
+class MergeReport(_Frozen):
+    __slots__ = _fields = ("merged", "pairs", "updated", "conflicts", "added_nodes", "added_edges")
+
+    def __init__(
+        self,
+        merged: int = 0,
+        pairs: Tuple[Tuple[NodeId, NodeId], ...] = (),
+        updated: Tuple[UpdateEntry, ...] = (),
+        conflicts: Tuple[ConflictEntry, ...] = (),
+        added_nodes: int = 0,
+        added_edges: int = 0,
+    ):
+        _set_field(self, "merged", merged)
+        _set_field(self, "pairs", pairs)
+        _set_field(self, "updated", updated)
+        _set_field(self, "conflicts", conflicts)
+        _set_field(self, "added_nodes", added_nodes)
+        _set_field(self, "added_edges", added_edges)
 
     def to_tsv(self) -> str:
         lines = [f"merged\t{self.merged}"]

@@ -7,16 +7,77 @@ data must be reified into typed nodes before it enters a graph.
 
 All values are immutable.  A graph is built whole and checked by
 :func:`validate_graph`, which reports issues instead of raising.
+
+The value types' methods are written in the source, since ``dataclasses``
+would generate and compile them in every process that imports gkg: a
+plain record is a ``typing.NamedTuple`` marked with
+:func:`_equal_to_own_type`, and any other value type derives from
+:class:`_Frozen`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CycleError, UnknownNodeError, UnknownTypeError
+
+_set_field = object.__setattr__
+
+
+class _Frozen:
+    """Base of the value types that are not tuples.  A subclass names its
+    fields in ``_fields`` and sets each in ``__init__`` with
+    :func:`_set_field`.  Equality (with its own type only), hashing,
+    ``repr``, copying and pickling read the fields in that order, as those
+    of a frozen dataclass do, and assignment raises ``AttributeError``."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def _tuple_eq(self, other):
+    if type(other) is type(self):
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _tuple_ne(self, other):
+    equal = _tuple_eq(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+def _equal_to_own_type(cls):
+    """Make a ``NamedTuple`` class equal only to its own instances, as a
+    frozen dataclass is: a plain tuple, or a record of another type with
+    the same field values, compares unequal.  Hashing stays the tuple's."""
+    cls.__eq__, cls.__ne__ = _tuple_eq, _tuple_ne
+    return cls
 
 
 class NodeId(tuple):
@@ -240,8 +301,7 @@ class Adjacency(_ForwardLinks):
         self._index(edges, self.participants, self.bearers)
 
 
-@dataclass(frozen=True, slots=True)
-class RoleConceptDef:
+class RoleConceptDef(_Frozen):
     """A role concept such as Teacher: instances of ``base_type`` that stand
     in ``via`` to an occurrent of ``occurrent_type`` carry ``role_name``.
 
@@ -249,31 +309,36 @@ class RoleConceptDef:
     hierarchy.
     """
 
-    role_name: str
-    base_type: NodeId
-    via: PrimitiveRelation
-    occurrent_type: NodeId
+    __slots__ = _fields = ("role_name", "base_type", "via", "occurrent_type")
 
-    def __post_init__(self):
-        if self.via not in PARTICIPANT_RELATIONS:
-            raise ValueError(f"role via must be a participant relation, got {self.via.value}")
-        if not self.role_name or any(ch.isspace() for ch in self.role_name):
-            raise ValueError(f"role name must be non-empty without whitespace: {self.role_name!r}")
+    def __init__(self, role_name: str, base_type: NodeId, via: PrimitiveRelation, occurrent_type: NodeId):
+        if via not in PARTICIPANT_RELATIONS:
+            raise ValueError(f"role via must be a participant relation, got {via.value}")
+        if not role_name or any(ch.isspace() for ch in role_name):
+            raise ValueError(f"role name must be non-empty without whitespace: {role_name!r}")
+        _set_field(self, "role_name", role_name)
+        _set_field(self, "base_type", base_type)
+        _set_field(self, "via", via)
+        _set_field(self, "occurrent_type", occurrent_type)
 
 
-@dataclass(frozen=True)
-class TypeHierarchy:
+class TypeHierarchy(_Frozen):
     """A DAG of type nodes.  Multiple parents are allowed, cycles are not,
     and ``core:Entity`` is an ancestor of every other type.
 
     ``parents`` holds an entry for every type (empty only for the root).
     Each type's ancestor set is computed once, on its first question, and
-    kept: the hierarchy never changes, so the set never goes stale.
+    kept: the hierarchy never changes, so the set never goes stale.  The
+    kept sets are no field: equality, hashing and ``repr`` ignore them.
     """
 
-    types: frozenset = frozenset()
-    parents: Mapping[NodeId, frozenset] = field(default_factory=dict)
-    _ancestors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("types", "parents")
+    __slots__ = _fields + ("_ancestors",)
+
+    def __init__(self, types: frozenset = frozenset(), parents: Optional[Mapping[NodeId, frozenset]] = None):
+        _set_field(self, "types", types)
+        _set_field(self, "parents", {} if parents is None else parents)
+        _set_field(self, "_ancestors", {})
 
     @classmethod
     def root_only(cls) -> "TypeHierarchy":
@@ -350,8 +415,7 @@ class TypeHierarchy:
         return sup in ancestors
 
 
-@dataclass(frozen=True)
-class GroundedGraph:
+class GroundedGraph(_Frozen):
     """An edge-labelled graph over typed nodes.
 
     ``nodes`` may include the type nodes of the companion hierarchy so that
@@ -360,10 +424,14 @@ class GroundedGraph:
     version for merge conflict resolution.
     """
 
-    nodes: Mapping[NodeId, Node] = field(default_factory=dict)
-    edges: frozenset = frozenset()
-    source_id: str = ""
-    revision: int = 0
+    __slots__ = _fields = ("nodes", "edges", "source_id", "revision")
+
+    def __init__(self, nodes: Optional[Mapping[NodeId, Node]] = None, edges: frozenset = frozenset(),
+                 source_id: str = "", revision: int = 0):
+        _set_field(self, "nodes", {} if nodes is None else nodes)
+        _set_field(self, "edges", edges)
+        _set_field(self, "source_id", source_id)
+        _set_field(self, "revision", revision)
 
     def node(self, node_id: NodeId) -> Node:
         try:
@@ -393,8 +461,8 @@ class IssueKind(str, Enum):
     HIERARCHY_MISMATCH = "hierarchy-mismatch"
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationIssue:
+@_equal_to_own_type
+class ValidationIssue(NamedTuple):
     kind: IssueKind
     context: str
     message: str
@@ -403,9 +471,11 @@ class ValidationIssue:
         return (self.kind.value, self.context, self.message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple = ()
+class ValidationReport(_Frozen):
+    __slots__ = _fields = ("issues",)
+
+    def __init__(self, issues: tuple = ()):
+        _set_field(self, "issues", issues)
 
     @property
     def ok(self) -> bool:

@@ -8,11 +8,10 @@ gloss table is just label entries for ``rel:isA``, ``rel:hasAgent``, ...
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .model import Edge, GroundedGraph, NodeId, PrimitiveRelation
+from .model import Edge, GroundedGraph, NodeId, PrimitiveRelation, _equal_to_own_type, _Frozen, _set_field
 
 GLOSS_NAMESPACE = "rel"
 
@@ -24,11 +23,13 @@ def gloss_id(relation: PrimitiveRelation) -> NodeId:
     return NodeId(GLOSS_NAMESPACE, relation.value)
 
 
-@dataclass(frozen=True)
-class LabelTable:
+class LabelTable(_Frozen):
     """At most one label per (node id, language tag)."""
 
-    entries: Mapping[tuple, str] = field(default_factory=dict)
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: Optional[Mapping[tuple, str]] = None):
+        _set_field(self, "entries", {} if entries is None else entries)
 
     @classmethod
     def from_entries(cls, entries: Iterable[tuple]) -> "LabelTable":
@@ -60,15 +61,18 @@ class LabelTable:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class LabeledView:
+class LabeledView(_Frozen):
     """A graph projected into one language: labels for nodes, glosses for
     relations, structure untouched."""
 
-    lang: str
-    node_labels: Mapping[NodeId, str]
-    edges: frozenset
-    relation_glosses: Mapping[PrimitiveRelation, str]
+    __slots__ = _fields = ("lang", "node_labels", "edges", "relation_glosses")
+
+    def __init__(self, lang: str, node_labels: Mapping[NodeId, str], edges: frozenset,
+                 relation_glosses: Mapping[PrimitiveRelation, str]):
+        _set_field(self, "lang", lang)
+        _set_field(self, "node_labels", node_labels)
+        _set_field(self, "edges", edges)
+        _set_field(self, "relation_glosses", relation_glosses)
 
     def to_tsv(self) -> str:
         """Two-column node rows, then three-column labelled edge rows."""
@@ -121,8 +125,8 @@ def render(
     return LabeledView(lang, node_labels, frozenset(graph.edges), glosses)
 
 
-@dataclass(frozen=True, slots=True)
-class IsomorphismResult:
+@_equal_to_own_type
+class IsomorphismResult(NamedTuple):
     ok: bool
     witness: Optional[str] = None
 

@@ -7,11 +7,18 @@ These steer the canonicalizer (event cardinality), the merge engine
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Tuple, Union
+from typing import Mapping, NamedTuple, Optional, Tuple, Union
 
-from .model import NodeId, PrimitiveRelation, RoleConceptDef, PARTICIPANT_RELATIONS
+from .model import (
+    PARTICIPANT_RELATIONS,
+    NodeId,
+    PrimitiveRelation,
+    RoleConceptDef,
+    _equal_to_own_type,
+    _Frozen,
+    _set_field,
+)
 
 
 class Cardinality(str, Enum):
@@ -24,8 +31,8 @@ class AttrMode(str, Enum):
     MULTI = "MULTI"
 
 
-@dataclass(frozen=True, slots=True)
-class AttrSlot:
+@_equal_to_own_type
+class AttrSlot(NamedTuple):
     """Rule object slot: the object becomes a value literal of
     ``value_type`` hanging off an attribute instance of ``attr_type``."""
 
@@ -33,35 +40,33 @@ class AttrSlot:
     value_type: NodeId
 
 
-@dataclass(frozen=True, slots=True)
-class ParticipantSlot:
+class ParticipantSlot(_Frozen):
     """Rule object slot: the object becomes an entity attached to the event
     through ``role``."""
 
-    role: PrimitiveRelation
+    __slots__ = _fields = ("role",)
 
-    def __post_init__(self):
-        if self.role not in PARTICIPANT_RELATIONS:
-            raise ValueError(f"object role must be a participant relation, got {self.role.value}")
+    def __init__(self, role: PrimitiveRelation):
+        if role not in PARTICIPANT_RELATIONS:
+            raise ValueError(f"object role must be a participant relation, got {role.value}")
+        _set_field(self, "role", role)
 
 
 ObjectSlot = Union[AttrSlot, ParticipantSlot]
 
 
-@dataclass(frozen=True, slots=True)
-class ReificationRule:
+class ReificationRule(_Frozen):
     """Maps one flat relation name onto an event pattern."""
 
-    rel_name: str
-    event_type: NodeId
-    subject_role: PrimitiveRelation
-    object_slot: ObjectSlot
+    __slots__ = _fields = ("rel_name", "event_type", "subject_role", "object_slot")
 
-    def __post_init__(self):
-        if self.subject_role not in PARTICIPANT_RELATIONS:
-            raise ValueError(
-                f"subject role must be a participant relation, got {self.subject_role.value}"
-            )
+    def __init__(self, rel_name: str, event_type: NodeId, subject_role: PrimitiveRelation, object_slot: ObjectSlot):
+        if subject_role not in PARTICIPANT_RELATIONS:
+            raise ValueError(f"subject role must be a participant relation, got {subject_role.value}")
+        _set_field(self, "rel_name", rel_name)
+        _set_field(self, "event_type", event_type)
+        _set_field(self, "subject_role", subject_role)
+        _set_field(self, "object_slot", object_slot)
 
     def referenced_types(self) -> Tuple[NodeId, ...]:
         slot = self.object_slot
@@ -70,14 +75,22 @@ class ReificationRule:
         return (self.event_type,)
 
 
-@dataclass(frozen=True)
-class SchemaDeclarations:
+class SchemaDeclarations(_Frozen):
     """The declaration block of a document or rule file."""
 
-    essential: frozenset = frozenset()
-    cardinality: Mapping[NodeId, Cardinality] = field(default_factory=dict)
-    attr_modes: Mapping[tuple, AttrMode] = field(default_factory=dict)
-    roles: Tuple[RoleConceptDef, ...] = ()
+    __slots__ = _fields = ("essential", "cardinality", "attr_modes", "roles")
+
+    def __init__(
+        self,
+        essential: frozenset = frozenset(),
+        cardinality: Optional[Mapping[NodeId, Cardinality]] = None,
+        attr_modes: Optional[Mapping[tuple, AttrMode]] = None,
+        roles: Tuple[RoleConceptDef, ...] = (),
+    ):
+        _set_field(self, "essential", essential)
+        _set_field(self, "cardinality", {} if cardinality is None else cardinality)
+        _set_field(self, "attr_modes", {} if attr_modes is None else attr_modes)
+        _set_field(self, "roles", roles)
 
     def card_of(self, event_type: NodeId) -> Cardinality:
         """Event cardinality; undeclared types coalesce (ONE)."""

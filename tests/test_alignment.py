@@ -454,7 +454,8 @@ def joint_setup(doc_a, doc_b, provider, **kw):
     roles = tuple(
         role for role in declarations.roles if role.base_type in hierarchy and role.occurrent_type in hierarchy
     )
-    cfg = AlignmentConfig(provider=provider, declarations=replace(declarations, roles=roles), **kw)
+    declarations = SchemaDeclarations(declarations.essential, declarations.cardinality, declarations.attr_modes, roles)
+    cfg = AlignmentConfig(provider=provider, declarations=declarations, **kw)
     return hierarchy, cfg
 
 

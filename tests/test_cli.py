@@ -163,7 +163,8 @@ class TestAlignAndMerge:
     def test_align_file_provider_requires_vectors(self, workspace, capsys):
         doc_a = canonicalize(workspace, "a.flat", "a.gkg")
         code = main(["align", str(doc_a), str(doc_a), "--provider", "file"])
-        assert code == 1
+        assert code == 2
+        assert capsys.readouterr().err == "gkg: --vectors is required with --provider file\n"
 
     @pytest.mark.parametrize(
         "option",

@@ -1,9 +1,15 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses, every function, method and class the package
-defines is referenced somewhere in the repository, and every name
-``gkg.__all__`` exports exists, once."""
+defines is referenced somewhere in the repository, every name
+``gkg.__all__`` exports exists, once, and ``import gkg.cli`` stays cheap:
+no class generates its methods at import unless callers need
+``dataclasses.replace`` on it, and the evaluation suites load only for
+``gkg eval``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +96,34 @@ def test_every_exported_name_exists_once():
     repeated = sorted({name for name in gkg.__all__ if gkg.__all__.count(name) > 1})
     assert not missing, f"gkg.__all__ names what gkg lacks: {', '.join(missing)}"
     assert not repeated, f"gkg.__all__ repeats: {', '.join(repeated)}"
+
+
+# The only dataclasses of the package: callers apply dataclasses.replace
+# to them (gkgbench/replay.py to AlignmentConfig).  Every other value type
+# is written out, since a dataclass generates and compiles its methods in
+# each process that imports it.
+DATACLASSES = {"AlignmentConfig"}
+
+
+def dataclass_names(tree):
+    """Names of the classes that a ``dataclass`` decorator marks, in any
+    spelling: ``@dataclass``, ``@dataclass(...)``, ``@dataclasses.dataclass``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                if name == "dataclass":
+                    yield node.name
+
+
+def test_only_listed_classes_are_dataclasses():
+    found = {name for path in PACKAGE for name in dataclass_names(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found <= DATACLASSES, f"dataclasses outside the list: {', '.join(sorted(found - DATACLASSES))}"
+
+
+def test_cli_import_leaves_the_evaluation_suites_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(gkg.__file__).resolve().parent.parent))
+    code = "import sys, gkg.cli; print(sorted(name for name in sys.modules if name.startswith('gkg.')))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert "gkg.evaluation" not in loaded.stdout and "gkg.cli" in loaded.stdout

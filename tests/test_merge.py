@@ -1,6 +1,5 @@
 """Alignment-driven merging, revision-aware slot resolution, reports."""
 
-from dataclasses import replace
 from itertools import chain
 from typing import Dict, Optional, Set, Tuple
 
@@ -806,7 +805,7 @@ class TestMergeProperties:
         labels = doc.labels
         for node_id, lang in stray_labels:
             labels = labels.with_label(node_id, lang, node_id.local.capitalize())
-        doc = replace(doc, labels=labels)
+        doc = GkgDocument(doc.hierarchy, doc.graph, labels, doc.declarations)
         merged, report = merge_documents(doc, doc, partial_identity(doc, keep))
         assert merged.graph == doc.graph
         assert serialize_gkg(merged) == serialize_gkg(doc)

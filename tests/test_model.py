@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from collections import namedtuple
 from typing import Optional
 
 import pytest
@@ -10,21 +11,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkg import (
+    AlignmentResult,
+    AttrMode,
+    AttrSlot,
+    CanonReport,
+    Cardinality,
+    ConflictEntry,
     CycleError,
     Edge,
+    EntitySignature,
+    FlatTriple,
+    GkgDocument,
     GroundedGraph,
+    IsomorphismResult,
     IssueKind,
+    LabeledView,
+    LabelTable,
+    MergeReport,
     Node,
     NodeId,
     NodeKind,
+    ParticipantSlot,
     PrimitiveRelation,
     ROOT_TYPE,
+    ReificationRule,
     RoleConceptDef,
+    SchemaDeclarations,
     TypeHierarchy,
     UnknownNodeError,
     UnknownTypeError,
+    UpdateEntry,
     ValidationIssue,
     ValidationReport,
+    ValueConflict,
     infer_role_labels,
     signature_allows,
     validate_graph,
@@ -162,6 +181,111 @@ class TestValueTypes:
         assert sorted(edges) == sorted(edges, key=Edge.sort_key)
         assert min(edges) == min(edges, key=Edge.sort_key)
         assert max(edges) == max(edges, key=Edge.sort_key)
+
+
+_EVENT = NodeId("ev", "Birth#1")
+_PLACE = NodeId("t", "Place")
+_AGENT = PrimitiveRelation.HAS_AGENT
+
+# One factory per value type that is not NodeId, Node or Edge, with its
+# field names in order and whether it hashes (a dict field makes it
+# unhashable).  ValueConflict and ConflictEntry get equal field values on
+# purpose: as tuples they would compare equal.
+_RECORDS = [
+    (lambda: RoleConceptDef("Teacher", _TYPE, _AGENT, _PLACE), ("role_name", "base_type", "via", "occurrent_type"), True),
+    (lambda: TypeHierarchy.from_edges([(_TYPE, None)]), ("types", "parents"), False),
+    (lambda: GroundedGraph({_ID: Node(_ID, NodeKind.CONTINUANT, _TYPE)}, frozenset({Edge(_EVENT, _AGENT, _ID)}), "s", 2),
+     ("nodes", "edges", "source_id", "revision"), False),
+    (lambda: ValidationIssue(IssueKind.UNTYPED_NODE, "ent:x", "non-type node without inst_of"),
+     ("kind", "context", "message"), True),
+    (lambda: ValidationReport((ValidationIssue(IssueKind.UNTYPED_NODE, "ent:x", "m"),)), ("issues",), True),
+    (lambda: LabelTable({(_ID, "en"): "Ada"}), ("entries",), False),
+    (lambda: LabeledView("fr", {_ID: "Ada"}, frozenset(), {_AGENT: "agent"}),
+     ("lang", "node_labels", "edges", "relation_glosses"), False),
+    (lambda: IsomorphismResult(False, "node only in first view: ent:x"), ("ok", "witness"), True),
+    (lambda: AttrSlot(_TYPE, _PLACE), ("attr_type", "value_type"), True),
+    (lambda: ParticipantSlot(_AGENT), ("role",), True),
+    (lambda: ReificationRule("bornIn", _TYPE, _AGENT, AttrSlot(_PLACE, _TYPE)),
+     ("rel_name", "event_type", "subject_role", "object_slot"), True),
+    (lambda: SchemaDeclarations(frozenset({_TYPE}), {_TYPE: Cardinality.MANY}, {(_TYPE, _PLACE): AttrMode.FUNCTIONAL}),
+     ("essential", "cardinality", "attr_modes", "roles"), False),
+    (lambda: FlatTriple("Ada", "bornIn", "London"), ("e1", "r", "e2"), True),
+    (lambda: GkgDocument(TypeHierarchy.from_edges([(_TYPE, None)]), GroundedGraph()),
+     ("hierarchy", "graph", "labels", "declarations"), False),
+    (lambda: EntitySignature({"name": (0.6, 0.8)}), ("slots",), False),
+    (lambda: AlignmentResult(((_ID, _EVENT, 0.95),), (), (_PLACE,), ()),
+     ("matches", "unmatched_a", "unmatched_b", "ambiguous"), True),
+    (lambda: ValueConflict(_EVENT, _PLACE, ("London", "Paris")), ("event", "attr_type", "literals"), True),
+    (lambda: CanonReport(3, 2, frozenset({"diedIn"}), 4, ()),
+     ("events_created", "events_coalesced", "unmapped_relations", "entity_nodes_created", "value_conflicts"), True),
+    (lambda: UpdateEntry(_EVENT, _PLACE, ("Paris",), ("London",), 2),
+     ("event", "attr_type", "old_values", "new_values", "winner_revision"), True),
+    (lambda: ConflictEntry(_EVENT, _PLACE, ("London", "Paris")), ("event", "attr_type", "values"), True),
+    (lambda: MergeReport(1, ((_ID, _EVENT),), (), (), 3, 4),
+     ("merged", "pairs", "updated", "conflicts", "added_nodes", "added_edges"), True),
+]
+
+
+@pytest.mark.parametrize("make, fields, hashable", _RECORDS, ids=[type(make()).__name__ for make, _, _ in _RECORDS])
+class TestRecordTypes:
+    """The value types behave as the frozen dataclasses they replaced: equal
+    only to their own type, immutable, with the dataclass repr."""
+
+    def test_equal_fields_give_equal_values(self, make, fields, hashable):
+        value, again = make(), make()
+        assert value == again and not value != again
+        if hashable:
+            assert hash(value) == hash(again)
+        else:
+            with pytest.raises(TypeError):
+                hash(value)
+
+    def test_fields_are_read_only(self, make, fields, hashable):
+        value = make()
+        for name in fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+
+    def test_other_types_with_equal_fields_compare_unequal(self, make, fields, hashable):
+        value = make()
+        field_values = tuple(getattr(value, name) for name in fields)
+        twin = namedtuple("Twin", fields)(*field_values)
+        assert value != field_values and field_values != value and value != twin
+        for other in (other_make() for other_make, _, _ in _RECORDS if other_make is not make):
+            assert value != other and other != value
+
+    def test_repr_copy_and_pickle(self, make, fields, hashable):
+        value = make()
+        shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
+        assert repr(value) == f"{type(value).__name__}({shown})"
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies.extend(pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+        for other in copies:
+            assert type(other) is type(value) and other == value
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FlatTriple("", "bornIn", "London"), "flat triple field e1 is empty"),
+        (lambda: FlatTriple("Ada", "born\tIn", "London"), "flat triple field r contains a tab or a line break"),
+        (lambda: FlatTriple("Ada", "bornIn", "Lon\ndon"), "flat triple field e2 contains a tab or a line break"),
+        (lambda: FlatTriple("Ada", "bornIn", " London"), "flat triple field e2 starts with whitespace"),
+        (lambda: FlatTriple("Ada", "bornIn", " \u00a0"), "flat triple field e2 is blank"),
+        (lambda: ParticipantSlot(PrimitiveRelation.HAS_VALUE), "object role must be a participant relation, got hasValue"),
+        (lambda: ReificationRule("bornIn", _TYPE, PrimitiveRelation.IS_A, ParticipantSlot(_AGENT)),
+         "subject role must be a participant relation, got isA"),
+        (lambda: RoleConceptDef("Teacher", _TYPE, PrimitiveRelation.DEP, _PLACE),
+         "role via must be a participant relation, got dep"),
+        (lambda: RoleConceptDef("Head teacher", _TYPE, _AGENT, _PLACE),
+         "role name must be non-empty without whitespace: 'Head teacher'"),
+        (lambda: RoleConceptDef("", _TYPE, _AGENT, _PLACE), "role name must be non-empty without whitespace: ''"),
+    ],
+)
+def test_validating_constructors_keep_their_messages(make, message):
+    with pytest.raises(ValueError) as error:
+        make()
+    assert str(error.value) == message
 
 
 def oracle_node_id_error(namespace: str, local: str) -> Optional[str]:
