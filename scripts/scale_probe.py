@@ -15,9 +15,9 @@ Each command runs in a fresh interpreter with one BLAS thread.  For each
 size and checkout the probe prints one JSON object: each command's wall
 time (interpreter start included) and peak RSS, read from the child's
 own rusage, the ``MATCH`` and ``AMBIG`` rows of the alignment, and the
-SHA-256 of ``ab.align``, ``ab.gkg`` and ``aa.gkg`` as the last repeat
-left them, so equal digests across checkouts show byte-identical
-output without a diff.  With ``--repeat N`` each size runs N times and
+SHA-256 of ``a.gkg``, ``b.gkg``, ``ab.align``, ``ab.gkg`` and ``aa.gkg``
+as the last repeat left them, so equal digests across checkouts show
+byte-identical output without a diff.  With ``--repeat N`` each size runs N times and
 the median time and largest RSS are kept.  ``--src`` names the ``src``
 directory of each checkout to probe (default: this one's), so several
 versions are probed with one generator.  Within each repeat the
@@ -131,7 +131,7 @@ def probe(size: int, repeat: int, envs: dict, corpus, run_dir: Path) -> list:
                 record[f"{name}_s"] = round(statistics.median(times[src][name]), 3)
                 record[f"{name}_rss_mib"] = round(rss[src][name], 1)
             record.update(alignment_rows(works[src] / "ab.align"))
-            for name in ("ab.align", "ab.gkg", "aa.gkg"):
+            for name in ("a.gkg", "b.gkg", "ab.align", "ab.gkg", "aa.gkg"):
                 digest = hashlib.sha256((works[src] / name).read_bytes()).hexdigest()
                 record[f"{name.replace('.', '_')}_sha256"] = digest
             records.append(record)

@@ -14,7 +14,7 @@ from typing import FrozenSet, Iterable, Mapping, NamedTuple, Optional, Sequence,
 from .embedding import tokenize
 from .errors import IdCollisionError, UnknownTypeError
 from .formats import FlatTriple, GkgDocument
-from .hashing import fnv1a64_hex
+from .hashing import fnv1a64_hex, fnv1a64_hex_many
 from .model import (
     Edge,
     GroundedGraph,
@@ -168,15 +168,13 @@ def canonicalize_document(
         return (events, one, rule.subject_role, None, table(VALUE_NAMESPACE, slot.value_type),
                 table(ATTRIBUTE_NAMESPACE, slot.attr_type), slot.attr_type, functional)
 
+    # Plan each triple and gather the texts its ids hash: the subject, the
+    # event key and the object (an entity label or a literal).
     rule_by_key = _rules_by_token_key(rules)
     plans: dict = {}  # raw relation name -> its rule's plan or None
     unmapped: set = set()
-    mapped = 0
-    # (event id, attr type) -> {literal: value id}; used for conflict flags.
-    slot_values: dict = {}
-    # Edge is a NamedTuple, whose constructor is Python code.
-    new_tuple = tuple.__new__
-    has_prop, has_value = PrimitiveRelation.HAS_PROP, PrimitiveRelation.HAS_VALUE
+    planned: list = []  # (plan, subject, object, event key) of each mapped triple
+    texts: dict = {}  # distinct texts in first-seen order
     for triple in triples:
         spelling = triple.r
         try:
@@ -187,18 +185,40 @@ def canonicalize_document(
         if plan is None:
             unmapped.add(spelling)
             continue
-        mapped += 1
-        events, one, subject_role, object_role, values, attrs, attr_type, functional = plan
         subject, obj = triple.e1, triple.e2
+        event_key = subject if plan[1] else f"{subject}\t{obj}"
+        texts[subject] = texts[event_key] = texts[obj] = None
+        planned.append((plan, subject, obj, event_key))
+    hashes.update(zip(texts, fnv1a64_hex_many(list(texts))))
+    # An attribute key is its event's id, plus the literal in a MULTI slot;
+    # the event's id is its table's prefix and the event key's digest.
+    attr_keys: list = []  # each mapped triple's attribute key, or None
+    for (events, _, _, _, _, attrs, _, functional), _, obj, event_key in planned:
+        if attrs is None:
+            attr_keys.append(None)
+            continue
+        key = f"{EVENT_NAMESPACE}:{events.prefix}{hashes[event_key]}"
+        attr_keys.append(key if functional else f"{key}\t{obj}")
+    fresh = [text for text in dict.fromkeys(filter(None, attr_keys)) if text not in hashes]
+    hashes.update(zip(fresh, fnv1a64_hex_many(fresh)))
+
+    # Every digest is now a memo hit, so the tables only build and check ids.
+    # (event id, attr type) -> {literal: value id}; used for conflict flags.
+    slot_values: dict = {}
+    # Edge is a NamedTuple, whose constructor is Python code.
+    new_tuple = tuple.__new__
+    has_prop, has_value = PrimitiveRelation.HAS_PROP, PrimitiveRelation.HAS_VALUE
+    for (plan, subject, obj, event_key), attr_key in zip(planned, attr_keys):
+        events, _, subject_role, object_role, values, attrs, attr_type, functional = plan
         subject_id = entities[subject]
-        event_id = events[subject if one else f"{subject}\t{obj}"]
+        event_id = events[event_key]
         edges.add(new_tuple(Edge, (event_id, subject_role, subject_id)))
         if object_role is not None:
             edges.add(new_tuple(Edge, (event_id, object_role, entities[obj])))
             continue
 
         value_id = values[obj]
-        attr_id = attrs[str(event_id) if functional else f"{event_id}\t{obj}"]
+        attr_id = attrs[attr_key]
         edges.add(new_tuple(Edge, (attr_id, has_prop, event_id)))
         edges.add(new_tuple(Edge, (attr_id, has_value, value_id)))
         if functional:
@@ -216,7 +236,7 @@ def canonicalize_document(
     )
     report = CanonReport(
         events_created=events_created,
-        events_coalesced=mapped - events_created,
+        events_coalesced=len(planned) - events_created,
         unmapped_relations=frozenset(unmapped),
         entity_nodes_created=len(entities),
         value_conflicts=conflicts,
@@ -248,9 +268,10 @@ def hierarchy_for_rules(
 class _IdTable(dict):
     """Label or key text -> id, for the nodes of one namespace and type
     made in one call (``types`` may give an entity another type).  A hit is
-    a plain dict lookup.  A miss hashes the text through the call's memo and
-    the module global ``fnv1a64_hex``, refuses an id that another text
-    already holds, and adds the node."""
+    a plain dict lookup.  A miss takes the text's digest from the call's
+    memo, which ``canonicalize_document`` fills in batches, or else from the
+    module global ``fnv1a64_hex``, refuses an id that another text already
+    holds, and adds the node."""
 
     __slots__ = ("namespace", "kind", "type_id", "prefix", "hashes", "key_texts", "nodes", "types", "noun")
 

@@ -90,11 +90,17 @@ class FlatTriple(_Frozen):
         for name, value in (("e1", e1), ("r", r), ("e2", e2)):
             if not value:
                 raise ValueError(f"flat triple field {name} is empty")
-            # Tabs and line breaks are unprintable, so one call clears a
-            # printable field.  Text is read with splitlines(), which sets
-            # where a line ends.
-            if not value.isprintable() and ("\t" in value or value.splitlines() != [value]):
-                raise ValueError(f"flat triple field {name} contains a tab or a line break")
+            # Tabs, line breaks and lone surrogates are unprintable, so one
+            # call clears a printable field.  Text is read with splitlines(),
+            # which sets where a line ends; ids hash a field's UTF-8 bytes,
+            # which a lone surrogate has none of.
+            if not value.isprintable():
+                if "\t" in value or value.splitlines() != [value]:
+                    raise ValueError(f"flat triple field {name} contains a tab or a line break")
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"flat triple field {name} contains a lone surrogate") from None
             if value[0].isspace():
                 blank = "is blank" if value.isspace() else "starts with whitespace"
                 raise ValueError(f"flat triple field {name} {blank}")

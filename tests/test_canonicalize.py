@@ -326,6 +326,15 @@ class TestRuleIndex:
             assert [str(n.inst_of) for n in events] == [event_type]
 
 
+def hashing_as(stand_in):
+    """Patch canonicalize's scalar ``fnv1a64_hex`` and its batch
+    ``fnv1a64_hex_many`` alike, so that each text is hashed as
+    ``stand_in(text)``."""
+    real, real_many = gkg.canonicalize.fnv1a64_hex, gkg.canonicalize.fnv1a64_hex_many
+    return mock.patch.multiple(gkg.canonicalize, fnv1a64_hex=lambda text: real(stand_in(text)),
+                               fnv1a64_hex_many=lambda texts: real_many([stand_in(text) for text in texts]))
+
+
 class TestWorkOncePerDistinctInput:
     """``canonicalize_document`` hashes each distinct text once and
     tokenizes each distinct relation spelling once per call."""
@@ -342,25 +351,27 @@ class TestWorkOncePerDistinctInput:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Record every call of canonicalize's ``fnv1a64_hex`` and
-        ``tokenize``; returns ``(hashed texts, tokenized labels)``."""
-        hashed, tokenized = [], []
-
-        def record(name, into):
-            real = getattr(gkg.canonicalize, name)
-            monkeypatch.setattr(gkg.canonicalize, name, lambda text: into.append(text) or real(text))
-
-        record("fnv1a64_hex", hashed)
-        record("tokenize", tokenized)
-        return hashed, tokenized
+        """Record every text canonicalize hashes, in a batch or one by one,
+        and every label it tokenizes; yields ``(hashed texts, texts hashed
+        one by one, tokenized labels)``."""
+        hashed, one_by_one, tokenized = [], [], []
+        real_tokenize = gkg.canonicalize.tokenize
+        monkeypatch.setattr(gkg.canonicalize, "tokenize", lambda text: tokenized.append(text) or real_tokenize(text))
+        with hashing_as(lambda text: hashed.append(text) or text):
+            # Wrapped inside hashing_as, so this sees only the scalar path.
+            scalar = gkg.canonicalize.fnv1a64_hex
+            with mock.patch.object(gkg.canonicalize, "fnv1a64_hex", lambda text: one_by_one.append(text) or scalar(text)):
+                yield hashed, one_by_one, tokenized
 
     def test_one_call_per_distinct_input(self, calls):
-        hashed, tokenized = calls
+        hashed, one_by_one, tokenized = calls
         _, report = birth_doc(self.TRIPLES)
         assert (report.events_created, report.events_coalesced, report.unmapped_relations) == (3, 2, {"diedIn"})
         events = [f"ev:Birth#{fnv1a64_hex(label)}" for label in ("Ada", "Bob", "Cy")]
         # FUNCTIONAL attribute keys are the event id, shared by both slots.
         assert sorted(hashed) == sorted(["Ada", "Bob", "Cy", "London", "1815", "Paris", *events])
+        # Every text went through a batch: the scalar path hashed nothing.
+        assert one_by_one == []
         rule_names = ["bornIn", "bornOn"]
         assert sorted(tokenized) == sorted(rule_names + ["bornIn", "bornOn", "born_in", "Born In", "diedIn"])
 
@@ -443,11 +454,10 @@ class TestIdCollisions:
     ADA_AND_BOB = (("Ada", "bornIn", "London"), ("Bob", "bornIn", "Paris"))
 
     @pytest.fixture
-    def bob_hashes_as_ada(self, monkeypatch):
-        """Make ``Bob`` hash as ``Ada`` does; returns the expected message."""
-        real = gkg.canonicalize.fnv1a64_hex
-        monkeypatch.setattr(gkg.canonicalize, "fnv1a64_hex", lambda text: real("Ada" if text == "Bob" else text))
-        return f"entity labels 'Ada' and 'Bob' share the id ent:{real('Ada')}"
+    def bob_hashes_as_ada(self):
+        """Make ``Bob`` hash as ``Ada`` does; yields the expected message."""
+        with hashing_as(lambda text: "Ada" if text == "Bob" else text):
+            yield f"entity labels 'Ada' and 'Bob' share the id ent:{fnv1a64_hex('Ada')}"
 
     def test_entity_labels_with_one_hash(self, bob_hashes_as_ada):
         rules, decls = parse_rules(BIRTH_RULES)
@@ -496,13 +506,12 @@ class TestIdCollisions:
     }
 
     @pytest.fixture(params=sorted(KEY_CASES))
-    def key_collision(self, request, monkeypatch):
+    def key_collision(self, request):
         """One case of ``KEY_CASES`` with its second key text hashing as
         the first; yields the rules, triples and expected message."""
         rules_text, triples, first, second, prefix = self.KEY_CASES[request.param]
-        real = gkg.canonicalize.fnv1a64_hex
-        monkeypatch.setattr(gkg.canonicalize, "fnv1a64_hex", lambda text: real(first if text == second else text))
-        return rules_text, triples, f"keys {first!r} and {second!r} share the id {prefix}#{real(first)}"
+        with hashing_as(lambda text: first if text == second else text):
+            yield rules_text, triples, f"keys {first!r} and {second!r} share the id {prefix}#{fnv1a64_hex(first)}"
 
     def test_keys_with_one_hash(self, key_collision):
         rules_text, triples, message = key_collision
@@ -537,7 +546,7 @@ def oracle_canonicalize_document(
     """``canonicalize_document`` before it planned each relation spelling
     and kept one id table per namespace and type: copied as it was, with
     its helpers ``_add`` and ``_content`` renamed, except that it hashes
-    through ``gkg.canonicalize.fnv1a64_hex`` so that a wrapper set there
+    through ``gkg.canonicalize.fnv1a64_hex`` so that ``hashing_as``
     reaches both versions."""
     entity_types = dict(entity_types or {})
     declarations = declarations or SchemaDeclarations()
@@ -765,12 +774,11 @@ class TestCanonicalizeAgainstOracle:
     def test_same_document_report_or_error(self, inputs, data):
         """A few texts are made to hash as others do, so ids collide."""
         triples, rules, options = inputs
-        real = gkg.canonicalize.fnv1a64_hex
         hashed = set()
-        with mock.patch.object(gkg.canonicalize, "fnv1a64_hex", lambda text: hashed.add(text) or real(text)):
+        with hashing_as(lambda text: hashed.add(text) or text):
             _outcome(oracle_canonicalize_document, triples, rules, options)
         forced = data.draw(_forced_hashes(sorted(hashed)))
-        with mock.patch.object(gkg.canonicalize, "fnv1a64_hex", lambda text: real(forced.get(text, text))):
+        with hashing_as(lambda text: forced.get(text, text)):
             expected = _outcome(oracle_canonicalize_document, triples, rules, options)
             got = _outcome(canonicalize_document, triples, rules, options)
         assert got == expected

@@ -89,6 +89,30 @@ class TestFlatTriples:
         with pytest.raises(ValueError, match=f"^flat triple field {name} contains a tab or a line break$"):
             FlatTriple(*values)
 
+    @pytest.mark.parametrize("field", range(3))
+    @pytest.mark.parametrize("surrogate", ["\ud800", "\udbff", "\udc80", "\udfff"])
+    def test_triple_rejects_lone_surrogate(self, surrogate, field):
+        """Ids hash a field's UTF-8 bytes, and a lone surrogate has none:
+        such a field is refused as the triple is made, not when an id is
+        hashed."""
+        values = ["Ann Lee", "bornIn", "Oslo"]
+        values[field] = surrogate + values[field]
+        name = ("e1", "r", "e2")[field]
+        with pytest.raises(ValueError, match=f"^flat triple field {name} contains a lone surrogate$"):
+            FlatTriple(*values)
+        with pytest.raises(MalformedLineError) as exc:
+            parse_flat("a\tr\tb\n" + "\t".join(values) + "\n")
+        assert exc.value.line_no == 2
+
+    def test_astral_and_unprintable_fields_canonicalize(self):
+        """Astral characters and other unprintable ones that are no line
+        break still make triples that canonicalize."""
+        triples = (FlatTriple("Ann \U0001d11e Lee", "bornIn", "Oslo\x1f"), FlatTriple("Bo\u200b", "bornOn", "1900"))
+        rules, declarations = parse_rules(_BIRTH_RULES)
+        doc, report = canonicalize_document(triples, rules, declarations=declarations)
+        assert report.entity_nodes_created == 2
+        assert parse_gkg(serialize_gkg(doc)) == doc
+
     def test_line_breaks_are_those_of_splitlines(self):
         breaks = {chr(code) for code in range(0x110000) if len(f"a{chr(code)}b".splitlines()) > 1}
         assert breaks == set(_LINE_BREAKS)
