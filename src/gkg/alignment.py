@@ -53,13 +53,6 @@ class EntitySignature(NamedTuple):
 
     slots: Mapping[str, np.ndarray]
 
-    @classmethod
-    def from_slots(cls, slots: Mapping[str, np.ndarray]) -> "EntitySignature":
-        return cls({key: slots[key] for key in sorted(slots)})
-
-    def slot_keys(self) -> Tuple[str, ...]:
-        return tuple(self.slots)
-
 
 @dataclass(frozen=True)
 class AlignmentConfig:
@@ -83,8 +76,6 @@ class AlignmentConfig:
 @_equal_to_own_type
 class AlignmentResult(NamedTuple):
     matches: Tuple[Tuple[NodeId, NodeId, float], ...] = ()
-    unmatched_a: Tuple[NodeId, ...] = ()
-    unmatched_b: Tuple[NodeId, ...] = ()
     ambiguous: Tuple[Tuple[NodeId, Tuple[Tuple[NodeId, float], ...]], ...] = ()
 
 
@@ -205,7 +196,7 @@ class _Signer:
         if roles_vector is not None:
             slots[SLOT_ROLES] = roles_vector
 
-        return EntitySignature.from_slots(slots)
+        return EntitySignature({key: slots[key] for key in sorted(slots)})
 
 
 def signature_similarity(sig_a: EntitySignature, sig_b: EntitySignature) -> float:
@@ -249,8 +240,8 @@ def align(
     other).  Pairs are accepted in descending score order at or above the
     threshold; a pair whose winning score beats the best alternative of
     either endpoint by less than the ambiguity band is recorded as
-    ambiguous and both endpoints are withdrawn: neither is listed as
-    unmatched.  The result is symmetric in the argument order.
+    ambiguous and both endpoints are withdrawn.  Continuants left over are
+    not listed.  The result is symmetric in the argument order.
 
     An ambiguous pair's ``ambiguous`` rows are the pair itself and every
     rival still free on either side (another B candidate of its A end,
@@ -327,21 +318,14 @@ def align(
         free_a.discard(i)
         free_b.discard(j)
 
-    return _ordered_result(
-        matches,
-        ambiguous,
-        unmatched_a=tuple(ids_a[i] for i in sorted(free_a)),
-        unmatched_b=tuple(ids_b[j] for j in sorted(free_b)),
-    )
+    return _ordered_result(matches, ambiguous)
 
 
-def _ordered_result(matches: list, ambiguous: Dict[NodeId, list], unmatched_a=(), unmatched_b=()) -> AlignmentResult:
+def _ordered_result(matches: list, ambiguous: Dict[NodeId, list]) -> AlignmentResult:
     """The result in its one order: matches by (idA, idB); ``AMBIG`` rows
     grouped by idA, each group by descending score, then idB."""
     return AlignmentResult(
         matches=tuple(sorted(matches, key=lambda m: (str(m[0]), str(m[1])))),
-        unmatched_a=unmatched_a,
-        unmatched_b=unmatched_b,
         ambiguous=tuple(
             (id_a, tuple(sorted(row, key=lambda pair: (-pair[1], str(pair[0])))))
             for id_a, row in sorted(ambiguous.items(), key=lambda kv: str(kv[0]))
@@ -404,9 +388,8 @@ def format_alignment_tsv(result: AlignmentResult) -> str:
 
 
 def parse_alignment_tsv(text: str) -> AlignmentResult:
-    """Read rows written by :func:`format_alignment_tsv`.  Unmatched sides
-    are not serialized, so they come back empty.  A score outside [0, 1]
-    (NaN and infinities included) is a syntax error."""
+    """Read rows written by :func:`format_alignment_tsv`.  A score outside
+    [0, 1] (NaN and infinities included) is a syntax error."""
     matches: list = []
     ambiguous: Dict[NodeId, list] = {}
     for line_no, line in _content_lines(text):

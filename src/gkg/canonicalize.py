@@ -9,10 +9,10 @@ relation names that normalize to the same rule.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .embedding import tokenize
-from .errors import IdCollisionError, UnknownTypeError
+from .errors import IdCollisionError
 from .formats import FlatTriple, GkgDocument
 from .hashing import fnv1a64_hex, fnv1a64_hex_many
 from .model import (
@@ -24,7 +24,6 @@ from .model import (
     PrimitiveRelation,
     ROOT_TYPE,
     TypeHierarchy,
-    _equal_to_own_type,
     _Frozen,
     _set_field,
 )
@@ -35,6 +34,7 @@ from .schema import (
     ParticipantSlot,
     ReificationRule,
     SchemaDeclarations,
+    ValueConflict,
 )
 
 ENTITY_NAMESPACE = "ent"
@@ -43,16 +43,6 @@ ATTRIBUTE_NAMESPACE = "at"
 VALUE_NAMESPACE = "val"
 _KIND_OF = {ENTITY_NAMESPACE: NodeKind.CONTINUANT, EVENT_NAMESPACE: NodeKind.OCCURRENT,
             ATTRIBUTE_NAMESPACE: NodeKind.ATTRIBUTE_INSTANCE, VALUE_NAMESPACE: NodeKind.VALUE_LITERAL}
-
-
-@_equal_to_own_type
-class ValueConflict(NamedTuple):
-    """A FUNCTIONAL slot received more than one distinct value in one run.
-    Both values stay in the graph; the conflict is only flagged here."""
-
-    event: NodeId
-    attr_type: NodeId
-    literals: Tuple[str, ...]
 
 
 class CanonReport(_Frozen):
@@ -111,38 +101,27 @@ def canonicalize_document(
     triples: Iterable[FlatTriple],
     rules: Sequence[ReificationRule],
     declarations: Optional[SchemaDeclarations] = None,
-    hierarchy: Optional[TypeHierarchy] = None,
     entity_types: Optional[Mapping[str, NodeId]] = None,
-    lang: str = "en",
     source_id: str = "",
     revision: int = 0,
 ) -> Tuple[GkgDocument, CanonReport]:
     """Ground flat triples against reification rules into a document:
-    entity labels are recorded under ``lang`` and the declarations ride
-    along.
+    entity labels are recorded under ``en`` and the declarations ride
+    along.  The document's hierarchy is the root plus every type the
+    rules, declarations and entity-type map mention, each a direct child
+    of the root.
 
-    Unmapped relation names are reported, never fatal.  All types the rules
-    and the entity-type map mention must be in the hierarchy; without an
-    explicit one, one is synthesized from every type the rules,
-    declarations and entity-type map mention.  Raises
+    Unmapped relation names are reported, never fatal.  Raises
     :class:`IdCollisionError` when one content-derived id would stand for
     two different facts: two entity labels, two event, attribute or value
     keys, or two types or literals.
     """
     entity_types = dict(entity_types or {})
     declarations = declarations or SchemaDeclarations()
-    if hierarchy is None:
-        hierarchy = hierarchy_for_rules(rules, declarations, entity_types)
-
-    for rule in rules:
-        for type_id in rule.referenced_types():
-            if type_id not in hierarchy:
-                raise UnknownTypeError(f"rule {rule.rel_name!r} references unknown type {type_id}")
-    for label, type_id in entity_types.items():
-        if type_id not in hierarchy:
-            raise UnknownTypeError(f"entity type for {label!r} unknown: {type_id}")
-    if ROOT_TYPE not in hierarchy:
-        raise UnknownTypeError(f"hierarchy lacks the root type {ROOT_TYPE}")
+    types = {type_id for rule in rules for type_id in rule.referenced_types()}
+    types.update(declarations.referenced_types())
+    types.update(entity_types.values())
+    hierarchy = TypeHierarchy.from_edges((t, None) for t in sorted(types, key=str))
 
     nodes: dict = {t: Node(t, NodeKind.TYPE_NODE) for t in hierarchy.types}
     edges: set = set()
@@ -227,12 +206,10 @@ def canonicalize_document(
     # An event table holds the events it created; every other mapped
     # triple coalesced into one of them.
     events_created = sum(len(t) for (namespace, _), t in tables.items() if namespace == EVENT_NAMESPACE)
+    clashes = [(slot, values) for slot, values in slot_values.items() if len(values) > 1]
+    clashes.sort(key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
     conflicts = tuple(
-        ValueConflict(event_id, attr_type, tuple(sorted(values)))
-        for (event_id, attr_type), values in sorted(
-            slot_values.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
-        )
-        if len(values) > 1
+        ValueConflict(event_id, attr_type, tuple(sorted(values))) for (event_id, attr_type), values in clashes
     )
     report = CanonReport(
         events_created=events_created,
@@ -243,26 +220,9 @@ def canonicalize_document(
     )
     graph = GroundedGraph(nodes, frozenset(edges), source_id, revision)
     labels = LabelTable.from_entries(
-        (node_id, lang, label) for label, node_id in sorted(entities.items(), key=lambda kv: str(kv[1]))
+        (node_id, "en", label) for label, node_id in sorted(entities.items(), key=lambda kv: str(kv[1]))
     )
     return GkgDocument(hierarchy, graph, labels, declarations), report
-
-
-def hierarchy_for_rules(
-    rules: Sequence[ReificationRule],
-    declarations: Optional[SchemaDeclarations] = None,
-    entity_types: Optional[Mapping[str, NodeId]] = None,
-) -> TypeHierarchy:
-    """Root plus every type referenced by the rules, declarations and
-    entity-type map, all as direct children of the root."""
-    types: set = set()
-    for rule in rules:
-        types.update(rule.referenced_types())
-    if declarations is not None:
-        types.update(declarations.referenced_types())
-    if entity_types:
-        types.update(entity_types.values())
-    return TypeHierarchy.from_edges((t, None) for t in sorted(types, key=str))
 
 
 class _IdTable(dict):

@@ -83,15 +83,13 @@ class FileEmbeddingProvider:
     Format: an optional ``count dim`` header line, then one token followed
     by ``dim`` numbers per line, whitespace-separated.  Vectors are
     L2-normalized on load.  Lookups that miss fall back to a hash provider
-    seeded with ``fallback_seed`` and are tallied in ``misses``.
+    seeded with ``fallback_seed``.
     """
 
     def __init__(self, path, dim: int = DEFAULT_DIM, fallback_seed: int = 0):
         if dim <= 0:
             raise InvalidParameterError(f"dimension must be positive, got {dim}")
         self.dim = dim
-        self.fallback_seed = fallback_seed
-        self.misses = 0
         self._fallback = HashEmbeddingProvider(fallback_seed, dim)
         self._vectors: dict = {}
         with open(path, "rb") as handle:
@@ -145,7 +143,6 @@ class FileEmbeddingProvider:
             raise EmptyTokenError("cannot embed an empty token")
         vector = self._vectors.get(token)
         if vector is None:
-            self.misses += 1
             return self._fallback.token_vector(token)
         return vector
 

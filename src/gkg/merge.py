@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Dict, NamedTuple, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Set, Tuple
 
 from .alignment import AlignmentResult
 from .errors import AlignmentMismatchError, IdCollisionError
@@ -33,7 +33,7 @@ from .model import (
     _set_field,
 )
 from .multilingual import LabelTable
-from .schema import AttrMode, Cardinality, SchemaDeclarations
+from .schema import AttrMode, Cardinality, SchemaDeclarations, ValueConflict
 
 
 @_equal_to_own_type
@@ -47,16 +47,6 @@ class UpdateEntry(NamedTuple):
     winner_revision: int
 
 
-@_equal_to_own_type
-class ConflictEntry(NamedTuple):
-    """A FUNCTIONAL slot with differing values that nothing resolved; all
-    values remain in the graph."""
-
-    event: NodeId
-    attr_type: NodeId
-    values: Tuple[str, ...]
-
-
 class MergeReport(_Frozen):
     __slots__ = _fields = ("merged", "pairs", "updated", "conflicts", "added_nodes", "added_edges")
 
@@ -65,7 +55,7 @@ class MergeReport(_Frozen):
         merged: int = 0,
         pairs: Tuple[Tuple[NodeId, NodeId], ...] = (),
         updated: Tuple[UpdateEntry, ...] = (),
-        conflicts: Tuple[ConflictEntry, ...] = (),
+        conflicts: Tuple[ValueConflict, ...] = (),
         added_nodes: int = 0,
         added_edges: int = 0,
     ):
@@ -85,18 +75,18 @@ class MergeReport(_Frozen):
             for u in self.updated
         )
         lines.extend(
-            f"conflict\t{c.event}\t{c.attr_type}\t{'|'.join(c.values)}" for c in self.conflicts
+            f"conflict\t{c.event}\t{c.attr_type}\t{'|'.join(c.literals)}" for c in self.conflicts
         )
         lines.append(f"added_nodes\t{self.added_nodes}")
         lines.append(f"added_edges\t{self.added_edges}")
         return "".join(line + "\n" for line in lines)
 
 
-def merge(
+def _merge(
     graph_a: GroundedGraph,
     graph_b: GroundedGraph,
     alignment: AlignmentResult,
-    declarations: Optional[SchemaDeclarations] = None,
+    declarations: SchemaDeclarations,
 ) -> Tuple[GroundedGraph, MergeReport]:
     """Merge ``graph_b`` into ``graph_a`` along the alignment's matches.
 
@@ -110,8 +100,6 @@ def merge(
     graphs lack or is not one-to-one, :class:`IdCollisionError` if one id
     means different things on the two sides.
     """
-    declarations = declarations or SchemaDeclarations()
-
     id_map: Dict[NodeId, NodeId] = {}
     matched_a: Set[NodeId] = set()
     for id_a, id_b, _score in alignment.matches:
@@ -307,7 +295,7 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, decl
                         )
                     )
                     continue
-            conflicts.append(ConflictEntry(event_id, attr_type, tuple(literals)))
+            conflicts.append(ValueConflict(event_id, attr_type, tuple(literals)))
 
     if dropped_edges:
         edges.difference_update(dropped_edges)
@@ -355,10 +343,10 @@ def merge_documents(
 ) -> Tuple[GkgDocument, MergeReport]:
     """Document-level merge: hierarchies union (cycle-checked), labels and
     declarations union with the A side winning clashes, and the graphs
-    merge per :func:`merge` under the unioned declarations."""
+    merge per :func:`_merge` under the unioned declarations."""
     hierarchy = union_hierarchies(doc_a.hierarchy, doc_b.hierarchy)
     declarations = doc_a.declarations.merged_with(doc_b.declarations)
-    merged_graph, report = merge(doc_a.graph, doc_b.graph, alignment, declarations)
+    merged_graph, report = _merge(doc_a.graph, doc_b.graph, alignment, declarations)
 
     id_map = {id_b: id_a for id_a, id_b, _ in alignment.matches}
     entries = dict(doc_a.labels.entries)

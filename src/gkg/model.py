@@ -232,10 +232,6 @@ _ADMISSIBLE = frozenset(
 )
 
 
-def signature_allows(rel: PrimitiveRelation, subject_kind: NodeKind, object_kind: NodeKind) -> bool:
-    return (rel, subject_kind, object_kind) in _ADMISSIBLE
-
-
 class Node(NamedTuple):
     """A typed node.  ``inst_of`` names the node's type; ``literal`` holds
     the raw text of a value literal and must be absent everywhere else.
@@ -340,10 +336,6 @@ class TypeHierarchy(_Frozen):
         _set_field(self, "parents", {} if parents is None else parents)
         _set_field(self, "_ancestors", {})
 
-    @classmethod
-    def root_only(cls) -> "TypeHierarchy":
-        return cls(frozenset({ROOT_TYPE}), {ROOT_TYPE: frozenset()})
-
     def __contains__(self, type_id: NodeId) -> bool:
         return type_id in self.types
 
@@ -439,16 +431,12 @@ class GroundedGraph(_Frozen):
         except KeyError:
             raise UnknownNodeError(f"unknown node: {node_id}") from None
 
-    def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self.nodes
-
-    def nodes_of_kind(self, kind: NodeKind) -> Iterator[Node]:
-        nodes = self.nodes
-        for node_id in sorted((node_id for node_id, node in nodes.items() if node.kind is kind), key=str):
-            yield nodes[node_id]
-
     def continuants(self) -> Iterator[Node]:
-        return self.nodes_of_kind(NodeKind.CONTINUANT)
+        """The continuants in id order."""
+        nodes = self.nodes
+        ids = [node_id for node_id, node in nodes.items() if node.kind is NodeKind.CONTINUANT]
+        for node_id in sorted(ids, key=str):
+            yield nodes[node_id]
 
 
 class IssueKind(str, Enum):

@@ -57,9 +57,6 @@ class LabelTable(_Frozen):
     def items_sorted(self) -> list:
         return sorted(self.entries.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 class LabeledView(_Frozen):
     """A graph projected into one language: labels for nodes, glosses for

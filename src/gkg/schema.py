@@ -2,7 +2,9 @@
 
 These steer the canonicalizer (event cardinality), the merge engine
 (attribute modes), alignment (essential event types) and role inference
-(role-concept definitions).  None of them add edges of their own.
+(role-concept definitions).  None of them add edges of their own.  A
+FUNCTIONAL slot that ends up holding several values is reported to the
+caller of either engine as a :class:`ValueConflict`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,18 @@ class AttrSlot(NamedTuple):
 
     attr_type: NodeId
     value_type: NodeId
+
+
+@_equal_to_own_type
+class ValueConflict(NamedTuple):
+    """A FUNCTIONAL slot left holding more than one distinct value, which
+    the canonicalizer met in one run or merge could not settle by
+    revision.  Every value stays in the graph; the conflict is only
+    flagged."""
+
+    event: NodeId
+    attr_type: NodeId
+    literals: Tuple[str, ...]
 
 
 class ParticipantSlot(_Frozen):

@@ -18,11 +18,11 @@ from gkg import (
     NodeId,
     NodeKind,
     PrimitiveRelation,
+    RELATION_SIGNATURES,
     ROOT_TYPE,
     RoleConceptDef,
     SchemaDeclarations,
     TypeHierarchy,
-    signature_allows,
 )
 from gkg.schema import AttrMode, Cardinality
 
@@ -143,7 +143,7 @@ def random_document(seed: int) -> GkgDocument:
             subject = rng.choice(pool)
             obj = rng.choice(pool)
             relation = rng.choice(list(PrimitiveRelation))
-            if signature_allows(relation, kind_by_id[subject], kind_by_id[obj]):
+            if (kind_by_id[subject], kind_by_id[obj]) in RELATION_SIGNATURES[relation]:
                 edges.add(Edge(subject, relation, obj))
                 break
 

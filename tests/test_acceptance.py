@@ -23,6 +23,7 @@ from gkg import (
     NodeId,
     NodeKind,
     PrimitiveRelation,
+    RELATION_SIGNATURES,
     RoleConceptDef,
     SchemaDeclarations,
     TypeHierarchy,
@@ -36,7 +37,6 @@ from gkg import (
     parse_rules,
     render,
     serialize_gkg,
-    signature_allows,
     signature_similarity,
     validate_document,
     validate_graph,
@@ -226,7 +226,7 @@ def test_criterion_07_fuzzed_edge_insertions_respect_the_closed_vocabulary():
     refused = {
         f"{e.subject} {e.relation.value} {e.obj}"
         for e in attempts
-        if not signature_allows(e.relation, kinds[e.subject], kinds[e.obj])
+        if (kinds[e.subject], kinds[e.obj]) not in RELATION_SIGNATURES[e.relation]
     }
     report = validate_graph(GroundedGraph({n.id: n for n in pool}, frozenset(attempts)), hierarchy)
     reported = [i.context for i in report.issues if i.kind is IssueKind.SIGNATURE_VIOLATION]
@@ -326,7 +326,7 @@ def test_criterion_09_revision_aware_functional_merge():
     }
     conflict_kept = (
         len(conflict_report.conflicts) == 1
-        and sorted(conflict_report.conflicts[0].values) == ["Washington", "WhiteHouse"]
+        and sorted(conflict_report.conflicts[0].literals) == ["Washington", "WhiteHouse"]
         and conflict_literals == {"Washington", "WhiteHouse"}
     )
 

@@ -83,15 +83,15 @@ class TestAlignmentConfig:
         declared = entity_signature(
             doc.graph, doc.hierarchy, doc.labels, NodeId("ex", "rw"), config(declarations=doc.declarations)
         )
-        assert plain.slot_keys() == ("name", "type")
-        assert declared.slot_keys() == ("name", "roles", "type")
+        assert tuple(plain.slots) == ("name", "type")
+        assert tuple(declared.slots) == ("name", "roles", "type")
 
 
 class TestEntitySignature:
     def test_slots_of_demo_entity(self):
         doc = demo_document()
         sig = signature_of(doc, config())
-        assert sig.slot_keys() == (
+        assert tuple(sig.slots) == (
             fact_slot_key(BIRTH_TYPE, NodeId("ont", "Location")),
             fact_slot_key(BIRTH_TYPE, NodeId("ont", "Time")),
             "name",
@@ -101,12 +101,12 @@ class TestEntitySignature:
     def test_bare_entity_has_name_and_type_only(self):
         doc = parse_gkg("N ex:a C core:Thing\n")
         sig = entity_signature(doc.graph, doc.hierarchy, doc.labels, NodeId("ex", "a"), config())
-        assert sig.slot_keys() == ("name", "type")
+        assert tuple(sig.slots) == ("name", "type")
 
     def test_no_essential_config_no_fact_slots(self):
         doc = demo_document()
         cfg = AlignmentConfig(provider=BasisProvider())
-        assert signature_of(doc, cfg).slot_keys() == ("name", "type")
+        assert tuple(signature_of(doc, cfg).slots) == ("name", "type")
 
     def test_non_continuant_rejected(self):
         doc = demo_document()
@@ -198,8 +198,7 @@ class TestAlign:
         a, b, score = result.matches[0]
         assert a == b == only_entity(doc)
         assert score == pytest.approx(1.0)
-        assert result.unmatched_a == ()
-        assert result.unmatched_b == ()
+        assert result.ambiguous == ()
 
     def test_renamed_entity_matches(self):
         doc_a = demo_document()
@@ -216,8 +215,7 @@ class TestAlign:
         result = align_docs(doc_a, doc_b, config())
         assert result.matches == ()
         assert 0.70 <= CHANGED_FACT_SCORE <= 0.80
-        assert result.unmatched_a == (only_entity(doc_a),)
-        assert result.unmatched_b == (only_entity(doc_b),)
+        assert result.ambiguous == ()
 
     def test_hash_provider_rename_band(self):
         """With d=64 random unit vectors the rename score drifts from the
@@ -360,9 +358,7 @@ def oracle_align(graph_a, graph_b, hierarchy, labels_a, labels_b, cfg):
     scored with ``signature_similarity`` and the greedy matching runs over
     the full score table.  An ambiguous pair lists itself and every free
     rival on either side within the band of its score, drawn from the full
-    table, so a rival the screen dropped would show.  The withdrawn B end
-    of an ambiguous pair is left out of ``unmatched_b``, as its A end is
-    left out of ``unmatched_a``."""
+    table, so a rival the screen dropped would show."""
     conts_a = list(graph_a.continuants())
     conts_b = list(graph_b.continuants())
     sigs_a = {n.id: entity_signature(graph_a, hierarchy, labels_a, n.id, cfg) for n in conts_a}
@@ -421,8 +417,6 @@ def oracle_align(graph_a, graph_b, hierarchy, labels_a, labels_b, cfg):
         free_b.discard(id_b)
     return AlignmentResult(
         matches=tuple(sorted(matches, key=lambda m: (str(m[0]), str(m[1])))),
-        unmatched_a=tuple(n.id for n in conts_a if n.id in free_a),
-        unmatched_b=tuple(n.id for n in conts_b if n.id in free_b),
         ambiguous=tuple(
             (id_a, tuple(sorted(rows, key=lambda pair: (-pair[1], str(pair[0])))))
             for id_a, rows in sorted(ambiguous.items(), key=lambda kv: str(kv[0]))
@@ -532,8 +526,6 @@ class TestAlignAgainstOracle:
         forward = align(doc_a.graph, doc_b.graph, hierarchy, doc_a.labels, doc_b.labels, cfg)
         backward = align(doc_b.graph, doc_a.graph, hierarchy, doc_b.labels, doc_a.labels, cfg)
         assert {(a, b, s) for a, b, s in forward.matches} == {(a, b, s) for b, a, s in backward.matches}
-        assert forward.unmatched_a == backward.unmatched_b
-        assert forward.unmatched_b == backward.unmatched_a
 
     def test_zero_name_vector(self):
         """Labels with no tokens embed to the zero vector; their name slot
@@ -630,7 +622,6 @@ class TestAlignAgainstOracle:
         assert _screen_scores(sigs[:1], sigs[1:])[0, 0] == pytest.approx(0.875)
         result = align(doc_a.graph, doc_b.graph, hierarchy, doc_a.labels, doc_b.labels, cfg)
         assert (result.matches, result.ambiguous) == ((), ())
-        assert result.unmatched_a == (only_entity(doc_a),)
         assert calls == []
 
     def test_score_capped_by_key_sets_matches_at_the_cap(self):
@@ -652,18 +643,20 @@ class TestAlignAgainstOracle:
 
 
 class TestAmbiguityBookkeeping:
-    def test_withdrawn_ends_leave_both_unmatched_lists(self):
+    def test_withdrawn_ends_match_nothing(self):
+        """A's one entity ties with both of B's: the pair is withdrawn, its
+        tied rival is listed with it, and nothing matches, whichever
+        document comes first."""
         doc_a = parse_gkg("N ex:a C core:Thing\nL ex:a en Smith\n")
         doc_b = parse_gkg(
             "N ex:b1 C core:Thing\nN ex:b2 C core:Thing\nL ex:b1 en Smith\nL ex:b2 en Smith\n"
         )
         result = align_docs(doc_a, doc_b, config())
-        assert result.unmatched_a == ()
-        (withdrawn,) = {NodeId("ex", "b1"), NodeId("ex", "b2")} - set(result.unmatched_b)
-        assert withdrawn in {b for b, _ in result.ambiguous[0][1]}
+        assert result.matches == ()
+        assert ambiguous_rows(result) == {(NodeId("ex", "a"), NodeId("ex", b), 1.0) for b in ("b1", "b2")}
         swapped = align_docs(doc_b, doc_a, config())
-        assert swapped.unmatched_b == result.unmatched_a
-        assert swapped.unmatched_a == result.unmatched_b
+        assert swapped.matches == ()
+        assert ambiguous_rows(swapped) == {(b, a, s) for a, b, s in ambiguous_rows(result)}
 
 
 def ambiguous_rows(result):

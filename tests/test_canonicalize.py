@@ -19,10 +19,7 @@ from gkg import (
     NodeId,
     NodeKind,
     PrimitiveRelation,
-    TypeHierarchy,
-    UnknownTypeError,
     canonicalize_document,
-    hierarchy_for_rules,
     normalize_relation_name,
     parse_rules,
     serialize_gkg,
@@ -236,30 +233,19 @@ class TestUnmappedAndErrors:
         assert report.events_created + report.events_coalesced == 9
         assert report.events_created == 3
 
-    def test_unknown_entity_type_rejected(self):
-        rules, _ = parse_rules(FORMATION_RULES)
-        with pytest.raises(UnknownTypeError):
-            canonicalize_document(
-                (FlatTriple("PinkFloyd", "FormedIn", "London"),),
-                rules,
-                hierarchy=hierarchy_for_rules(rules),
-                entity_types={"PinkFloyd": NodeId("core", "Band")},
-            )
-
     def test_entity_type_mapping_honored(self):
+        """A type only the entity-type map names joins the hierarchy as a
+        child of the root."""
         rules, _ = parse_rules(FORMATION_RULES)
-        base = hierarchy_for_rules(rules)
-        hierarchy = TypeHierarchy.from_edges(
-            [(t, p) for t, parents in base.parents.items() for p in parents] + [(NodeId("core", "Band"), None)]
-        )
         doc, _ = canonicalize_document(
             (FlatTriple("PinkFloyd", "FormedIn", "London"),),
             rules,
-            hierarchy=hierarchy,
             entity_types={"PinkFloyd": NodeId("core", "Band")},
         )
         entity = next(doc.graph.continuants())
         assert entity.inst_of == NodeId("core", "Band")
+        assert doc.hierarchy.parents[NodeId("core", "Band")] == frozenset({ROOT_TYPE})
+        assert validate_document(doc).ok
 
 
 class TestNormalizeRelationName:
@@ -321,7 +307,7 @@ class TestRuleIndex:
         birth, _ = parse_rules(BIRTH_RULES.replace("bornIn", "started_in"))
         triples = (FlatTriple("PinkFloyd", "StartedIn", "London"),)
         for rules, event_type in ((formation + birth, "ont:Formation"), (birth + formation, "ont:Birth")):
-            doc, _ = canonicalize_document(triples, rules, hierarchy=hierarchy_for_rules(formation + birth))
+            doc, _ = canonicalize_document(triples, rules)
             events = [n for n in doc.graph.nodes.values() if n.kind is NodeKind.OCCURRENT]
             assert [str(n.inst_of) for n in events] == [event_type]
 
@@ -537,9 +523,7 @@ def oracle_canonicalize_document(
     triples: Iterable[FlatTriple],
     rules: Sequence[ReificationRule],
     declarations: Optional[SchemaDeclarations] = None,
-    hierarchy: Optional[TypeHierarchy] = None,
     entity_types: Optional[Mapping[str, NodeId]] = None,
-    lang: str = "en",
     source_id: str = "",
     revision: int = 0,
 ) -> Tuple[GkgDocument, CanonReport]:
@@ -547,21 +531,14 @@ def oracle_canonicalize_document(
     and kept one id table per namespace and type: copied as it was, with
     its helpers ``_add`` and ``_content`` renamed, except that it hashes
     through ``gkg.canonicalize.fnv1a64_hex`` so that ``hashing_as``
-    reaches both versions."""
+    reaches both versions, and that it synthesizes the hierarchy and
+    writes labels under ``en``, as ``canonicalize_document`` does."""
     entity_types = dict(entity_types or {})
     declarations = declarations or SchemaDeclarations()
-    if hierarchy is None:
-        hierarchy = hierarchy_for_rules(rules, declarations, entity_types)
-
-    for rule in rules:
-        for type_id in rule.referenced_types():
-            if type_id not in hierarchy:
-                raise UnknownTypeError(f"rule {rule.rel_name!r} references unknown type {type_id}")
-    for label, type_id in entity_types.items():
-        if type_id not in hierarchy:
-            raise UnknownTypeError(f"entity type for {label!r} unknown: {type_id}")
-    if ROOT_TYPE not in hierarchy:
-        raise UnknownTypeError(f"hierarchy lacks the root type {ROOT_TYPE}")
+    types = {type_id for rule in rules for type_id in rule.referenced_types()}
+    types.update(declarations.referenced_types())
+    types.update(entity_types.values())
+    hierarchy = TypeHierarchy.from_edges((t, None) for t in sorted(types, key=str))
 
     nodes: dict = {t: Node(t, NodeKind.TYPE_NODE) for t in hierarchy.types}
     edges: set = set()
@@ -669,7 +646,7 @@ def oracle_canonicalize_document(
     )
     graph = GroundedGraph(nodes, frozenset(edges), source_id, revision)
     labels = LabelTable.from_entries(
-        (node_id, lang, label) for node_id, label in sorted(entity_labels.items(), key=lambda kv: str(kv[0]))
+        (node_id, "en", label) for node_id, label in sorted(entity_labels.items(), key=lambda kv: str(kv[0]))
     )
     return GkgDocument(hierarchy, graph, labels, declarations), report
 
@@ -712,8 +689,7 @@ _LITERALS = ("London", "Paris", "1815", "Ada")
 def _canonicalize_inputs(draw):
     """Triples, rules and options for ``canonicalize_document``: CARD ONE
     and MANY events, FUNCTIONAL and MULTI slots (with conflicting values),
-    participant slots, two rules on one name, typed entities, and a
-    hierarchy that may lack the types the rules or entity types name."""
+    participant slots, two rules on one name, and typed entities."""
     slot = st.one_of(st.builds(ParticipantSlot, st.sampled_from(_ROLES)),
                      st.builds(AttrSlot, st.sampled_from(_ATTR_TYPES), st.sampled_from(_VALUE_TYPES)))
     # One or two rules on each name; the first of two wins.
@@ -730,16 +706,14 @@ def _canonicalize_inputs(draw):
     entity_types = draw(st.dictionaries(st.sampled_from(_LABELS),
                                         st.sampled_from((NodeId("p", "Person"), _VALUE_TYPES[2], ROOT_TYPE)),
                                         max_size=2))
-    hierarchy = draw(st.sampled_from((None, None, None, hierarchy_for_rules(rules, declarations),
-                                      TypeHierarchy.root_only())))
     # A subject and spelling with one to three objects: repeated triples
     # and, on a FUNCTIONAL slot, conflicting values.
     groups = draw(st.lists(st.tuples(st.sampled_from(_LABELS), st.sampled_from(_SPELLINGS),
                                      st.lists(st.sampled_from(_LABELS + _LITERALS), min_size=1, max_size=3)),
                            min_size=1, max_size=6))
     triples = draw(st.permutations([FlatTriple(e1, r, e2) for e1, r, objects in groups for e2 in objects]))
-    options = dict(declarations=declarations, hierarchy=hierarchy, entity_types=entity_types,
-                   lang=draw(st.sampled_from(("en", "fr", "zh-Hant"))), source_id="src", revision=draw(st.integers(0, 2)))
+    options = dict(declarations=declarations, entity_types=entity_types, source_id="src",
+                   revision=draw(st.integers(0, 2)))
     return triples, rules, options
 
 
@@ -788,7 +762,7 @@ class TestCanonicalizeAgainstOracle:
             assert all(type(edge) is Edge for edge in graph.edges)
 
     def test_draws_reach_every_outcome(self):
-        """The strategy above meets documents, both error types and value
+        """The strategy above meets documents, id collisions and value
         conflicts, without forced collisions."""
         seen = set()
 
@@ -802,4 +776,4 @@ class TestCanonicalizeAgainstOracle:
                 seen.add(outcome[0].__name__)
 
         record()
-        assert seen == {"document", "conflict", "IdCollisionError", "UnknownTypeError"}
+        assert seen == {"document", "conflict", "IdCollisionError"}

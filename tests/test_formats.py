@@ -762,24 +762,24 @@ class TestGkgDocument:
         node table is left as it was."""
         node = Node(NodeId("ex", "a"), NodeKind.CONTINUANT, ROOT_TYPE)
         nodes = {node.id: node}
-        doc = GkgDocument(TypeHierarchy.root_only(), GroundedGraph(nodes))
+        doc = GkgDocument(TypeHierarchy.from_edges(()), GroundedGraph(nodes))
         assert doc.graph.nodes == {node.id: node, ROOT_TYPE: Node(ROOT_TYPE, NodeKind.TYPE_NODE)}
         assert nodes == {node.id: node}
 
     def test_graph_with_every_type_node_is_kept(self):
         graph = GroundedGraph({ROOT_TYPE: Node(ROOT_TYPE, NodeKind.TYPE_NODE)})
-        assert GkgDocument(TypeHierarchy.root_only(), graph).graph is graph
+        assert GkgDocument(TypeHierarchy.from_edges(()), graph).graph is graph
 
     def test_type_node_absent_from_the_hierarchy_is_refused(self):
         stray = NodeId("t", "Stray")
         graph = GroundedGraph({stray: Node(stray, NodeKind.TYPE_NODE)})
         with pytest.raises(ValueError, match=r"^graph type node t:Stray is absent from the hierarchy$"):
-            GkgDocument(TypeHierarchy.root_only(), graph)
+            GkgDocument(TypeHierarchy.from_edges(()), graph)
 
     def test_node_on_a_hierarchy_type_is_refused(self):
         graph = GroundedGraph({ROOT_TYPE: Node(ROOT_TYPE, NodeKind.CONTINUANT, ROOT_TYPE)})
         with pytest.raises(ValueError, match=r"^node core:Entity collides with a hierarchy type$"):
-            GkgDocument(TypeHierarchy.root_only(), graph)
+            GkgDocument(TypeHierarchy.from_edges(()), graph)
 
 
 class TestSerializeGkg:
@@ -793,7 +793,7 @@ class TestSerializeGkg:
         assert serialize_gkg(parse_gkg(permuted)) == serialize_gkg(parse_gkg(WORKED_TEXT))
 
     def test_empty_document_is_root_line(self):
-        assert serialize_gkg(GkgDocument(TypeHierarchy.root_only(), GroundedGraph())) == "T core:Entity -\n"
+        assert serialize_gkg(GkgDocument(TypeHierarchy.from_edges(()), GroundedGraph())) == "T core:Entity -\n"
 
     def test_document_without_records_is_empty_text(self):
         doc = GkgDocument(TypeHierarchy(), GroundedGraph())
@@ -809,7 +809,7 @@ class TestSerializeGkg:
         ],
     )
     def test_header_that_would_not_read_back_is_refused(self, source_id, revision, message):
-        doc = GkgDocument(TypeHierarchy.root_only(), GroundedGraph(source_id=source_id, revision=revision))
+        doc = GkgDocument(TypeHierarchy.from_edges(()), GroundedGraph(source_id=source_id, revision=revision))
         with pytest.raises(ValueError) as caught:
             serialize_gkg(doc)
         assert str(caught.value) == message

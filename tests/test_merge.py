@@ -14,7 +14,6 @@ from gkg import (
     AttrMode,
     AttrSlot,
     Cardinality,
-    ConflictEntry,
     Edge,
     FlatTriple,
     GkgDocument,
@@ -28,8 +27,8 @@ from gkg import (
     SchemaDeclarations,
     TypeHierarchy,
     UpdateEntry,
+    ValueConflict,
     canonicalize_document,
-    merge,
     merge_documents,
     parse_alignment_tsv,
     parse_gkg,
@@ -120,7 +119,18 @@ class TestRevisionResolution:
         assert value_literals(merged.graph) == {"WhiteHouse", "Washington"}
         assert report.updated == ()
         assert len(report.conflicts) == 1
-        assert report.conflicts[0].values == ("Washington", "WhiteHouse")
+        assert report.conflicts[0].literals == ("Washington", "WhiteHouse")
+
+    def test_self_merge_reports_the_conflicts_canonicalize_flagged(self):
+        """Both reports hold one record type, so the FUNCTIONAL conflicts of
+        a document merged with itself equal those canonicalize flagged."""
+        rules, decls = parse_rules(RESIDENCE_RULES)
+        places = {"Obama": ("WhiteHouse", "Washington"), "Biden": ("Delaware", "Washington"), "Ada": ("London",)}
+        triples = tuple(FlatTriple(name, "residesIn", place) for name, row in places.items() for place in row)
+        doc, canon_report = canonicalize_document(triples, rules, declarations=decls)
+        _, merge_report = merge_documents(doc, doc, identity_alignment(doc))
+        assert len(canon_report.value_conflicts) == 2
+        assert canon_report.value_conflicts == merge_report.conflicts
 
     @pytest.mark.parametrize(
         "with_declarations, b_is_newer, literals, updated, conflicts",
@@ -135,9 +145,10 @@ class TestRevisionResolution:
     ):
         doc_v1 = residence_doc("WhiteHouse", revision=1)
         doc_v2 = residence_doc("Washington", revision=2 if b_is_newer else 1)
-        declarations = doc_v1.declarations if with_declarations else None
-        graph, report = merge(doc_v1.graph, doc_v2.graph, AlignmentResult(), declarations)
-        assert value_literals(graph) == literals
+        if not with_declarations:
+            doc_v1, doc_v2 = (GkgDocument(doc.hierarchy, doc.graph, doc.labels) for doc in (doc_v1, doc_v2))
+        merged, report = merge_documents(doc_v1, doc_v2, AlignmentResult())
+        assert value_literals(merged.graph) == literals
         assert (len(report.updated), len(report.conflicts)) == (updated, conflicts)
 
     def test_multi_slot_unions_without_conflict(self):
@@ -272,20 +283,20 @@ class TestMergeErrors:
         ghost = NodeId("ent", "feedfacefeedface")
         entity = next(doc.graph.continuants()).id
         with pytest.raises(AlignmentMismatchError):
-            merge(doc.graph, doc.graph, AlignmentResult(matches=((ghost, entity, 1.0),)))
+            merge_documents(doc, doc, AlignmentResult(matches=((ghost, entity, 1.0),)))
 
     def test_alignment_naming_non_continuant(self):
         doc = demo_document()
         entity = next(doc.graph.continuants()).id
         event = next(n.id for n in doc.graph.nodes.values() if n.kind is NodeKind.OCCURRENT)
         with pytest.raises(AlignmentMismatchError):
-            merge(doc.graph, doc.graph, AlignmentResult(matches=((entity, event, 1.0),)))
+            merge_documents(doc, doc, AlignmentResult(matches=((entity, event, 1.0),)))
 
     def test_id_collision_different_content(self):
         doc_a = parse_gkg("N ex:x C core:Thing\n")
         doc_b = parse_gkg("N ex:x O core:Thing\n")
         with pytest.raises(IdCollisionError):
-            merge(doc_a.graph, doc_b.graph, AlignmentResult())
+            merge_documents(doc_a, doc_b, AlignmentResult())
 
     @pytest.mark.parametrize("rows", NOT_ONE_TO_ONE.values(), ids=list(NOT_ONE_TO_ONE))
     def test_alignment_not_one_to_one(self, rows, tmp_path, capsys):
@@ -295,7 +306,7 @@ class TestMergeErrors:
         text_b = "N ex:b C core:Thing\nN ex:c C core:Thing\n"
         rows_text = "".join(f"{a}\t{b}\t0.9500\tMATCH\n" for a, b in rows)
         with pytest.raises(AlignmentMismatchError, match="not one-to-one"):
-            merge(parse_gkg(text_a).graph, parse_gkg(text_b).graph, parse_alignment_tsv(rows_text))
+            merge_documents(parse_gkg(text_a), parse_gkg(text_b), parse_alignment_tsv(rows_text))
 
         for name, text in (("a.gkg", text_a), ("b.gkg", text_b), ("ab.align", rows_text)):
             (tmp_path / name).write_text(text, encoding="utf-8")
@@ -314,10 +325,10 @@ def oracle_merge(
     alignment: AlignmentResult,
     declarations: Optional[SchemaDeclarations] = None,
 ) -> Tuple[GroundedGraph, MergeReport]:
-    """The reference :func:`merge` is held to: the implementation that
-    copied A's edges too and pushed every fold through both edge sets,
-    kept verbatim with its helpers below, except that it refuses an
-    alignment that is not one-to-one, as :func:`merge` does."""
+    """The graph merge ``merge_documents`` is held to: the implementation
+    that copied A's edges too and pushed every fold through both edge
+    sets, kept verbatim with its helpers below, except that it refuses an
+    alignment that is not one-to-one, as ``merge_documents`` does."""
     declarations = declarations or SchemaDeclarations()
 
     id_map: Dict[NodeId, NodeId] = {}
@@ -537,7 +548,7 @@ def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, decl
                         )
                     )
                     continue
-            conflicts.append(ConflictEntry(event_id, attr_type, tuple(literals)))
+            conflicts.append(ValueConflict(event_id, attr_type, tuple(literals)))
 
     if dropped_edges:
         edges.difference_update(dropped_edges)
@@ -745,15 +756,24 @@ def merge_cases(draw):
     return doc_a, doc_b, AlignmentResult(matches=tuple(matches))
 
 
-def run_merge(merge_fn, doc_a, doc_b, alignment):
-    """The serialized graph and report of one merge, or its error."""
+def oracle_merge_documents(doc_a, doc_b, alignment):
+    """:func:`oracle_merge` of the graphs under the documents' unioned
+    hierarchies and declarations, as ``merge_documents`` merges them;
+    labels are left out."""
+    hierarchy = union_hierarchies(doc_a.hierarchy, doc_b.hierarchy)
     declarations = doc_a.declarations.merged_with(doc_b.declarations)
+    graph, report = oracle_merge(doc_a.graph, doc_b.graph, alignment, declarations)
+    return GkgDocument(hierarchy, graph, declarations=declarations), report
+
+
+def run_merge(merge_fn, doc_a, doc_b, alignment):
+    """The serialized document without labels and the report of one
+    merge, or its error."""
     try:
-        graph, report = merge_fn(doc_a.graph, doc_b.graph, alignment, declarations)
+        merged, report = merge_fn(doc_a, doc_b, alignment)
     except (AlignmentMismatchError, IdCollisionError) as exc:
         return type(exc), str(exc)
-    hierarchy = union_hierarchies(doc_a.hierarchy, doc_b.hierarchy)
-    return serialize_gkg(GkgDocument(hierarchy, graph, declarations=declarations)), report.to_tsv()
+    return serialize_gkg(GkgDocument(merged.hierarchy, merged.graph, declarations=merged.declarations)), report.to_tsv()
 
 
 # Ids no generated document holds as a node: parse_gkg accepts labels on them.
@@ -771,7 +791,7 @@ class TestMergeProperties:
     @settings(max_examples=300, deadline=None)
     def test_equals_oracle(self, case):
         """Same serialized graph and report TSV, or the same error."""
-        assert run_merge(merge, *case) == run_merge(oracle_merge, *case)
+        assert run_merge(merge_documents, *case) == run_merge(oracle_merge_documents, *case)
 
     def test_attribute_twin_found_through_a_folded_event(self):
         """A's ``at:a`` hangs on A's birth only through B's copy of it, on
@@ -787,10 +807,10 @@ class TestMergeProperties:
             "E at:b hasProp ev:c\nE at:b hasValue val:l\n"
         )
         case = (doc_a, doc_b, AlignmentResult())
-        assert run_merge(merge, *case) == run_merge(oracle_merge, *case)
-        merged, _ = merge(doc_a.graph, doc_b.graph, AlignmentResult())
-        assert NodeId("at", "b") not in merged.nodes
-        assert Edge(NodeId("at", "a"), PrimitiveRelation.HAS_PROP, NodeId("ev", "a")) in merged.edges
+        assert run_merge(merge_documents, *case) == run_merge(oracle_merge_documents, *case)
+        merged, _ = merge_documents(doc_a, doc_b, AlignmentResult())
+        assert NodeId("at", "b") not in merged.graph.nodes
+        assert Edge(NodeId("at", "a"), PrimitiveRelation.HAS_PROP, NodeId("ev", "a")) in merged.graph.edges
 
     @given(
         st.one_of(canonical_documents(), st.integers(0, 10**6).map(random_document)),

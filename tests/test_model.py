@@ -16,7 +16,6 @@ from gkg import (
     AttrSlot,
     CanonReport,
     Cardinality,
-    ConflictEntry,
     CycleError,
     Edge,
     EntitySignature,
@@ -33,6 +32,7 @@ from gkg import (
     NodeKind,
     ParticipantSlot,
     PrimitiveRelation,
+    RELATION_SIGNATURES,
     ROOT_TYPE,
     ReificationRule,
     RoleConceptDef,
@@ -45,7 +45,6 @@ from gkg import (
     ValidationReport,
     ValueConflict,
     infer_role_labels,
-    signature_allows,
     validate_graph,
 )
 
@@ -189,8 +188,7 @@ _AGENT = PrimitiveRelation.HAS_AGENT
 
 # One factory per value type that is not NodeId, Node or Edge, with its
 # field names in order and whether it hashes (a dict field makes it
-# unhashable).  ValueConflict and ConflictEntry get equal field values on
-# purpose: as tuples they would compare equal.
+# unhashable).
 _RECORDS = [
     (lambda: RoleConceptDef("Teacher", _TYPE, _AGENT, _PLACE), ("role_name", "base_type", "via", "occurrent_type"), True),
     (lambda: TypeHierarchy.from_edges([(_TYPE, None)]), ("types", "parents"), False),
@@ -213,14 +211,12 @@ _RECORDS = [
     (lambda: GkgDocument(TypeHierarchy.from_edges([(_TYPE, None)]), GroundedGraph()),
      ("hierarchy", "graph", "labels", "declarations"), False),
     (lambda: EntitySignature({"name": (0.6, 0.8)}), ("slots",), False),
-    (lambda: AlignmentResult(((_ID, _EVENT, 0.95),), (), (_PLACE,), ()),
-     ("matches", "unmatched_a", "unmatched_b", "ambiguous"), True),
+    (lambda: AlignmentResult(((_ID, _EVENT, 0.95),), ((_PLACE, ((_ID, 0.93),)),)), ("matches", "ambiguous"), True),
     (lambda: ValueConflict(_EVENT, _PLACE, ("London", "Paris")), ("event", "attr_type", "literals"), True),
     (lambda: CanonReport(3, 2, frozenset({"diedIn"}), 4, ()),
      ("events_created", "events_coalesced", "unmapped_relations", "entity_nodes_created", "value_conflicts"), True),
     (lambda: UpdateEntry(_EVENT, _PLACE, ("Paris",), ("London",), 2),
      ("event", "attr_type", "old_values", "new_values", "winner_revision"), True),
-    (lambda: ConflictEntry(_EVENT, _PLACE, ("London", "Paris")), ("event", "attr_type", "values"), True),
     (lambda: MergeReport(1, ((_ID, _EVENT),), (), (), 3, 4),
      ("merged", "pairs", "updated", "conflicts", "added_nodes", "added_edges"), True),
 ]
@@ -346,7 +342,7 @@ class TestNodeIdAgainstOracle:
 
 class TestTypeHierarchy:
     def test_root_only(self):
-        h = TypeHierarchy.root_only()
+        h = TypeHierarchy.from_edges(())
         assert h.is_subtype(ROOT_TYPE, ROOT_TYPE)
         assert h.types == frozenset({ROOT_TYPE})
 
@@ -389,7 +385,7 @@ class TestTypeHierarchy:
             TypeHierarchy.from_edges([(tid("A"), tid("A"))])
 
     def test_is_subtype_unknown_type(self):
-        h = TypeHierarchy.root_only()
+        h = TypeHierarchy.from_edges(())
         with pytest.raises(UnknownTypeError):
             h.is_subtype(tid("Ghost"), ROOT_TYPE)
 
@@ -436,7 +432,7 @@ class TestTypeHierarchy:
 
 def small_graph():
     """One of each kind, all typed with the root."""
-    h = TypeHierarchy.root_only()
+    h = TypeHierarchy.from_edges(())
     nodes = {
         NodeId("x", "c"): Node(NodeId("x", "c"), NodeKind.CONTINUANT, inst_of=ROOT_TYPE),
         NodeId("x", "o"): Node(NodeId("x", "o"), NodeKind.OCCURRENT, inst_of=ROOT_TYPE),
@@ -479,24 +475,33 @@ class TestEdgesAndSignatures:
             g2.node(NodeId("x", "ghost"))
 
     def test_eq_requires_same_kind(self):
-        assert signature_allows(PrimitiveRelation.EQ, NodeKind.CONTINUANT, NodeKind.CONTINUANT)
-        assert not signature_allows(PrimitiveRelation.EQ, NodeKind.CONTINUANT, NodeKind.OCCURRENT)
+        assert admitted(PrimitiveRelation.EQ, NodeKind.CONTINUANT, NodeKind.CONTINUANT)
+        assert not admitted(PrimitiveRelation.EQ, NodeKind.CONTINUANT, NodeKind.OCCURRENT)
 
     def test_has_value_only_attr_to_value(self):
-        assert signature_allows(
-            PrimitiveRelation.HAS_VALUE, NodeKind.ATTRIBUTE_INSTANCE, NodeKind.VALUE_LITERAL
-        )
-        assert not signature_allows(
-            PrimitiveRelation.HAS_VALUE, NodeKind.CONTINUANT, NodeKind.VALUE_LITERAL
-        )
+        assert admitted(PrimitiveRelation.HAS_VALUE, NodeKind.ATTRIBUTE_INSTANCE, NodeKind.VALUE_LITERAL)
+        assert not admitted(PrimitiveRelation.HAS_VALUE, NodeKind.CONTINUANT, NodeKind.VALUE_LITERAL)
 
     def test_is_part_of_never_mixes_continuant_and_occurrent(self):
-        assert signature_allows(PrimitiveRelation.IS_PART_OF, NodeKind.CONTINUANT, NodeKind.CONTINUANT)
-        assert signature_allows(PrimitiveRelation.IS_PART_OF, NodeKind.OCCURRENT, NodeKind.OCCURRENT)
-        assert not signature_allows(PrimitiveRelation.IS_PART_OF, NodeKind.CONTINUANT, NodeKind.OCCURRENT)
+        assert admitted(PrimitiveRelation.IS_PART_OF, NodeKind.CONTINUANT, NodeKind.CONTINUANT)
+        assert admitted(PrimitiveRelation.IS_PART_OF, NodeKind.OCCURRENT, NodeKind.OCCURRENT)
+        assert not admitted(PrimitiveRelation.IS_PART_OF, NodeKind.CONTINUANT, NodeKind.OCCURRENT)
 
     def test_inst_rejects_type_subject(self):
-        assert not signature_allows(PrimitiveRelation.INST, NodeKind.TYPE_NODE, NodeKind.TYPE_NODE)
+        assert not admitted(PrimitiveRelation.INST, NodeKind.TYPE_NODE, NodeKind.TYPE_NODE)
+
+
+def admitted(relation: PrimitiveRelation, subject_kind: NodeKind, object_kind: NodeKind) -> bool:
+    """Whether ``validate_graph`` lets ``relation`` join a node of
+    ``subject_kind`` to one of ``object_kind``; ``RELATION_SIGNATURES``
+    must say the same."""
+    subject, obj = NodeId("x", "s"), NodeId("x", "o")
+    graph = GroundedGraph({subject: Node(subject, subject_kind), obj: Node(obj, object_kind)},
+                          frozenset({Edge(subject, relation, obj)}))
+    issues = validate_graph(graph, TypeHierarchy.from_edges(())).issues
+    allowed = all(issue.kind is not IssueKind.SIGNATURE_VIOLATION for issue in issues)
+    assert allowed == ((subject_kind, object_kind) in RELATION_SIGNATURES[relation])
+    return allowed
 
 
 class TestAdjacency:
@@ -564,7 +569,7 @@ class TestValidate:
         assert [i.kind for i in report.issues] == [IssueKind.DANGLING_REFERENCE]
 
     def test_unknown_type_target_is_single_issue(self):
-        h = TypeHierarchy.root_only()
+        h = TypeHierarchy.from_edges(())
         node = Node(NodeId("x", "c"), NodeKind.CONTINUANT, inst_of=tid("Ghost"))
         g = GroundedGraph({node.id: node}, frozenset())
         report = validate_graph(g, h)
@@ -574,19 +579,19 @@ class TestValidate:
     def test_untyped_node_reported(self):
         node = Node(NodeId("x", "c"), NodeKind.CONTINUANT)
         g = GroundedGraph({node.id: node}, frozenset())
-        report = validate_graph(g, TypeHierarchy.root_only())
+        report = validate_graph(g, TypeHierarchy.from_edges(()))
         assert [i.kind for i in report.issues] == [IssueKind.UNTYPED_NODE]
 
     def test_value_without_literal_reported(self):
         node = Node(NodeId("x", "v"), NodeKind.VALUE_LITERAL, inst_of=ROOT_TYPE)
         g = GroundedGraph({node.id: node, ROOT_TYPE: Node(ROOT_TYPE, NodeKind.TYPE_NODE)}, frozenset())
-        report = validate_graph(g, TypeHierarchy.root_only())
+        report = validate_graph(g, TypeHierarchy.from_edges(()))
         assert any(i.kind is IssueKind.LITERAL_MISMATCH for i in report.issues)
 
     def test_literal_on_continuant_reported(self):
         node = Node(NodeId("x", "c"), NodeKind.CONTINUANT, inst_of=ROOT_TYPE, literal="oops")
         g = GroundedGraph({node.id: node, ROOT_TYPE: Node(ROOT_TYPE, NodeKind.TYPE_NODE)}, frozenset())
-        report = validate_graph(g, TypeHierarchy.root_only())
+        report = validate_graph(g, TypeHierarchy.from_edges(()))
         assert any(i.kind is IssueKind.LITERAL_MISMATCH for i in report.issues)
 
     def test_report_is_sorted_and_deterministic(self):
@@ -595,8 +600,8 @@ class TestValidate:
             NodeId("x", "a"): Node(NodeId("x", "a"), NodeKind.CONTINUANT),
         }
         g = GroundedGraph(nodes, frozenset())
-        r1 = validate_graph(g, TypeHierarchy.root_only())
-        r2 = validate_graph(g, TypeHierarchy.root_only())
+        r1 = validate_graph(g, TypeHierarchy.from_edges(()))
+        r2 = validate_graph(g, TypeHierarchy.from_edges(()))
         assert r1 == r2
         contexts = [i.context for i in r1.issues]
         assert contexts == sorted(contexts)
@@ -640,7 +645,7 @@ def oracle_validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Val
             report(IssueKind.DANGLING_REFERENCE, context, f"missing object {edge.obj}")
         if subject_node is None or object_node is None:
             continue
-        if not signature_allows(edge.relation, subject_node.kind, object_node.kind):
+        if (subject_node.kind, object_node.kind) not in RELATION_SIGNATURES[edge.relation]:
             report(
                 IssueKind.SIGNATURE_VIOLATION,
                 context,

@@ -27,7 +27,7 @@ class TestLabelTable:
         table = LabelTable.from_entries([(RW, "en", "Roger Waters")])
         assert table.get(RW, "en") == "Roger Waters"
         assert table.get(RW, "fr") is None
-        assert len(table) == 1
+        assert table.entries == {(RW, "en"): "Roger Waters"}
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError):
