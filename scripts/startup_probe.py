@@ -15,9 +15,9 @@ processes on Linux), four points:
   module of ``src/gkg`` is compiled on each spawn, as happens when
   ``PYTHONDONTWRITEBYTECODE`` is set and no ``__pycache__`` exists.
 
-The two gkg children import numpy and argparse first and also time
-``import gkg.cli`` alone, in process, which is far less noisy than a
-spawn on a shared machine.  Within each round every (point, checkout)
+The two gkg children import numpy first and also time ``import
+gkg.cli`` alone, in process, which is far less noisy than a spawn on a
+shared machine.  Within each round every (point, checkout)
 pair is spawned once, in reverse order every other round, so a
 comparison sees one machine speed.  The probe prints one JSON object per
 checkout: the median and quartiles of each point over the rounds; the
@@ -25,9 +25,9 @@ split of a start-up into interpreter plus site, numpy (spawn medians),
 gkg's own import (the in-process time with the cache) and compiling
 ``src/gkg`` (in-process time without the cache less that with it); the
 classes ``dataclasses`` processes during ``import gkg.cli``; and whether
-that import loads ``gkg.evaluation``.  It checks no output and gates
-nothing; its numbers are recorded by hand next to a change
-(``BENCH_*.json``).
+that import loads ``gkg.evaluation`` and ``argparse``.  It checks no
+output and gates nothing; its numbers are recorded by hand next to a
+change (``BENCH_*.json``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-GKG = "import argparse, numpy, time; t = time.perf_counter(); import gkg.cli; e = time.perf_counter(); print(e, e - t)"
+GKG = "import numpy, time; t = time.perf_counter(); import gkg.cli; e = time.perf_counter(); print(e, e - t)"
 CHILDREN = {
     "bare": "import time; print(time.perf_counter(), 0)",
     "numpy": "import numpy, time; print(time.perf_counter(), 0)",
@@ -59,7 +59,11 @@ def counting(cls, *args):
     return process(cls, *args)
 dataclasses._process_class = counting
 import gkg.cli
-print(json.dumps({"dataclasses": processed, "imports_gkg_evaluation": "gkg.evaluation" in sys.modules}))
+print(json.dumps({
+    "dataclasses": processed,
+    "imports_gkg_evaluation": "gkg.evaluation" in sys.modules,
+    "imports_argparse": "argparse" in sys.modules,
+}))
 """
 
 

@@ -7,10 +7,10 @@ Results go to stdout (or ``-o``), diagnostics to stderr.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .alignment import (
     DEFAULT_AMBIGUITY_BAND,
@@ -54,7 +54,7 @@ def _report_stream(out_path: Optional[str]):
     return sys.stdout if out_path is not None else sys.stderr
 
 
-def _build_provider(args: argparse.Namespace):
+def _build_provider(args: SimpleNamespace):
     if args.provider == "file":
         if not args.vectors:
             raise InvalidParameterError("--vectors is required with --provider file")
@@ -62,13 +62,13 @@ def _build_provider(args: argparse.Namespace):
     return HashEmbeddingProvider(seed=args.seed, dim=args.dim)
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: SimpleNamespace) -> int:
     doc = _load_document(args.document)
     sys.stdout.write(f"ok\tnodes\t{len(doc.graph.nodes)}\tedges\t{len(doc.graph.edges)}\n")
     return 0
 
 
-def cmd_canonicalize(args: argparse.Namespace) -> int:
+def cmd_canonicalize(args: SimpleNamespace) -> int:
     # The G header must read back as written: one whitespace-free token,
     # with "-" standing for no source id, and a non-negative revision.
     if args.source_id == "-" or any(ch.isspace() for ch in args.source_id):
@@ -89,7 +89,7 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _alignment_config(doc_a: GkgDocument, doc_b: GkgDocument, args: argparse.Namespace) -> AlignmentConfig:
+def _alignment_config(doc_a: GkgDocument, doc_b: GkgDocument, args: SimpleNamespace) -> AlignmentConfig:
     return AlignmentConfig(
         provider=_build_provider(args),
         threshold=args.threshold,
@@ -99,7 +99,7 @@ def _alignment_config(doc_a: GkgDocument, doc_b: GkgDocument, args: argparse.Nam
     )
 
 
-def cmd_align(args: argparse.Namespace) -> int:
+def cmd_align(args: SimpleNamespace) -> int:
     doc_a = _load_document(args.document_a)
     doc_b = _load_document(args.document_b)
     config = _alignment_config(doc_a, doc_b, args)
@@ -109,7 +109,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_merge(args: argparse.Namespace) -> int:
+def cmd_merge(args: SimpleNamespace) -> int:
     doc_a = _load_document(args.document_a)
     doc_b = _load_document(args.document_b)
     alignment = parse_alignment_tsv(_read(args.alignment))
@@ -119,14 +119,14 @@ def cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: SimpleNamespace) -> int:
     doc = _load_document(args.document)
     view = render(doc.graph, doc.labels, args.lang)
     _emit(view.to_tsv(), args.output)
     return 0
 
 
-def cmd_isocheck(args: argparse.Namespace) -> int:
+def cmd_isocheck(args: SimpleNamespace) -> int:
     doc_a = _load_document(args.document_a)
     doc_b = _load_document(args.document_b)
     view_a = render(doc_a.graph, doc_a.labels, args.lang)
@@ -141,101 +141,176 @@ def cmd_isocheck(args: argparse.Namespace) -> int:
 
 # Only the eval commands import gkg.evaluation, so no other command pays
 # for compiling and running it.
-def cmd_eval_flat(args: argparse.Namespace) -> int:
+def cmd_eval_flat(args: SimpleNamespace) -> int:
     from .evaluation import eval_flat
 
     sys.stdout.write(eval_flat(seed=args.seed, dim=args.dim, trials=args.trials))
     return 0
 
 
-def cmd_eval_grounded(args: argparse.Namespace) -> int:
+def cmd_eval_grounded(args: SimpleNamespace) -> int:
     from .evaluation import eval_grounded
 
     sys.stdout.write(eval_grounded(seed=args.seed, dim=args.dim, threshold=args.threshold))
     return 0
 
 
-def _add_provider_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--provider", choices=("hash", "file"), default="hash")
-    parser.add_argument("--vectors", help="token vector file for --provider file")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dim", type=int, default=DEFAULT_DIM)
+# Every command's arguments, declared once.  main reads a plain command
+# line straight from this table; build_parser makes argparse's parser from
+# it for everything else, so argparse alone writes help and usage errors.
+class _Option(NamedTuple):
+    flags: Tuple[str, ...]
+    dest: str
+    type: Optional[Callable[[str], object]] = None
+    default: object = None
+    choices: Optional[Tuple[str, ...]] = None
+    required: bool = False
+    help: Optional[str] = None
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Command(NamedTuple):
+    help: str
+    func: Callable[[SimpleNamespace], int]
+    positionals: Tuple[str, ...]
+    options: Tuple[_Option, ...]
+
+
+_OUTPUT = _Option(("-o", "--output"), "output")
+_LANG = _Option(("--lang",), "lang", default="en")
+_DIM = _Option(("--dim",), "dim", int, DEFAULT_DIM)
+_THRESHOLD = _Option(("--threshold",), "threshold", float, DEFAULT_THRESHOLD)
+_EVAL_SEED = _Option(("--seed",), "seed", int, DEFAULT_SEED)
+
+_COMMANDS: Dict[str, _Command] = {
+    "validate": _Command("parse and validate a graph document", cmd_validate, ("document",), ()),
+    "canonicalize": _Command("lift flat triples into a graph document", cmd_canonicalize, (), (
+        _Option(("--rules",), "rules", required=True),
+        _Option(("--flat",), "flat", required=True),
+        _Option(("--source-id",), "source_id", default=""),
+        _Option(("--revision",), "revision", int, 0),
+        _OUTPUT,
+    )),
+    "align": _Command("match continuants across two documents", cmd_align, ("document_a", "document_b"), (
+        _Option(("--provider",), "provider", default="hash", choices=("hash", "file")),
+        _Option(("--vectors",), "vectors", help="token vector file for --provider file"),
+        _Option(("--seed",), "seed", int, 0),
+        _DIM,
+        _THRESHOLD,
+        _Option(("--ambiguity-band",), "ambiguity_band", float, DEFAULT_AMBIGUITY_BAND),
+        _Option(("--pivot-lang",), "pivot_lang", default="en"),
+        _OUTPUT,
+    )),
+    "merge": _Command("merge document B into document A", cmd_merge, ("document_a", "document_b"), (
+        _Option(("--alignment",), "alignment", required=True),
+        _OUTPUT,
+    )),
+    "render": _Command("render a labeled view in one language", cmd_render, ("document",), (_LANG, _OUTPUT)),
+    "isocheck": _Command("compare two documents structurally", cmd_isocheck, ("document_a", "document_b"), (_LANG,)),
+}
+_EVAL_HELP = "built-in evaluation suites"
+_SUITES: Dict[str, _Command] = {
+    "flat": _Command("cosine bands of additive triple embeddings", cmd_eval_flat, (), (
+        _EVAL_SEED,
+        _DIM,
+        _Option(("--trials",), "trials", int, DEFAULT_TRIALS),
+    )),
+    "grounded": _Command("entity-signature mutant scoring", cmd_eval_grounded, (), (
+        _EVAL_SEED,
+        _DIM,
+        _THRESHOLD,
+    )),
+}
+
+
+def _current(func: Callable[[SimpleNamespace], int]) -> Callable[[SimpleNamespace], int]:
+    """The module's function of that name now, so a command runs whatever
+    replaced its cmd_ function after import."""
+    return globals()[func.__name__]
+
+
+def _read_command_line(argv: Sequence[str]) -> Optional[dict]:
+    """The attributes ``build_parser().parse_args(argv)`` would set, when
+    argv is a plain command line: a command, its positionals, and options
+    spelled out in full, each followed by one value that does not start
+    with "-", converts by its type and is one of its choices.  None for any
+    other argv (help, abbreviations, ``--opt=value``, ``--``, a missing
+    required option, a wrong number of positionals, ...), which is
+    argparse's to read or refuse."""
+    words = list(argv)
+    attrs = {"command": words.pop(0) if words else None}
+    if attrs["command"] == "eval":
+        attrs["suite"] = words.pop(0) if words else None
+        command = _SUITES.get(attrs["suite"])
+    else:
+        command = _COMMANDS.get(attrs["command"])
+    if command is None:
+        return None
+    flags = {flag: option for option in command.options for flag in option.flags}
+    attrs.update((option.dest, option.default) for option in command.options)
+    given = set()
+    positionals = []
+    words = iter(words)
+    for word in words:
+        if not word.startswith("-"):
+            positionals.append(word)
+            continue
+        option, value = flags.get(word), next(words, "-")
+        if option is None or value.startswith("-"):
+            return None
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except (TypeError, ValueError):
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        attrs[option.dest] = value
+        given.add(option.dest)
+    if len(positionals) != len(command.positionals):
+        return None
+    if any(option.required and option.dest not in given for option in command.options):
+        return None
+    attrs.update(zip(command.positionals, positionals))
+    attrs["func"] = _current(command.func)
+    return attrs
+
+
+def build_parser():
+    import argparse
+
+    def add_command(sub, name: str, command: _Command) -> None:
+        parser = sub.add_parser(name, help=command.help)
+        for dest in command.positionals:
+            parser.add_argument(dest)
+        for option in command.options:
+            parser.add_argument(*option.flags, dest=option.dest, type=option.type, default=option.default,
+                                choices=option.choices, required=option.required, help=option.help)
+        parser.set_defaults(func=_current(command.func))
+
     parser = argparse.ArgumentParser(prog="gkg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="parse and validate a graph document")
-    p_validate.add_argument("document")
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_canon = sub.add_parser("canonicalize", help="lift flat triples into a graph document")
-    p_canon.add_argument("--rules", required=True)
-    p_canon.add_argument("--flat", required=True)
-    p_canon.add_argument("--source-id", default="")
-    p_canon.add_argument("--revision", type=int, default=0)
-    p_canon.add_argument("-o", "--output")
-    p_canon.set_defaults(func=cmd_canonicalize)
-
-    p_align = sub.add_parser("align", help="match continuants across two documents")
-    p_align.add_argument("document_a")
-    p_align.add_argument("document_b")
-    _add_provider_options(p_align)
-    p_align.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p_align.add_argument("--ambiguity-band", type=float, default=DEFAULT_AMBIGUITY_BAND)
-    p_align.add_argument("--pivot-lang", default="en")
-    p_align.add_argument("-o", "--output")
-    p_align.set_defaults(func=cmd_align)
-
-    p_merge = sub.add_parser("merge", help="merge document B into document A")
-    p_merge.add_argument("document_a")
-    p_merge.add_argument("document_b")
-    p_merge.add_argument("--alignment", required=True)
-    p_merge.add_argument("-o", "--output")
-    p_merge.set_defaults(func=cmd_merge)
-
-    p_render = sub.add_parser("render", help="render a labeled view in one language")
-    p_render.add_argument("document")
-    p_render.add_argument("--lang", default="en")
-    p_render.add_argument("-o", "--output")
-    p_render.set_defaults(func=cmd_render)
-
-    p_iso = sub.add_parser("isocheck", help="compare two documents structurally")
-    p_iso.add_argument("document_a")
-    p_iso.add_argument("document_b")
-    p_iso.add_argument("--lang", default="en")
-    p_iso.set_defaults(func=cmd_isocheck)
-
-    p_eval = sub.add_parser("eval", help="built-in evaluation suites")
-    eval_sub = p_eval.add_subparsers(dest="suite", required=True)
-
-    p_flat = eval_sub.add_parser("flat", help="cosine bands of additive triple embeddings")
-    p_flat.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_flat.add_argument("--dim", type=int, default=DEFAULT_DIM)
-    p_flat.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p_flat.set_defaults(func=cmd_eval_flat)
-
-    p_grounded = eval_sub.add_parser("grounded", help="entity-signature mutant scoring")
-    p_grounded.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_grounded.add_argument("--dim", type=int, default=DEFAULT_DIM)
-    p_grounded.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p_grounded.set_defaults(func=cmd_eval_grounded)
-
+    for name, command in _COMMANDS.items():
+        add_command(sub, name, command)
+    eval_sub = sub.add_parser("eval", help=_EVAL_HELP).add_subparsers(dest="suite", required=True)
+    for name, command in _SUITES.items():
+        add_command(eval_sub, name, command)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # A command's graphs hold no reference cycles, so the cyclic
     # collector's passes over their nodes and edges would free nothing;
-    # the cycles a command does make (argparse's parser, the same on any
-    # input) wait for the first pass after it.  So the collector is paused
-    # for the command and left as it was found.  Library calls never touch
-    # it: only a command owns its process.
+    # the cycles a command does make (argparse's parser, when it reads the
+    # command line, the same on any input) wait for the first pass after
+    # it.  So the collector is paused for the command and left as it was
+    # found.  Library calls never touch it: only a command owns its process.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        attrs = _read_command_line(sys.argv[1:] if argv is None else argv)
+        if attrs is None:
+            attrs = vars(build_parser().parse_args(argv))
+        args = SimpleNamespace(**attrs)
         return args.func(args)
     except ValidationFailedError as error:
         sys.stdout.write(error.report.to_tsv())

@@ -24,6 +24,9 @@ from .errors import EmptyTokenError, InvalidParameterError, VectorFileError
 from .hashing import MASK64, SplitMix64, fnv1a64
 
 DEFAULT_DIM = 64
+#: The largest vector dimension a provider accepts: a 512 KiB float64
+#: vector per token.  A larger one would end in a failed allocation.
+MAX_DIM = 65536
 #: Defaults of the built-in evaluation suites, kept out of
 #: ``gkg.evaluation`` so that only the ``gkg eval`` commands import it.
 DEFAULT_SEED = 42
@@ -56,15 +59,21 @@ def normalized(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
+def _checked_dim(dim: int) -> int:
+    if dim <= 0:
+        raise InvalidParameterError(f"dimension must be positive, got {dim}")
+    if dim > MAX_DIM:
+        raise InvalidParameterError(f"dimension must be at most {MAX_DIM}, got {dim}")
+    return dim
+
+
 class HashEmbeddingProvider:
     """Pseudo-random unit vectors: FNV-1a(token) XOR seed feeds SplitMix64,
     whose outputs map to [-1, 1) before normalization."""
 
     def __init__(self, seed: int = 0, dim: int = DEFAULT_DIM):
-        if dim <= 0:
-            raise InvalidParameterError(f"dimension must be positive, got {dim}")
         self.seed = seed
-        self.dim = dim
+        self.dim = _checked_dim(dim)
         self._cache: dict = {}
 
     def token_vector(self, token: str) -> np.ndarray:
@@ -87,9 +96,7 @@ class FileEmbeddingProvider:
     """
 
     def __init__(self, path, dim: int = DEFAULT_DIM, fallback_seed: int = 0):
-        if dim <= 0:
-            raise InvalidParameterError(f"dimension must be positive, got {dim}")
-        self.dim = dim
+        self.dim = _checked_dim(dim)
         self._fallback = HashEmbeddingProvider(fallback_seed, dim)
         self._vectors: dict = {}
         with open(path, "rb") as handle:

@@ -3,12 +3,15 @@
 import contextlib
 import gc
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkg import canonicalize_document, parse_flat, parse_gkg, parse_rules, serialize_gkg
@@ -178,6 +181,7 @@ class TestAlignAndMerge:
             ["--provider", "file", "--vectors", "unused.txt", "--dim", "-3"],
             ["--ambiguity-band", "0.9"],
             ["--threshold", "0.5", "--ambiguity-band", "1"],
+            ["--dim", "10000000000000"],
         ],
     )
     def test_align_bad_numeric_option_exit_2(self, workspace, capsys, option):
@@ -279,6 +283,8 @@ class TestEval:
             ["eval", "flat", "--trials", "0"],
             ["eval", "grounded", "--dim", "0"],
             ["eval", "grounded", "--threshold", "1.5"],
+            ["eval", "flat", "--dim", "10000000000000"],
+            ["eval", "grounded", "--dim", "10000000000000"],
         ],
     )
     def test_eval_bad_numeric_option_exit_2(self, capsys, argv):
@@ -601,6 +607,126 @@ class TestCanonicalizeOptions:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"gkg: {message}")
         assert not out.exists()
+
+
+# --- the command line reader ---------------------------------------------------
+
+# Command words, the reader's table and words outside it.
+_COMMAND_WORDS = [[name] for name in cli._COMMANDS] + [["eval", name] for name in cli._SUITES]
+_COMMAND_WORDS += [["eval"], ["frobnicate"], []]
+_VALUES = ["", "-1", "nan", "0x10", "nope", "3", "0.5", " 7 ", "1e3", "hash", "file", "fr", "a.gkg"]
+
+
+def _takes(option, word):
+    """Whether the option takes the word as its value."""
+    try:
+        value = word if option.type is None else option.type(word)
+    except ValueError:
+        return False
+    return not word.startswith("-") and (option.choices is None or value in option.choices)
+
+
+@st.composite
+def _argvs(draw, words):
+    """A command line: the command words, then positionals and options
+    spelled in full, each with a value, in any order; often also odd
+    words: an abbreviated option, ``--flag=value``, an unknown option, one
+    without its value, ``-h``, ``--`` or ``-``."""
+    table = cli._SUITES if words[:1] == ["eval"] else cli._COMMANDS
+    command = table.get(words[-1]) if words else None
+    options = command.options if command else ()
+    wanted = len(command.positionals) if command else 1
+    value = st.sampled_from(_VALUES)
+    pieces = [[draw(value)] for _ in range(draw(st.sampled_from([wanted] * 6 + [0, 1, 2, 3])))]
+    for option in options:
+        # Most values are ones the option takes, so that whole lines of
+        # good values come up often.
+        good = st.sampled_from([word for word in _VALUES if _takes(option, word)])
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2] if option.required else [0, 0, 1, 2]))):
+            pieces.append([draw(st.sampled_from(option.flags)), draw(st.one_of(good, good, value))])
+    long_flags = [flag for option in options for flag in option.flags if flag.startswith("--")] or ["--lang"]
+    flag = st.sampled_from(long_flags)
+    odd = st.one_of(
+        st.tuples(flag.map(lambda f: f[:-1]), value),
+        st.tuples(st.builds("{}={}".format, flag, value)),
+        st.tuples(flag),
+        st.tuples(st.sampled_from(["-h", "--help", "--", "--nope", "-"])),
+    )
+    pieces += [list(draw(odd)) for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2])))]
+    return words + [word for piece in draw(st.permutations(pieces)) for word in piece]
+
+
+def _parsed_by_argparse(argv):
+    """``vars(build_parser().parse_args(argv))``, or None when argparse
+    refuses argv or prints help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _comparable(attrs):
+    # repr tells 3 from 3.0 and reads nan as equal to nan.
+    return {name: repr(value) for name, value in attrs.items()}
+
+
+class TestCommandLineReader:
+    """main reads a plain command line itself, to the same attributes
+    argparse would set, and leaves every other argv to argparse."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_COMMAND_WORDS).flatmap(_argvs))
+    @example(["align", "a.gkg", "b.gkg", "--provider", "nope"])
+    @example(["canonicalize", "--flat", "a.tsv", "-o", "a.gkg"])
+    @example(["merge", "a.gkg", "b.gkg"])
+    @example(["eval", "flat", "--trials", "0x10"])
+    @example(["render", "a.gkg", "b.gkg"])
+    @example(["isocheck", "--lang", "-1", "a.gkg", "b.gkg"])
+    @example(["render", "a.gkg", "--lan", "fr"])
+    def test_declines_or_agrees_with_argparse(self, argv):
+        read = cli._read_command_line(argv)
+        if read is not None:
+            parsed = _parsed_by_argparse(argv)
+            assert parsed is not None, "the reader accepted what argparse refuses"
+            assert _comparable(read) == _comparable(parsed)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "a.gkg"],
+            ["canonicalize", "--rules", "r.txt", "--flat", "a.tsv", "--source-id", "left",
+             "--revision", "2", "-o", "a.gkg"],
+            ["align", "a.gkg", "--dim", "16", "b.gkg", "--provider", "file", "--vectors", "v.txt",
+             "--seed", "3", "--threshold", "0.8", "--ambiguity-band", "0.05", "--pivot-lang", "fr",
+             "--output", "ab.align"],
+            ["merge", "a.gkg", "b.gkg", "--alignment", "ab.align", "-o", "x", "-o", "ab.gkg"],
+            ["render", "a.gkg", "--lang", ""],
+            ["isocheck", "--lang", "fr", "a.gkg", "b.gkg"],
+            ["eval", "flat", "--seed", "3", "--dim", "16", "--trials", "37"],
+            ["eval", "grounded", "--threshold", "nan"],
+        ],
+        ids=lambda argv: "_".join(argv[:2]),
+    )
+    def test_reads_plain_command_lines_as_argparse_does(self, argv):
+        read = cli._read_command_line(argv)
+        assert read is not None
+        assert _comparable(read) == _comparable(_parsed_by_argparse(argv))
+
+    def test_runs_the_command_function_found_at_call_time(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: ran.append(args.document) or 0)
+        assert main(["validate", "plain.gkg"]) == 0
+        assert main(["validate", "--", "argparse.gkg"]) == 0
+        assert ran == ["plain.gkg", "argparse.gkg"]
+
+    def test_a_plain_command_leaves_argparse_unloaded(self, workspace):
+        code = "import sys, gkg.cli; print(gkg.cli.main(sys.argv[1:]), 'argparse' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        for argv, loaded in ([str(workspace / "worked.gkg")], "False"), (["--", str(workspace / "worked.gkg")], "True"):
+            out = subprocess.run([sys.executable, "-c", code, "validate", *argv], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            assert out.splitlines()[-1] == f"0 {loaded}"
 
 
 CORPUS = Path(__file__).parent / "data" / "cli_corpus"

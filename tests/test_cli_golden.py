@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -66,15 +67,51 @@ CASES = [
     ("eval_grounded_s5_d32_th07", ["eval", "grounded", "--seed", "5", "--dim", "32", "--threshold", "0.7"], 0, None),
 ]
 
+# (case, argv, exit code): help and usage errors, which argparse writes
+# and ends with SystemExit.  Its line wrapping follows the terminal width,
+# so these run with COLUMNS=80.  The files named in argv are never read.
+USAGE_CASES = [
+    ("help", ["--help"], 0),
+    *[(f"help_{name}", [name, "--help"], 0)
+      for name in ("validate", "canonicalize", "align", "merge", "render", "isocheck", "eval")],
+    ("help_eval_flat", ["eval", "flat", "--help"], 0),
+    ("help_eval_grounded", ["eval", "grounded", "-h"], 0),
+    ("usage_no_command", [], 2),
+    ("usage_unknown_command", ["frobnicate", "a.gkg"], 2),
+    ("usage_validate_missing_document", ["validate"], 2),
+    ("usage_validate_extra", ["validate", "a.gkg", "extra"], 2),
+    ("usage_canonicalize_missing_rules", ["canonicalize", "--flat", "a.tsv"], 2),
+    ("usage_canonicalize_bad_revision", ["canonicalize", "--rules", "r.txt", "--flat", "a.tsv",
+                                         "--revision", "one"], 2),
+    ("usage_align_missing_document", ["align", "a.gkg"], 2),
+    ("usage_align_bad_provider", ["align", "a.gkg", "b.gkg", "--provider", "word2vec"], 2),
+    ("usage_align_bad_dim", ["align", "a.gkg", "b.gkg", "--dim", "nope"], 2),
+    ("usage_align_bad_threshold", ["align", "a.gkg", "b.gkg", "--threshold", "high"], 2),
+    ("usage_merge_missing_alignment", ["merge", "a.gkg", "b.gkg"], 2),
+    ("usage_merge_extra", ["merge", "a.gkg", "b.gkg", "c.gkg", "--alignment", "ab.align"], 2),
+    ("usage_render_missing_value", ["render", "a.gkg", "--lang"], 2),
+    ("usage_render_unknown_option", ["render", "a.gkg", "--language", "fr"], 2),
+    ("usage_isocheck_extra", ["isocheck", "a.gkg", "b.gkg", "c.gkg"], 2),
+    ("usage_eval_missing_suite", ["eval"], 2),
+    ("usage_eval_unknown_suite", ["eval", "deep"], 2),
+    ("usage_eval_flat_bad_trials", ["eval", "flat", "--trials", "10.5"], 2),
+    ("usage_eval_grounded_bad_threshold", ["eval", "grounded", "--threshold", "nope"], 2),
+    ("usage_eval_grounded_extra", ["eval", "grounded", "extra"], 2),
+]
+
 
 def _run(argv, out_path, command=main):
     """Run ``gkg argv`` through ``command``; returns (exit code, stdout,
-    stderr)."""
+    stderr).  A SystemExit, as help and usage errors end, counts as its
+    code."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = command(
-            [arg.format(**{"in": CORPUS, "exp": EXPECTED, "out": out_path}) for arg in argv]
-        )
+        try:
+            code = command(
+                [arg.format(**{"in": CORPUS, "exp": EXPECTED, "out": out_path}) for arg in argv]
+            )
+        except SystemExit as exit:
+            code = exit.code
     return code, stdout.getvalue(), stderr.getvalue()
 
 
@@ -87,6 +124,14 @@ def test_output_is_byte_identical(tmp_path, case, argv, code, out_name):
     assert got_stderr == (EXPECTED / f"{case}.stderr").read_text(encoding="utf-8")
     if out_name is not None:
         assert out_path.read_bytes() == (EXPECTED / out_name).read_bytes()
+
+
+@pytest.mark.parametrize("case, argv, code", USAGE_CASES, ids=[case[0] for case in USAGE_CASES])
+def test_help_and_usage_are_byte_identical(monkeypatch, tmp_path, case, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _run(argv, tmp_path / "unused")
+    expected = [(EXPECTED / f"{case}.{stream}").read_text(encoding="utf-8") for stream in ("stdout", "stderr")]
+    assert got == (code, *expected)
 
 
 # The benchmark's traced runs (gkgbench/replay.py) wrap the gkg functions
@@ -114,7 +159,7 @@ def test_traced_run_is_byte_identical(tmp_path, case, argv, code, out_name):
 
 
 def test_every_expected_file_belongs_to_a_case():
-    names = {f"{case}.{stream}" for case, *_ in CASES for stream in ("stdout", "stderr")}
+    names = {f"{case}.{stream}" for case, *_ in CASES + USAGE_CASES for stream in ("stdout", "stderr")}
     names |= {out_name for *_, out_name in CASES if out_name is not None}
     assert {path.name for path in EXPECTED.iterdir()} == names
 
@@ -124,6 +169,13 @@ def _regenerate() -> None:
     for case, argv, code, out_name in CASES:
         out_path = EXPECTED / (out_name or "unused")
         got_code, got_stdout, got_stderr = _run(argv, out_path)
+        if got_code != code:
+            sys.exit(f"{case}: exit {got_code}, expected {code}")
+        (EXPECTED / f"{case}.stdout").write_text(got_stdout, encoding="utf-8")
+        (EXPECTED / f"{case}.stderr").write_text(got_stderr, encoding="utf-8")
+    os.environ["COLUMNS"] = "80"
+    for case, argv, code in USAGE_CASES:
+        got_code, got_stdout, got_stderr = _run(argv, EXPECTED / "unused")
         if got_code != code:
             sys.exit(f"{case}: exit {got_code}, expected {code}")
         (EXPECTED / f"{case}.stdout").write_text(got_stdout, encoding="utf-8")

@@ -12,6 +12,7 @@ from gkg import (
     FileEmbeddingProvider,
     FlatTriple,
     HashEmbeddingProvider,
+    InvalidParameterError,
     SplitMix64,
     VectorFileError,
     cosine,
@@ -21,6 +22,7 @@ from gkg import (
     normalized,
     tokenize,
 )
+from gkg.embedding import MAX_DIM
 
 MASK64 = (1 << 64) - 1
 
@@ -67,6 +69,14 @@ class TestHashProvider:
     def test_bad_dim_rejected(self):
         with pytest.raises(ValueError):
             HashEmbeddingProvider(0, 0)
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**13])
+    def test_dim_above_the_maximum_rejected(self, dim):
+        with pytest.raises(InvalidParameterError, match=f"at most {MAX_DIM}, got {dim}"):
+            HashEmbeddingProvider(0, dim)
+
+    def test_dim_at_the_maximum_accepted(self):
+        assert HashEmbeddingProvider(0, MAX_DIM).token_vector("roger").shape == (MAX_DIM,)
 
     def test_first_component_matches_generator_algebra(self):
         """The raw stream is SplitMix64 seeded with FNV-1a(token) XOR seed,
@@ -122,6 +132,10 @@ class TestFileProvider:
         path = self.write(tmp_path, "2 4\nlondon 1 0 0 0\nparis 0 1 0 0\n")
         provider = FileEmbeddingProvider(path, dim=4)
         assert np.array_equal(provider.token_vector("paris"), [0, 1, 0, 0])
+
+    def test_dim_above_the_maximum_rejected_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(InvalidParameterError, match=f"at most {MAX_DIM}"):
+            FileEmbeddingProvider(tmp_path / "missing.txt", dim=10**13)
 
     def test_header_dim_mismatch(self, tmp_path):
         path = self.write(tmp_path, "2 300\nlondon 1 0 0 0\n")
