@@ -5,6 +5,9 @@
 Generates gkgbench's ``reconcile`` corpus (two sources about the same
 people, seed 1) at each size, in subjects per side, and runs the four
 commands of that workload (canonicalize A, canonicalize B, align, merge),
+``gkg canonicalize`` of a line-shuffled copy of A's flat file
+(``canonicalize_a_shuffled``, shuffled with a fixed seed), which must
+write ``a.gkg``'s bytes since canonicalize is order-insensitive,
 ``gkg validate`` of A, whose time is that of reading one document
 (``validate_a``), the parse that align and merge each pay twice, and
 ``gkg merge`` of A with itself along A's identity alignment
@@ -15,8 +18,8 @@ Each command runs in a fresh interpreter with one BLAS thread.  For each
 size and checkout the probe prints one JSON object: each command's wall
 time (interpreter start included) and peak RSS, read from the child's
 own rusage, the ``MATCH`` and ``AMBIG`` rows of the alignment, and the
-SHA-256 of ``a.gkg``, ``b.gkg``, ``ab.align``, ``ab.gkg`` and ``aa.gkg``
-as the last repeat left them, so equal digests across checkouts show
+SHA-256 of ``a.gkg``, ``a_shuffled.gkg``, ``b.gkg``, ``ab.align``,
+``ab.gkg`` and ``aa.gkg`` as the last repeat left them, so equal digests across checkouts show
 byte-identical output without a diff.  With ``--repeat N`` each size runs N times and
 the median time and largest RSS are kept.  ``--src`` names the ``src``
 directory of each checkout to probe (default: this one's), so several
@@ -37,6 +40,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -47,9 +51,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORK = ROOT / ".bench_work"
 SEED = 1
+SHUFFLE_SEED = 7
 COMMANDS = (
     ("canonicalize_a", ("canonicalize", "--rules", "rules.txt", "--flat", "a.tsv",
                         "--source-id", "srcA", "--revision", "0", "-o", "a.gkg")),
+    ("canonicalize_a_shuffled", ("canonicalize", "--rules", "rules.txt", "--flat", "a_shuffled.tsv",
+                                 "--source-id", "srcA", "--revision", "0", "-o", "a_shuffled.gkg")),
     ("canonicalize_b", ("canonicalize", "--rules", "rules.txt", "--flat", "b.tsv",
                         "--source-id", "srcB", "--revision", "1", "-o", "b.gkg")),
     ("validate_a", ("validate", "a.gkg")),
@@ -85,6 +92,13 @@ def run_command(argv, work: Path, env: dict):
     return wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
 
 
+def shuffled_lines(text: str) -> str:
+    """The lines of ``text`` in an order drawn with ``SHUFFLE_SEED``."""
+    lines = text.splitlines(keepends=True)
+    random.Random(SHUFFLE_SEED).shuffle(lines)
+    return "".join(lines)
+
+
 def write_identity_alignment(document: Path, out: Path) -> None:
     """One ``MATCH`` row pairing each continuant (``N <id> C``) of the
     document with itself, in gkg's alignment TSV format."""
@@ -117,6 +131,7 @@ def probe(size: int, repeat: int, envs: dict, corpus, run_dir: Path) -> list:
             work.mkdir()
             for name in ("rules.txt", "a.tsv", "b.tsv"):
                 (work / name).write_text(generated.files[name], encoding="utf-8")
+            (work / "a_shuffled.tsv").write_text(shuffled_lines(generated.files["a.tsv"]), encoding="utf-8")
         for turn in range(repeat):
             for src in list(envs)[::-1 if turn % 2 else 1]:
                 for name, argv in COMMANDS:
@@ -131,7 +146,7 @@ def probe(size: int, repeat: int, envs: dict, corpus, run_dir: Path) -> list:
                 record[f"{name}_s"] = round(statistics.median(times[src][name]), 3)
                 record[f"{name}_rss_mib"] = round(rss[src][name], 1)
             record.update(alignment_rows(works[src] / "ab.align"))
-            for name in ("a.gkg", "b.gkg", "ab.align", "ab.gkg", "aa.gkg"):
+            for name in ("a.gkg", "a_shuffled.gkg", "b.gkg", "ab.align", "ab.gkg", "aa.gkg"):
                 digest = hashlib.sha256((works[src] / name).read_bytes()).hexdigest()
                 record[f"{name.replace('.', '_')}_sha256"] = digest
             records.append(record)

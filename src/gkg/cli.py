@@ -32,9 +32,11 @@ def _read(path: str) -> str:
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GkgSyntaxError(data.count(b"\n", 0, exc.start) + 1, f"{path} is not UTF-8 text") from None
+    # A leading byte-order mark marks the encoding; it is no part of the text.
+    return text.removeprefix("\ufeff")
 
 
 def _load_document(path: str) -> GkgDocument:

@@ -105,8 +105,9 @@ class FileEmbeddingProvider:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise VectorFileError(data.count(b"\n", 0, exc.start) + 1, f"{path} is not UTF-8 text") from None
-        # Lines as a text-mode file yields them (universal newlines).
-        self._load(io.StringIO(text, newline=None))
+        # Lines as a text-mode file yields them (universal newlines), after
+        # a leading byte-order mark, which is no part of the first token.
+        self._load(io.StringIO(text.removeprefix("\ufeff"), newline=None))
 
     def _load(self, lines: Iterable[str]) -> None:
         first_data_line = True

@@ -29,8 +29,10 @@ record, so equal documents produce byte-identical text.
 
 from __future__ import annotations
 
+import re
+from itertools import repeat
 from operator import itemgetter
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .embedding import tokenize
 from .errors import (
@@ -53,6 +55,7 @@ from .model import (
     TypeHierarchy,
     ValidationIssue,
     ValidationReport,
+    _equal_to_own_type,
     _Frozen,
     _set_field,
     validate_graph,
@@ -79,14 +82,26 @@ _KIND_CODE_OF = {kind: code for code, kind in _KIND_CODES.items()}
 _RELATION_CODE_OF = {relation: code for code, relation in _RELATIONS.items()}
 
 
-class FlatTriple(_Frozen):
+class _FlatFields(NamedTuple):
+    e1: str
+    r: str
+    e2: str
+
+
+@_equal_to_own_type
+class FlatTriple(_FlatFields):
     """One conventional KG triple: three non-empty labels that hold no tab,
     end no line for ``str.splitlines`` and do not start with whitespace (a
-    graph document could not carry such a label or literal back)."""
+    graph document could not carry such a label or literal back).
 
-    __slots__ = _fields = ("e1", "r", "e2")
+    A tuple record, a ``NamedTuple`` as ``Node`` and ``Edge`` are, equal
+    only to its own type.  The constructor checks the fields;
+    :func:`parse_flat` checks a whole text at once and builds its triples
+    with ``tuple.__new__``."""
 
-    def __init__(self, e1: str, r: str, e2: str):
+    __slots__ = ()
+
+    def __new__(cls, e1: str, r: str, e2: str) -> "FlatTriple":
         for name, value in (("e1", e1), ("r", r), ("e2", e2)):
             if not value:
                 raise ValueError(f"flat triple field {name} is empty")
@@ -104,9 +119,7 @@ class FlatTriple(_Frozen):
             if value[0].isspace():
                 blank = "is blank" if value.isspace() else "starts with whitespace"
                 raise ValueError(f"flat triple field {name} {blank}")
-        _set_field(self, "e1", e1)
-        _set_field(self, "r", r)
-        _set_field(self, "e2", e2)
+        return tuple.__new__(cls, (e1, r, e2))
 
 
 class GkgDocument(_Frozen):
@@ -167,19 +180,52 @@ def validate_document(doc: GkgDocument) -> ValidationReport:
     return report
 
 
+# Patterns over "\n" + the lines joined by "\n" + "\n".  A blank or
+# comment line, with the "\n" before it; and a field that is empty or
+# starts with whitespace, since a field starts after a tab or at a line
+# start, and "\t" and "\n" are whitespace.  Within a line, "\s" matches
+# exactly the characters str.isspace() and str.strip() take.  The field
+# check is two patterns, each led by one literal character that the
+# regex engine scans for directly.  The re module compiles each on first
+# use, so a command that reads no flat file compiles none.
+_SKIPPED_LINE = r"\n[^\S\n]*(?:#[^\n]*)?(?=\n)"
+_BLANK_AFTER_TAB = r"\t\s"
+_BLANK_AT_LINE_START = r"\n\s"
+_LONE_SURROGATE = r"[\ud800-\udfff]"
+
+
 def parse_flat(text: str) -> Tuple[FlatTriple, ...]:
-    """Parse tab-separated triples, one per line.  Lines must have exactly
-    three non-empty fields; ``#`` comments and blank lines are skipped."""
-    triples = []
+    """Parse tab-separated triples, one per line of ``str.splitlines``.
+    Lines must have exactly three non-empty fields; ``#`` comments and
+    blank lines are skipped."""
+    body = re.sub(_SKIPPED_LINE, "", "\n" + "\n".join(text.splitlines()) + "\n")
+    rows = list(map(str.split, body.split("\n")[1:-1], repeat("\t")))
+    # FlatTriple's checks, made once on the whole text: three fields a
+    # line, none empty or led by whitespace, no lone surrogate.  A field
+    # cut from these lines holds no tab or line break.  Only a text that
+    # fails is walked line by line, to word its first bad line's error.
+    if (
+        set(map(len, rows)) <= {3}
+        and not re.search(_BLANK_AFTER_TAB, body)
+        and not re.search(_BLANK_AT_LINE_START, body)
+        and (body.isascii() or not re.search(_LONE_SURROGATE, body))
+    ):
+        return tuple(map(tuple.__new__, repeat(FlatTriple), rows))
+    raise _first_malformed_line(text)
+
+
+def _first_malformed_line(text: str) -> MalformedLineError:
+    """The error for the first line that ``parse_flat`` refuses; the text
+    must hold one."""
     for line_no, line in _content_lines(text):
         fields = line.split("\t")
         if len(fields) != 3:
-            raise MalformedLineError(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+            return MalformedLineError(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
         try:
-            triples.append(FlatTriple(*fields))
+            FlatTriple(*fields)
         except ValueError as exc:
-            raise MalformedLineError(line_no, str(exc)) from None
-    return tuple(triples)
+            return MalformedLineError(line_no, str(exc))
+    raise AssertionError("parse_flat refused a text without a malformed line")
 
 
 def _node_id(text: str, line_no: int) -> NodeId:

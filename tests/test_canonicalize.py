@@ -1,6 +1,7 @@
 """Lifting flat triples into reified event graphs."""
 
 import itertools
+import random
 import runpy
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
@@ -777,3 +778,118 @@ class TestCanonicalizeAgainstOracle:
 
         record()
         assert seen == {"document", "conflict", "IdCollisionError"}
+
+
+# --- canonicalize against the oracle at batch size ---------------------------
+
+BATCH_RULES = """\
+RULE bornIn EVENT ont:Birth SUBJ participantIn OBJ ATTR ont:Location ont:Village
+RULE bornOn EVENT ont:Birth SUBJ participantIn OBJ ATTR ont:Time ont:Date
+RULE livesIn EVENT ont:Residence SUBJ participantIn OBJ ATTR ont:Location ont:City
+RULE visited EVENT ont:Visit SUBJ participantIn OBJ ATTR ont:Place ont:City
+RULE worksFor EVENT ont:Employment SUBJ hasAgent OBJ PARTICIPANT hasObject
+RULE memberOf EVENT ont:Membership SUBJ participantIn OBJ PARTICIPANT hasObject
+CARD ont:Birth ONE
+CARD ont:Residence ONE
+CARD ont:Visit MANY
+CARD ont:Employment MANY
+ATTRDECL ont:Birth ont:Location FUNCTIONAL
+ATTRDECL ont:Birth ont:Time FUNCTIONAL
+ATTRDECL ont:Residence ont:Location MULTI
+ATTRDECL ont:Visit ont:Place FUNCTIONAL
+"""
+_BATCH_SPELLINGS = {
+    "bornIn": ("bornIn", "born_in", "Born In"),
+    "bornOn": ("bornOn", "BORN_ON"),
+    "livesIn": ("livesIn", "lives-in"),
+    "visited": ("visited", "Visited"),
+    "worksFor": ("worksFor", "works_for"),
+    "memberOf": ("memberOf", "member of"),
+    "diedIn": ("diedIn",),  # meets no rule
+}
+
+
+def _batch_triples(seed: int, people: int = 120) -> list:
+    """Several hundred triples about ``people`` people, repeated and
+    shuffled lines included: CARD ONE Birth and Residence events,
+    CARD MANY Visit and Employment events, FUNCTIONAL Birth slots of which
+    some conflict, a MULTI Residence slot, two participant rules and an
+    unmapped relation."""
+    rng = random.Random(seed)
+    villages = [f"Village {k}" for k in range(12)]
+    cities = [f"City {k}" for k in range(9)]
+    orgs = [f"Org {k}" for k in range(15)]
+    rows = []
+    for k in range(people):
+        person = f"Person {k}"
+
+        def say(relation, obj):
+            rows.append((person, rng.choice(_BATCH_SPELLINGS[relation]), obj))
+
+        say("bornIn", rng.choice(villages))
+        if k % 9 == 0:
+            say("bornIn", rng.choice(villages))  # a FUNCTIONAL conflict, or a repeat
+        say("bornOn", f"{rng.randint(1, 28):02d}/{rng.randint(1, 12):02d}/19{rng.randint(10, 99)}")
+        for city in rng.sample(cities, rng.randint(1, 2)):
+            say("livesIn", city)
+        for city in rng.sample(cities, rng.randint(0, 2)):
+            say("visited", city)
+        for org in rng.sample(orgs, rng.randint(0, 2)):
+            say("worksFor", org)
+        if k % 3 == 0:
+            say("memberOf", rng.choice(orgs))
+        if k % 10 == 0:
+            say("diedIn", rng.choice(cities))
+    rows += rng.sample(rows, len(rows) // 10)
+    rng.shuffle(rows)
+    return [FlatTriple(*row) for row in rows]
+
+
+class TestCanonicalizeAgainstOracleAtBatchSize:
+    """Hundreds of triples, so every id table holds many texts and each
+    hashing batch passes ``fnv1a64_hex_many``'s numpy cutover."""
+
+    TRIPLES = _batch_triples(seed=23)
+    RULES, DECLARATIONS = parse_rules(BATCH_RULES)
+    ENTITY_TYPES = {"Person 1": NodeId("p", "Person"), "Person 2": NodeId("p", "Person"),
+                    "Org 3": NodeId("o", "Org")}
+    # The last triple's subject and literal are new texts, claimed last.
+    LATE = FlatTriple("Late Comer", "bornIn", "Village Late")
+
+    def canonicalize_both(self, triples):
+        options = dict(declarations=self.DECLARATIONS, entity_types=self.ENTITY_TYPES, source_id="src", revision=3)
+        expected = _outcome(oracle_canonicalize_document, triples, self.RULES, options)
+        got = _outcome(canonicalize_document, triples, self.RULES, options)
+        return got, expected
+
+    def test_input_is_at_batch_size(self):
+        texts = {text for triple in self.TRIPLES for text in (triple.e1, triple.e2)}
+        assert len(self.TRIPLES) >= 400 and len(texts) >= 150
+        assert len(set(self.TRIPLES)) < len(self.TRIPLES)
+
+    def test_same_document_report_and_bytes(self):
+        got, expected = self.canonicalize_both(self.TRIPLES + [self.LATE])
+        assert got == expected
+        doc, report, _text = got
+        assert report.value_conflicts and report.unmapped_relations == frozenset({"diedIn"})
+        assert report.events_coalesced > 0 and validate_document(doc).ok
+        assert {node.inst_of for node in doc.graph.continuants()} == {ROOT_TYPE, NodeId("p", "Person"),
+                                                                      NodeId("o", "Org")}
+
+    def test_any_permutation_gives_the_same_bytes(self):
+        reordered = list(self.TRIPLES)
+        random.Random(5).shuffle(reordered)
+        assert self.canonicalize_both(reordered)[0][2] == self.canonicalize_both(self.TRIPLES)[0][2]
+
+    @pytest.mark.parametrize(
+        "late_text, early_text, message",
+        [
+            ("Late Comer", "Person 7", "entity labels 'Person 7' and 'Late Comer' share the id ent:"),
+            ("Village Late", "Village 4", "keys 'Village 4' and 'Village Late' share the id val:Village#"),
+        ],
+    )
+    def test_same_error_for_a_collision_late_in_the_input(self, late_text, early_text, message):
+        with hashing_as(lambda text: early_text if text == late_text else text):
+            got, expected = self.canonicalize_both(self.TRIPLES + [self.LATE])
+        assert got == expected
+        assert got[0] is IdCollisionError and got[1].startswith(message)

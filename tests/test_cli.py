@@ -150,6 +150,71 @@ class TestUndecodableInput:
         assert captured.err == f"gkg: line {lines}: {target} is not UTF-8 text\n"
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of any input file is dropped:
+    each command writes what it writes for the file without the mark."""
+
+    BOM = "\ufeff".encode("utf-8")
+
+    @pytest.fixture
+    def ready(self, workspace):
+        canonicalize(workspace, "a.flat", "a.gkg")
+        canonicalize(workspace, "b.flat", "b.gkg")
+        assert main(["align", str(workspace / "a.gkg"), str(workspace / "b.gkg"), "-o",
+                     str(workspace / "ab.align")]) == 0
+        (workspace / "vectors.txt").write_text("2 3\nroger 1 0 0\nwaters 0 1 0\n", encoding="utf-8")
+        return workspace
+
+    @pytest.mark.parametrize(
+        "argv, source",
+        [
+            (["canonicalize", "--rules", "{ws}/rules.rules", "--flat", "{in}", "-o", "{out}"], "a.flat"),
+            (["canonicalize", "--rules", "{in}", "--flat", "{ws}/a.flat", "-o", "{out}"], "rules.rules"),
+            (["validate", "{in}"], "a.gkg"),
+            (["render", "{in}", "-o", "{out}"], "worked.gkg"),
+            (["merge", "{ws}/a.gkg", "{ws}/b.gkg", "--alignment", "{in}", "-o", "{out}"], "ab.align"),
+            (["align", "{ws}/a.gkg", "{ws}/b.gkg", "--provider", "file", "--vectors", "{in}", "--dim", "3",
+              "-o", "{out}"], "vectors.txt"),
+        ],
+    )
+    def test_same_output_with_and_without_the_mark(self, ready, capsys, argv, source):
+        data = (ready / source).read_bytes()
+        results = []
+        for name, prefix in (("plain", b""), ("marked", self.BOM)):
+            target, out = ready / f"{name}.in", ready / f"{name}.out"
+            target.write_bytes(prefix + data)
+            capsys.readouterr()
+            code = main([arg.format(ws=ready, out=out, **{"in": target}) for arg in argv])
+            captured = capsys.readouterr()
+            written = out.read_bytes() if out.exists() else None
+            results.append((code, captured.out, captured.err, written))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+
+    def test_flat_subject_after_the_mark_is_one_entity(self, workspace, capsys):
+        (workspace / "marked.flat").write_bytes(self.BOM + "Ada\tbornIn\tLondon\nAda\tbornOn\t1815\n".encode())
+        canonicalize(workspace, "marked.flat", "marked.gkg")
+        report = capsys.readouterr().out
+        assert "events_created\t1\n" in report and "entity_nodes_created\t1\n" in report
+        labels = [line for line in (workspace / "marked.gkg").read_text(encoding="utf-8").splitlines()
+                  if line.startswith("L ")]
+        assert [line.split(" ", 3)[3] for line in labels] == ["Ada"]
+
+    def test_undecodable_byte_after_the_mark_keeps_its_line(self, workspace, capsys):
+        target = workspace / "bad.flat"
+        target.write_bytes(self.BOM + FLAT_A.encode() + b"# \xff\n")
+        code = main(["canonicalize", "--rules", str(workspace / "rules.rules"), "--flat", str(target)])
+        assert (code, capsys.readouterr().err) == (2, f"gkg: line 3: {target} is not UTF-8 text\n")
+
+    def test_only_a_leading_mark_is_dropped(self, workspace, capsys):
+        """A second mark stays part of the first subject's label."""
+        (workspace / "twice.flat").write_bytes(self.BOM * 2 + FLAT_A.encode())
+        canonicalize(workspace, "twice.flat", "twice.gkg")
+        assert "entity_nodes_created\t2\n" in capsys.readouterr().out
+        labels = (workspace / "twice.gkg").read_text(encoding="utf-8")
+        assert " en \ufeffRogerWaters\n" in labels and " en RogerWaters\n" in labels
+
+
 class TestAlignAndMerge:
     def test_align_writes_match_row(self, workspace, capsys):
         doc_a = canonicalize(workspace, "a.flat", "a.gkg")

@@ -209,6 +209,29 @@ class TestFileProvider:
             FileEmbeddingProvider(path, dim=4)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("header", ["", "2 4\n"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, header):
+        """With or without the mark, the first token and the header read
+        alike, and line numbers still count from the first line."""
+        text = header + "london 1 0 0 0\nparis 0 1 0 0\n"
+        path = tmp_path / "vectors.txt"
+        for prefix in (b"", "\ufeff".encode("utf-8")):
+            path.write_bytes(prefix + text.encode("utf-8"))
+            provider = FileEmbeddingProvider(path, dim=4)
+            assert sorted(provider._vectors) == ["london", "paris"]
+            assert np.array_equal(provider.token_vector("london"), [1, 0, 0, 0])
+            path.write_bytes(prefix + (text + "short 1\n").encode("utf-8"))
+            with pytest.raises(VectorFileError, match="expected 4 components") as exc:
+                FileEmbeddingProvider(path, dim=4)
+            assert exc.value.line_no == text.count("\n") + 1
+
+    def test_undecodable_byte_after_a_byte_order_mark_carries_line(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes("\ufeff".encode("utf-8") + b"london 1 0 0 0\nparis\xff 0 1 0 0\n")
+        with pytest.raises(VectorFileError, match="is not UTF-8 text") as exc:
+            FileEmbeddingProvider(path, dim=4)
+        assert exc.value.line_no == 2
+
     def test_miss_falls_back_to_the_seeded_hash_provider(self, tmp_path):
         path = self.write(tmp_path, "london 1 0 0 0\n")
         provider = FileEmbeddingProvider(path, dim=4, fallback_seed=9)

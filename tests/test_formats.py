@@ -1,5 +1,9 @@
 """Flat-triple, document and rule parsing plus canonical serialization."""
 
+import copy
+import pickle
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +174,175 @@ class TestFlatTriples:
             parse_flat(text)
         except MalformedLineError as exc:
             assert exc.line_no >= 1
+
+
+# --- parse_flat against the per-line reader it replaced -----------------------
+
+def oracle_parse_flat(text: str):
+    """``parse_flat`` as it read one line at a time, kept as the oracle for
+    the whole-text reader: copied as it was, with its line filter
+    ``_content_lines`` written inline."""
+    triples = []
+    for line_no, line in enumerate(text.splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MalformedLineError(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+        try:
+            triples.append(FlatTriple(*fields))
+        except ValueError as exc:
+            raise MalformedLineError(line_no, str(exc)) from None
+    return tuple(triples)
+
+
+# Field text: plain letters, inner spaces, "#", astral and unprintable
+# characters that are no line break, Unicode spaces and a lone surrogate.
+_FIELD_CHARS = "aZ #\xa0\u3000\x1f\x00\u200b\U0001d11e\ud800"
+# Where a random field may start: nothing, a space, NBSP, U+3000 or U+001F
+# (all whitespace), or "#".
+_FIELD_LEADS = ("", "", "", " ", "\xa0", "\u3000", "\x1f", "#")
+_SEPARATORS = ("\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028")
+_INDENTS = ("", " ", "\t", "\xa0", "\u3000", " \t")
+
+
+# One flaw per line: (field index, what the field becomes from a good one).
+_FLAWS = (
+    lambda field: "",
+    lambda field: " \u3000",
+    lambda field: " " + field,
+    lambda field: "\xa0" + field,
+    lambda field: "\u3000" + field,
+    lambda field: "\x1f" + field,
+    lambda field: f"{field[0]}\ud800{field[1:]}",
+    lambda field: field + "\t",  # a fourth field, or an empty one
+    lambda field: field + "\tx",
+)
+
+
+@st.composite
+def _flat_texts(draw):
+    """Texts mixing good triple lines, lines with one flaw (an empty,
+    leading-whitespace or lone surrogate field, a wrong field count, a
+    trailing tab), lines of random fields, indented ``#`` comments, blank
+    and whitespace-only lines, every kind of line break, and an optional
+    final one."""
+    good_field = st.tuples(st.sampled_from("aZ#\x00\u200b\U0001d11e"),
+                           st.text(alphabet=_FIELD_CHARS.replace("\ud800", ""), max_size=3)).map("".join)
+    good_fields = st.lists(good_field, min_size=3, max_size=3)
+    flawed_line = st.tuples(good_fields, st.integers(0, 2), st.sampled_from(_FLAWS)).map(
+        lambda parts: "\t".join(parts[2](f) if k == parts[1] else f for k, f in enumerate(parts[0]))
+    )
+    field = st.tuples(st.sampled_from(_FIELD_LEADS), st.text(alphabet=_FIELD_CHARS, max_size=3)).map("".join)
+    random_line = st.lists(field, min_size=1, max_size=4).map("\t".join)
+    comment_line = st.tuples(st.sampled_from(_INDENTS), st.text(alphabet=_FIELD_CHARS + "\t", max_size=4))
+    line = st.one_of(
+        good_fields.map("\t".join),
+        good_fields.map("\t".join),
+        flawed_line,
+        random_line,
+        comment_line.map(lambda parts: f"{parts[0]}#{parts[1]}"),
+        st.sampled_from(_INDENTS),
+    )
+    lines = draw(st.lists(line, max_size=6))
+    separators = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + sep for line, sep in zip(lines, separators))
+    return text[: -len(separators[-1])] if lines and draw(st.booleans()) else text
+
+
+_REFUSALS = ("tab-separated fields", "is empty", "is blank", "starts with whitespace", "lone surrogate")
+
+
+def _flat_outcome(reader, text):
+    """The triples ``reader`` returns, or the line and message it refuses."""
+    try:
+        triples = reader(text)
+    except MalformedLineError as exc:
+        return exc.line_no, str(exc)
+    assert type(triples) is tuple and all(type(triple) is FlatTriple for triple in triples)
+    return triples
+
+
+class TestParseFlatAgainstOracle:
+    @settings(max_examples=600, deadline=None)
+    @given(_flat_texts())
+    def test_same_triples_or_error(self, text):
+        assert _flat_outcome(parse_flat, text) == _flat_outcome(oracle_parse_flat, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n\n",
+            "a\tr\tb",
+            "a\tr\tb\r\nc\tr\td\r\n",
+            "a\tr\tb\t\n",
+            "\ta\tr\n",
+            "a\t\tb\n",
+            "a\tr\t\xa0b\n",
+            "\u3000a\tr\tb\n",
+            " # comment\na\tr\tb\n",
+            "a\tr\tb\n \t \n\u3000\nc\tr\td\n",
+            "a\tr\tb\x85c\tr\td\u2028e\tr\tf",
+            "a\tr\tb\x0bc\tr\x1cd\tr\te\n",
+            "a\tr\tb\ud800\n",
+            "# \ud800\na\tr\tb\n",
+            "a\tr\tb\nc\n#d\te\tf\n",
+            "a\x00\tr\u200b\tb\U0001d11e\n",
+        ],
+    )
+    def test_examples(self, text):
+        assert _flat_outcome(parse_flat, text) == _flat_outcome(oracle_parse_flat, text)
+
+    def test_draws_reach_every_outcome(self):
+        """The strategy meets texts that parse to triples, and each refusal."""
+        seen = set()
+
+        @settings(max_examples=600, deadline=None, database=None, derandomize=True)
+        @given(_flat_texts())
+        def record(text):
+            outcome = _flat_outcome(oracle_parse_flat, text)
+            if outcome and isinstance(outcome[0], FlatTriple):
+                seen.add("triples")
+            elif outcome:
+                seen.add(next(word for word in _REFUSALS if word in outcome[1]))
+
+        record()
+        assert seen == {"triples", *_REFUSALS}
+
+
+class TestFlatTripleRecord:
+    """FlatTriple is a tuple record: parse_flat's triples, built with
+    ``tuple.__new__``, are the same values the checking constructor makes."""
+
+    def test_a_tuple_equal_only_to_its_own_type(self):
+        triple = FlatTriple("Ada", "bornIn", "London")
+        (parsed,) = parse_flat("Ada\tbornIn\tLondon\n")
+        assert isinstance(triple, tuple) and tuple(triple) == ("Ada", "bornIn", "London")
+        assert parsed == triple and not parsed != triple and type(parsed) is FlatTriple
+        assert (triple.e1, triple.r, triple.e2) == ("Ada", "bornIn", "London")
+        assert triple != ("Ada", "bornIn", "London") and ("Ada", "bornIn", "London") != triple
+        assert triple != namedtuple("Twin", FlatTriple._fields)(*triple)
+        assert FlatTriple("Ada", "bornIn", "Paris") != triple
+
+    def test_hash_is_the_tuple_hash(self):
+        triple = FlatTriple("Ada", "bornIn", "London")
+        assert hash(triple) == hash(("Ada", "bornIn", "London")) == hash(parse_flat("Ada\tbornIn\tLondon")[0])
+        assert len({triple, FlatTriple("Ada", "bornIn", "London"), FlatTriple("Ada", "bornOn", "1815")}) == 2
+
+    def test_repr_and_pickle_round_trip(self):
+        (triple,) = parse_flat("Ada L\tbornIn\tGreat Bookham \n")
+        assert repr(triple) == "FlatTriple(e1='Ada L', r='bornIn', e2='Great Bookham ')"
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(triple, protocol))
+            assert type(again) is FlatTriple and again == triple
+        assert copy.deepcopy(triple) == triple and type(copy.copy(triple)) is FlatTriple
+
+    def test_fields_are_read_only(self):
+        triple = FlatTriple("Ada", "bornIn", "London")
+        for name in ("e1", "r", "e2", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(triple, name, "x")
 
 
 class TestParseGkg:
