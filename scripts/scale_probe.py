@@ -9,7 +9,8 @@ commands of that workload (canonicalize A, canonicalize B, align, merge),
 (``canonicalize_a_shuffled``, shuffled with a fixed seed), which must
 write ``a.gkg``'s bytes since canonicalize is order-insensitive,
 ``gkg validate`` of A, whose time is that of reading one document
-(``validate_a``), the parse that align and merge each pay twice, and
+(``validate_a``), the parse that align and merge each pay twice,
+``gkg render`` of A in French (``render_a``), a read and a labeled view, and
 ``gkg merge`` of A with itself along A's identity alignment
 (``merge_self``), a merge like a revision's that has nothing to fold.
 The identity alignment is written from ``a.gkg``'s continuants, untimed,
@@ -18,7 +19,7 @@ Each command runs in a fresh interpreter with one BLAS thread.  For each
 size and checkout the probe prints one JSON object: each command's wall
 time (interpreter start included) and peak RSS, read from the child's
 own rusage, the ``MATCH`` and ``AMBIG`` rows of the alignment, and the
-SHA-256 of ``a.gkg``, ``a_shuffled.gkg``, ``b.gkg``, ``ab.align``,
+SHA-256 of ``a.gkg``, ``a_shuffled.gkg``, ``b.gkg``, ``a.fr.tsv``, ``ab.align``,
 ``ab.gkg`` and ``aa.gkg`` as the last repeat left them, so equal digests across checkouts show
 byte-identical output without a diff.  With ``--repeat N`` each size runs N times and
 the median time and largest RSS are kept.  ``--src`` names the ``src``
@@ -60,6 +61,7 @@ COMMANDS = (
     ("canonicalize_b", ("canonicalize", "--rules", "rules.txt", "--flat", "b.tsv",
                         "--source-id", "srcB", "--revision", "1", "-o", "b.gkg")),
     ("validate_a", ("validate", "a.gkg")),
+    ("render_a", ("render", "a.gkg", "--lang", "fr", "-o", "a.fr.tsv")),
     ("align", ("align", "a.gkg", "b.gkg", "-o", "ab.align")),
     ("merge", ("merge", "a.gkg", "b.gkg", "--alignment", "ab.align", "-o", "ab.gkg")),
     ("merge_self", ("merge", "a.gkg", "a.gkg", "--alignment", "aa.align", "-o", "aa.gkg")),
@@ -146,7 +148,7 @@ def probe(size: int, repeat: int, envs: dict, corpus, run_dir: Path) -> list:
                 record[f"{name}_s"] = round(statistics.median(times[src][name]), 3)
                 record[f"{name}_rss_mib"] = round(rss[src][name], 1)
             record.update(alignment_rows(works[src] / "ab.align"))
-            for name in ("a.gkg", "a_shuffled.gkg", "b.gkg", "ab.align", "ab.gkg", "aa.gkg"):
+            for name in ("a.gkg", "a_shuffled.gkg", "b.gkg", "a.fr.tsv", "ab.align", "ab.gkg", "aa.gkg"):
                 digest = hashlib.sha256((works[src] / name).read_bytes()).hexdigest()
                 record[f"{name.replace('.', '_')}_sha256"] = digest
             records.append(record)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .embedding import cosine, embed_phrase, normalized
 from .errors import GkgSyntaxError, InvalidParameterError, NotAContinuantError
-from .formats import _content_lines, _node_id
+from .formats import _content_lines
 from .model import (
     GroundedGraph,
     NodeId,
@@ -25,6 +25,7 @@ from .model import (
     TypeHierarchy,
     _equal_to_own_type,
     _ForwardLinks,
+    _id_reader,
     infer_role_labels,
 )
 from .multilingual import LabelTable
@@ -388,16 +389,18 @@ def format_alignment_tsv(result: AlignmentResult) -> str:
 
 
 def parse_alignment_tsv(text: str) -> AlignmentResult:
-    """Read rows written by :func:`format_alignment_tsv`.  A score outside
-    [0, 1] (NaN and infinities included) is a syntax error."""
+    """Read rows written by :func:`format_alignment_tsv`, parsing each
+    distinct id token once.  A score outside [0, 1] (NaN and infinities
+    included) is a syntax error."""
     matches: list = []
     ambiguous: Dict[NodeId, list] = {}
+    _, node_id_of = _id_reader()
     for line_no, line in _content_lines(text):
         fields = line.split("\t")
         if len(fields) != 4:
             raise GkgSyntaxError(line_no, f"expected 4 tab-separated fields, got {len(fields)}")
-        id_a = _node_id(fields[0], line_no)
-        id_b = _node_id(fields[1], line_no)
+        id_a = node_id_of(fields[0], line_no)
+        id_b = node_id_of(fields[1], line_no)
         try:
             score = float(fields[2])
         except ValueError:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from itertools import repeat
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import List, NamedTuple, Optional, Tuple
 
 from .embedding import tokenize
@@ -57,6 +57,7 @@ from .model import (
     ValidationReport,
     _equal_to_own_type,
     _Frozen,
+    _id_reader,
     _set_field,
     validate_graph,
 )
@@ -141,17 +142,26 @@ class GkgDocument(_Frozen):
         declarations: Optional[SchemaDeclarations] = None,
     ):
         nodes = graph.nodes
-        types = hierarchy.types
-        for node_id, (_, kind, _, _) in nodes.items():
-            if kind is NodeKind.TYPE_NODE and node_id not in types:
-                raise ValueError(f"graph type node {node_id} is absent from the hierarchy")
-        missing = []
-        for type_id in types:
+        type_node = NodeKind.TYPE_NODE
+        missing, collisions, present = [], [], 0
+        for type_id in hierarchy.types:
             existing = nodes.get(type_id)
             if existing is None:
                 missing.append(type_id)
-            elif existing.kind is not NodeKind.TYPE_NODE:
-                raise ValueError(f"node {type_id} collides with a hierarchy type")
+            elif existing.kind is type_node:
+                present += 1
+            else:
+                collisions.append(type_id)
+        # Type nodes are counted, not walked: one lies outside the hierarchy
+        # exactly when the graph holds more type nodes than the hierarchy
+        # types it holds as type nodes.  Only then are the nodes walked, to
+        # name the first stray one.
+        if countOf(map(itemgetter(1), nodes.values()), type_node) != present:
+            for node_id, (_, kind, _, _) in nodes.items():
+                if kind is type_node and node_id not in hierarchy.types:
+                    raise ValueError(f"graph type node {node_id} is absent from the hierarchy")
+        if collisions:
+            raise ValueError(f"node {collisions[0]} collides with a hierarchy type")
         if missing:
             nodes = dict(nodes)
             for type_id in missing:
@@ -324,7 +334,6 @@ def parse_gkg(text: str) -> GkgDocument:
     """
     type_pairs: list = []
     nodes: dict = {}  # node records, in record order
-    node_lines: dict = {}
     edge_records: list = []
     label_entries: dict = {}
     declarations = _DeclarationCollector()
@@ -332,27 +341,12 @@ def parse_gkg(text: str) -> GkgDocument:
     revision = 0
     saw_header = False
 
-    # Each distinct id token is parsed once per document; a token that
-    # fails is never stored, so it fails again with its own line number.
-    # NodeId.parse is looked up here, at call time, so a wrapper set on
-    # the class sees every parse.
-    parse_id = NodeId.parse
-    ids: dict = {}
-
-    def node_id_of(token: str, line_no: int) -> NodeId:
-        found = ids.get(token)
-        if found is None:
-            try:
-                found = ids[token] = parse_id(token)
-            except ValueError as exc:
-                raise GkgSyntaxError(line_no, str(exc)) from None
-        return found
-
+    ids, node_id_of = _id_reader()
     # Edges and nodes are NamedTuples, whose constructor is Python code;
     # tuple.__new__ builds the same objects directly.
     new_tuple = tuple.__new__
     ids_get = ids.get
-    relation_of = _RELATIONS.get
+    relations = _RELATIONS
     kind_code = _KIND_CODES.get
     value_kind = NodeKind.VALUE_LITERAL
     for line_no, line in enumerate(text.splitlines(), 1):
@@ -360,17 +354,21 @@ def parse_gkg(text: str) -> GkgDocument:
         # N record with its greedy literal.  Other records split again.
         fields = line.split(None, 4)
         head = fields[0] if fields else "#"  # a blank line reads as a comment
-        # Edges are the most common record, so they are tested first.  Ids
-        # and relations are non-empty tuples and strings, so `or` falls back
-        # to the checked parse only for an unseen or malformed token.
+        # Edges are the most common record, so they are tested first.  Their
+        # ids and relation are looked up by subscript; an unseen or
+        # malformed token falls back to the checked reads, in field order.
         if head == "E":
-            if len(fields) != 4:
-                raise GkgSyntaxError(line_no, "E takes a subject, a relation and an object")
-            _, subject, relation, obj = fields
-            subject = ids_get(subject) or node_id_of(subject, line_no)
-            relation = relation_of(relation) or _relation(relation, line_no)
-            obj = ids_get(obj) or node_id_of(obj, line_no)
-            edge_records.append(new_tuple(Edge, (subject, relation, obj)))
+            try:
+                _, subject, relation, obj = fields
+                edge = new_tuple(Edge, (ids[subject], relations[relation], ids[obj]))
+            except ValueError:
+                raise GkgSyntaxError(line_no, "E takes a subject, a relation and an object") from None
+            except KeyError:
+                edge = new_tuple(
+                    Edge,
+                    (node_id_of(subject, line_no), _relation(relation, line_no), node_id_of(obj, line_no)),
+                )
+            edge_records.append(edge)
         elif head == "N":
             if len(fields) < 4:
                 raise GkgSyntaxError(line_no, "N takes a node id, a kind code and a type id")
@@ -388,14 +386,13 @@ def parse_gkg(text: str) -> GkgDocument:
             if node_id in nodes:
                 raise GkgSyntaxError(line_no, f"duplicate node {node_id}")
             nodes[node_id] = new_tuple(Node, (node_id, kind, type_id, literal))
-            node_lines[node_id] = line_no
         elif head[0] == "#":
             continue  # blank line or comment
         elif head == "L":
             parts = line.split(None, 3)
             if len(parts) != 4:
                 raise GkgSyntaxError(line_no, "L takes a node id, a language tag and a label")
-            node_id = node_id_of(parts[1], line_no)
+            node_id = ids_get(parts[1]) or node_id_of(parts[1], line_no)
             lang = parts[2]
             key = (node_id, lang)
             if key in label_entries:
@@ -445,8 +442,11 @@ def parse_gkg(text: str) -> GkgDocument:
     types = hierarchy.types
     collisions = types & nodes.keys()
     if collisions:
-        line_no, node_id = min((node_lines[node_id], node_id) for node_id in collisions)
-        raise GkgSyntaxError(line_no, f"node {node_id} collides with a declared type")
+        # Only this error needs an N record's line number: find the first.
+        for line_no, line in _content_lines(text):
+            fields = line.split(None, 2)
+            if fields[0] == "N" and ids[fields[1]] in collisions:
+                raise GkgSyntaxError(line_no, f"node {fields[1]} collides with a declared type")
     graph_nodes: dict = {type_id: Node(type_id, NodeKind.TYPE_NODE) for type_id in types}
     graph_nodes.update(nodes)
 

@@ -18,10 +18,10 @@ plain record is a ``typing.NamedTuple`` marked with
 from __future__ import annotations
 
 from enum import Enum
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import CycleError, UnknownNodeError, UnknownTypeError
+from .errors import CycleError, GkgSyntaxError, UnknownNodeError, UnknownTypeError
 
 _set_field = object.__setattr__
 
@@ -145,6 +145,27 @@ class NodeId(tuple):
 
 
 ROOT_TYPE = NodeId("core", "Entity")
+
+
+def _id_reader():
+    """An empty memo of id tokens and the reader that fills it: each
+    distinct token is parsed once, and a token that fails is never
+    stored, so it fails again with its own line number.  ``NodeId.parse``
+    is looked up here, at call time, so a wrapper set on the class sees
+    every parse."""
+    parse_id = NodeId.parse
+    ids: dict = {}
+
+    def node_id_of(token: str, line_no: int) -> NodeId:
+        found = ids.get(token)
+        if found is None:
+            try:
+                found = ids[token] = parse_id(token)
+            except ValueError as exc:
+                raise GkgSyntaxError(line_no, str(exc)) from None
+        return found
+
+    return ids, node_id_of
 
 
 class NodeKind(str, Enum):
@@ -478,55 +499,87 @@ class ValidationReport(_Frozen):
         )
 
 
+def _nodes_clean(nodes: Mapping[NodeId, Node], kind_of: dict, types: frozenset) -> bool:
+    """Whether no node has an issue.  Only the distinct (kind, type,
+    literal) rows are checked, which are few, since only value literals
+    vary much.  A type node outside the hierarchy shows in the count: the
+    graph then holds more type nodes than the hierarchy types it holds as
+    type nodes."""
+    for kind, inst_of, literal in set(map(itemgetter(1, 2, 3), nodes.values())):
+        if kind is _T:
+            if inst_of is not None or literal is not None:
+                return False
+        elif inst_of is None or inst_of not in types:
+            return False
+        elif (not literal) if kind is _V else (literal is not None):
+            return False
+    return countOf(kind_of.values(), _T) == sum(kind_of[type_id] is _T for type_id in kind_of.keys() & types)
+
+
 def validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> ValidationReport:
     """Audit a graph against the closed relation vocabulary and the typing
     discipline.  Returns a deterministic, possibly empty report; never
     raises on content.
 
-    Nodes and edges are visited in no particular order: the issues are
-    sorted at the end, and two issues that tie on the sort key are equal.
+    A clean graph is proved clean over columns: the set of its distinct
+    node rows, and the set of its edge signatures.  Only the nodes or the
+    edges whose proof fails are walked one by one, and that walk is where
+    every issue is worded.  It visits them in no particular order: the
+    issues are sorted at the end, and two issues that tie on the sort key
+    are equal.
     """
     issues: list = []
 
     def report(kind: IssueKind, context, message: str) -> None:
         issues.append(ValidationIssue(kind, str(context), message))
 
-    types = hierarchy.types
-    for node_id, (_, kind, inst_of, literal) in graph.nodes.items():
-        if kind is NodeKind.TYPE_NODE:
-            if inst_of is not None:
-                report(IssueKind.TYPE_NODE_TYPED, node_id, "type node carries inst_of")
-            if literal is not None:
-                report(IssueKind.LITERAL_MISMATCH, node_id, "type node carries a literal")
-            if node_id not in types:
-                report(IssueKind.HIERARCHY_MISMATCH, node_id, "type node absent from hierarchy")
-            continue
-        if inst_of is None:
-            report(IssueKind.UNTYPED_NODE, node_id, "non-type node without inst_of")
-        elif inst_of not in types:
-            report(IssueKind.UNKNOWN_TYPE_TARGET, node_id, f"inst target {inst_of} not in hierarchy")
-        if kind is NodeKind.VALUE_LITERAL:
-            if not literal:
-                report(IssueKind.LITERAL_MISMATCH, node_id, "value literal without literal text")
-        elif literal is not None:
-            report(IssueKind.LITERAL_MISMATCH, node_id, "literal on a non-value node")
+    nodes, types = graph.nodes, hierarchy.types
+    kind_of = dict(zip(nodes, map(itemgetter(1), nodes.values())))
+    if not _nodes_clean(nodes, kind_of, types):
+        for node_id, (_, kind, inst_of, literal) in nodes.items():
+            if kind is NodeKind.TYPE_NODE:
+                if inst_of is not None:
+                    report(IssueKind.TYPE_NODE_TYPED, node_id, "type node carries inst_of")
+                if literal is not None:
+                    report(IssueKind.LITERAL_MISMATCH, node_id, "type node carries a literal")
+                if node_id not in types:
+                    report(IssueKind.HIERARCHY_MISMATCH, node_id, "type node absent from hierarchy")
+                continue
+            if inst_of is None:
+                report(IssueKind.UNTYPED_NODE, node_id, "non-type node without inst_of")
+            elif inst_of not in types:
+                report(IssueKind.UNKNOWN_TYPE_TARGET, node_id, f"inst target {inst_of} not in hierarchy")
+            if kind is NodeKind.VALUE_LITERAL:
+                if not literal:
+                    report(IssueKind.LITERAL_MISMATCH, node_id, "value literal without literal text")
+            elif literal is not None:
+                report(IssueKind.LITERAL_MISMATCH, node_id, "literal on a non-value node")
 
-    nodes_get = graph.nodes.get
-    for subject, relation, obj in graph.edges:
-        subject_node = nodes_get(subject)
-        object_node = nodes_get(obj)
-        if subject_node is None or object_node is None:
-            context = f"{subject} {relation.value} {obj}"
-            if subject_node is None:
-                report(IssueKind.DANGLING_REFERENCE, context, f"missing subject {subject}")
-            if object_node is None:
-                report(IssueKind.DANGLING_REFERENCE, context, f"missing object {obj}")
-        elif (relation, subject_node[1], object_node[1]) not in _ADMISSIBLE:
-            report(
-                IssueKind.SIGNATURE_VIOLATION,
-                f"{subject} {relation.value} {obj}",
-                f"{relation.value} does not admit ({subject_node.kind.name}, {object_node.kind.name})",
-            )
+    # Every edge's (relation, subject kind, object kind) signature is
+    # admissible; a dangling end has no kind.
+    edges = graph.edges
+    signatures = zip(
+        map(itemgetter(1), edges),
+        map(kind_of.get, map(itemgetter(0), edges)),
+        map(kind_of.get, map(itemgetter(2), edges)),
+    )
+    if not set(signatures) <= _ADMISSIBLE:
+        nodes_get = nodes.get
+        for subject, relation, obj in edges:
+            subject_node = nodes_get(subject)
+            object_node = nodes_get(obj)
+            if subject_node is None or object_node is None:
+                context = f"{subject} {relation.value} {obj}"
+                if subject_node is None:
+                    report(IssueKind.DANGLING_REFERENCE, context, f"missing subject {subject}")
+                if object_node is None:
+                    report(IssueKind.DANGLING_REFERENCE, context, f"missing object {obj}")
+            elif (relation, subject_node[1], object_node[1]) not in _ADMISSIBLE:
+                report(
+                    IssueKind.SIGNATURE_VIOLATION,
+                    f"{subject} {relation.value} {obj}",
+                    f"{relation.value} does not admit ({subject_node.kind.name}, {object_node.kind.name})",
+                )
 
     return ValidationReport(tuple(sorted(issues, key=ValidationIssue.sort_key)))
 

@@ -8,7 +8,8 @@ gloss table is just label entries for ``rel:isA``, ``rel:hasAgent``, ...
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .model import Edge, GroundedGraph, NodeId, PrimitiveRelation, _equal_to_own_type, _Frozen, _set_field
@@ -24,7 +25,8 @@ def gloss_id(relation: PrimitiveRelation) -> NodeId:
 
 
 class LabelTable(_Frozen):
-    """At most one label per (node id, language tag)."""
+    """At most one label per (node id, language tag); a label is a
+    non-empty string."""
 
     __slots__ = _fields = ("entries",)
 
@@ -109,12 +111,15 @@ def render(
     label table's ``rel:`` rows and fall back to the canonical relation
     name.
     """
-    node_labels = {}
-    for node_id in graph.nodes:
-        label = labels.get(node_id, lang)
-        if label is None and lang != FALLBACK_LANG:
-            label = labels.get(node_id, FALLBACK_LANG)
-        node_labels[node_id] = label if label is not None else node_id.local
+    # Each label is read with dict.get, whose default is the next fallback:
+    # the id's local part, under the English label when lang is not English.
+    # Label tables hold strings, so a found label is never None.
+    get = labels.entries.get
+    node_ids = graph.nodes.keys()
+    fallback = map(itemgetter(1), node_ids)
+    if lang != FALLBACK_LANG:
+        fallback = map(get, zip(node_ids, repeat(FALLBACK_LANG)), fallback)
+    node_labels = dict(zip(node_ids, map(get, zip(node_ids, repeat(lang)), fallback)))
     glosses = {}
     for relation in PrimitiveRelation:
         gloss = labels.get(gloss_id(relation), lang)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,12 +38,14 @@ from gkg import (
     tokenize,
     union_hierarchies,
 )
-from gkg.alignment import _screen_scores
+from gkg.alignment import _ordered_result, _screen_scores
 from gkg.embedding import embed_phrase, normalized
 from gkg.evaluation import BIRTH_TYPE, DEMO_RULES_TEXT, HUMAN_TYPE, demo_document
+from gkg.formats import _content_lines, _node_id
 
 from .support import BasisProvider, random_document
 
+CLI_CORPUS = Path(__file__).parent / "data" / "cli_corpus"
 RENAME_SCORE = (2 / math.sqrt(6) + 3) / 4  # name slot 2/sqrt(6), other three exact
 CHANGED_FACT_SCORE = 0.75  # one orthogonal slot of four
 
@@ -331,6 +334,85 @@ class TestAlignmentTsv:
     def test_comments_skipped(self):
         parsed = parse_alignment_tsv("# nothing\n\nex:a\tex:b\t0.9900\tMATCH\n")
         assert len(parsed.matches) == 1
+
+
+def oracle_parse_alignment_tsv(text: str) -> AlignmentResult:
+    """``parse_alignment_tsv`` before it remembered its id tokens: every id
+    field goes through its own checked parse."""
+    matches: list = []
+    ambiguous: dict = {}
+    for line_no, line in _content_lines(text):
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise GkgSyntaxError(line_no, f"expected 4 tab-separated fields, got {len(fields)}")
+        id_a = _node_id(fields[0], line_no)
+        id_b = _node_id(fields[1], line_no)
+        try:
+            score = float(fields[2])
+        except ValueError:
+            raise GkgSyntaxError(line_no, f"bad score {fields[2]!r}") from None
+        if not 0.0 <= score <= 1.0:
+            raise GkgSyntaxError(line_no, f"score {fields[2]!r} is not a number in [0, 1]")
+        if fields[3] == "MATCH":
+            matches.append((id_a, id_b, score))
+        elif fields[3] == "AMBIG":
+            ambiguous.setdefault(id_a, []).append((id_b, score))
+        else:
+            raise GkgSyntaxError(line_no, f"bad status {fields[3]!r}")
+    return _ordered_result(matches, ambiguous)
+
+
+_GOLDEN_ALIGNMENTS = sorted(
+    [*CLI_CORPUS.glob("*.align"), *(CLI_CORPUS / "expected").glob("align_*.tsv")], key=lambda path: path.name
+)
+_AMBIGUOUS_ROWS = (
+    "ex:a\tex:b\t0.9000\tAMBIG\nex:a\tex:c\t0.9000\tAMBIG\n# ex:z\n\nex:d\tex:b\t1.0000\tMATCH\n"
+    "ex:e\tex:c\t0.5000\tAMBIG\nex:e\tex:b\t0.7000\tAMBIG\n"
+)
+
+
+class TestAlignmentTsvIdParseCalls:
+    """``parse_alignment_tsv`` parses each distinct id token once, through
+    ``NodeId.parse`` looked up at call time, and reads what it read before."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [*(path.read_text(encoding="utf-8") for path in _GOLDEN_ALIGNMENTS), _AMBIGUOUS_ROWS],
+        ids=[*(path.name for path in _GOLDEN_ALIGNMENTS), "ambiguous"],
+    )
+    def test_one_call_per_distinct_token(self, monkeypatch, text):
+        tokens = {field for _, line in _content_lines(text) for field in line.split("\t")[:2]}
+        calls = []
+        parse = NodeId.parse
+
+        def recording(token):
+            calls.append(token)
+            return parse(token)
+
+        monkeypatch.setattr(NodeId, "parse", staticmethod(recording))
+        result = parse_alignment_tsv(text)
+        assert sorted(calls) == sorted(tokens)
+        monkeypatch.undo()
+        assert result == oracle_parse_alignment_tsv(text)
+
+    def test_golden_files_are_read(self):
+        assert len(_GOLDEN_ALIGNMENTS) == 5
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ex:a\tex:b\t1.0\tMATCH\nex:c\tbad\t1.0\tMATCH\nex:d\tbad\t1.0\tMATCH\n",
+            "ex:a\tbad\t1.0\tMATCH\nex:a\tbad\t1.0\tMATCH\n",
+            "# x\nex:a\tex:b\t1.0\tMATCH\nex:a\tex:b\t2.0\tMATCH\n",
+            "ex:a\tex:b\t1.0\tMATCH\n\nex:a\tex: b\t1.0\tAMBIG\n",
+        ],
+    )
+    def test_a_malformed_row_fails_as_before(self, text):
+        with pytest.raises(GkgSyntaxError) as got:
+            parse_alignment_tsv(text)
+        with pytest.raises(GkgSyntaxError) as expected:
+            oracle_parse_alignment_tsv(text)
+        assert (got.value.line_no, str(got.value)) == (expected.value.line_no, str(expected.value))
 
 
 class TestFlatBaseline:

@@ -651,6 +651,7 @@ class TestParseGkgAgainstOracle:
         for text in (
             _EDGE_BASE + line + "\n",
             line + "\n" + _EDGE_BASE,
+            "E ex:b hasAgent ex:a\n" + line + "\n" + _EDGE_BASE + "E ex:b participantIn ex:a\n",
             _EDGE_BASE + "E ex:b hasAgent ex:a\n" + line + "\nE ex:b participantIn ex:a\n",
         ):
             assert _outcome(parse_gkg, text) == _outcome(oracle_parse_gkg, text)
@@ -659,6 +660,18 @@ class TestParseGkgAgainstOracle:
         text = "T t:A -\nT t:B -\nN t:B C t:A\nN ex:a C t:A\nN t:A C t:B\n"
         assert _outcome(parse_gkg, text) == _outcome(oracle_parse_gkg, text)
         with pytest.raises(GkgSyntaxError, match=r"^line 3: node t:B collides with a declared type$"):
+            parse_gkg(text)
+
+    def test_first_collision_past_skipped_lines_and_other_line_ends(self):
+        """The collision's line is found again past blank and comment lines,
+        an E record on a colliding id and other line ends; the first
+        collision's id sorts after the other's."""
+        text = (
+            "T t:A -\nT t:B t:A\n\n# N t:A C t:B\nE t:B dep ex:a\nN ex:a C t:A\r\n"
+            "N t:B C t:A\u2028N t:A O t:B\n"
+        )
+        assert _outcome(parse_gkg, text) == _outcome(oracle_parse_gkg, text)
+        with pytest.raises(GkgSyntaxError, match=r"^line 7: node t:B collides with a declared type$"):
             parse_gkg(text)
 
     def test_bad_edges_keep_their_messages(self):
@@ -718,6 +731,17 @@ class TestNodeIdParseCalls:
     @pytest.mark.parametrize("seed", [None, *range(12)])
     def test_one_call_per_distinct_record_token(self, monkeypatch, seed):
         text = WORKED_TEXT if seed is None else serialize_gkg(random_document(seed))
+        self.check(monkeypatch, text)
+
+    @pytest.mark.parametrize("seed", [None, *range(12)])
+    def test_edges_before_nodes(self, monkeypatch, seed):
+        """E records first: their ids are new tokens, read by the checked
+        path, and the N records then find them read."""
+        text = WORKED_TEXT if seed is None else serialize_gkg(random_document(seed))
+        self.check(monkeypatch, "".join(sorted(text.splitlines(True), key=lambda line: not line.startswith("E "))))
+
+    @staticmethod
+    def check(monkeypatch, text):
         record_tokens, declaration_tokens = set(), []
         for line in text.splitlines():
             fields = line.split()
@@ -946,6 +970,25 @@ class TestGkgDocument:
     def test_type_node_absent_from_the_hierarchy_is_refused(self):
         stray = NodeId("t", "Stray")
         graph = GroundedGraph({stray: Node(stray, NodeKind.TYPE_NODE)})
+        with pytest.raises(ValueError, match=r"^graph type node t:Stray is absent from the hierarchy$"):
+            GkgDocument(TypeHierarchy.from_edges(()), graph)
+
+    def test_stray_type_node_with_a_hierarchy_type_missing_is_refused(self):
+        """The graph holds as many type nodes as the hierarchy has types,
+        but one is stray and one type is missing: the count must not be
+        fooled."""
+        stray, missing = NodeId("t", "Stray"), NodeId("t", "Missing")
+        hierarchy = TypeHierarchy.from_edges([(missing, None)])
+        graph = GroundedGraph({ROOT_TYPE: Node(ROOT_TYPE, NodeKind.TYPE_NODE), stray: Node(stray, NodeKind.TYPE_NODE)})
+        assert len(graph.nodes) == len(hierarchy.types)
+        with pytest.raises(ValueError, match=r"^graph type node t:Stray is absent from the hierarchy$"):
+            GkgDocument(hierarchy, graph)
+
+    def test_stray_type_node_is_named_before_a_collision(self):
+        stray = NodeId("t", "Stray")
+        graph = GroundedGraph(
+            {ROOT_TYPE: Node(ROOT_TYPE, NodeKind.CONTINUANT, ROOT_TYPE), stray: Node(stray, NodeKind.TYPE_NODE)}
+        )
         with pytest.raises(ValueError, match=r"^graph type node t:Stray is absent from the hierarchy$"):
             GkgDocument(TypeHierarchy.from_edges(()), graph)
 

@@ -656,13 +656,52 @@ def oracle_validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Val
     return ValidationReport(tuple(sorted(issues, key=ValidationIssue.sort_key)))
 
 
+_C1, _C2 = NodeId("x", "c1"), NodeId("x", "c2")
+
+
+def _with_node(kind, inst_of=None, literal=None, node_id=NodeId("x", "fault")):
+    def add(graph):
+        return GroundedGraph({**graph.nodes, node_id: Node(node_id, kind, inst_of, literal)}, graph.edges)
+
+    return add
+
+
+def _with_edge(subject, relation, obj):
+    def add(graph):
+        ends = {end: Node(end, NodeKind.CONTINUANT, ROOT_TYPE) for end in (_C1, _C2)}
+        return GroundedGraph({**graph.nodes, **ends}, graph.edges | {Edge(subject, relation, obj)})
+
+    return add
+
+
+#: One fault each, added to a valid graph.
+_SINGLE_FAULTS = {
+    "stray type node": _with_node(NodeKind.TYPE_NODE),
+    "type node typed in the hierarchy": _with_node(NodeKind.TYPE_NODE, ROOT_TYPE, node_id=ROOT_TYPE),
+    "type node typed outside the hierarchy": _with_node(NodeKind.TYPE_NODE, tid("Unknown"), node_id=ROOT_TYPE),
+    "type node with an empty literal": _with_node(NodeKind.TYPE_NODE, literal="", node_id=ROOT_TYPE),
+    "untyped continuant": _with_node(NodeKind.CONTINUANT),
+    "continuant typed outside the hierarchy": _with_node(NodeKind.CONTINUANT, tid("Unknown")),
+    "value with an empty literal": _with_node(NodeKind.VALUE_LITERAL, ROOT_TYPE, ""),
+    "value without a literal": _with_node(NodeKind.VALUE_LITERAL, ROOT_TYPE),
+    "attribute with an empty literal": _with_node(NodeKind.ATTRIBUTE_INSTANCE, ROOT_TYPE, ""),
+    "occurrent with a literal": _with_node(NodeKind.OCCURRENT, ROOT_TYPE, "text"),
+    "dangling subject": _with_edge(NodeId("ghost", "g"), PrimitiveRelation.DEP, _C1),
+    "dangling object": _with_edge(_C1, PrimitiveRelation.DEP, NodeId("ghost", "g")),
+    "signature violation": _with_edge(_C1, PrimitiveRelation.HAS_VALUE, _C2),
+}
+
+
 def faulty_graph(seed: int):
     """A random valid document's graph with faults injected: dangling
     endpoints, signature violations, untyped nodes, stray and missing
     literals, typed or unknown type nodes, unknown inst targets, and two
-    ids with one string form."""
+    ids with one string form.  Two graphs in five hold one fault alone,
+    which a proof that misses it would call clean."""
     doc = random_document(seed)
     rng = random.Random(seed)
+    if rng.random() < 0.4:
+        return _SINGLE_FAULTS[rng.choice(sorted(_SINGLE_FAULTS))](doc.graph), doc.hierarchy
     nodes = dict(doc.graph.nodes)
     edges = set(doc.graph.edges)
     kinds = list(NodeKind)
@@ -678,11 +717,19 @@ def faulty_graph(seed: int):
     for _ in range(rng.randint(0, 3)):
         node_id = fresh("stray")
         kind = rng.choice(kinds)
-        literal = rng.choice((None, "", "text")) if kind is NodeKind.VALUE_LITERAL else "text"
+        literal = rng.choice((None, "", "text")) if kind is NodeKind.VALUE_LITERAL else rng.choice(("", "text"))
         inst_of = None if kind is NodeKind.TYPE_NODE else rng.choice((ROOT_TYPE, tid("Unknown")))
         nodes[node_id] = Node(node_id, kind, inst_of=inst_of, literal=literal)
     if rng.random() < 0.5:
         nodes[tid("Typed")] = Node(tid("Typed"), NodeKind.TYPE_NODE, inst_of=ROOT_TYPE, literal="t")
+    if rng.random() < 0.3:
+        # A type node, of the hierarchy or not, typed by a type outside it.
+        type_id = rng.choice((ROOT_TYPE, tid("TypedOutside")))
+        nodes[type_id] = Node(type_id, NodeKind.TYPE_NODE, inst_of=tid("Unknown"))
+    if rng.random() < 0.3:
+        # Empty literals, which are not None: one on a value node, one elsewhere.
+        for node_id, kind in ((fresh("empty"), NodeKind.VALUE_LITERAL), (fresh("empty"), rng.choice(kinds[1:4]))):
+            nodes[node_id] = Node(node_id, kind, inst_of=ROOT_TYPE, literal="")
     if rng.random() < 0.5:
         # Distinct ids whose string forms and issues coincide.
         for node_id in (NodeId("x:y", "z"), NodeId("x", "y:z")):
@@ -706,6 +753,17 @@ class TestValidateAgainstOracle:
         for seed in range(200):
             kinds |= {issue.kind for issue in oracle_validate_graph(*faulty_graph(seed)).issues}
         assert kinds == set(IssueKind)
+
+    @pytest.mark.parametrize("fault", sorted(_SINGLE_FAULTS))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_single_fault_is_reported(self, fault, seed):
+        """Each fault alone, in an otherwise valid graph, fails the clean
+        proof and is worded as the oracle words it."""
+        doc = random_document(seed)
+        graph = _SINGLE_FAULTS[fault](doc.graph)
+        report = validate_graph(graph, doc.hierarchy)
+        assert report == oracle_validate_graph(graph, doc.hierarchy)
+        assert len(report.issues) == 1
 
     def test_valid_random_documents_stay_clean(self):
         for seed in range(50):

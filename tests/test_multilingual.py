@@ -17,7 +17,7 @@ from gkg import (
     render,
 )
 
-from .support import WORKED_TEXT
+from .support import WORKED_TEXT, random_document
 
 RW = NodeId("ex", "rw")
 
@@ -102,6 +102,54 @@ class TestRender:
     def test_tsv_deterministic(self):
         graph, labels = worked_with_labels()
         assert render(graph, labels, "fr").to_tsv() == render(graph, labels, "fr").to_tsv()
+
+
+def oracle_render(graph: GroundedGraph, labels: LabelTable, lang: str) -> LabeledView:
+    """``render`` before it read its labels over columns: one lookup chain
+    per node and per relation."""
+    node_labels = {}
+    for node_id in graph.nodes:
+        label = labels.get(node_id, lang)
+        if label is None and lang != "en":
+            label = labels.get(node_id, "en")
+        node_labels[node_id] = label if label is not None else node_id.local
+    glosses = {}
+    for relation in PrimitiveRelation:
+        gloss = labels.get(gloss_id(relation), lang)
+        glosses[relation] = gloss if gloss is not None else relation.value
+    return LabeledView(lang, node_labels, frozenset(graph.edges), glosses)
+
+
+_LANGS = ("en", "fr", "de", "ar")
+
+
+@st.composite
+def _labeled_documents(draw):
+    """A random document whose label table gains labels in several
+    languages, on its nodes, on ids it does not hold and on ``rel:`` gloss
+    ids; some nodes keep no label at all."""
+    doc = random_document(draw(st.integers(0, 10**6)))
+    ids = sorted(doc.graph.nodes) + [NodeId("ex", "absent")]
+    keys = st.tuples(
+        st.one_of(st.sampled_from(ids), st.sampled_from([gloss_id(relation) for relation in PrimitiveRelation])),
+        st.sampled_from(_LANGS),
+    )
+    entries = dict(doc.labels.entries)
+    entries.update(draw(st.dictionaries(keys, st.sampled_from(("Ann", "Анна", "آن", "a  b ")), max_size=12)))
+    return doc.graph, LabelTable(entries)
+
+
+class TestRenderAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_labeled_documents(), st.sampled_from((*_LANGS, "xx")))
+    def test_random_documents(self, labeled, lang):
+        graph, labels = labeled
+        view, expected = render(graph, labels, lang), oracle_render(graph, labels, lang)
+        assert view == expected
+        # Equal dicts may differ in order, which sets how to_tsv breaks ties.
+        assert list(view.node_labels.items()) == list(expected.node_labels.items())
+        assert list(view.relation_glosses.items()) == list(expected.relation_glosses.items())
+        assert view.to_tsv() == oracle_to_tsv(expected)
 
 
 def oracle_to_tsv(self) -> str:
