@@ -12,7 +12,9 @@ write ``a.gkg``'s bytes since canonicalize is order-insensitive,
 (``validate_a``), the parse that align and merge each pay twice,
 ``gkg render`` of A in French (``render_a``), a read and a labeled view, and
 ``gkg merge`` of A with itself along A's identity alignment
-(``merge_self``), a merge like a revision's that has nothing to fold.
+(``merge_self``), a merge like a revision's that has nothing to fold,
+and ``gkg isocheck`` of A against that self-merge in French
+(``isocheck_self``), which must print ``ISOMORPHIC``.
 The identity alignment is written from ``a.gkg``'s continuants, untimed,
 right after ``canonicalize_a``.
 Each command runs in a fresh interpreter with one BLAS thread.  For each
@@ -30,7 +32,8 @@ an A/B comparison sees one machine speed rather than two.  Inputs,
 outputs and the bytecode cache live in one temporary directory under
 ``.bench_work/``, so a probed ``src`` is left without a ``__pycache__``.
 
-This is a probe, not a benchmark: it checks no output and gates nothing.
+This is a probe, not a benchmark: it checks no output but the
+isocheck's verdict and gates nothing.
 Its numbers are recorded by hand next to a change (``BENCH_*.json``).
 """
 
@@ -65,6 +68,7 @@ COMMANDS = (
     ("align", ("align", "a.gkg", "b.gkg", "-o", "ab.align")),
     ("merge", ("merge", "a.gkg", "b.gkg", "--alignment", "ab.align", "-o", "ab.gkg")),
     ("merge_self", ("merge", "a.gkg", "a.gkg", "--alignment", "aa.align", "-o", "aa.gkg")),
+    ("isocheck_self", ("isocheck", "--lang", "fr", "a.gkg", "aa.gkg")),
 )
 
 
@@ -79,11 +83,11 @@ def load_corpus_module():
 
 
 def run_command(argv, work: Path, env: dict):
-    """(wall seconds, peak RSS in MiB) of one ``gkg`` command."""
-    with open(work / ".stderr", "w+b") as err:
+    """(wall seconds, peak RSS in MiB, stdout bytes) of one ``gkg`` command."""
+    with open(work / ".stdout", "w+b") as out, open(work / ".stderr", "w+b") as err:
         start = time.perf_counter()
         child = subprocess.Popen([sys.executable, "-m", "gkg.cli", *argv], cwd=work, env=env,
-                                 stdout=subprocess.DEVNULL, stderr=err)
+                                 stdout=out, stderr=err)
         _pid, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
         code = os.waitstatus_to_exitcode(status)
@@ -91,7 +95,9 @@ def run_command(argv, work: Path, env: dict):
             err.seek(0)
             message = err.read().decode("utf-8", "replace").strip()
             raise SystemExit(f"gkg {' '.join(argv)} exited {code}: {message}")
-    return wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+        out.seek(0)
+        stdout = out.read()
+    return wall, usage.ru_maxrss / 1024.0, stdout  # ru_maxrss is in KiB on Linux
 
 
 def shuffled_lines(text: str) -> str:
@@ -137,7 +143,9 @@ def probe(size: int, repeat: int, envs: dict, corpus, run_dir: Path) -> list:
         for turn in range(repeat):
             for src in list(envs)[::-1 if turn % 2 else 1]:
                 for name, argv in COMMANDS:
-                    wall, peak = run_command(argv, works[src], envs[src])
+                    wall, peak, stdout = run_command(argv, works[src], envs[src])
+                    if name == "isocheck_self" and stdout != b"ISOMORPHIC\n":
+                        raise SystemExit(f"gkg {' '.join(argv)} printed {stdout!r}")
                     times[src][name].append(wall)
                     rss[src][name] = max(rss[src][name], peak)
                     if name == "canonicalize_a":

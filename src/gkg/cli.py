@@ -12,6 +12,7 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
+from . import model
 from .alignment import (
     DEFAULT_AMBIGUITY_BAND,
     DEFAULT_THRESHOLD,
@@ -313,6 +314,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if attrs is None:
             attrs = vars(build_parser().parse_args(argv))
         args = SimpleNamespace(**attrs)
+        # A command that reads two documents (align, merge, isocheck) gets
+        # one id table, which both documents, their declarations and the
+        # alignment parse their ids through, so an id they share is one
+        # object and compares by identity.  A command that reads one has
+        # nothing to share and would only keep its memo past the read.
+        if "document_b" in attrs:
+            model._command_ids = {}
         return args.func(args)
     except ValidationFailedError as error:
         sys.stdout.write(error.report.to_tsv())
@@ -328,6 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"gkg: {error}\n")
         return 3
     finally:
+        model._command_ids = None
         if collecting:
             gc.enable()
 

@@ -48,7 +48,6 @@ from .model import (
     GroundedGraph,
     IssueKind,
     Node,
-    NodeId,
     NodeKind,
     PrimitiveRelation,
     RoleConceptDef,
@@ -238,13 +237,6 @@ def _first_malformed_line(text: str) -> MalformedLineError:
     raise AssertionError("parse_flat refused a text without a malformed line")
 
 
-def _node_id(text: str, line_no: int) -> NodeId:
-    try:
-        return NodeId.parse(text)
-    except ValueError as exc:
-        raise GkgSyntaxError(line_no, str(exc)) from None
-
-
 def _relation(text: str, line_no: int) -> PrimitiveRelation:
     try:
         return PrimitiveRelation.parse(text)
@@ -253,9 +245,12 @@ def _relation(text: str, line_no: int) -> PrimitiveRelation:
 
 
 class _DeclarationCollector:
-    """Accumulates declaration records shared by .gkg and rule files."""
+    """Accumulates declaration records shared by .gkg and rule files,
+    reading their ids with ``node_id_of``, the reader of the file's
+    records (see ``model._id_reader``)."""
 
-    def __init__(self):
+    def __init__(self, node_id_of):
+        self.node_id_of = node_id_of
         self.essential: set = set()
         self.cardinality: dict = {}
         self.attr_modes: dict = {}
@@ -266,14 +261,15 @@ class _DeclarationCollector:
 
     def take(self, fields: List[str], line_no: int) -> None:
         head = fields[0]
+        node_id_of = self.node_id_of
         if head == "ESSENTIAL":
             if len(fields) != 2:
                 raise GkgSyntaxError(line_no, "ESSENTIAL takes exactly one type id")
-            self.essential.add(_node_id(fields[1], line_no))
+            self.essential.add(node_id_of(fields[1], line_no))
         elif head == "CARD":
             if len(fields) != 3:
                 raise GkgSyntaxError(line_no, "CARD takes a type id and ONE|MANY")
-            event_type = _node_id(fields[1], line_no)
+            event_type = node_id_of(fields[1], line_no)
             try:
                 card = Cardinality(fields[2])
             except ValueError:
@@ -284,8 +280,8 @@ class _DeclarationCollector:
         elif head == "ATTRDECL":
             if len(fields) != 4:
                 raise GkgSyntaxError(line_no, "ATTRDECL takes two type ids and FUNCTIONAL|MULTI")
-            event_type = _node_id(fields[1], line_no)
-            attr_type = _node_id(fields[2], line_no)
+            event_type = node_id_of(fields[1], line_no)
+            attr_type = node_id_of(fields[2], line_no)
             try:
                 mode = AttrMode(fields[3])
             except ValueError:
@@ -298,9 +294,9 @@ class _DeclarationCollector:
             if len(fields) != 8 or fields[2] != "BASE" or fields[4] != "VIA" or fields[6] != "EVENT":
                 raise GkgSyntaxError(line_no, "ROLE syntax: ROLE <name> BASE <type> VIA <rel> EVENT <type>")
             role_name = fields[1]
-            base_type = _node_id(fields[3], line_no)
+            base_type = node_id_of(fields[3], line_no)
             via = _relation(fields[5], line_no)
-            occurrent_type = _node_id(fields[7], line_no)
+            occurrent_type = node_id_of(fields[7], line_no)
             if role_name in self.roles:
                 raise GkgSyntaxError(line_no, f"duplicate ROLE {role_name!r}")
             try:
@@ -336,12 +332,12 @@ def parse_gkg(text: str) -> GkgDocument:
     nodes: dict = {}  # node records, in record order
     edge_records: list = []
     label_entries: dict = {}
-    declarations = _DeclarationCollector()
+    ids, node_id_of = _id_reader()
+    declarations = _DeclarationCollector(node_id_of)
     source_id = ""
     revision = 0
     saw_header = False
 
-    ids, node_id_of = _id_reader()
     # Edges and nodes are NamedTuples, whose constructor is Python code;
     # tuple.__new__ builds the same objects directly.
     new_tuple = tuple.__new__
@@ -574,7 +570,8 @@ def parse_rules(text: str) -> Tuple[Tuple[ReificationRule, ...], SchemaDeclarati
     """
     rules: list = []
     seen_keys: dict = {}
-    declarations = _DeclarationCollector()
+    _, node_id_of = _id_reader()
+    declarations = _DeclarationCollector(node_id_of)
 
     for line_no, line in _content_lines(text):
         fields = line.split()
@@ -590,12 +587,12 @@ def parse_rules(text: str) -> Tuple[Tuple[ReificationRule, ...], SchemaDeclarati
                     line_no, "RULE syntax: RULE <rel> EVENT <type> SUBJ <role> OBJ ..."
                 )
             rel_name = fields[1]
-            event_type = _node_id(fields[3], line_no)
+            event_type = node_id_of(fields[3], line_no)
             subject_role = _relation(fields[5], line_no)
             if fields[7] == "ATTR":
                 if len(fields) != 10:
                     raise GkgSyntaxError(line_no, "OBJ ATTR takes an attribute type and a value type")
-                slot = AttrSlot(_node_id(fields[8], line_no), _node_id(fields[9], line_no))
+                slot = AttrSlot(node_id_of(fields[8], line_no), node_id_of(fields[9], line_no))
             elif fields[7] == "PARTICIPANT":
                 if len(fields) != 9:
                     raise GkgSyntaxError(line_no, "OBJ PARTICIPANT takes one relation")

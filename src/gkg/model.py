@@ -147,14 +147,23 @@ class NodeId(tuple):
 ROOT_TYPE = NodeId("core", "Entity")
 
 
+# The id table of the running ``gkg`` command, or None outside one:
+# ``gkg.cli.main`` sets an empty dict for a command that reads two
+# documents and drops it when the command ends.
+_command_ids: Optional[dict] = None
+
+
 def _id_reader():
-    """An empty memo of id tokens and the reader that fills it: each
-    distinct token is parsed once, and a token that fails is never
-    stored, so it fails again with its own line number.  ``NodeId.parse``
-    is looked up here, at call time, so a wrapper set on the class sees
-    every parse."""
+    """A memo of id tokens and the reader that fills it: each distinct
+    token is parsed once, and a token that fails is never stored, so it
+    fails again with its own line number.  While a command's table is
+    open, every reader shares it, so a token that the documents and
+    alignment the command reads share is parsed once and is one ``NodeId``
+    object in all of them; otherwise each reader starts an empty memo.
+    ``NodeId.parse`` is looked up here, at call time, so a wrapper set on
+    the class sees every parse."""
     parse_id = NodeId.parse
-    ids: dict = {}
+    ids = {} if _command_ids is None else _command_ids
 
     def node_id_of(token: str, line_no: int) -> NodeId:
         found = ids.get(token)

@@ -24,6 +24,7 @@ from gkg import (
     SchemaDeclarations,
     TypeHierarchy,
 )
+from gkg.errors import GkgSyntaxError
 from gkg.schema import AttrMode, Cardinality
 
 
@@ -47,6 +48,35 @@ class BasisProvider:
         vector = np.zeros(self.dim, dtype=np.float64)
         vector[index] = 1.0
         return vector
+
+
+def checked_id(token: str, line_no: int) -> NodeId:
+    """A record's id read without any memo: every call parses the token,
+    and a bad one is a syntax error on that line.  The oracles read ids
+    this way."""
+    try:
+        return NodeId.parse(token)
+    except ValueError as exc:
+        raise GkgSyntaxError(line_no, str(exc)) from None
+
+
+# Fields that hold node ids, by record head.
+_ID_FIELDS = {
+    "T": (1, 2), "N": (1, 3), "E": (1, 3), "L": (1,),
+    "ESSENTIAL": (1,), "CARD": (1,), "ATTRDECL": (1, 2), "ROLE": (3, 7),
+}
+
+
+def gkg_id_tokens(text: str) -> Set[str]:
+    """The distinct id tokens of a valid GKG v1 text's records and
+    declarations (a ``T`` record's ``-`` parent is none)."""
+    tokens = set()
+    for line in text.splitlines():
+        fields = line.split()
+        for index in _ID_FIELDS.get(fields[0] if fields else "", ()):
+            tokens.add(fields[index])
+    tokens.discard("-")
+    return tokens
 
 
 # Thirteen nodes, five edges, one label; exercises every node kind.

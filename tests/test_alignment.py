@@ -41,9 +41,9 @@ from gkg import (
 from gkg.alignment import _ordered_result, _screen_scores
 from gkg.embedding import embed_phrase, normalized
 from gkg.evaluation import BIRTH_TYPE, DEMO_RULES_TEXT, HUMAN_TYPE, demo_document
-from gkg.formats import _content_lines, _node_id
+from gkg.formats import _content_lines
 
-from .support import BasisProvider, random_document
+from .support import BasisProvider, checked_id, random_document
 
 CLI_CORPUS = Path(__file__).parent / "data" / "cli_corpus"
 RENAME_SCORE = (2 / math.sqrt(6) + 3) / 4  # name slot 2/sqrt(6), other three exact
@@ -345,8 +345,8 @@ def oracle_parse_alignment_tsv(text: str) -> AlignmentResult:
         fields = line.split("\t")
         if len(fields) != 4:
             raise GkgSyntaxError(line_no, f"expected 4 tab-separated fields, got {len(fields)}")
-        id_a = _node_id(fields[0], line_no)
-        id_b = _node_id(fields[1], line_no)
+        id_a = checked_id(fields[0], line_no)
+        id_b = checked_id(fields[1], line_no)
         try:
             score = float(fields[2])
         except ValueError:

@@ -2,7 +2,9 @@
 
 import copy
 import pickle
+import re
 from collections import namedtuple
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,7 @@ from gkg.errors import CycleError
 from gkg.multilingual import LabelTable
 from gkg.schema import AttrMode, AttrSlot, Cardinality, SchemaDeclarations
 
-from .support import WORKED_TEXT, random_document
+from .support import WORKED_TEXT, checked_id, gkg_id_tokens, random_document
 
 # The characters at which str.splitlines() ends a line.
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -439,7 +441,7 @@ def oracle_parse_gkg(text: str) -> GkgDocument:
     node_records: list = []
     edge_records: list = []
     label_entries: dict = {}
-    declarations = _DeclarationCollector()
+    declarations = _DeclarationCollector(checked_id)
     source_id = ""
     revision = 0
     saw_header = False
@@ -716,17 +718,11 @@ class TestParseGkgAgainstOracle:
             }
 
 
-# Fields that hold node ids, by record head.  A declaration's ids are read
-# apart from the document's id memo, once per occurrence.
-_RECORD_ID_FIELDS = {"T": (1, 2), "N": (1, 3), "E": (1, 3), "L": (1,)}
-_DECLARATION_ID_FIELDS = {"ESSENTIAL": (1,), "CARD": (1,), "ATTRDECL": (1, 2), "ROLE": (3, 7)}
-
-
 class TestNodeIdParseCalls:
     """``model.nodeid_parse_calls`` in a traced benchmark run counts the
     calls ``parse_gkg`` makes through ``NodeId.parse``, wrapped on the class
     as ``gkgbench/replay.py`` wraps it: one per distinct id token of the
-    records, plus one per id in a declaration."""
+    records and declarations, which share one memo."""
 
     @pytest.mark.parametrize("seed", [None, *range(12)])
     def test_one_call_per_distinct_record_token(self, monkeypatch, seed):
@@ -742,14 +738,6 @@ class TestNodeIdParseCalls:
 
     @staticmethod
     def check(monkeypatch, text):
-        record_tokens, declaration_tokens = set(), []
-        for line in text.splitlines():
-            fields = line.split()
-            for index in _RECORD_ID_FIELDS.get(fields[0], ()):
-                if fields[index] != "-":
-                    record_tokens.add(fields[index])
-            declaration_tokens.extend(fields[index] for index in _DECLARATION_ID_FIELDS.get(fields[0], ()))
-
         calls = []
         parse = NodeId.parse
 
@@ -759,7 +747,7 @@ class TestNodeIdParseCalls:
 
         monkeypatch.setattr(NodeId, "parse", staticmethod(recording))
         doc = parse_gkg(text)
-        assert sorted(calls) == sorted([*record_tokens, *declaration_tokens])
+        assert sorted(calls) == sorted(gkg_id_tokens(text))
         monkeypatch.undo()
         assert parse_gkg(text) == doc
 
@@ -1172,3 +1160,14 @@ class TestParseRules:
         with pytest.raises(GkgSyntaxError) as exc:
             parse_rules("RULE bornIn EVENT\n")
         assert exc.value.line_no == 1
+
+
+class TestReadmeRecordTable:
+    def test_role_row_is_the_form_read_and_written(self):
+        """README's ROLE row: its shape puts the keywords where the reader
+        wants them, and its example reads and serializes back as written."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        row = next(line for line in readme.read_text(encoding="utf-8").splitlines() if line.startswith("| `ROLE`"))
+        shape, example = re.findall(r"`(ROLE [^`]*)`", row)
+        assert shape.split()[::2] == example.split()[::2] == ["ROLE", "BASE", "VIA", "EVENT"]
+        assert serialize_gkg(parse_gkg(example + "\n")).splitlines()[-1] == example
