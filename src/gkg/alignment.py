@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -120,7 +121,7 @@ class _Signer:
         self.phrases = phrases
         self.type_vectors: Dict[NodeId, np.ndarray] = {}
         self.links = _ForwardLinks(graph.edges)
-        self.essentials = [e for e in sorted(config.declarations.essential, key=str) if e in hierarchy]
+        self.essentials = [e for e in sorted(config.declarations.essential) if e in hierarchy]
         role_names: Dict[NodeId, set] = {}
         if config.declarations.roles:
             for node_id, role in infer_role_labels(graph, hierarchy, config.declarations.roles):
@@ -143,7 +144,7 @@ class _Signer:
             pivot_lang = self.config.pivot_lang
             vectors = [
                 self.phrase_vector(_phrase(self.labels, ancestor, pivot_lang))
-                for ancestor in sorted(self.hierarchy.ancestors(type_id), key=str)
+                for ancestor in sorted(self.hierarchy.ancestors(type_id))
             ]
             found = self.type_vectors[type_id] = normalized(np.add.reduce(vectors) / float(len(vectors)))
         return found
@@ -270,8 +271,6 @@ def align(
     sigs_b = [signer_b.sign(n) for n in conts_b]
     ids_a = [n.id for n in conts_a]
     ids_b = [n.id for n in conts_b]
-    names_a = [str(i) for i in ids_a]
-    names_b = [str(i) for i in ids_b]
 
     floor = config.threshold - config.ambiguity_band - _SCREEN_SLACK
     near = _screen_scores(sigs_a, sigs_b) >= floor
@@ -293,9 +292,7 @@ def align(
         cand_b.setdefault(j, []).append((i, value))
         if value >= config.threshold:
             ordered.append((value, i, j))
-    ordered.sort(
-        key=lambda t: (-t[0], min(names_a[t[1]], names_b[t[2]]), max(names_a[t[1]], names_b[t[2]]))
-    )
+    ordered.sort(key=lambda t: (-t[0], min(ids_a[t[1]], ids_b[t[2]]), max(ids_a[t[1]], ids_b[t[2]])))
 
     band = config.ambiguity_band
     free_a = set(range(len(conts_a)))
@@ -326,10 +323,10 @@ def _ordered_result(matches: list, ambiguous: Dict[NodeId, list]) -> AlignmentRe
     """The result in its one order: matches by (idA, idB); ``AMBIG`` rows
     grouped by idA, each group by descending score, then idB."""
     return AlignmentResult(
-        matches=tuple(sorted(matches, key=lambda m: (str(m[0]), str(m[1])))),
+        matches=tuple(sorted(matches, key=itemgetter(0, 1))),
         ambiguous=tuple(
-            (id_a, tuple(sorted(row, key=lambda pair: (-pair[1], str(pair[0])))))
-            for id_a, row in sorted(ambiguous.items(), key=lambda kv: str(kv[0]))
+            (id_a, tuple(sorted(row, key=lambda pair: (-pair[1], pair[0]))))
+            for id_a, row in sorted(ambiguous.items(), key=itemgetter(0))
         ),
     )
 
@@ -381,10 +378,10 @@ def _screen_scores(sigs_a: Sequence[EntitySignature], sigs_b: Sequence[EntitySig
 def format_alignment_tsv(result: AlignmentResult) -> str:
     """Rows ``idA  idB  score  MATCH|AMBIG`` sorted by (idA, idB), scores
     to four decimals."""
-    rows = [(str(a), str(b), score, "MATCH") for a, b, score in result.matches]
+    rows = [(a, b, score, "MATCH") for a, b, score in result.matches]
     for id_a, candidates in result.ambiguous:
-        rows.extend((str(id_a), str(b), score, "AMBIG") for b, score in candidates)
-    rows.sort(key=lambda row: (row[0], row[1]))
+        rows.extend((id_a, b, score, "AMBIG") for b, score in candidates)
+    rows.sort(key=itemgetter(0, 1))
     return "".join(f"{a}\t{b}\t{score:.4f}\t{status}\n" for a, b, score, status in rows)
 
 

@@ -140,7 +140,7 @@ def canonicalize_document(
     types = {type_id for rule in rules for type_id in rule.referenced_types()}
     types.update(declarations.referenced_types())
     types.update(entity_types.values())
-    hierarchy = TypeHierarchy.from_edges((t, None) for t in sorted(types, key=str))
+    hierarchy = TypeHierarchy.from_edges((t, None) for t in sorted(types))
     type_nodes = {t: Node(t, NodeKind.TYPE_NODE) for t in hierarchy.types}
 
     # Group the mapped triples by rule, each group in input order.  Each
@@ -202,18 +202,18 @@ def canonicalize_document(
     fresh = list(filterfalse(digests.__contains__, dict.fromkeys(chain.from_iterable(filter(None, attr_keys)))))
     digests.update(zip(fresh, fnv1a64_hex_many(fresh)))
 
-    # Each table's ids and nodes in one step.  NodeId and Node are tuples
-    # whose constructors are Python code; a type's local part, "#" and hex
-    # digits pass NodeId's checks, and tuple.__new__ builds the same objects.
+    # Each table's ids and nodes in one step.  NodeId and Node have
+    # constructors that are Python code; a namespace constant, a type's
+    # local part, "#" and hex digits pass NodeId's checks, and str.__new__
+    # and tuple.__new__ build the same objects.
     new_tuple = tuple.__new__
     nodes = dict(type_nodes)
     ids_of: dict = {}  # (namespace, type) -> {text: id}
     for table, distinct in table_texts.items():
         namespace, type_id = table
         texts = list(distinct)
-        prefix = "" if namespace == ENTITY_NAMESPACE else type_id.local + "#"
-        locals_ = map(prefix.__add__, map(digests.__getitem__, texts))
-        ids = list(map(new_tuple, repeat(NodeId), zip(repeat(namespace), locals_)))
+        prefix = namespace + ":" + ("" if namespace == ENTITY_NAMESPACE else type_id.local + "#")
+        ids = list(map(str.__new__, repeat(NodeId), map(prefix.__add__, map(digests.__getitem__, texts))))
         inst_of = map(entity_types.get, texts, repeat(ROOT_TYPE)) if namespace == ENTITY_NAMESPACE else repeat(type_id)
         literals = texts if namespace == VALUE_NAMESPACE else repeat(None)
         nodes.update(zip(ids, map(new_tuple, repeat(Node), zip(ids, repeat(_KIND_OF[namespace]), inst_of, literals))))
@@ -257,7 +257,7 @@ def canonicalize_document(
             for event_id, literals in literals_of.items()
             if len(literals) > 1
         )
-    conflicts.sort(key=lambda c: (str(c.event), str(c.attr_type)))
+    conflicts.sort(key=itemgetter(0, 1))
 
     # An event table holds the events it created; every other mapped
     # triple coalesced into one of them.
@@ -271,7 +271,7 @@ def canonicalize_document(
     )
     graph = GroundedGraph(nodes, edges, source_id, revision)
     labels = LabelTable.from_entries(
-        (node_id, "en", label) for label, node_id in sorted(entities.items(), key=lambda kv: str(kv[1]))
+        (node_id, "en", label) for label, node_id in sorted(entities.items(), key=itemgetter(1))
     )
     return GkgDocument(hierarchy, graph, labels, declarations), report
 

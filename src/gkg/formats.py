@@ -78,8 +78,10 @@ _KIND_CODES = {
     "A": NodeKind.ATTRIBUTE_INSTANCE,
     "V": NodeKind.VALUE_LITERAL,
 }
-_KIND_CODE_OF = {kind: code for code, kind in _KIND_CODES.items()}
-_RELATION_CODE_OF = {relation: code for code, relation in _RELATIONS.items()}
+# Each node kind's and relation's field in a record, with the spaces
+# around it.
+_KIND_FIELD = {kind: f" {code} " for code, kind in _KIND_CODES.items()}
+_RELATION_FIELD = {relation: f" {code} " for code, relation in _RELATIONS.items()}
 
 
 class _FlatFields(NamedTuple):
@@ -182,7 +184,7 @@ def validate_document(doc: GkgDocument) -> ValidationReport:
             "declarations",
             f"declared type {type_id} not in hierarchy",
         )
-        for type_id in sorted(doc.declarations.referenced_types() - doc.hierarchy.types, key=str)
+        for type_id in sorted(doc.declarations.referenced_types() - doc.hierarchy.types)
     ]
     if extra:
         report = ValidationReport(tuple(sorted(report.issues + tuple(extra), key=ValidationIssue.sort_key)))
@@ -426,7 +428,7 @@ def parse_gkg(text: str) -> GkgDocument:
     referenced = set(map(itemgetter(2), nodes.values()))
     referenced.update(schema.referenced_types())
     declared = {pair[0] for pair in type_pairs}
-    for type_id in sorted(referenced - declared, key=str):
+    for type_id in sorted(referenced - declared):
         type_pairs.append((type_id, None))
 
     try:
@@ -475,20 +477,20 @@ def serialize_gkg(doc: GkgDocument) -> str:
             raise ValueError(f"revision must be non-negative, got {revision}")
         lines.append(f"G {source_id or '-'} {revision}")
 
-    # Ids are written from their two parts and node kinds and relations
-    # from code tables, since formatting an id or reading an enum's value
-    # runs Python code per field.  Each section's line sort alone sets the
-    # canonical order, which is not id order when an id holds a character
-    # that sorts below the space.
+    # Records are joined with "+": an f-string would format each id, which
+    # copies it, since an id is a str subclass.  Node kinds and relations
+    # come from field tables, since reading an enum's value runs Python
+    # code.  Each section's line sort alone sets the canonical order,
+    # which is not id order when an id holds a character that sorts below
+    # the space.
     type_lines = []
     parents_of = doc.hierarchy.parents
     for type_id in doc.hierarchy.types:
-        namespace, local = type_id
         parents = parents_of.get(type_id)
         if not parents:
-            type_lines.append(f"T {namespace}:{local} -")
+            type_lines.append("T " + type_id + " -")
         else:
-            type_lines.extend(f"T {namespace}:{local} {p_ns}:{p_local}" for p_ns, p_local in parents)
+            type_lines.extend(map(("T " + type_id + " ").__add__, parents))
     lines.extend(sorted(type_lines))
 
     node_lines = []
@@ -497,9 +499,7 @@ def serialize_gkg(doc: GkgDocument) -> str:
             continue
         if inst_of is None:
             raise ValueError(f"cannot serialize untyped node {node_id}")
-        namespace, local = node_id
-        type_ns, type_local = inst_of
-        record = f"N {namespace}:{local} {_KIND_CODE_OF[kind]} {type_ns}:{type_local}"
+        record = "N " + node_id + _KIND_FIELD[kind] + inst_of
         if kind is NodeKind.VALUE_LITERAL:
             if not literal:
                 raise ValueError(f"cannot serialize value node {node_id} without a literal")
@@ -507,34 +507,30 @@ def serialize_gkg(doc: GkgDocument) -> str:
                 raise ValueError(f"cannot serialize literal with a line break on value node {node_id}")
             if literal[0].isspace():
                 raise ValueError(f"cannot serialize literal that starts with whitespace on value node {node_id}")
-            record += f" {literal}"
+            record += " " + literal
         elif literal is not None:
             raise ValueError(f"cannot serialize literal on non-value node {node_id}")
         node_lines.append(record)
     lines.extend(sorted(node_lines))
 
-    lines.extend(
-        sorted(
-            f"E {s_ns}:{s_local} {_RELATION_CODE_OF[relation]} {o_ns}:{o_local}"
-            for (s_ns, s_local), relation, (o_ns, o_local) in graph.edges
-        )
-    )
+    relation_field = _RELATION_FIELD
+    lines.extend(sorted("E " + subject + relation_field[relation] + obj for subject, relation, obj in graph.edges))
 
     label_lines = []
-    for ((namespace, local), lang), label in doc.labels.entries.items():
+    for (node_id, lang), label in doc.labels.entries.items():
         # The tag is one field of the record, and the label the rest of
         # the line after the whitespace that ends the tag.
         if not lang:
-            raise ValueError(f"cannot serialize empty language tag on {namespace}:{local}")
+            raise ValueError(f"cannot serialize empty language tag on {node_id}")
         if lang.split() != [lang]:
-            raise ValueError(f"cannot serialize language tag with whitespace on {namespace}:{local} [{lang!r}]")
+            raise ValueError(f"cannot serialize language tag with whitespace on {node_id} [{lang!r}]")
         if not label:
-            raise ValueError(f"cannot serialize empty label on {namespace}:{local} [{lang}]")
+            raise ValueError(f"cannot serialize empty label on {node_id} [{lang}]")
         if label.splitlines() != [label]:
-            raise ValueError(f"cannot serialize label with a line break on {namespace}:{local} [{lang}]")
+            raise ValueError(f"cannot serialize label with a line break on {node_id} [{lang}]")
         if label[:1].isspace():
-            raise ValueError(f"cannot serialize label that starts with whitespace on {namespace}:{local} [{lang}]")
-        label_lines.append(f"L {namespace}:{local} {lang} {label}")
+            raise ValueError(f"cannot serialize label that starts with whitespace on {node_id} [{lang}]")
+        label_lines.append("L " + node_id + " " + lang + " " + label)
     lines.extend(sorted(label_lines))
 
     decl_lines = []

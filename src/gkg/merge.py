@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
+from operator import itemgetter
 from typing import Dict, NamedTuple, Set, Tuple
 
 from .alignment import AlignmentResult
@@ -153,9 +154,9 @@ def _merge(
     )
     report = MergeReport(
         merged=len(alignment.matches),
-        pairs=tuple(sorted(((a, b) for a, b, _ in alignment.matches), key=lambda p: (str(p[0]), str(p[1])))),
-        updated=tuple(sorted(updated, key=lambda u: (str(u.event), str(u.attr_type)))),
-        conflicts=tuple(sorted(conflicts, key=lambda c: (str(c.event), str(c.attr_type)))),
+        pairs=tuple(sorted((a, b) for a, b, _ in alignment.matches)),
+        updated=tuple(sorted(updated, key=itemgetter(0, 1))),
+        conflicts=tuple(sorted(conflicts, key=itemgetter(0, 1))),
         added_nodes=len(merged_graph.nodes.keys() - graph_a.nodes.keys()),
         added_edges=len(merged_graph.edges - graph_a.edges),
     )
@@ -350,7 +351,7 @@ def merge_documents(
 
     id_map = {id_b: id_a for id_a, id_b, _ in alignment.matches}
     entries = dict(doc_a.labels.entries)
-    for (node_id, lang), label in doc_b.labels.items_sorted():
+    for (node_id, lang), label in sorted(doc_b.labels.entries.items()):
         key = (id_map.get(node_id, node_id), lang)
         if key not in entries:
             entries[key] = label

@@ -80,22 +80,29 @@ def _equal_to_own_type(cls):
     return cls
 
 
-class NodeId(tuple):
+class NodeId(str):
     """Opaque canonical key of a node, written ``namespace:local``.
 
     Ids carry no linguistic content by contract; human-readable labels live
     in a label table keyed by these ids.
 
-    An id is the tuple ``(namespace, local)``: it hashes like that tuple
-    and equals it, so two ids with one string form but different parts,
-    such as ``('a:b', 'c')`` and ``('a', 'b:c')``, stay unequal.  Ordering
-    (``<``, ``>``, ``<=``, ``>=``, hence ``min``, ``max`` and ``sorted``)
-    uses the combined string form instead.
+    An id is its canonical text: a ``str`` that equals, hashes and sorts
+    as ``namespace:local`` does.  The namespace holds no colon, so the
+    text splits back into its parts at the first one, and two ids with one
+    text are one id.
     """
 
     __slots__ = ()
-    namespace = property(itemgetter(0), doc="The part before the first colon.")
-    local = property(itemgetter(1), doc="The part after the first colon.")
+
+    @property
+    def namespace(self) -> str:
+        """The part before the first colon."""
+        return self.partition(":")[0]
+
+    @property
+    def local(self) -> str:
+        """The part after the first colon."""
+        return self.partition(":")[2]
 
     def __new__(cls, namespace: str, local: str) -> "NodeId":
         combined = f"{namespace}:{local}"
@@ -105,43 +112,27 @@ class NodeId(tuple):
         # str.isspace() accepts, so one C-level call checks them all.
         if not combined.isascii() or combined.split() != [combined]:
             raise ValueError(f"node id must be ASCII without whitespace: {combined!r}")
-        return tuple.__new__(cls, (namespace, local))
+        if ":" in namespace:
+            raise ValueError(f"node id namespace must not contain a colon: {combined!r}")
+        return str.__new__(cls, combined)
 
     @classmethod
     def parse(cls, text: str) -> "NodeId":
         """Split ``namespace:local`` on the first colon."""
         namespace, sep, local = text.partition(":")
-        # A valid id is built from its parts at once; any other text goes
+        # A valid id is built from its text at once; any other text goes
         # through the constructor, whose checks word the error.
         if namespace and local and text.isascii() and text.split() == [text]:
-            return tuple.__new__(cls, (namespace, local))
+            return str.__new__(cls, text)
         if not sep:
             raise ValueError(f"node id must contain a colon: {text!r}")
         return cls(namespace, local)
 
-    def __str__(self) -> str:
-        return f"{self[0]}:{self[1]}"
-
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(namespace={self[0]!r}, local={self[1]!r})"
+        return f"{type(self).__name__}(namespace={self.namespace!r}, local={self.local!r})"
 
     def __getnewargs__(self) -> tuple:
-        return tuple(self)
-
-    # Tuple order would compare (namespace, local) part by part, which
-    # differs from the string order when a namespace holds a character
-    # that sorts before ":" ("a.:x" < "a:y", but ("a.", "x") > ("a", "y")).
-    def __lt__(self, other: "NodeId") -> bool:
-        return str(self) < str(other)
-
-    def __gt__(self, other: "NodeId") -> bool:
-        return str(self) > str(other)
-
-    def __le__(self, other: "NodeId") -> bool:
-        return str(self) <= str(other)
-
-    def __ge__(self, other: "NodeId") -> bool:
-        return str(self) >= str(other)
+        return self.namespace, self.local
 
 
 ROOT_TYPE = NodeId("core", "Entity")
@@ -159,11 +150,14 @@ def _id_reader():
     fails again with its own line number.  While a command's table is
     open, every reader shares it, so a token that the documents and
     alignment the command reads share is parsed once and is one ``NodeId``
-    object in all of them; otherwise each reader starts an empty memo.
+    object in all of them; otherwise each reader starts a memo of its own.
+    Every memo holds ``ROOT_TYPE`` from the start, so the root type a
+    document's records name is the object its hierarchy is built around.
     ``NodeId.parse`` is looked up here, at call time, so a wrapper set on
     the class sees every parse."""
     parse_id = NodeId.parse
     ids = {} if _command_ids is None else _command_ids
+    ids.setdefault(str(ROOT_TYPE), ROOT_TYPE)  # keyed by plain str, as tokens are
 
     def node_id_of(token: str, line_no: int) -> NodeId:
         found = ids.get(token)
@@ -283,10 +277,6 @@ class Edge(NamedTuple):
     subject: NodeId
     relation: PrimitiveRelation
     obj: NodeId
-
-    def sort_key(self) -> tuple:
-        subject, relation, obj = self
-        return (str(subject), relation.value, str(obj))
 
 
 class _ForwardLinks:
@@ -465,7 +455,7 @@ class GroundedGraph(_Frozen):
         """The continuants in id order."""
         nodes = self.nodes
         ids = [node_id for node_id, node in nodes.items() if node.kind is NodeKind.CONTINUANT]
-        for node_id in sorted(ids, key=str):
+        for node_id in sorted(ids):
             yield nodes[node_id]
 
 
@@ -534,8 +524,8 @@ def validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Validation
     node rows, and the set of its edge signatures.  Only the nodes or the
     edges whose proof fails are walked one by one, and that walk is where
     every issue is worded.  It visits them in no particular order: the
-    issues are sorted at the end, and two issues that tie on the sort key
-    are equal.
+    issues are sorted at the end on all their fields, so the order of the
+    walk never shows.
     """
     issues: list = []
 
@@ -635,4 +625,4 @@ def infer_role_labels(
             if hierarchy.is_subtype(node.inst_of, role_def.base_type):
                 pairs.add((participant, role_def.role_name))
 
-    return tuple(sorted(pairs, key=lambda pair: (str(pair[0]), pair[1])))
+    return tuple(sorted(pairs))

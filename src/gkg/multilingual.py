@@ -8,11 +8,11 @@ gloss table is just label entries for ``rel:isA``, ``rel:hasAgent``, ...
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .model import Edge, GroundedGraph, NodeId, PrimitiveRelation, _equal_to_own_type, _Frozen, _set_field
+from .model import GroundedGraph, NodeId, PrimitiveRelation, _equal_to_own_type, _Frozen, _set_field
 
 GLOSS_NAMESPACE = "rel"
 
@@ -56,9 +56,6 @@ class LabelTable(_Frozen):
         new_entries[(node_id, lang)] = label
         return LabelTable(new_entries)
 
-    def items_sorted(self) -> list:
-        return sorted(self.entries.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
-
 
 class LabeledView(_Frozen):
     """A graph projected into one language: labels for nodes, glosses for
@@ -74,27 +71,13 @@ class LabeledView(_Frozen):
         _set_field(self, "relation_glosses", relation_glosses)
 
     def to_tsv(self) -> str:
-        """Two-column node rows, then three-column labelled edge rows."""
-        # Node rows follow the ids' string form, written from their parts;
-        # it is not the tuple order of the parts when a namespace holds a
-        # character that sorts below ":".  Edges sort by subject, relation
-        # and object, an id standing for its place in that order (ids with
-        # one string form share a place).  Each sort key ends in the item's
-        # position, so ties keep iteration order and no id is compared.
+        """Two-column node rows in id order, then three-column labelled edge
+        rows in (subject, relation, object) order."""
+        # An id row is joined with "+", since an f-string would copy the id.
         labels, glosses = self.node_labels, self.relation_glosses
-        rows, place, previous = [], {}, None
-        for id_text, _, node_id in sorted(zip([f"{ns}:{local}" for ns, local in labels], count(), labels)):
-            if id_text != previous:
-                previous, rank = id_text, len(rows)
-            place[node_id] = rank
-            rows.append(f"{id_text}\t{labels[node_id]}\n")
-        edges = sorted(
-            (place[subject], relation, place[obj], position, subject, obj)
-            for position, (subject, relation, obj) in enumerate(self.edges)
-        )
+        rows = [node_id + "\t" + labels[node_id] + "\n" for node_id in sorted(labels)]
         rows.extend(
-            f"{labels[subject]}\t{glosses[relation]}\t{labels[obj]}\n"
-            for _, relation, _, _, subject, obj in edges
+            f"{labels[subject]}\t{glosses[relation]}\t{labels[obj]}\n" for subject, relation, obj in sorted(self.edges)
         )
         return "".join(rows)
 
@@ -113,10 +96,11 @@ def render(
     """
     # Each label is read with dict.get, whose default is the next fallback:
     # the id's local part, under the English label when lang is not English.
-    # Label tables hold strings, so a found label is never None.
+    # Label tables hold strings, so a found label is never None.  The local
+    # parts are cut with str.partition, without the property's Python call.
     get = labels.entries.get
     node_ids = graph.nodes.keys()
-    fallback = map(itemgetter(1), node_ids)
+    fallback = map(itemgetter(2), map(str.partition, node_ids, repeat(":")))
     if lang != FALLBACK_LANG:
         fallback = map(get, zip(node_ids, repeat(FALLBACK_LANG)), fallback)
     node_labels = dict(zip(node_ids, map(get, zip(node_ids, repeat(lang)), fallback)))
@@ -142,15 +126,15 @@ def check_isomorphic(view_a: LabeledView, view_b: LabeledView) -> IsomorphismRes
     difference in sorted order."""
     nodes_a = set(view_a.node_labels)
     nodes_b = set(view_b.node_labels)
-    for node_id in sorted(nodes_a - nodes_b, key=str):
+    for node_id in sorted(nodes_a - nodes_b):
         return IsomorphismResult(False, f"node only in first view: {node_id}")
-    for node_id in sorted(nodes_b - nodes_a, key=str):
+    for node_id in sorted(nodes_b - nodes_a):
         return IsomorphismResult(False, f"node only in second view: {node_id}")
-    for edge in sorted(view_a.edges - view_b.edges, key=Edge.sort_key):
+    for edge in sorted(view_a.edges - view_b.edges):
         return IsomorphismResult(
             False, f"edge only in first view: {edge.subject} {edge.relation.value} {edge.obj}"
         )
-    for edge in sorted(view_b.edges - view_a.edges, key=Edge.sort_key):
+    for edge in sorted(view_b.edges - view_a.edges):
         return IsomorphismResult(
             False, f"edge only in second view: {edge.subject} {edge.relation.value} {edge.obj}"
         )

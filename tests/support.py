@@ -69,14 +69,14 @@ _ID_FIELDS = {
 
 def gkg_id_tokens(text: str) -> Set[str]:
     """The distinct id tokens of a valid GKG v1 text's records and
-    declarations (a ``T`` record's ``-`` parent is none)."""
+    declarations that a read parses (a ``T`` record's ``-`` parent is
+    none, and every id memo starts out holding the root type's)."""
     tokens = set()
     for line in text.splitlines():
         fields = line.split()
         for index in _ID_FIELDS.get(fields[0] if fields else "", ()):
             tokens.add(fields[index])
-    tokens.discard("-")
-    return tokens
+    return tokens - {"-", str(ROOT_TYPE)}
 
 
 # Thirteen nodes, five edges, one label; exercises every node kind.

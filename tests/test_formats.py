@@ -3,6 +3,7 @@
 import copy
 import pickle
 import re
+import string
 from collections import namedtuple
 from pathlib import Path
 
@@ -939,6 +940,52 @@ class TestSerializeGkgAgainstOracle:
     def test_generated_documents(self, seed):
         doc = random_document(seed)
         assert serialize_gkg(doc) == oracle_serialize_gkg(doc)
+
+
+# Every ASCII punctuation character, ":" only in local parts.
+_PUNCTUATED_IDS = st.builds(
+    NodeId,
+    st.text(alphabet="ab" + string.punctuation.replace(":", ""), min_size=1, max_size=3),
+    st.text(alphabet="ab" + string.punctuation, min_size=1, max_size=4),
+).filter(lambda node_id: node_id != ROOT_TYPE)
+
+
+def _renamed(doc: GkgDocument, new) -> GkgDocument:
+    """``doc`` with every id ``node_id`` written ``new(node_id)``."""
+    hierarchy = TypeHierarchy.from_edges(
+        (new(type_id), new(parent)) for type_id, parents in doc.hierarchy.parents.items() for parent in parents
+    )
+    graph = doc.graph
+    nodes = {
+        new(node_id): Node(new(node_id), kind, inst_of and new(inst_of), literal)
+        for node_id, (_, kind, inst_of, literal) in graph.nodes.items()
+    }
+    edges = frozenset(Edge(new(subject), relation, new(obj)) for subject, relation, obj in graph.edges)
+    labels = LabelTable({(new(node_id), lang): label for (node_id, lang), label in doc.labels.entries.items()})
+    decls = doc.declarations
+    declarations = SchemaDeclarations(
+        essential=frozenset(map(new, decls.essential)),
+        cardinality={new(type_id): card for type_id, card in decls.cardinality.items()},
+        attr_modes={(new(event), new(attr)): mode for (event, attr), mode in decls.attr_modes.items()},
+        roles=tuple(RoleConceptDef(role.role_name, new(role.base_type), role.via, new(role.occurrent_type))
+                    for role in decls.roles),
+    )
+    return GkgDocument(hierarchy, GroundedGraph(nodes, edges, graph.source_id, graph.revision), labels, declarations)
+
+
+class TestPunctuatedIdsReadBack:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 999), st.data())
+    def test_local_parts_with_colons_and_punctuation(self, seed, data):
+        """``parse(serialize(d)) == d`` for a valid document whose ids (all
+        but the root type's) are drawn anew, with colons and any other
+        ASCII punctuation in their local parts."""
+        doc = random_document(seed)
+        old = sorted({*doc.graph.nodes, *(node_id for node_id, _ in doc.labels.entries)} - {ROOT_TYPE})
+        fresh = data.draw(st.lists(_PUNCTUATED_IDS, min_size=len(old), max_size=len(old), unique=True))
+        mapping = {**dict(zip(old, fresh)), ROOT_TYPE: ROOT_TYPE}
+        renamed = _renamed(doc, mapping.__getitem__)
+        assert parse_gkg(serialize_gkg(renamed)) == renamed
 
 
 class TestGkgDocument:

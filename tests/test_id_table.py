@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gkg import NodeId, cli, model, parse_alignment_tsv, parse_gkg, serialize_gkg
+from gkg import ROOT_TYPE, NodeId, cli, model, parse_alignment_tsv, parse_gkg, serialize_gkg
 from gkg.cli import main
 from gkg.errors import GkgSyntaxError
 from gkg.model import NodeKind
@@ -207,12 +207,12 @@ def check_pair(tmp_path, monkeypatch, text_a, text_b, alignment, seed=0):
     assert read_alignment == parse_alignment_tsv(alignment)
     objects_a, objects_b = _id_objects(doc_a), _id_objects(doc_b)
     objects_ab = _alignment_objects(read_alignment)
-    # A document may hold two objects of one spelling (the parsed root
-    # type and ROOT_TYPE), so B's and the alignment's must be among A's.
-    for token, objects in objects_b.items():
-        assert objects <= objects_a.get(token, objects), token
-    for token, objects in objects_ab.items():
-        assert objects <= objects_a.get(token, objects_b.get(token, objects)), token
+    # One object per spelling across A, B and the alignment, the root type
+    # included.
+    for token in objects_a.keys() | objects_b.keys() | objects_ab.keys():
+        objects = objects_a.get(token, set()) | objects_b.get(token, set()) | objects_ab.get(token, set())
+        assert len(objects) == 1, token
+    assert objects_a[str(ROOT_TYPE)] == {id(ROOT_TYPE)}
     for graph_a, graph_b in (capture.calls["align"][0][:2], [call[0] for call in capture.calls["render"]]):
         _assert_shared(graph_a.nodes, graph_b.nodes)
 
@@ -356,7 +356,7 @@ class TestBadTokens:
             with pytest.raises(GkgSyntaxError) as exc:
                 node_id_of("no-colon", line_no)
             assert exc.value.line_no == line_no
-        assert list(ids) == ["ex:a"]
+        assert list(ids) == ["core:Entity", "ex:a"] and ids["core:Entity"] is ROOT_TYPE
 
 
 class TestOneParsePerToken:

@@ -229,7 +229,7 @@ class TestStructuralMerge:
         doc_v1 = residence_doc("WhiteHouse", revision=1)
         doc_v2 = residence_doc("Washington", revision=2)
         merged, _ = merge_documents(doc_v1, doc_v2, AlignmentResult())
-        for (node_id, _lang), _label in merged.labels.items_sorted():
+        for node_id, _lang in merged.labels.entries:
             assert node_id in merged.graph.nodes or node_id.namespace == "rel"
 
 

@@ -41,15 +41,17 @@ class TestLabelTable:
         table = LabelTable().with_label(RW, "en", "One").with_label(RW, "en", "Two")
         assert table.get(RW, "en") == "Two"
 
-    def test_items_sorted_deterministic(self):
+    def test_entries_sort_by_id_text_then_language(self):
         table = (
             LabelTable()
             .with_label(NodeId("ex", "b"), "en", "B")
+            .with_label(NodeId("ex.", "c"), "en", "C")
             .with_label(NodeId("ex", "a"), "fr", "A")
             .with_label(NodeId("ex", "a"), "en", "A")
         )
-        keys = [key for key, _ in table.items_sorted()]
+        keys = [key for key, _ in sorted(table.entries.items())]
         assert keys == sorted(keys, key=lambda k: (str(k[0]), k[1]))
+        assert keys[0] == (NodeId("ex.", "c"), "en")
 
 
 def worked_with_labels():
@@ -157,7 +159,7 @@ def oracle_to_tsv(self) -> str:
     lines = []
     for node_id in sorted(self.node_labels, key=str):
         lines.append(f"{node_id}\t{self.node_labels[node_id]}")
-    for edge in sorted(self.edges, key=Edge.sort_key):
+    for edge in sorted(self.edges, key=lambda edge: (str(edge.subject), edge.relation.value, str(edge.obj))):
         lines.append(
             f"{self.node_labels[edge.subject]}"
             f"\t{self.relation_glosses[edge.relation]}"
@@ -167,12 +169,11 @@ def oracle_to_tsv(self) -> str:
 
 
 # Namespaces hold ".", "-" and "!", which sort below ":", so that string
-# order and part order differ ("a.:x" < "a:y", but ("a.", "x") > ("a", "y")),
-# and ":", so that ids such as ("a:", "x") and ("a", ":x") share one string
-# form.  Few ids, so each subject has several edges.
+# order and part order differ ("a.:x" < "a:y", but ("a.", "x") > ("a", "y")).
+# Local parts hold ":" too.  Few ids, so each subject has several edges.
 _VIEW_IDS = st.one_of(
-    st.builds(NodeId, st.sampled_from(("a", "a:", "a.", "a.:", "a!")), st.sampled_from(("x", ":x", "y"))),
-    st.builds(NodeId, st.text(alphabet="a.-!:", min_size=1, max_size=3), st.text("xy:", min_size=1, max_size=2)),
+    st.builds(NodeId, st.sampled_from(("a", "a.", "a!")), st.sampled_from(("x", ":x", "x:", "y"))),
+    st.builds(NodeId, st.text(alphabet="a.-!", min_size=1, max_size=3), st.text("xy:", min_size=1, max_size=2)),
 )
 
 
@@ -201,18 +202,6 @@ class TestToTsvAgainstOracle:
             {relation: relation.value for relation in PrimitiveRelation},
         )
         assert view.to_tsv() == oracle_to_tsv(view) == "a.:x\tX\na:y\tY\nX\teq\tX\nY\teq\tY\n"
-
-    def test_ids_with_one_string_form_tie(self):
-        """``('a:', 'x')`` and ``('a', ':x')`` both read ``a::x``: their rows
-        keep iteration order, and their edges sort by relation."""
-        first, second, other = NodeId("a:", "x"), NodeId("a", ":x"), NodeId("b", "y")
-        view = LabeledView(
-            "en",
-            {first: "F", second: "S", other: "O"},
-            frozenset({Edge(first, PrimitiveRelation.REALIZES, other), Edge(second, PrimitiveRelation.EQ, other)}),
-            {relation: relation.value for relation in PrimitiveRelation},
-        )
-        assert view.to_tsv() == oracle_to_tsv(view) == "a::x\tF\na::x\tS\nb:y\tO\nS\teq\tO\nF\trealizes\tO\n"
 
     def test_worked_document(self):
         graph, labels = worked_with_labels()
