@@ -17,12 +17,18 @@ and ``gkg isocheck`` of A against that self-merge in French
 (``isocheck_self``), which must print ``ISOMORPHIC``.
 The identity alignment is written from ``a.gkg``'s continuants, untimed,
 right after ``canonicalize_a``.
+At each size it also generates gkgbench's ``revise`` corpus (a source and
+its next revision, seed 1), canonicalizes both revisions
+(``canonicalize_rev1``, ``canonicalize_rev2``) and merges revision 1 with
+revision 2 along the true alignment (``merge_rev``), the merge whose
+time should follow what revision 2 brings.
 Each command runs in a fresh interpreter with one BLAS thread.  For each
 size and checkout the probe prints one JSON object: each command's wall
 time (interpreter start included) and peak RSS, read from the child's
 own rusage, the ``MATCH`` and ``AMBIG`` rows of the alignment, and the
 SHA-256 of ``a.gkg``, ``a_shuffled.gkg``, ``b.gkg``, ``a.fr.tsv``, ``ab.align``,
-``ab.gkg`` and ``aa.gkg`` as the last repeat left them, so equal digests across checkouts show
+``ab.gkg``, ``aa.gkg`` and the revision merge ``rev.gkg`` as the last repeat
+left them, so equal digests across checkouts show
 byte-identical output without a diff.  With ``--repeat N`` each size runs N times and
 the median time and largest RSS are kept.  ``--src`` names the ``src``
 directory of each checkout to probe (default: this one's), so several
@@ -69,6 +75,11 @@ COMMANDS = (
     ("merge", ("merge", "a.gkg", "b.gkg", "--alignment", "ab.align", "-o", "ab.gkg")),
     ("merge_self", ("merge", "a.gkg", "a.gkg", "--alignment", "aa.align", "-o", "aa.gkg")),
     ("isocheck_self", ("isocheck", "--lang", "fr", "a.gkg", "aa.gkg")),
+    ("canonicalize_rev1", ("canonicalize", "--rules", "rules.txt", "--flat", "rev1.tsv",
+                           "--source-id", "people", "--revision", "1", "-o", "rev1.gkg")),
+    ("canonicalize_rev2", ("canonicalize", "--rules", "rules.txt", "--flat", "rev2.tsv",
+                           "--source-id", "people", "--revision", "2", "-o", "rev2.gkg")),
+    ("merge_rev", ("merge", "rev1.gkg", "rev2.gkg", "--alignment", "rev1_rev2.align", "-o", "rev.gkg")),
 )
 
 
@@ -129,6 +140,7 @@ def alignment_rows(path: Path) -> dict:
 def probe(size: int, repeat: int, envs: dict, corpus, run_dir: Path) -> list:
     """One record per checkout in ``envs`` (src path -> environment)."""
     generated = corpus.reconcile(SEED, size)
+    revised = corpus.revise(SEED, size)
     times = {src: {name: [] for name, _ in COMMANDS} for src in envs}
     rss = {src: dict.fromkeys(times[src], 0.0) for src in envs}
     records = []
@@ -139,6 +151,8 @@ def probe(size: int, repeat: int, envs: dict, corpus, run_dir: Path) -> list:
             work.mkdir()
             for name in ("rules.txt", "a.tsv", "b.tsv"):
                 (work / name).write_text(generated.files[name], encoding="utf-8")
+            for name in ("rev1.tsv", "rev2.tsv", "rev1_rev2.align"):
+                (work / name).write_text(revised.files[name], encoding="utf-8")
             (work / "a_shuffled.tsv").write_text(shuffled_lines(generated.files["a.tsv"]), encoding="utf-8")
         for turn in range(repeat):
             for src in list(envs)[::-1 if turn % 2 else 1]:
@@ -156,7 +170,7 @@ def probe(size: int, repeat: int, envs: dict, corpus, run_dir: Path) -> list:
                 record[f"{name}_s"] = round(statistics.median(times[src][name]), 3)
                 record[f"{name}_rss_mib"] = round(rss[src][name], 1)
             record.update(alignment_rows(works[src] / "ab.align"))
-            for name in ("a.gkg", "a_shuffled.gkg", "b.gkg", "a.fr.tsv", "ab.align", "ab.gkg", "aa.gkg"):
+            for name in ("a.gkg", "a_shuffled.gkg", "b.gkg", "a.fr.tsv", "ab.align", "ab.gkg", "aa.gkg", "rev.gkg"):
                 digest = hashlib.sha256((works[src] / name).read_bytes()).hexdigest()
                 record[f"{name.replace('.', '_')}_sha256"] = digest
             records.append(record)

@@ -135,11 +135,8 @@ def cmd_isocheck(args: SimpleNamespace) -> int:
     view_a = render(doc_a.graph, doc_a.labels, args.lang)
     view_b = render(doc_b.graph, doc_b.labels, args.lang)
     result = check_isomorphic(view_a, view_b)
-    if result.ok:
-        sys.stdout.write("ISOMORPHIC\n")
-        return 0
-    sys.stdout.write(f"NOT_ISOMORPHIC\t{result.witness}\n")
-    return 1
+    sys.stdout.write(result.to_tsv())
+    return 0 if result.ok else 1
 
 
 # Only the eval commands import gkg.evaluation, so no other command pays

@@ -12,7 +12,7 @@ Everything unmatched is unioned disjointly.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from itertools import chain
 from operator import itemgetter
 from typing import Dict, NamedTuple, Set, Tuple
@@ -21,20 +21,28 @@ from .alignment import AlignmentResult
 from .errors import AlignmentMismatchError, IdCollisionError
 from .formats import GkgDocument
 from .model import (
-    Adjacency,
+    PARTICIPANT_RELATIONS,
     Edge,
     GroundedGraph,
+    Node,
     NodeId,
-    NodeKind,
     PrimitiveRelation,
     TypeHierarchy,
+    _A,
+    _C,
     _equal_to_own_type,
-    _ForwardLinks,
     _Frozen,
+    _O,
     _set_field,
+    _V,
 )
 from .multilingual import LabelTable
 from .schema import AttrMode, Cardinality, SchemaDeclarations, ValueConflict
+
+_NO_NODE = Node(None, None)  # what a missing node reads as
+# Read once: a loop that reads an enum member from its class pays a slow
+# class attribute lookup on every turn.
+_HAS_PROP, _HAS_VALUE = PrimitiveRelation.HAS_PROP, PrimitiveRelation.HAS_VALUE
 
 
 @_equal_to_own_type
@@ -101,228 +109,219 @@ def _merge(
     graphs lack or is not one-to-one, :class:`IdCollisionError` if one id
     means different things on the two sides.
     """
+    nodes_a, nodes_b = graph_a.nodes, graph_b.nodes
     id_map: Dict[NodeId, NodeId] = {}
     matched_a: Set[NodeId] = set()
     for id_a, id_b, _score in alignment.matches:
-        node_a = graph_a.nodes.get(id_a)
-        node_b = graph_b.nodes.get(id_b)
-        if node_a is None or node_a.kind is not NodeKind.CONTINUANT:
+        node_a = nodes_a.get(id_a)
+        node_b = nodes_b.get(id_b)
+        if node_a is None or node_a.kind is not _C:
             raise AlignmentMismatchError(f"alignment names {id_a}, not a continuant of the first graph")
-        if node_b is None or node_b.kind is not NodeKind.CONTINUANT:
+        if node_b is None or node_b.kind is not _C:
             raise AlignmentMismatchError(f"alignment names {id_b}, not a continuant of the second graph")
         if id_a in matched_a or id_b in id_map:
             raise AlignmentMismatchError(f"alignment is not one-to-one: MATCH {id_a} {id_b} repeats an id")
         id_map[id_b] = id_a
         matched_a.add(id_a)
 
-    nodes: Dict[NodeId, object] = dict(graph_a.nodes)
-    for node_id, node in graph_b.nodes.items():
-        if node_id in id_map:
-            continue  # collapsed onto the A-side node, whose record wins
-        existing = nodes.get(node_id)
-        if existing is None:
-            nodes[node_id] = node
-        elif existing != node:
-            raise IdCollisionError(f"id {node_id} holds different content in the two graphs")
+    # B's nodes join A's, but for those collapsed onto A-side nodes, whose
+    # records win; any other id of both graphs must hold one record.
+    clashes = [
+        node_id for node_id, node in nodes_b.items() if nodes_a.get(node_id, node) != node and node_id not in id_map
+    ]
+    if clashes:
+        raise IdCollisionError(f"id {clashes[0]} holds different content in the two graphs")
+    new_b = {node_id: node for node_id, node in nodes_b.items() if node_id not in nodes_a and node_id not in id_map}
+    nodes = {**nodes_a, **new_b}
 
     # Every id merge folds away is B-only (the alignment maps B ids; event and
     # attribute folds map only members absent from A), and a valid A graph's
-    # edges touch A's nodes alone, so A is read as is and only B is rewritten.
-    # Folds are planned from B's new nodes over one adjacency of both sides;
-    # only a new occurrent or attribute instance starts a walk, so without
-    # one there is nothing to fold and no adjacency to build.
-    edges_b: Set[Edge] = set(graph_b.edges)
-    _rewrite_edges(edges_b, {id_b: id_a for id_b, id_a in id_map.items() if id_b != id_a})
-    new_b = [node for node_id, node in graph_b.nodes.items() if node_id not in graph_a.nodes]
-    folds: Dict[NodeId, NodeId] = {}
-    if any(node.kind is NodeKind.OCCURRENT or node.kind is NodeKind.ATTRIBUTE_INSTANCE for node in new_b):
-        adjacency = Adjacency(chain(graph_a.edges, edges_b))
-        event_folds = _plan_event_folds(nodes, graph_a, new_b, adjacency, declarations)
-        folds = {**event_folds, **_plan_attr_folds(graph_a, new_b, adjacency, event_folds)}
-        for dropped in folds:
-            del nodes[dropped]
-        _rewrite_edges(edges_b, folds)
-    edges: Set[Edge] = edges_b.union(graph_a.edges)
+    # edges touch A's nodes alone, so A is read as is and only B is
+    # rewritten; an edge a fold moves is one that A lacks.
+    edges_a = frozenset(graph_a.edges)
+    edges_b = set(graph_b.edges)
+    new_edges = edges_b.difference(edges_a)
+    # The edges of a B id that A lacks are all new to A.
+    id_fix = {id_b: id_a for id_b, id_a in id_map.items() if id_b != id_a}
+    _rewrite_edges(id_fix, new_edges if id_fix.keys().isdisjoint(nodes_a) else edges_b, edges_b, new_edges)
+    folds = _plan_event_folds(nodes, nodes_a, chain(edges_a, new_edges), new_b.values(), declarations)
+    _rewrite_edges(folds, new_edges, new_edges, edges_b)
+    new_edges -= edges_a  # the merged edges are now A's and these
 
-    # --- FUNCTIONAL slot resolution ---------------------------------------
-    updated, conflicts = _resolve_functional_slots(
-        nodes, edges, graph_a.edges, edges_b, graph_a.revision, graph_b.revision, declarations
-    )
+    # One index of the merged hasProp and hasValue edges serves the
+    # attribute folds, the FUNCTIONAL slots and the pruning: the bearers and
+    # value edges of each attribute, and the attributes on each slot, by
+    # attribute type and then bearer.  (Keyed by (bearer, type) pairs, the
+    # index allocates one pair per attribute, which measurably raised a
+    # merge command's peak RSS.)
+    bearers, values, slots = {}, {}, {}
+    for edge in chain(edges_a, new_edges):
+        attr_id, relation, obj = edge
+        if relation is _HAS_PROP:
+            bearers.setdefault(attr_id, []).append(obj)
+            slots.setdefault(nodes.get(attr_id, _NO_NODE).inst_of, {}).setdefault(obj, []).append(attr_id)
+        elif relation is _HAS_VALUE:
+            values.setdefault(attr_id, []).append(edge)
 
-    merged_graph = GroundedGraph(
-        nodes, frozenset(edges), graph_a.source_id, max(graph_a.revision, graph_b.revision)
+    # Attribute instances with the same type, bearers and values are one
+    # slot entry told twice: a B-only one folds onto its smallest A-side
+    # twin, which hangs on each of its bearers.  The folded edges are the
+    # twin's, so the index only forgets the folded attribute.
+    def entry(attr_id):
+        return frozenset(bearers.get(attr_id, ())), frozenset(edge[2] for edge in values.get(attr_id, ()))
+
+    attr_folds = {}
+    for attr in new_b.values():
+        if attr.kind is _A and attr.inst_of is not None and (key := entry(attr.id))[0]:
+            twins = [
+                other for other in slots[attr.inst_of][next(iter(key[0]))] if other in nodes_a and entry(other) == key
+            ]
+            if twins:
+                attr_folds[attr.id] = min(twins)
+    for attr_id in attr_folds:
+        values.pop(attr_id, None)
+        for bearer in bearers.pop(attr_id):
+            slots[nodes[attr_id].inst_of][bearer].remove(attr_id)
+    folds.update(attr_folds)
+    for dropped in folds:
+        del nodes[dropped]
+    _rewrite_edges(attr_folds, new_edges, new_edges, edges_b)
+
+    updated, conflicts, dropped_edges = _resolve_functional_slots(
+        nodes, slots, values, edges_a, edges_b, graph_a.revision, graph_b.revision, declarations
     )
+    gone_nodes, gone_edges = _prune_orphans(nodes, chain(edges_a, new_edges), dropped_edges, values)
+    edges = edges_a.union(new_edges)
+    if gone_edges:
+        edges = edges.difference(gone_edges)
+
+    merged_graph = GroundedGraph(nodes, edges, graph_a.source_id, max(graph_a.revision, graph_b.revision))
+    # The merge holds all of A but what it pruned, so what it holds and A
+    # lacks is counted from the sizes.
     report = MergeReport(
         merged=len(alignment.matches),
         pairs=tuple(sorted((a, b) for a, b, _ in alignment.matches)),
         updated=tuple(sorted(updated, key=itemgetter(0, 1))),
         conflicts=tuple(sorted(conflicts, key=itemgetter(0, 1))),
-        added_nodes=len(merged_graph.nodes.keys() - graph_a.nodes.keys()),
-        added_edges=len(merged_graph.edges - graph_a.edges),
+        added_nodes=len(nodes) - len(nodes_a) + sum(map(nodes_a.__contains__, gone_nodes)),
+        added_edges=len(edges) - len(edges_a) + sum(map(edges_a.__contains__, gone_edges)),
     )
     return merged_graph, report
 
 
-def _rewrite_edges(edges: Set[Edge], mapping: Dict[NodeId, NodeId]) -> None:
-    """Replace, in place, every edge with an endpoint in ``mapping`` by its
-    rewritten form; edges touching no mapped id stay as they are."""
+def _rewrite_edges(mapping, near, *edge_sets):
+    """Replace, in place in each of ``edge_sets``, every edge with an
+    endpoint in ``mapping`` by its rewritten form; all such edges are among
+    ``near``."""
     if not mapping:
         return
-    moved = [e for e in edges if e.subject in mapping or e.obj in mapping]
-    edges.difference_update(moved)
-    edges.update(
-        Edge(mapping.get(e.subject, e.subject), e.relation, mapping.get(e.obj, e.obj)) for e in moved
-    )
+    moved = [edge for edge in near if edge[0] in mapping or edge[2] in mapping]
+    get = mapping.get
+    rewritten = [Edge(get(s, s), r, get(o, o)) for s, r, o in moved]
+    for edges in edge_sets:
+        edges.difference_update(moved)
+        edges.update(rewritten)
 
 
-def _plan_event_folds(nodes, graph_a, new_b, adjacency, declarations) -> Dict[NodeId, NodeId]:
+def _plan_event_folds(nodes, nodes_a, edges, new_b, declarations) -> Dict[NodeId, NodeId]:
     """Events of one cardinality-ONE type that share a participant, directly
     or along a chain of such events, are one event told more than once.
     Walking out from each B-only event finds its group, whose B-only members
     fold onto its smallest A-side member; a group with none is left alone,
-    as merge never restructures either input internally."""
-    folds: Dict[NodeId, NodeId] = {}
-    seen: Set[NodeId] = set()
-    for start in new_b:
-        event_type = start.inst_of
-        if start.id in seen or start.kind is not NodeKind.OCCURRENT or event_type is None:
-            continue
-        if declarations.card_of(event_type) is not Cardinality.ONE:
-            continue
-        group = {start.id}
-        frontier = [start.id]
+    as merge never restructures either input internally.
+
+    The walks read one index: the participant links of the events whose
+    type is that of a B-only event, built in one pass over ``edges`` when B
+    brings such an event, so a walk costs no more for being long."""
+    starts = [
+        node for node in new_b
+        if node.kind is _O and node.inst_of is not None and declarations.card_of(node.inst_of) is Cardinality.ONE
+    ]
+    types = {node.inst_of for node in starts}
+    linked = defaultdict(list)  # the entities of an event, the events of an entity
+    if starts:
+        for subject, relation, obj in edges:
+            if relation in PARTICIPANT_RELATIONS and nodes.get(subject, _NO_NODE).inst_of in types:
+                linked[subject].append(obj)
+                linked[obj].append(subject)
+
+    folds, seen = {}, set()
+    for start in starts:
+        group, frontier = set(), {start.id} - seen
         while frontier:
-            for entity in adjacency.participants.get(frontier.pop(), ()):
-                for other in adjacency.events_of[entity]:
-                    node = nodes.get(other)
-                    if other in group or node is None or node.kind is not NodeKind.OCCURRENT:
-                        continue
-                    if node.inst_of == event_type:
-                        group.add(other)
-                        frontier.append(other)
+            group |= frontier
+            frontier = {
+                other
+                for event in frontier
+                for entity in linked[event]
+                for other in linked[entity]
+                if nodes.get(other, _NO_NODE)[1:3] == (_O, start.inst_of)
+            } - group
         seen |= group
-        a_side = [member for member in group if member in graph_a.nodes]
+        a_side = group & nodes_a.keys()
         if a_side:
-            target = min(a_side)
-            folds.update((member, target) for member in group if member not in graph_a.nodes)
+            folds.update(dict.fromkeys(group - a_side, min(a_side)))
     return folds
 
 
-def _plan_attr_folds(graph_a, new_b, adjacency, event_folds) -> Dict[NodeId, NodeId]:
-    """Attribute instances with the same type, bearers and values are one
-    slot entry told twice: a B-only one folds onto its smallest A-side twin.
-    Bearers are read through the event folds; a twin hangs on every bearer,
-    so only the attributes on one bearer or on the events folded onto it
-    are compared."""
-    folded_into: Dict[NodeId, list] = {}
-    for source, target in event_folds.items():
-        folded_into.setdefault(target, []).append(source)
-
-    def slot(attr_id):
-        return (
-            frozenset(event_folds.get(b, b) for b in adjacency.bearers.get(attr_id, ())),
-            frozenset(event_folds.get(v, v) for v in adjacency.values.get(attr_id, ())),
-        )
-
-    folds: Dict[NodeId, NodeId] = {}
-    for attr in new_b:
-        if attr.kind is not NodeKind.ATTRIBUTE_INSTANCE or attr.inst_of is None:
-            continue
-        key = slot(attr.id)
-        if not key[0]:
-            continue
-        bearer = next(iter(key[0]))
-        twins = []
-        for source in (bearer, *folded_into.get(bearer, ())):
-            for other in adjacency.attrs_of.get(source, ()):
-                twin = graph_a.nodes.get(other)
-                if twin is None or twin.kind is not NodeKind.ATTRIBUTE_INSTANCE:
-                    continue
-                if twin.inst_of == attr.inst_of and slot(other) == key:
-                    twins.append(other)
-        if twins:
-            folds[attr.id] = min(twins)
-    return folds
-
-
-def _resolve_functional_slots(nodes, edges, edges_a, edges_b, rev_a, rev_b, declarations):
-    links = _ForwardLinks(edges)
-    updated: list = []
-    conflicts: list = []
-    dropped_edges: Set[Edge] = set()
-
-    for event_id, attr_ids in links.attrs_of.items():
-        event = nodes.get(event_id)
-        if event is None or event.kind is not NodeKind.OCCURRENT or event.inst_of is None:
-            continue
-        slots: Dict[NodeId, list] = {}
-        for attr_id in attr_ids:
-            attr = nodes.get(attr_id)
-            if attr is None or attr.kind is not NodeKind.ATTRIBUTE_INSTANCE or attr.inst_of is None:
+def _resolve_functional_slots(nodes, slots, values, edges_a, edges_b, rev_a, rev_b, declarations):
+    """The updates and conflicts of the FUNCTIONAL slots, and the value
+    edges the updates drop.  A slot holds two literals only if it has two
+    value edges, from two attributes or one, so a slot with one attribute
+    of at most one value is passed over unread."""
+    updated, conflicts, dropped_edges = [], [], set()
+    for attr_type, on_type in slots.items():
+        for event_id, attr_ids in on_type.items():
+            if len(attr_ids) < 2 and len(values.get(attr_ids[0], ())) < 2:
                 continue
-            slots.setdefault(attr.inst_of, []).append(attr_id)
-
-        for attr_type in slots:
-            if declarations.mode_of(event.inst_of, attr_type) is not AttrMode.FUNCTIONAL:
+            event = nodes.get(event_id, _NO_NODE)
+            if event.kind is not _O or declarations.mode_of(event.inst_of, attr_type) is not AttrMode.FUNCTIONAL:
                 continue
-            value_edges: list = []  # (literal, Edge)
-            for attr_id in slots[attr_type]:
-                for value_id in links.values.get(attr_id, ()):
-                    value = nodes.get(value_id)
-                    if value is None or value.literal is None:
-                        continue
-                    value_edges.append((value.literal, Edge(attr_id, PrimitiveRelation.HAS_VALUE, value_id)))
+            value_edges = [
+                (literal, edge)
+                for attr_id in attr_ids
+                for edge in values.get(attr_id, ())
+                if (literal := nodes.get(edge[2], _NO_NODE).literal) is not None
+            ]
             literals = sorted({literal for literal, _ in value_edges})
             if len(literals) < 2:
                 continue
             side_a = {literal for literal, edge in value_edges if edge in edges_a}
             side_b = {literal for literal, edge in value_edges if edge in edges_b}
-            resolvable = rev_a != rev_b and bool(side_a) and bool(side_b)
-            if resolvable:
+            if rev_a != rev_b and side_a and side_b:
                 winner_side, winner_rev = (side_a, rev_a) if rev_a > rev_b else (side_b, rev_b)
                 losers = [literal for literal in literals if literal not in winner_side]
                 if losers:
-                    for literal, edge in value_edges:
-                        if literal in winner_side:
-                            continue
-                        dropped_edges.add(edge)
+                    dropped_edges.update(edge for literal, edge in value_edges if literal not in winner_side)
                     updated.append(
-                        UpdateEntry(
-                            event_id,
-                            attr_type,
-                            tuple(losers),
-                            tuple(sorted(winner_side)),
-                            winner_rev,
-                        )
+                        UpdateEntry(event_id, attr_type, tuple(losers), tuple(sorted(winner_side)), winner_rev)
                     )
                     continue
             conflicts.append(ValueConflict(event_id, attr_type, tuple(literals)))
-
-    if dropped_edges:
-        edges.difference_update(dropped_edges)
-        _prune_orphans(nodes, edges, dropped_edges, links)
-    return updated, conflicts
+    return updated, conflicts, dropped_edges
 
 
-def _prune_orphans(nodes, edges, dropped_edges, links) -> None:
-    """After value edges were dropped, remove attribute instances left with
-    no values and value nodes nothing references anymore.  ``links`` index
-    the edges before the drop."""
-    dropped_per_attr = Counter(attr_id for attr_id, _, _ in dropped_edges)
-    emptied = {attr_id for attr_id, count in dropped_per_attr.items() if count == len(links.values[attr_id])}
-    if emptied:
-        edges.difference_update([e for e in edges if e.subject in emptied or e.obj in emptied])
-        for attr_id in emptied:
-            nodes.pop(attr_id, None)
-    referenced: Set[NodeId] = set()
-    for edge in edges:
-        referenced.add(edge.subject)
-        referenced.add(edge.obj)
-    for edge in dropped_edges:
-        value_id = edge.obj
-        node = nodes.get(value_id)
-        if node is not None and node.kind is NodeKind.VALUE_LITERAL and value_id not in referenced:
-            del nodes[value_id]
+def _prune_orphans(nodes, edges, dropped_edges, values):
+    """Remove from ``nodes`` the attribute instances the dropped value edges
+    leave with no values and the value nodes no other edge references, and
+    return the removed nodes and edges; an emptied attribute goes with all
+    its edges.  ``values`` holds each attribute's value edges before the
+    drop.  Only the edges that touch a removed node are read."""
+    if not dropped_edges:
+        return (), ()
+    emptied = {attr_id for attr_id, _, _ in dropped_edges if dropped_edges.issuperset(values[attr_id])}
+    orphans = {obj for _, _, obj in dropped_edges if nodes.get(obj, _NO_NODE).kind is _V}
+    watched = emptied | orphans
+    gone_edges = set(dropped_edges)
+    for edge in [edge for edge in edges if edge[0] in watched or edge[2] in watched]:
+        if edge[0] in emptied or edge[2] in emptied:
+            gone_edges.add(edge)
+        elif edge not in dropped_edges:
+            orphans.difference_update((edge[0], edge[2]))
+    gone_nodes = [*emptied, *orphans]
+    for node_id in gone_nodes:
+        del nodes[node_id]
+    return gone_nodes, gone_edges
 
 
 def union_hierarchies(hier_a: TypeHierarchy, hier_b: TypeHierarchy) -> TypeHierarchy:

@@ -285,36 +285,17 @@ class _ForwardLinks:
     ``attrs_of`` (bearer -> attributes) and ``values`` (attribute ->
     values).  Each list holds one entry per edge, in edge order: an entity
     joined to one event by two relations lists the event twice.  Signing
-    and merge's slot resolution read no more than this."""
+    reads no more than this."""
 
     def __init__(self, edges: Iterable[Edge]):
-        self._index(edges, None, None)
-
-    def _index(self, edges: Iterable[Edge], participants: Optional[dict], bearers: Optional[dict]) -> None:
-        """The one pass over ``edges``; it also fills ``participants`` and
-        ``bearers`` with the links back, when they are given."""
         self.events_of, self.attrs_of, self.values = events_of, attrs_of, values = {}, {}, {}
         for subject, relation, obj in edges:
             if relation in PARTICIPANT_RELATIONS:
                 events_of.setdefault(obj, []).append(subject)
-                if participants is not None:
-                    participants.setdefault(subject, []).append(obj)
             elif relation is PrimitiveRelation.HAS_PROP:
                 attrs_of.setdefault(obj, []).append(subject)
-                if bearers is not None:
-                    bearers.setdefault(subject, []).append(obj)
             elif relation is PrimitiveRelation.HAS_VALUE:
                 values.setdefault(subject, []).append(obj)
-
-
-class Adjacency(_ForwardLinks):
-    """The forward links of :class:`_ForwardLinks` and, in the same pass,
-    two maps back: ``participants`` (event -> entities) and ``bearers``
-    (attribute -> bearers), in edge order too."""
-
-    def __init__(self, edges: Iterable[Edge]):
-        self.participants, self.bearers = {}, {}
-        self._index(edges, self.participants, self.bearers)
 
 
 class RoleConceptDef(_Frozen):

@@ -119,6 +119,9 @@ class IsomorphismResult(NamedTuple):
     def __bool__(self) -> bool:
         return self.ok
 
+    def to_tsv(self) -> str:
+        return "ISOMORPHIC\n" if self.ok else f"NOT_ISOMORPHIC\t{self.witness}\n"
+
 
 def check_isomorphic(view_a: LabeledView, view_b: LabeledView) -> IsomorphismResult:
     """Structural equality of two views: identical node-id sets and edge

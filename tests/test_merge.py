@@ -270,6 +270,64 @@ class TestOrphanPruning:
         assert validate_document(merged).ok
 
 
+SCREEN_HEAD = """\
+G wiki 1
+N ex:p C core:Human
+N ex:e O ont:Birth
+N ex:v1 V ont:Village Old Town
+N ex:v2 V ont:Village New Town
+E ex:e participantIn ex:p
+"""
+ONE_ATTR_TWO_VALUES = SCREEN_HEAD + (
+    "N ex:a A ont:Place\nE ex:a hasProp ex:e\nE ex:a hasValue ex:v1\nE ex:a hasValue ex:v2\n"
+)
+TWO_ATTRS_ONE_TYPE = SCREEN_HEAD + (
+    "N ex:a1 A ont:Place\nN ex:a2 A ont:Place\nE ex:a1 hasProp ex:e\nE ex:a2 hasProp ex:e\n"
+    "E ex:a1 hasValue ex:v1\nE ex:a2 hasValue ex:v2\n"
+)
+FUNCTIONAL_PLACE = "ATTRDECL ont:Birth ont:Place FUNCTIONAL\n"
+SCREEN_CONFLICT = ValueConflict(NodeId("ex", "e"), NodeId("ont", "Place"), ("New Town", "Old Town"))
+
+
+class TestFunctionalScreen:
+    """A slot can hold two literals only through two value edges: two
+    attributes of its type on the event, or one attribute with two values.
+    Merge reads only such slots one by one; these cases pin the rows it
+    reports against the oracle, which reads every slot."""
+
+    @staticmethod
+    def merged(doc_a, doc_b, alignment):
+        case = (doc_a, doc_b, alignment)
+        assert run_merge(merge_documents, *case) == run_merge(oracle_merge_documents, *case)
+        return merge_documents(*case)
+
+    @pytest.mark.parametrize("text", [ONE_ATTR_TWO_VALUES, TWO_ATTRS_ONE_TYPE], ids=["one_attribute", "two_attributes"])
+    def test_conflict_held_inside_a_is_reported_by_a_self_merge(self, text):
+        doc = parse_gkg(text + FUNCTIONAL_PLACE)
+        merged, report = self.merged(doc, doc, identity_alignment(doc))
+        assert (report.updated, report.conflicts) == ((), (SCREEN_CONFLICT,))
+        assert merged == doc
+
+    @pytest.mark.parametrize("text", [ONE_ATTR_TWO_VALUES, TWO_ATTRS_ONE_TYPE], ids=["one_attribute", "two_attributes"])
+    def test_undeclared_slot_accumulates_unreported(self, text):
+        doc = parse_gkg(text)
+        _, report = self.merged(doc, doc, identity_alignment(doc))
+        assert (report.updated, report.conflicts) == ((), ())
+
+    @pytest.mark.parametrize("revision_b, updated, conflicts", [
+        (1, (), (ValueConflict(NodeId("ex", "e1"), NodeId("ont", "Place"), ("New Town", "Old Town")),)),
+        (2, (UpdateEntry(NodeId("ex", "e1"), NodeId("ont", "Place"), ("Old Town",), ("New Town",), 2),), ()),
+    ])
+    def test_slot_filled_from_both_sides_only_after_an_event_folds(self, revision_b, updated, conflicts):
+        """Each side holds one value; the slot holds two only once B's
+        birth folds onto A's."""
+        doc_a = parse_gkg(PRUNE_A)
+        doc_b = parse_gkg(PRUNE_B.replace("G wiki 2", f"G wiki {revision_b}"))
+        alignment = AlignmentResult(matches=((NodeId("ex", "p"), NodeId("ex", "q"), 1.0),))
+        _, report = self.merged(doc_a, doc_b, alignment)
+        assert (report.updated, report.conflicts) == (updated, conflicts)
+
+
 NOT_ONE_TO_ONE = {
     "b_matched_twice": (("ex:a1", "ex:b"), ("ex:a2", "ex:b")),
     "a_matched_twice": (("ex:a1", "ex:b"), ("ex:a1", "ex:c")),
@@ -811,6 +869,41 @@ class TestMergeProperties:
         merged, _ = merge_documents(doc_a, doc_b, AlignmentResult())
         assert NodeId("at", "b") not in merged.graph.nodes
         assert Edge(NodeId("at", "a"), PrimitiveRelation.HAS_PROP, NodeId("ev", "a")) in merged.graph.edges
+
+    def test_event_folds_onto_the_smallest_member_of_a_long_chain(self):
+        """A's undeclared (so cardinality-ONE) meetings form one chain, each
+        sharing a participant with the next; B's new meeting with the
+        chain's last participant joins the whole chain and folds onto its
+        smallest member, at the other end."""
+        links = "".join(
+            f"N ex:m{i:02} O ont:Meeting\nE ex:m{i:02} participantIn ex:p{i}\nE ex:m{i:02} participantIn ex:p{i + 1}\n"
+            for i in range(40)
+        )
+        people = "".join(f"N ex:p{i} C core:Human\n" for i in range(41))
+        doc_a = parse_gkg("G a 1\n" + people + links)
+        doc_b = parse_gkg("G b 1\nN ex:p40 C core:Human\nN ex:new O ont:Meeting\nE ex:new participantIn ex:p40\n")
+        case = (doc_a, doc_b, AlignmentResult())
+        assert run_merge(merge_documents, *case) == run_merge(oracle_merge_documents, *case)
+        merged, report = merge_documents(*case)
+        assert NodeId("ex", "new") not in merged.graph.nodes
+        assert Edge(NodeId("ex", "m00"), PrimitiveRelation.PARTICIPANT_IN, NodeId("ex", "p40")) in merged.graph.edges
+        assert (report.added_nodes, report.added_edges) == (0, 1)
+
+    @given(merge_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_node_order_does_not_reach_the_output(self, case):
+        """Both inputs' node dicts in reversed insertion order: the same
+        serialized graph and report TSV, or the same error."""
+        def reversed_nodes(doc):
+            graph = doc.graph
+            nodes = dict(reversed(graph.nodes.items()))
+            return GkgDocument(doc.hierarchy, GroundedGraph(nodes, graph.edges, graph.source_id, graph.revision),
+                               doc.labels, doc.declarations)
+
+        doc_a, doc_b, alignment = case
+        assert run_merge(merge_documents, reversed_nodes(doc_a), reversed_nodes(doc_b), alignment) == run_merge(
+            merge_documents, *case
+        )
 
     @given(
         st.one_of(canonical_documents(), st.integers(0, 10**6).map(random_document)),

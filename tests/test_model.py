@@ -30,6 +30,7 @@ from gkg import (
     Node,
     NodeId,
     NodeKind,
+    PARTICIPANT_RELATIONS,
     ParticipantSlot,
     PrimitiveRelation,
     RELATION_SIGNATURES,
@@ -48,7 +49,7 @@ from gkg import (
     validate_graph,
 )
 
-from gkg.model import Adjacency, _ForwardLinks
+from gkg.model import _ForwardLinks
 
 from .support import random_document, reachable
 
@@ -528,11 +529,11 @@ def admitted(relation: PrimitiveRelation, subject_kind: NodeKind, object_kind: N
     return allowed
 
 
-class TestAdjacency:
-    def test_links_indexed_both_ways_in_edge_order(self):
+class TestForwardLinks:
+    def test_links_indexed_in_edge_order(self):
         c, o1, o2, a1, a2, v = (NodeId("x", name) for name in ("c", "o1", "o2", "a1", "a2", "v"))
         rel = PrimitiveRelation
-        adjacency = Adjacency([
+        links = _ForwardLinks([
             Edge(o2, rel.HAS_OBJECT, c),
             Edge(o1, rel.PARTICIPANT_IN, c),
             Edge(a1, rel.HAS_PROP, o1),
@@ -543,22 +544,19 @@ class TestAdjacency:
             Edge(o1, rel.PRECEDES, o2),
             Edge(c, rel.INST, ROOT_TYPE),
         ])
-        assert adjacency.events_of == {c: [o2, o1]}
-        assert adjacency.participants == {o2: [c], o1: [c]}
-        assert adjacency.attrs_of == {o1: [a1, a2], c: [a1]}
-        assert adjacency.bearers == {a1: [o1, c], a2: [o1]}
-        assert adjacency.values == {a2: [v], a1: [v]}
+        assert links.events_of == {c: [o2, o1]}
+        assert links.attrs_of == {o1: [a1, a2], c: [a1]}
+        assert links.values == {a2: [v], a1: [v]}
 
     def test_one_entry_per_edge(self):
         """An entity that is both agent and participant of one event lists
         the event once per edge; the signature's fact sums count it so."""
         c, o = NodeId("x", "c"), NodeId("x", "o")
-        adjacency = Adjacency([
+        links = _ForwardLinks([
             Edge(o, PrimitiveRelation.HAS_AGENT, c),
             Edge(o, PrimitiveRelation.PARTICIPANT_IN, c),
         ])
-        assert adjacency.events_of == {c: [o, o]}
-        assert adjacency.participants == {o: [c, c]}
+        assert links.events_of == {c: [o, o]}
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.builds(
@@ -567,14 +565,19 @@ class TestAdjacency:
         st.sampled_from(list(PrimitiveRelation)),
         st.sampled_from([NodeId("x", name) for name in "abcd"]),
     ), max_size=20))
-    def test_forward_links_are_adjacency_without_the_maps_back(self, edges):
-        """Signing and slot resolution read only the forward maps, which
-        hold what the full adjacency holds, lists in the same order."""
-        links, adjacency = _ForwardLinks(edges), Adjacency(edges)
-        assert (links.events_of, links.attrs_of, links.values) == (
-            adjacency.events_of, adjacency.attrs_of, adjacency.values
-        )
-        assert not hasattr(links, "participants") and not hasattr(links, "bearers")
+    def test_equals_one_lookup_per_edge(self, edges):
+        """Each map holds, per key and in edge order, the other end of every
+        edge of its relations, as a plain loop collects them."""
+        expected = ({}, {}, {})
+        for subject, relation, obj in edges:
+            if relation in PARTICIPANT_RELATIONS:
+                expected[0].setdefault(obj, []).append(subject)
+            elif relation is PrimitiveRelation.HAS_PROP:
+                expected[1].setdefault(obj, []).append(subject)
+            elif relation is PrimitiveRelation.HAS_VALUE:
+                expected[2].setdefault(subject, []).append(obj)
+        links = _ForwardLinks(edges)
+        assert (links.events_of, links.attrs_of, links.values) == expected
 
 
 class TestValidate:

@@ -236,6 +236,16 @@ class TestIsomorphism:
         assert not result.ok
         assert "hasAgent" in result.witness
 
+    def test_result_rows(self):
+        """The row ``gkg isocheck`` prints for each verdict."""
+        graph, labels = worked_with_labels()
+        view = render(graph, labels, "en")
+        smaller = render(GroundedGraph(graph.nodes, frozenset()), labels, "en")
+        assert check_isomorphic(view, view).to_tsv() == "ISOMORPHIC\n"
+        witness = check_isomorphic(view, smaller).witness
+        assert witness.startswith("edge only in first view: ")
+        assert check_isomorphic(view, smaller).to_tsv() == f"NOT_ISOMORPHIC\t{witness}\n"
+
     def test_label_changes_are_invisible(self):
         graph, labels = worked_with_labels()
         relabeled = labels.with_label(RW, "en", "Someone Else Entirely")
