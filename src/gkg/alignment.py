@@ -22,11 +22,13 @@ from .formats import _content_lines
 from .model import (
     GroundedGraph,
     NodeId,
-    NodeKind,
     TypeHierarchy,
+    _A,
+    _C,
     _equal_to_own_type,
     _ForwardLinks,
     _id_reader,
+    _O,
     infer_role_labels,
 )
 from .multilingual import LabelTable
@@ -93,7 +95,7 @@ def entity_signature(
     declarations; the roles slot appears only when their role definitions
     infer something."""
     node = graph.node(node_id)
-    if node.kind is not NodeKind.CONTINUANT:
+    if node.kind is not _C:
         raise NotAContinuantError(f"{node_id} is a {node.kind.name}, not a continuant")
     return _Signer(graph, hierarchy, labels, config, {}).sign(node)
 
@@ -164,7 +166,7 @@ class _Signer:
             sums: Dict[NodeId, np.ndarray] = {}
             for event_id in links.events_of.get(node.id, ()):
                 event = nodes.get(event_id)
-                if event is None or event.kind is not NodeKind.OCCURRENT:
+                if event is None or event.kind is not _O:
                     continue
                 if event.inst_of is None or event.inst_of not in hierarchy:
                     continue
@@ -172,7 +174,7 @@ class _Signer:
                     continue
                 for attr_id in links.attrs_of.get(event_id, ()):
                     attr = nodes.get(attr_id)
-                    if attr is None or attr.kind is not NodeKind.ATTRIBUTE_INSTANCE or attr.inst_of is None:
+                    if attr is None or attr.kind is not _A or attr.inst_of is None:
                         continue
                     for value_id in links.values.get(attr_id, ()):
                         value = nodes.get(value_id)

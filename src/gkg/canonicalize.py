@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain, filterfalse, repeat
 from operator import itemgetter
-from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .embedding import tokenize
 from .errors import IdCollisionError
@@ -26,8 +26,7 @@ from .model import (
     PrimitiveRelation,
     ROOT_TYPE,
     TypeHierarchy,
-    _Frozen,
-    _set_field,
+    _equal_to_own_type,
 )
 from .multilingual import LabelTable
 from .schema import (
@@ -64,24 +63,13 @@ _KIND_OF = {ENTITY_NAMESPACE: NodeKind.CONTINUANT, EVENT_NAMESPACE: NodeKind.OCC
             ATTRIBUTE_NAMESPACE: NodeKind.ATTRIBUTE_INSTANCE, VALUE_NAMESPACE: NodeKind.VALUE_LITERAL}
 
 
-class CanonReport(_Frozen):
-    __slots__ = _fields = (
-        "events_created", "events_coalesced", "unmapped_relations", "entity_nodes_created", "value_conflicts"
-    )
-
-    def __init__(
-        self,
-        events_created: int = 0,
-        events_coalesced: int = 0,
-        unmapped_relations: FrozenSet[str] = frozenset(),
-        entity_nodes_created: int = 0,
-        value_conflicts: Tuple[ValueConflict, ...] = (),
-    ):
-        _set_field(self, "events_created", events_created)
-        _set_field(self, "events_coalesced", events_coalesced)
-        _set_field(self, "unmapped_relations", unmapped_relations)
-        _set_field(self, "entity_nodes_created", entity_nodes_created)
-        _set_field(self, "value_conflicts", value_conflicts)
+@_equal_to_own_type
+class CanonReport(NamedTuple):
+    events_created: int = 0
+    events_coalesced: int = 0
+    unmapped_relations: FrozenSet[str] = frozenset()
+    entity_nodes_created: int = 0
+    value_conflicts: Tuple[ValueConflict, ...] = ()
 
     def to_tsv(self) -> str:
         lines = [

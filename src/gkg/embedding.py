@@ -147,8 +147,8 @@ class FileEmbeddingProvider:
             self._vectors[token] = normalized(components)
 
     def token_vector(self, token: str) -> np.ndarray:
-        if not token:
-            raise EmptyTokenError("cannot embed an empty token")
+        # No file token is empty, so an empty token reaches the hash
+        # fallback, which refuses it.
         vector = self._vectors.get(token)
         if vector is None:
             return self._fallback.token_vector(token)

@@ -57,6 +57,7 @@ from .model import (
     _equal_to_own_type,
     _Frozen,
     _id_reader,
+    _NON_TYPE,
     _set_field,
     validate_graph,
 )
@@ -72,12 +73,7 @@ from .schema import (
 
 _RELATIONS = {relation.value: relation for relation in PrimitiveRelation}
 
-_KIND_CODES = {
-    "C": NodeKind.CONTINUANT,
-    "O": NodeKind.OCCURRENT,
-    "A": NodeKind.ATTRIBUTE_INSTANCE,
-    "V": NodeKind.VALUE_LITERAL,
-}
+_KIND_CODES = {kind.value: kind for kind in _NON_TYPE}
 # Each node kind's and relation's field in a record, with the spaces
 # around it.
 _KIND_FIELD = {kind: f" {code} " for code, kind in _KIND_CODES.items()}
@@ -187,7 +183,7 @@ def validate_document(doc: GkgDocument) -> ValidationReport:
         for type_id in sorted(doc.declarations.referenced_types() - doc.hierarchy.types)
     ]
     if extra:
-        report = ValidationReport(tuple(sorted(report.issues + tuple(extra), key=ValidationIssue.sort_key)))
+        report = ValidationReport(tuple(sorted(report.issues + tuple(extra))))
     return report
 
 
@@ -240,10 +236,10 @@ def _first_malformed_line(text: str) -> MalformedLineError:
 
 
 def _relation(text: str, line_no: int) -> PrimitiveRelation:
-    try:
-        return PrimitiveRelation.parse(text)
-    except ValueError as exc:
-        raise GkgSyntaxError(line_no, str(exc)) from None
+    relation = _RELATIONS.get(text)
+    if relation is None:
+        raise GkgSyntaxError(line_no, f"unknown primitive relation: {text!r}")
+    return relation
 
 
 class _DeclarationCollector:

@@ -26,23 +26,19 @@ from .model import (
     GroundedGraph,
     Node,
     NodeId,
-    PrimitiveRelation,
     TypeHierarchy,
     _A,
     _C,
     _equal_to_own_type,
-    _Frozen,
+    _HAS_PROP,
+    _HAS_VALUE,
     _O,
-    _set_field,
     _V,
 )
 from .multilingual import LabelTable
 from .schema import AttrMode, Cardinality, SchemaDeclarations, ValueConflict
 
 _NO_NODE = Node(None, None)  # what a missing node reads as
-# Read once: a loop that reads an enum member from its class pays a slow
-# class attribute lookup on every turn.
-_HAS_PROP, _HAS_VALUE = PrimitiveRelation.HAS_PROP, PrimitiveRelation.HAS_VALUE
 
 
 @_equal_to_own_type
@@ -56,24 +52,14 @@ class UpdateEntry(NamedTuple):
     winner_revision: int
 
 
-class MergeReport(_Frozen):
-    __slots__ = _fields = ("merged", "pairs", "updated", "conflicts", "added_nodes", "added_edges")
-
-    def __init__(
-        self,
-        merged: int = 0,
-        pairs: Tuple[Tuple[NodeId, NodeId], ...] = (),
-        updated: Tuple[UpdateEntry, ...] = (),
-        conflicts: Tuple[ValueConflict, ...] = (),
-        added_nodes: int = 0,
-        added_edges: int = 0,
-    ):
-        _set_field(self, "merged", merged)
-        _set_field(self, "pairs", pairs)
-        _set_field(self, "updated", updated)
-        _set_field(self, "conflicts", conflicts)
-        _set_field(self, "added_nodes", added_nodes)
-        _set_field(self, "added_edges", added_edges)
+@_equal_to_own_type
+class MergeReport(NamedTuple):
+    merged: int = 0
+    pairs: Tuple[Tuple[NodeId, NodeId], ...] = ()
+    updated: Tuple[UpdateEntry, ...] = ()
+    conflicts: Tuple[ValueConflict, ...] = ()
+    added_nodes: int = 0
+    added_edges: int = 0
 
     def to_tsv(self) -> str:
         lines = [f"merged\t{self.merged}"]

@@ -10,9 +10,10 @@ All values are immutable.  A graph is built whole and checked by
 
 The value types' methods are written in the source, since ``dataclasses``
 would generate and compile them in every process that imports gkg: a
-plain record is a ``typing.NamedTuple`` marked with
-:func:`_equal_to_own_type`, and any other value type derives from
-:class:`_Frozen`.
+plain record, whose constructor only stores its fields, is a
+``typing.NamedTuple`` marked with :func:`_equal_to_own_type`.  A value
+type whose constructor checks its input, fills in a default or keeps
+state derives from :class:`_Frozen`.
 """
 
 from __future__ import annotations
@@ -196,13 +197,6 @@ class PrimitiveRelation(str, Enum):
     HAS_VALUE = "hasValue"
     REALIZES = "realizes"
 
-    @classmethod
-    def parse(cls, name: str) -> "PrimitiveRelation":
-        try:
-            return cls(name)
-        except ValueError:
-            raise ValueError(f"unknown primitive relation: {name!r}") from None
-
 
 #: Relations that attach a participant entity to an occurrent.  Only these
 #: may appear as the ``via`` of a role-concept definition.
@@ -225,6 +219,9 @@ _C, _O, _A, _V, _T = (
     NodeKind.VALUE_LITERAL,
     NodeKind.TYPE_NODE,
 )
+# Read once: a loop that reads an enum member from its class pays a slow
+# class attribute lookup on every turn.
+_HAS_PROP, _HAS_VALUE = PrimitiveRelation.HAS_PROP, PrimitiveRelation.HAS_VALUE
 
 #: Admissible (subject kind, object kind) pairs per relation.  The subject
 #: comes first exactly as written in an edge record, so for example a
@@ -292,9 +289,9 @@ class _ForwardLinks:
         for subject, relation, obj in edges:
             if relation in PARTICIPANT_RELATIONS:
                 events_of.setdefault(obj, []).append(subject)
-            elif relation is PrimitiveRelation.HAS_PROP:
+            elif relation is _HAS_PROP:
                 attrs_of.setdefault(obj, []).append(subject)
-            elif relation is PrimitiveRelation.HAS_VALUE:
+            elif relation is _HAS_VALUE:
                 values.setdefault(subject, []).append(obj)
 
 
@@ -456,15 +453,10 @@ class ValidationIssue(NamedTuple):
     context: str
     message: str
 
-    def sort_key(self) -> tuple:
-        return (self.kind.value, self.context, self.message)
 
-
-class ValidationReport(_Frozen):
-    __slots__ = _fields = ("issues",)
-
-    def __init__(self, issues: tuple = ()):
-        _set_field(self, "issues", issues)
+@_equal_to_own_type
+class ValidationReport(NamedTuple):
+    issues: tuple = ()
 
     @property
     def ok(self) -> bool:
@@ -561,7 +553,7 @@ def validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Validation
                     f"{relation.value} does not admit ({subject_node.kind.name}, {object_node.kind.name})",
                 )
 
-    return ValidationReport(tuple(sorted(issues, key=ValidationIssue.sort_key)))
+    return ValidationReport(tuple(sorted(issues)))
 
 
 def infer_role_labels(

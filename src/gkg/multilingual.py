@@ -57,18 +57,15 @@ class LabelTable(_Frozen):
         return LabelTable(new_entries)
 
 
-class LabeledView(_Frozen):
+@_equal_to_own_type
+class LabeledView(NamedTuple):
     """A graph projected into one language: labels for nodes, glosses for
     relations, structure untouched."""
 
-    __slots__ = _fields = ("lang", "node_labels", "edges", "relation_glosses")
-
-    def __init__(self, lang: str, node_labels: Mapping[NodeId, str], edges: frozenset,
-                 relation_glosses: Mapping[PrimitiveRelation, str]):
-        _set_field(self, "lang", lang)
-        _set_field(self, "node_labels", node_labels)
-        _set_field(self, "edges", edges)
-        _set_field(self, "relation_glosses", relation_glosses)
+    lang: str
+    node_labels: Mapping[NodeId, str]
+    edges: frozenset
+    relation_glosses: Mapping[PrimitiveRelation, str]
 
     def to_tsv(self) -> str:
         """Two-column node rows in id order, then three-column labelled edge

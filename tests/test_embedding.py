@@ -240,6 +240,12 @@ class TestFileProvider:
             assert np.array_equal(provider.token_vector(token), fallback.token_vector(token))
         assert np.array_equal(provider.token_vector("london"), [1, 0, 0, 0])
 
+    def test_empty_token_rejected(self, tmp_path):
+        """No file token is empty, so the hash fallback refuses it."""
+        provider = FileEmbeddingProvider(self.write(tmp_path, "london 1 0 0 0\n"), dim=4)
+        with pytest.raises(EmptyTokenError, match=r"^cannot embed an empty token$"):
+            provider.token_vector("")
+
 
 class TestPhrases:
     def test_single_token_short_circuit(self, basis):

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a
 name it never uses, every function, method and class the package
 defines is referenced by the program itself, every name
-``gkg.__all__`` exports exists, once, and ``import gkg.cli`` stays cheap:
+``gkg.__all__`` exports exists, once, a plain record is a ``NamedTuple``,
+and ``import gkg.cli`` stays cheap:
 no class generates its methods at import unless callers need
 ``dataclasses.replace`` on it, and the evaluation suites load only for
 ``gkg eval``."""
@@ -125,6 +126,40 @@ def dataclass_names(tree):
 def test_only_listed_classes_are_dataclasses():
     found = {name for path in PACKAGE for name in dataclass_names(ast.parse(path.read_text(encoding="utf-8")))}
     assert found <= DATACLASSES, f"dataclasses outside the list: {', '.join(sorted(found - DATACLASSES))}"
+
+
+def stores_own_parameter(statement, params) -> bool:
+    """Whether the statement is ``_set_field(self, "x", x)`` for one of the
+    parameters."""
+    match statement:
+        case ast.Expr(ast.Call(ast.Name("_set_field"), [ast.Name("self"), ast.Constant(field), ast.Name(value)], [])):
+            return field == value and value in params
+    return False
+
+
+def plain_record_names(tree):
+    """Names of the ``_Frozen`` subclasses whose ``__init__``, docstring
+    aside, only stores its own parameters with ``_set_field``: records
+    that need no constructor of their own."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or not any(
+            isinstance(base, ast.Name) and base.id == "_Frozen" for base in cls.bases
+        ):
+            continue
+        for init in cls.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                params = {arg.arg for arg in init.args.args[1:] + init.args.kwonlyargs}
+                body = init.body[1:] if ast.get_docstring(init) is not None else init.body
+                if body and all(stores_own_parameter(statement, params) for statement in body):
+                    yield cls.name
+
+
+def test_plain_records_are_named_tuples():
+    """``_Frozen`` is for value types whose constructor checks its input,
+    fills in a default or keeps state; a plain record is an
+    ``_equal_to_own_type`` ``NamedTuple`` (see ``gkg.model``)."""
+    found = sorted(name for path in PACKAGE for name in plain_record_names(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not found, f"plain records written as _Frozen classes: {', '.join(found)}"
 
 
 def test_cli_import_leaves_the_evaluation_suites_unloaded():

@@ -204,6 +204,14 @@ class TestValueTypes:
         assert min(edges) == min(edges, key=edge_text_key)
         assert max(edges) == max(edges, key=edge_text_key)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(ValidationIssue, st.sampled_from(IssueKind), st.text("ab:", max_size=3),
+                              st.text("ab ", max_size=3)), max_size=12))
+    def test_issues_sort_by_kind_value_context_and_message(self, issues):
+        """``IssueKind`` is a ``str`` enum, which compares by its value, not
+        in member order, so issues sort as this key orders them."""
+        assert sorted(issues) == sorted(issues, key=lambda issue: (issue.kind.value, issue.context, issue.message))
+
 
 _EVENT = NodeId("ev", "Birth#1")
 _PLACE = NodeId("t", "Place")
@@ -680,7 +688,7 @@ def oracle_validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Val
                 f"({subject_node.kind.name}, {object_node.kind.name})",
             )
 
-    return ValidationReport(tuple(sorted(issues, key=ValidationIssue.sort_key)))
+    return ValidationReport(tuple(sorted(issues, key=lambda issue: (issue.kind.value, issue.context, issue.message))))
 
 
 _C1, _C2 = NodeId("x", "c1"), NodeId("x", "c2")
