@@ -129,7 +129,6 @@ def canonicalize_document(
     types.update(declarations.referenced_types())
     types.update(entity_types.values())
     hierarchy = TypeHierarchy.from_edges((t, None) for t in sorted(types))
-    type_nodes = {t: Node(t, NodeKind.TYPE_NODE) for t in hierarchy.types}
 
     # Group the mapped triples by rule, each group in input order.  Each
     # distinct relation spelling is tokenized once.
@@ -195,7 +194,7 @@ def canonicalize_document(
     # local part, "#" and hex digits pass NodeId's checks, and str.__new__
     # and tuple.__new__ build the same objects.
     new_tuple = tuple.__new__
-    nodes = dict(type_nodes)
+    nodes: dict = {}
     ids_of: dict = {}  # (namespace, type) -> {text: id}
     for table, distinct in table_texts.items():
         namespace, type_id = table
@@ -209,9 +208,9 @@ def canonicalize_document(
     # Every id is new unless two texts or two tables share it, or it is a
     # hierarchy type's.  Then the triples are walked in input order to
     # name the first two facts on one id.
-    if len(nodes) != len(type_nodes) + sum(map(len, ids_of.values())):
+    if len(nodes) != sum(map(len, ids_of.values())) or not nodes.keys().isdisjoint(hierarchy.types):
         plan_of = {spelling: plans[rule] for spelling, rule in rule_of.items() if rule is not None}
-        raise _first_collision(triples, plan_of, ids_of, type_nodes, entity_types)
+        raise _first_collision(triples, plan_of, ids_of, hierarchy.types, entity_types)
 
     # Each rule's edges from its columns.
     entities = ids_of[_ENTITIES]
@@ -265,13 +264,13 @@ def canonicalize_document(
 
 
 def _first_collision(
-    triples: Tuple[FlatTriple, ...], plan_of: dict, ids_of: dict, type_nodes: dict, entity_types: dict
+    triples: Tuple[FlatTriple, ...], plan_of: dict, ids_of: dict, types: FrozenSet[NodeId], entity_types: dict
 ) -> IdCollisionError:
     """The error for the first id that two facts claim, in the order the
     triples claim ids: subject, event, then the object entity or the value
     and the attribute.  ``ids_of`` must hold such an id."""
     key_texts: dict = {}  # id -> the label or key text it hashes
-    held = dict(type_nodes)
+    held = {type_id: Node(type_id, NodeKind.TYPE_NODE) for type_id in types}
     for subject, spelling, obj in triples:
         plan = plan_of.get(spelling)
         if plan is None:

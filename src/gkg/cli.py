@@ -24,20 +24,13 @@ from .alignment import (
 from .canonicalize import canonicalize_document
 from .embedding import DEFAULT_DIM, DEFAULT_SEED, DEFAULT_TRIALS, FileEmbeddingProvider, HashEmbeddingProvider
 from .errors import GkgError, GkgSyntaxError, InvalidParameterError, ValidationFailedError
-from .formats import GkgDocument, parse_flat, parse_gkg, parse_rules, serialize_gkg
+from .formats import GkgDocument, _read_text, parse_flat, parse_gkg, parse_rules, serialize_gkg
 from .merge import merge_documents, union_hierarchies
 from .multilingual import check_isomorphic, render
 
 
 def _read(path: str) -> str:
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise GkgSyntaxError(data.count(b"\n", 0, exc.start) + 1, f"{path} is not UTF-8 text") from None
-    # A leading byte-order mark marks the encoding; it is no part of the text.
-    return text.removeprefix("\ufeff")
+    return _read_text(path, GkgSyntaxError)
 
 
 def _load_document(path: str) -> GkgDocument:

@@ -12,7 +12,6 @@ additive scheme whose blind spots the evaluation commands demonstrate.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 import sys
@@ -90,24 +89,18 @@ class FileEmbeddingProvider:
     """Exact-lookup vectors from a plain-text file.
 
     Format: an optional ``count dim`` header line, then one token followed
-    by ``dim`` numbers per line, whitespace-separated.  Vectors are
-    L2-normalized on load.  Lookups that miss fall back to a hash provider
-    seeded with ``fallback_seed``.
+    by ``dim`` numbers per line, whitespace-separated; lines end where
+    ``str.splitlines`` ends them.  Vectors are L2-normalized on load.
+    Lookups that miss fall back to a hash provider seeded with
+    ``fallback_seed``.
     """
 
     def __init__(self, path, dim: int = DEFAULT_DIM, fallback_seed: int = 0):
         self.dim = _checked_dim(dim)
         self._fallback = HashEmbeddingProvider(fallback_seed, dim)
         self._vectors: dict = {}
-        with open(path, "rb") as handle:
-            data = handle.read()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise VectorFileError(data.count(b"\n", 0, exc.start) + 1, f"{path} is not UTF-8 text") from None
-        # Lines as a text-mode file yields them (universal newlines), after
-        # a leading byte-order mark, which is no part of the first token.
-        self._load(io.StringIO(text.removeprefix("\ufeff"), newline=None))
+        from .formats import _read_text  # formats imports this module
+        self._load(_read_text(path, VectorFileError).splitlines())
 
     def _load(self, lines: Iterable[str]) -> None:
         first_data_line = True

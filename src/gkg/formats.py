@@ -123,10 +123,11 @@ class FlatTriple(_FlatFields):
 class GkgDocument(_Frozen):
     """A hierarchy, a graph, display labels and schema declarations.
 
-    On construction the graph is synchronized with the hierarchy: every
-    hierarchy type gains a type node in the graph, and a graph type node
-    that the hierarchy does not know is rejected.  Missing labels and
-    declarations are empty ones.
+    On construction the graph is synchronized with the hierarchy, and
+    only here are type nodes made: every hierarchy type the graph lacks
+    gains one, a graph type node the hierarchy does not know is rejected,
+    and then a node of another kind on a hierarchy type (the smallest such
+    id is named).  Missing labels and declarations are empty ones.
     """
 
     __slots__ = _fields = ("hierarchy", "graph", "labels", "declarations")
@@ -139,30 +140,22 @@ class GkgDocument(_Frozen):
         declarations: Optional[SchemaDeclarations] = None,
     ):
         nodes = graph.nodes
+        types = hierarchy.types
         type_node = NodeKind.TYPE_NODE
-        missing, collisions, present = [], [], 0
-        for type_id in hierarchy.types:
-            existing = nodes.get(type_id)
-            if existing is None:
-                missing.append(type_id)
-            elif existing.kind is type_node:
-                present += 1
-            else:
-                collisions.append(type_id)
-        # Type nodes are counted, not walked: one lies outside the hierarchy
-        # exactly when the graph holds more type nodes than the hierarchy
-        # types it holds as type nodes.  Only then are the nodes walked, to
-        # name the first stray one.
-        if countOf(map(itemgetter(1), nodes.values()), type_node) != present:
+        held = types & nodes.keys()
+        collisions = [type_id for type_id in held if nodes[type_id].kind is not type_node]
+        # Type nodes are counted, not walked: one is stray exactly when the
+        # graph holds more type nodes than hierarchy types held as type
+        # nodes.  Only then are the nodes walked, to name the first.
+        if countOf(map(itemgetter(1), nodes.values()), type_node) != len(held) - len(collisions):
             for node_id, (_, kind, _, _) in nodes.items():
-                if kind is type_node and node_id not in hierarchy.types:
+                if kind is type_node and node_id not in types:
                     raise ValueError(f"graph type node {node_id} is absent from the hierarchy")
         if collisions:
-            raise ValueError(f"node {collisions[0]} collides with a hierarchy type")
-        if missing:
+            raise ValueError(f"node {min(collisions)} collides with a hierarchy type")
+        if len(held) != len(types):
             nodes = dict(nodes)
-            for type_id in missing:
-                nodes[type_id] = Node(type_id, NodeKind.TYPE_NODE)
+            nodes.update((type_id, Node(type_id, type_node)) for type_id in types - held)
             graph = GroundedGraph(nodes, graph.edges, graph.source_id, graph.revision)
         _set_field(self, "hierarchy", hierarchy)
         _set_field(self, "graph", graph)
@@ -185,6 +178,22 @@ def validate_document(doc: GkgDocument) -> ValidationReport:
     if extra:
         report = ValidationReport(tuple(sorted(report.issues + tuple(extra))))
     return report
+
+
+def _read_text(path, error) -> str:
+    """The text of the UTF-8 file at ``path``, after a leading byte-order
+    mark, which marks the encoding and is no part of the text.  A byte that
+    is not UTF-8 raises ``error``, a :class:`GkgSyntaxError` class, with the
+    line of the byte as ``str.splitlines`` counts the lines."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "?" stands for the bad byte, so a line end just before it starts its line.
+        line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise error(line_no, f"{path} is not UTF-8 text") from None
+    return text.removeprefix("\ufeff")
 
 
 # Patterns over "\n" + the lines joined by "\n" + "\n".  A blank or
@@ -324,7 +333,8 @@ def parse_gkg(text: str) -> GkgDocument:
 
     Malformed lines raise :class:`GkgSyntaxError` with the line number;
     well-formed text whose graph breaks the typing discipline raises
-    :class:`ValidationFailedError` carrying the full report.
+    :class:`ValidationFailedError` carrying :func:`validate_graph`'s full
+    report.  :class:`GkgDocument` adds the type nodes to the N records'.
     """
     type_pairs: list = []
     nodes: dict = {}  # node records, in record order
@@ -433,21 +443,17 @@ def parse_gkg(text: str) -> GkgDocument:
         issue = ValidationIssue(IssueKind.HIERARCHY_MISMATCH, "hierarchy", str(exc))
         raise ValidationFailedError(ValidationReport((issue,))) from None
 
-    types = hierarchy.types
-    collisions = types & nodes.keys()
+    collisions = hierarchy.types & nodes.keys()
     if collisions:
         # Only this error needs an N record's line number: find the first.
         for line_no, line in _content_lines(text):
             fields = line.split(None, 2)
             if fields[0] == "N" and ids[fields[1]] in collisions:
                 raise GkgSyntaxError(line_no, f"node {fields[1]} collides with a declared type")
-    graph_nodes: dict = {type_id: Node(type_id, NodeKind.TYPE_NODE) for type_id in types}
-    graph_nodes.update(nodes)
-
-    graph = GroundedGraph(graph_nodes, frozenset(edge_records), source_id, revision)
-    labels = LabelTable(label_entries)
-    doc = GkgDocument(hierarchy, graph, labels, schema)
-    report = validate_document(doc)
+    graph = GroundedGraph(nodes, frozenset(edge_records), source_id, revision)
+    doc = GkgDocument(hierarchy, graph, LabelTable(label_entries), schema)
+    # Every declared type is registered above, so the graph's check is the document's.
+    report = validate_graph(doc.graph, hierarchy)
     if not report.ok:
         raise ValidationFailedError(report)
     return doc

@@ -123,18 +123,17 @@ class TestUndecodableInput:
     """A byte that is not UTF-8 in any input file gives exit 2 and one
     ``gkg:`` line naming the file and the line of the byte."""
 
-    @pytest.mark.parametrize(
-        "argv, good",
-        [
-            (["validate", "{bad}"], "a.gkg"),
-            (["canonicalize", "--rules", "{bad}", "--flat", "{ws}/a.flat"], "rules.rules"),
-            (["canonicalize", "--rules", "{ws}/rules.rules", "--flat", "{bad}"], "a.flat"),
-            (["align", "{ws}/a.gkg", "{bad}"], "a.gkg"),
-            (["align", "{ws}/a.gkg", "{ws}/a.gkg", "--provider", "file", "--vectors", "{bad}", "--dim", "3"],
-             "vectors.txt"),
-            (["merge", "{ws}/a.gkg", "{ws}/a.gkg", "--alignment", "{bad}"], "aa.align"),
-        ],
-    )
+    READERS = [
+        (["validate", "{bad}"], "a.gkg"),
+        (["canonicalize", "--rules", "{bad}", "--flat", "{ws}/a.flat"], "rules.rules"),
+        (["canonicalize", "--rules", "{ws}/rules.rules", "--flat", "{bad}"], "a.flat"),
+        (["align", "{ws}/a.gkg", "{bad}"], "a.gkg"),
+        (["align", "{ws}/a.gkg", "{ws}/a.gkg", "--provider", "file", "--vectors", "{bad}", "--dim", "3"],
+         "vectors.txt"),
+        (["merge", "{ws}/a.gkg", "{ws}/a.gkg", "--alignment", "{bad}"], "aa.align"),
+    ]
+
+    @pytest.mark.parametrize("argv, good", READERS)
     def test_exit_2_names_the_file(self, workspace, capsys, argv, good):
         """The bad file is a good one with a comment line holding 0xff."""
         canonicalize(workspace, "a.flat", "a.gkg")
@@ -148,6 +147,20 @@ class TestUndecodableInput:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"gkg: line {lines}: {target} is not UTF-8 text\n"
+
+    @pytest.mark.parametrize("line_end", ["\r", "\r\n", "\u0085", "\u2028"])
+    @pytest.mark.parametrize("argv", [argv for argv, _ in READERS])
+    def test_line_is_counted_as_splitlines_counts(self, workspace, capsys, argv, line_end):
+        """Every reader splits its text with ``str.splitlines``, so the
+        named line counts each line end it breaks at, not only ``\\n``."""
+        canonicalize(workspace, "a.flat", "a.gkg")
+        capsys.readouterr()
+        target = workspace / "bad.txt"
+        target.write_bytes(line_end.encode("utf-8").join([b"# one", b"# two", b"# \xff", b""]))
+        code = main([arg.format(ws=workspace, bad=target) for arg in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"gkg: line 3: {target} is not UTF-8 text\n"
 
 
 class TestByteOrderMark:

@@ -191,8 +191,11 @@ class TestFileProvider:
         for i, row in enumerate(rows):
             assert np.array_equal(provider.token_vector(f"t{i}"), normalized(row))
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\f", "\u2028"])
     def test_newline_conventions_and_line_numbers(self, tmp_path, newline):
+        """Rows end where ``str.splitlines`` ends lines, as in every other
+        input file: a form feed or U+2028 once left one row with too many
+        components."""
         text = newline.join(["2 4", "london 1 0 0 0", "paris 0 1 0 0", "short 1", ""])
         path = tmp_path / "vectors.txt"
         path.write_bytes(text.encode("utf-8"))
@@ -204,10 +207,11 @@ class TestFileProvider:
 
     def test_undecodable_byte_carries_line(self, tmp_path):
         path = tmp_path / "vectors.txt"
-        path.write_bytes(b"london 1 0 0 0\nparis\xff 0 1 0 0\n")
-        with pytest.raises(VectorFileError, match="is not UTF-8 text") as exc:
-            FileEmbeddingProvider(path, dim=4)
-        assert exc.value.line_no == 2
+        for newline in b"\n", b"\r":
+            path.write_bytes(b"london 1 0 0 0" + newline + b"paris\xff 0 1 0 0" + newline)
+            with pytest.raises(VectorFileError, match="is not UTF-8 text") as exc:
+                FileEmbeddingProvider(path, dim=4)
+            assert exc.value.line_no == 2
 
     @pytest.mark.parametrize("header", ["", "2 4\n"])
     def test_leading_byte_order_mark_is_dropped(self, tmp_path, header):

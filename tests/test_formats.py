@@ -1,9 +1,12 @@
 """Flat-triple, document and rule parsing plus canonical serialization."""
 
 import copy
+import os
 import pickle
 import re
 import string
+import subprocess
+import sys
 from collections import namedtuple
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gkg
 from gkg import (
     DuplicateRuleError,
     FlatTriple,
@@ -1031,6 +1035,36 @@ class TestGkgDocument:
         graph = GroundedGraph({ROOT_TYPE: Node(ROOT_TYPE, NodeKind.CONTINUANT, ROOT_TYPE)})
         with pytest.raises(ValueError, match=r"^node core:Entity collides with a hierarchy type$"):
             GkgDocument(TypeHierarchy.from_edges(()), graph)
+
+    def test_collision_names_the_smallest_id_under_any_hash_seed(self):
+        """Of several ids that collide, the smallest is named, whatever
+        order ``PYTHONHASHSEED`` gives the hierarchy's type set."""
+        code = (
+            "from gkg.formats import GkgDocument\n"
+            "from gkg.model import GroundedGraph, Node, NodeId, NodeKind, ROOT_TYPE, TypeHierarchy\n"
+            "ids = [NodeId('t', name) for name in 'ABC']\n"
+            "graph = GroundedGraph({i: Node(i, NodeKind.CONTINUANT, ROOT_TYPE) for i in ids})\n"
+            "try:\n"
+            "    GkgDocument(TypeHierarchy.from_edges((i, None) for i in ids), graph)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(gkg.__file__).resolve().parents[1])
+        messages = [
+            subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                           check=True, capture_output=True, text=True).stdout
+            for seed in "1234"
+        ]
+        assert messages == ["node t:A collides with a hierarchy type\n"] * 4
+
+    def test_parsed_document_holds_exactly_its_hierarchy_types_as_type_nodes(self):
+        """Declared, referenced and declaration-only types alike become type
+        nodes, and no other node is one."""
+        doc = parse_gkg("T ex:Person -\nN ex:a C ex:Person\nN ex:b C ex:Place\nESSENTIAL ex:Birth\n")
+        type_ids = {NodeId.parse(text) for text in ("core:Entity", "ex:Person", "ex:Place", "ex:Birth")}
+        assert doc.hierarchy.types == type_ids
+        assert {node_id for node_id, node in doc.graph.nodes.items() if node.kind is NodeKind.TYPE_NODE} == type_ids
+        assert all(doc.graph.nodes[type_id] == Node(type_id, NodeKind.TYPE_NODE) for type_id in type_ids)
 
 
 class TestSerializeGkg:
