@@ -32,11 +32,14 @@ left them, so equal digests across checkouts show
 byte-identical output without a diff.  With ``--repeat N`` each size runs N times and
 the median time and largest RSS are kept.  ``--src`` names the ``src``
 directory of each checkout to probe (default: this one's), so several
-versions are probed with one generator.  Within each repeat the
+versions are probed with one generator.  Each is copied into the run's
+directory as ``src0``, ``src1``, ... and the copy is probed, so every
+checkout runs from a path of one length (peak RSS moves with the length
+of the path); each record still names the ``--src`` it was given.  Within each repeat the
 checkouts run one after another, in reverse order every other repeat, so
 an A/B comparison sees one machine speed rather than two.  Inputs,
 outputs and the bytecode cache live in one temporary directory under
-``.bench_work/``, so a probed ``src`` is left without a ``__pycache__``.
+``.bench_work/``, so a probed ``src`` is left untouched.
 
 This is a probe, not a benchmark: it checks no output but the
 isocheck's verdict and gates nothing.
@@ -51,6 +54,7 @@ import importlib.util
 import json
 import os
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -191,8 +195,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="scale_probe_", dir=WORK) as tmp:
         run_dir = Path(tmp)
         envs = {}
-        for src in args.src:
-            env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+        for k, src in enumerate(args.src):
+            copy = run_dir / f"src{k}"
+            shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+            env = dict(os.environ, PYTHONPATH=str(copy))
             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
                 env[name] = "1"
             # Let the untimed import below write the bytecode that every timed

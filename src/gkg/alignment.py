@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +45,8 @@ DEFAULT_AMBIGUITY_BAND = 0.02
 # Screened scores differ from exact ones by rounding only (about 1e-15);
 # the screen keeps every pair within this slack of its cut-off.
 _SCREEN_SLACK = 1e-9
+# Rows of A screened at once against one group of B.
+_TILE = 256
 
 
 def fact_slot_key(event_type: NodeId, attr_type: NodeId) -> str:
@@ -159,7 +161,7 @@ class _Signer:
 
         slots[SLOT_NAME] = self.phrase_vector(_phrase(self.labels, node.id, self.config.pivot_lang))
 
-        if node.inst_of is not None and node.inst_of in hierarchy:
+        if node.inst_of in hierarchy:
             slots[SLOT_TYPE] = self.type_vector(node.inst_of)
 
         for essential in self.essentials:
@@ -168,7 +170,7 @@ class _Signer:
                 event = nodes.get(event_id)
                 if event is None or event.kind is not _O:
                     continue
-                if event.inst_of is None or event.inst_of not in hierarchy:
+                if event.inst_of not in hierarchy:
                     continue
                 if essential not in hierarchy.ancestors(event.inst_of):
                     continue
@@ -254,14 +256,13 @@ def align(
     A rival stays free, so it may still match or be contested later.
     Rows are grouped by A id.
 
-    Every pair is screened with one matrix product per slot key
-    (:func:`_screen_scores`), which gives each score up to rounding.  Only
-    pairs screened at or above ``threshold - ambiguity_band`` are checked
-    for type compatibility, once per pair of types, and only compatible
-    ones are rescored with :func:`signature_similarity`; only those exact
-    scores decide or appear in the result.  A pair screened out lies more
-    than the band below the threshold, so it can neither match, nor bring
-    a margin under the band, nor be listed as a rival.
+    Pairs are screened by :func:`_near_pairs`, which gives each score up
+    to rounding.  Only type-compatible pairs screened at or above
+    ``threshold - ambiguity_band`` are rescored with
+    :func:`signature_similarity`; only those exact scores decide or appear
+    in the result.  A pair screened out lies more than the band below the
+    threshold, so it can neither match, nor bring a margin under the band,
+    nor be listed as a rival.
     """
     phrases: Dict[str, np.ndarray] = {}
     signer_a = _Signer(graph_a, hierarchy, labels_a, config, phrases)
@@ -275,26 +276,18 @@ def align(
     ids_b = [n.id for n in conts_b]
 
     floor = config.threshold - config.ambiguity_band - _SCREEN_SLACK
-    near = _screen_scores(sigs_a, sigs_b) >= floor
-
-    known, ancestors = hierarchy.types, hierarchy.ancestors
-    compatible: Dict[tuple, bool] = {}
     cand_a: Dict[int, list] = {}
     cand_b: Dict[int, list] = {}
     ordered = []
-    for i, j in zip(*(axis.tolist() for axis in np.nonzero(near))):
-        types = (conts_a[i].inst_of, conts_b[j].inst_of)
-        if types not in compatible:
-            ta, tb = types
-            compatible[types] = ta in known and tb in known and (tb in ancestors(ta) or ta in ancestors(tb))
-        if not compatible[types]:
-            continue
+    for i, j in _near_pairs(conts_a, sigs_a, conts_b, sigs_b, hierarchy, floor):
         value = signature_similarity(sigs_a[i], sigs_b[j])
         cand_a.setdefault(i, []).append((j, value))
         cand_b.setdefault(j, []).append((i, value))
         if value >= config.threshold:
             ordered.append((value, i, j))
-    ordered.sort(key=lambda t: (-t[0], min(ids_a[t[1]], ids_b[t[2]]), max(ids_a[t[1]], ids_b[t[2]])))
+    # Pairs tie on (score, ids) only as crossed twins (x, y) and (y, x):
+    # the A index orders them as a row-major walk over all pairs would.
+    ordered.sort(key=lambda t: (-t[0], min(ids_a[t[1]], ids_b[t[2]]), max(ids_a[t[1]], ids_b[t[2]]), t[1]))
 
     band = config.ambiguity_band
     free_a = set(range(len(conts_a)))
@@ -341,40 +334,44 @@ def _best_alternative(candidates, excluded: int, free: set) -> float:
     return best
 
 
-def _unit_rows(sigs: Sequence[EntitySignature], key: str):
-    """Which signatures hold ``key``, and a stack of their ``key`` vectors
-    scaled to unit length once, with zero rows for the others (None when
-    no signature holds it).  A vector with a non-finite component gets a
-    zero row: its cosine with anything is non-finite, which counts 0."""
-    present = np.array([key in sig.slots for sig in sigs], dtype=bool)
-    if not present.any():
-        return present, None
-    vectors = np.array([sig.slots[key] for sig in sigs if key in sig.slots], dtype=np.float64)
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    stack = np.zeros((len(sigs), vectors.shape[1]), dtype=np.float64)
-    stack[present] = vectors / np.where(norms == 0.0, 1.0, norms)
-    stack[~np.isfinite(stack).all(axis=1)] = 0.0
-    return present, stack
+def _near_pairs(conts_a, sigs_a, conts_b, sigs_b, hierarchy: TypeHierarchy, floor: float):
+    """Each type-compatible pair (i, j) whose :func:`signature_similarity`
+    screens at or above ``floor``, by groups of one inst type and one slot
+    key set.  A group pair is skipped when neither type is a subtype of the
+    other, or when its shared over its union keys fall below ``floor``: a
+    clamped cosine is at most 1.  Otherwise, ``_TILE`` A rows at a time, the
+    shared keys in sorted order each add one product of unit-row stacks,
+    clamped, and the union is the denominator, as in the exact score.  A
+    row with a non-finite component is zeroed: its cosine counts 0."""
 
+    def groups(conts, sigs):
+        members: Dict[tuple, list] = {}
+        for index, (node, sig) in enumerate(zip(conts, sigs)):
+            if node.inst_of in hierarchy:
+                members.setdefault((node.inst_of, frozenset(sig.slots)), []).append(index)
+        for (type_id, keys), rows in members.items():
+            units = {}
+            for key in keys:
+                vectors = np.array([sigs[index].slots[key] for index in rows], dtype=np.float64)
+                norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+                unit = units[key] = vectors / np.where(norms == 0.0, 1.0, norms)
+                unit[~np.isfinite(unit).all(axis=1)] = 0.0
+            yield type_id, keys, rows, units
 
-def _screen_scores(sigs_a: Sequence[EntitySignature], sigs_b: Sequence[EntitySignature]) -> np.ndarray:
-    """:func:`signature_similarity` of every pair, up to rounding.
-
-    Per slot key, in the sorted key order the exact score uses, the
-    clamped cosines of all pairs come from one product of unit-row stacks;
-    a key on one side only adds 0 to the numerator and 1 to the
-    denominator.  Non-finite cosines count as 0, as in :func:`cosine`:
-    :func:`_unit_rows` zeroes the rows that would give them.
-    """
-    numerator = np.zeros((len(sigs_a), len(sigs_b)), dtype=np.float64)
-    denominator = np.zeros_like(numerator)
-    for key in sorted({key for sig in (*sigs_a, *sigs_b) for key in sig.slots}):
-        has_a, unit_a = _unit_rows(sigs_a, key)
-        has_b, unit_b = _unit_rows(sigs_b, key)
-        denominator += has_a[:, None] | has_b[None, :]
-        if unit_a is not None and unit_b is not None:
-            numerator += np.clip(unit_a @ unit_b.T, 0.0, 1.0)
-    return np.divide(numerator, denominator, out=np.zeros_like(numerator), where=denominator > 0.0)
+    groups_b = list(groups(conts_b, sigs_b))
+    for type_a, keys_a, rows_a, units_a in groups(conts_a, sigs_a):
+        for type_b, keys_b, rows_b, units_b in groups_b:
+            union = len(keys_a | keys_b)
+            compatible = type_b in hierarchy.ancestors(type_a) or type_a in hierarchy.ancestors(type_b)
+            if not compatible or len(keys_a & keys_b) / union < floor:
+                continue
+            for start in range(0, len(rows_a), _TILE):
+                tile = rows_a[start:start + _TILE]
+                numerator = np.zeros((len(tile), len(rows_b)), dtype=np.float64)
+                for key in sorted(keys_a & keys_b):
+                    numerator += np.clip(units_a[key][start:start + _TILE] @ units_b[key].T, 0.0, 1.0)
+                for i, j in zip(*(axis.tolist() for axis in np.nonzero(numerator / union >= floor))):
+                    yield tile[i], rows_b[j]
 
 
 def format_alignment_tsv(result: AlignmentResult) -> str:

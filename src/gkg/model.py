@@ -593,7 +593,7 @@ def infer_role_labels(
             if not hierarchy.is_subtype(occurrent_type, role_def.occurrent_type):
                 continue
             node = graph.nodes.get(participant)
-            if node is None or node.inst_of is None or node.inst_of not in hierarchy:
+            if node is None or node.inst_of not in hierarchy:
                 continue
             if hierarchy.is_subtype(node.inst_of, role_def.base_type):
                 pairs.add((participant, role_def.role_name))

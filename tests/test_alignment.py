@@ -38,7 +38,7 @@ from gkg import (
     tokenize,
     union_hierarchies,
 )
-from gkg.alignment import _ordered_result, _screen_scores
+from gkg.alignment import _SCREEN_SLACK, _near_pairs, _ordered_result
 from gkg.embedding import embed_phrase, normalized
 from gkg.evaluation import BIRTH_TYPE, DEMO_RULES_TEXT, HUMAN_TYPE, demo_document
 from gkg.formats import _content_lines
@@ -435,6 +435,14 @@ class TestFlatBaseline:
         assert cosine(base, reworded) == pytest.approx(cosine(base, refacted), abs=1e-12)
 
 
+def compatible(hierarchy, node_a, node_b):
+    """One inst type a subtype of the other, both known."""
+    ta, tb = node_a.inst_of, node_b.inst_of
+    if ta is None or tb is None or ta not in hierarchy or tb not in hierarchy:
+        return False
+    return hierarchy.is_subtype(ta, tb) or hierarchy.is_subtype(tb, ta)
+
+
 def oracle_align(graph_a, graph_b, hierarchy, labels_a, labels_b, cfg):
     """All-pairs reference for :func:`align`: every type-compatible pair is
     scored with ``signature_similarity`` and the greedy matching runs over
@@ -446,18 +454,12 @@ def oracle_align(graph_a, graph_b, hierarchy, labels_a, labels_b, cfg):
     sigs_a = {n.id: entity_signature(graph_a, hierarchy, labels_a, n.id, cfg) for n in conts_a}
     sigs_b = {n.id: entity_signature(graph_b, hierarchy, labels_b, n.id, cfg) for n in conts_b}
 
-    def compatible(node_a, node_b):
-        ta, tb = node_a.inst_of, node_b.inst_of
-        if ta is None or tb is None or ta not in hierarchy or tb not in hierarchy:
-            return False
-        return hierarchy.is_subtype(ta, tb) or hierarchy.is_subtype(tb, ta)
-
     scores = {}
     cand_a = {n.id: [] for n in conts_a}
     cand_b = {n.id: [] for n in conts_b}
     for node_a in conts_a:
         for node_b in conts_b:
-            if not compatible(node_a, node_b):
+            if not compatible(hierarchy, node_a, node_b):
                 continue
             score = signature_similarity(sigs_a[node_a.id], sigs_b[node_b.id])
             scores[(node_a.id, node_b.id)] = score
@@ -576,29 +578,70 @@ settings_kw = st.floats(0.05, 1.0).flatmap(
 )
 
 
+def signed(doc, hierarchy, cfg):
+    """A document's continuants and their signatures, in one order."""
+    conts = list(doc.graph.continuants())
+    return conts, [entity_signature(doc.graph, hierarchy, doc.labels, n.id, cfg) for n in conts]
+
+
 class TestAlignAgainstOracle:
     """``align`` screens pairs with matrix products and rescores only the
     pairs near the threshold; the result must equal the all-pairs loop's."""
 
-    @given(doc_pairs, providers, settings_kw)
+    @given(doc_pairs, providers, settings_kw, st.sampled_from((gkg.alignment._TILE, 1, 2)))
     @settings(max_examples=150, deadline=None)
-    def test_equals_all_pairs_oracle(self, pair, provider, kw):
-        got, want = both_aligners(*pair, provider=provider, **kw)
+    def test_equals_all_pairs_oracle(self, pair, provider, kw, tile):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gkg.alignment, "_TILE", tile)
+            got, want = both_aligners(*pair, provider=provider, **kw)
         assert got == want
 
     @given(doc_pairs, providers, settings_kw)
     @settings(max_examples=60, deadline=None)
     def test_screen_tracks_exact_scores(self, pair, provider, kw):
+        """``_near_pairs`` yields each compatible pair at most once, none
+        below the floor but for rounding, and every one above it."""
         doc_a, doc_b = pair
         hierarchy, cfg = joint_setup(doc_a, doc_b, provider, **kw)
-        sigs_a = [entity_signature(doc_a.graph, hierarchy, doc_a.labels, n.id, cfg)
-                  for n in doc_a.graph.continuants()]
-        sigs_b = [entity_signature(doc_b.graph, hierarchy, doc_b.labels, n.id, cfg)
-                  for n in doc_b.graph.continuants()]
-        screen = _screen_scores(sigs_a, sigs_b)
-        exact = np.array([[signature_similarity(a, b) for b in sigs_b] for a in sigs_a])
-        assert screen.shape == (len(sigs_a), len(sigs_b))
-        assert np.abs(screen - exact.reshape(screen.shape)).max(initial=0.0) < 1e-12
+        conts_a, sigs_a = signed(doc_a, hierarchy, cfg)
+        conts_b, sigs_b = signed(doc_b, hierarchy, cfg)
+        floor = cfg.threshold - cfg.ambiguity_band - _SCREEN_SLACK
+        near = list(_near_pairs(conts_a, sigs_a, conts_b, sigs_b, hierarchy, floor))
+        assert len(near) == len(set(near))
+        for i, j in near:
+            assert compatible(hierarchy, conts_a[i], conts_b[j])
+            assert signature_similarity(sigs_a[i], sigs_b[j]) >= floor - 1e-12
+        for i, node_a in enumerate(conts_a):
+            for j, node_b in enumerate(conts_b):
+                if compatible(hierarchy, node_a, node_b) and signature_similarity(sigs_a[i], sigs_b[j]) >= floor + 1e-12:
+                    assert (i, j) in near
+
+    def test_one_key_set_over_several_tiles(self, monkeypatch):
+        """Every continuant has one type and one slot key set, so the
+        grouping skips nothing and the screen runs over three tiles."""
+        monkeypatch.setattr(gkg.alignment, "_TILE", 3)
+        doc = people_document([(name, "London", DATES[0]) for name in NAMES])
+        hierarchy, cfg = joint_setup(doc, doc, BasisProvider(64))
+        conts, sigs = signed(doc, hierarchy, cfg)
+        assert len({node.inst_of for node in conts}) == len({frozenset(sig.slots) for sig in sigs}) == 1
+        for kw in ({}, {"threshold": 0.5, "ambiguity_band": 0.3}):
+            got, want = both_aligners(doc, doc, **kw)
+            assert got == want
+            assert got.ambiguous
+
+    def test_pair_order_does_not_reach_the_result(self, monkeypatch):
+        """x and y swap labels between the documents, so (x, y) and (y, x)
+        tie at 1.0 and each is the other's rival within the band.  The
+        greedy order of such crossed twins is fixed by the A index, not by
+        the order in which the screen yields them."""
+        words = " ".join(f"w{k}" for k in range(9))
+        doc_a = parse_gkg(f"N ex:x C core:Thing\nL ex:x en {words} p\nN ex:y C core:Thing\nL ex:y en {words} q\n")
+        doc_b = parse_gkg(f"N ex:x C core:Thing\nL ex:x en {words} q\nN ex:y C core:Thing\nL ex:y en {words} p\n")
+        near_pairs = gkg.alignment._near_pairs
+        monkeypatch.setattr(gkg.alignment, "_near_pairs", lambda *args: reversed(list(near_pairs(*args))))
+        got, want = both_aligners(doc_a, doc_b, threshold=0.9, ambiguity_band=0.06)
+        assert got == want
+        assert len(got.matches) == 1 and len(got.ambiguous) == 2
 
     @given(doc_pairs, providers, settings_kw)
     @settings(max_examples=100, deadline=None)
@@ -686,8 +729,8 @@ class TestAlignAgainstOracle:
 
     def test_screened_pair_of_incompatible_types_is_not_rescored(self, monkeypatch):
         """Same name and facts, types neither a subtype of the other: the
-        pair screens at 0.875, above the floor, and is still neither
-        rescored nor listed."""
+        pair scores 0.875, above the floor, yet the screen never yields
+        it, so it is neither rescored nor listed."""
         calls = []
         exact = gkg.alignment.signature_similarity
         monkeypatch.setattr(
@@ -698,10 +741,10 @@ class TestAlignAgainstOracle:
             "T t:Robot core:Entity\n" + serialize_gkg(doc_a).replace(" C core:Human", " C t:Robot")
         )
         hierarchy, cfg = joint_setup(doc_a, doc_b, BasisProvider(64), threshold=0.8)
-        sigs = [
-            entity_signature(doc.graph, hierarchy, doc.labels, only_entity(doc), cfg) for doc in (doc_a, doc_b)
-        ]
-        assert _screen_scores(sigs[:1], sigs[1:])[0, 0] == pytest.approx(0.875)
+        (conts_a, sigs_a), (conts_b, sigs_b) = (signed(doc, hierarchy, cfg) for doc in (doc_a, doc_b))
+        assert signature_similarity(sigs_a[0], sigs_b[0]) == pytest.approx(0.875)
+        floor = cfg.threshold - cfg.ambiguity_band - _SCREEN_SLACK
+        assert list(_near_pairs(conts_a, sigs_a, conts_b, sigs_b, hierarchy, floor)) == []
         result = align(doc_a.graph, doc_b.graph, hierarchy, doc_a.labels, doc_b.labels, cfg)
         assert (result.matches, result.ambiguous) == ((), ())
         assert calls == []
