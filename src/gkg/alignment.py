@@ -247,7 +247,11 @@ def align(
     threshold; a pair whose winning score beats the best alternative of
     either endpoint by less than the ambiguity band is recorded as
     ambiguous and both endpoints are withdrawn.  Continuants left over are
-    not listed.  The result is symmetric in the argument order.
+    not listed.  The result is symmetric in the argument order, except
+    for crossed twins: when x and y swap labels between the documents,
+    (x, y) and (y, x) tie, and which one matches follows the A index, so
+    swapping the arguments can flip it (pinned by
+    ``test_pair_order_does_not_reach_the_result``).
 
     An ambiguous pair's ``ambiguous`` rows are the pair itself and every
     rival still free on either side (another B candidate of its A end,

@@ -37,6 +37,17 @@ def _load_document(path: str) -> GkgDocument:
     return parse_gkg(_read(path))
 
 
+def _load_pair(args: SimpleNamespace) -> Tuple[GkgDocument, GkgDocument]:
+    """Documents A and B of a command that reads two, through one record
+    memo (``model._command_records``), so a line of B that repeats one of
+    A's takes the record A built.  The command's own work runs without it."""
+    model._command_records = {}
+    try:
+        return _load_document(args.document_a), _load_document(args.document_b)
+    finally:
+        model._command_records = None
+
+
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -58,9 +69,18 @@ def _build_provider(args: SimpleNamespace):
     return HashEmbeddingProvider(seed=args.seed, dim=args.dim)
 
 
+class _ValidReport(NamedTuple):
+    """``gkg validate``'s report on a document that read: its size."""
+    nodes: int
+    edges: int
+
+    def to_tsv(self) -> str:
+        return f"ok\tnodes\t{self.nodes}\tedges\t{self.edges}\n"
+
+
 def cmd_validate(args: SimpleNamespace) -> int:
-    doc = _load_document(args.document)
-    sys.stdout.write(f"ok\tnodes\t{len(doc.graph.nodes)}\tedges\t{len(doc.graph.edges)}\n")
+    graph = _load_document(args.document).graph
+    sys.stdout.write(_ValidReport(len(graph.nodes), len(graph.edges)).to_tsv())
     return 0
 
 
@@ -96,18 +116,20 @@ def _alignment_config(doc_a: GkgDocument, doc_b: GkgDocument, args: SimpleNamesp
 
 
 def cmd_align(args: SimpleNamespace) -> int:
-    doc_a = _load_document(args.document_a)
-    doc_b = _load_document(args.document_b)
+    doc_a, doc_b = _load_pair(args)
     config = _alignment_config(doc_a, doc_b, args)
     hierarchy = union_hierarchies(doc_a.hierarchy, doc_b.hierarchy)
     result = align(doc_a.graph, doc_b.graph, hierarchy, doc_a.labels, doc_b.labels, config)
     _emit(format_alignment_tsv(result), args.output)
+    for path, doc in ((args.document_a, doc_a), (args.document_b, doc_b)):
+        ids = [node.id for node in doc.graph.continuants()]
+        if ids and not any(doc.labels.get(node_id, args.pivot_lang) for node_id in ids):
+            sys.stderr.write(f"gkg: no continuant of {path} has a label in {args.pivot_lang}; align names them by id\n")
     return 0
 
 
 def cmd_merge(args: SimpleNamespace) -> int:
-    doc_a = _load_document(args.document_a)
-    doc_b = _load_document(args.document_b)
+    doc_a, doc_b = _load_pair(args)
     alignment = parse_alignment_tsv(_read(args.alignment))
     merged, report = merge_documents(doc_a, doc_b, alignment)
     _emit(serialize_gkg(merged), args.output)
@@ -123,8 +145,7 @@ def cmd_render(args: SimpleNamespace) -> int:
 
 
 def cmd_isocheck(args: SimpleNamespace) -> int:
-    doc_a = _load_document(args.document_a)
-    doc_b = _load_document(args.document_b)
+    doc_a, doc_b = _load_pair(args)
     view_a = render(doc_a.graph, doc_a.labels, args.lang)
     view_b = render(doc_b.graph, doc_b.labels, args.lang)
     result = check_isomorphic(view_a, view_b)

@@ -34,6 +34,7 @@ from itertools import repeat
 from operator import countOf, itemgetter
 from typing import List, NamedTuple, Optional, Tuple
 
+from . import model
 from .embedding import tokenize
 from .errors import (
     CycleError,
@@ -353,7 +354,20 @@ def parse_gkg(text: str) -> GkgDocument:
     relations = _RELATIONS
     kind_code = _KIND_CODES.get
     value_kind = NodeKind.VALUE_LITERAL
+    # The command's record memo (see model._command_records): the first
+    # document read fills it, the second takes from it.
+    memo = model._command_records
+    fill = memo if memo == {} else None
+    take = memo or None
     for line_no, line in enumerate(text.splitlines(), 1):
+        if take is not None:
+            record = take.pop(line, None)
+            if record is not None:
+                if record.__class__ is Edge:
+                    edge_records.append(record)
+                elif nodes.setdefault(record.id, record) is not record:
+                    raise GkgSyntaxError(line_no, f"duplicate node {record.id}")
+                continue
         # Four fields and the rest of the line: all of an E record, and an
         # N record with its greedy literal.  Other records split again.
         fields = line.split(None, 4)
@@ -373,6 +387,8 @@ def parse_gkg(text: str) -> GkgDocument:
                     (node_id_of(subject, line_no), _relation(relation, line_no), node_id_of(obj, line_no)),
                 )
             edge_records.append(edge)
+            if fill is not None:
+                fill[line] = edge
         elif head == "N":
             if len(fields) < 4:
                 raise GkgSyntaxError(line_no, "N takes a node id, a kind code and a type id")
@@ -389,7 +405,9 @@ def parse_gkg(text: str) -> GkgDocument:
                 raise GkgSyntaxError(line_no, "literal on a non-value node")
             if node_id in nodes:
                 raise GkgSyntaxError(line_no, f"duplicate node {node_id}")
-            nodes[node_id] = new_tuple(Node, (node_id, kind, type_id, literal))
+            node = nodes[node_id] = new_tuple(Node, (node_id, kind, type_id, literal))
+            if fill is not None:
+                fill[line] = node
         elif head[0] == "#":
             continue  # blank line or comment
         elif head == "L":

@@ -143,6 +143,9 @@ ROOT_TYPE = NodeId("core", "Entity")
 # ``gkg.cli.main`` sets an empty dict for a command that reads two
 # documents and drops it when the command ends.
 _command_ids: Optional[dict] = None
+# Its record memo, open only while it reads its two documents: E and N
+# line text -> the ``Edge`` or ``Node`` built from it (``parse_gkg``).
+_command_records: Optional[dict] = None
 
 
 def _id_reader():

@@ -241,6 +241,22 @@ class TestAlignAndMerge:
         assert fields[3] == "MATCH"
         assert 0.93 <= float(fields[2]) <= 0.97
 
+    def test_align_says_when_a_side_has_no_pivot_label(self, workspace, capsys):
+        """A side none of whose continuants has a label in the pivot
+        language is named by ids alone, so no row may come out; align says
+        so on stderr, one line per such side, and still exits 0."""
+        doc_en = workspace / "worked.gkg"
+        doc_fr = workspace / "worked_fr.gkg"
+        doc_fr.write_text(WORKED_TEXT.replace(" en ", " fr "), encoding="utf-8")
+        assert main(["align", str(doc_en), str(doc_en)]) == 0
+        assert capsys.readouterr() == ("ex:rw\tex:rw\t1.0000\tMATCH\n", "")
+        assert main(["align", str(doc_en), str(doc_fr)]) == 0
+        assert capsys.readouterr() == ("", f"gkg: no continuant of {doc_fr} has a label in en; align names them by id\n")
+        assert main(["align", str(doc_en), str(doc_fr), "--pivot-lang", "de"]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"gkg: no continuant of {path} has a label in de; align names them by id\n" for path in (doc_en, doc_fr)
+        )
+
     def test_align_file_provider_requires_vectors(self, workspace, capsys):
         doc_a = canonicalize(workspace, "a.flat", "a.gkg")
         code = main(["align", str(doc_a), str(doc_a), "--provider", "file"])

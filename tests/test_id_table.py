@@ -3,9 +3,12 @@
 The documents, declarations and alignment TSV that ``align``, ``merge``
 or ``isocheck`` reads parse their id tokens through one table, so a
 token they share is parsed once and is one ``NodeId`` object in all of
-them.  The table must change nothing a command writes or any error it
-reports, and it must not outlive the command: library calls outside one
-start a fresh memo each.
+them.  While the two documents are read, a record memo lets each E or N
+line of B that repeats one of A's take the ``Edge`` or ``Node`` A's read
+built.  Neither may change anything a command writes or any error it
+reports.  The table must not outlive the command, nor the memo the two
+reads: library calls outside a command start a fresh id memo each and
+share no records.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gkg import ROOT_TYPE, NodeId, cli, model, parse_alignment_tsv, parse_gkg, serialize_gkg
+from gkg import ROOT_TYPE, Edge, NodeId, PrimitiveRelation, cli, model, parse_alignment_tsv, parse_gkg, serialize_gkg
 from gkg.cli import main
-from gkg.errors import GkgSyntaxError
+from gkg.errors import GkgSyntaxError, ValidationFailedError
 from gkg.model import NodeKind
 
 from .support import WORKED_TEXT, gkg_id_tokens, random_document
@@ -49,8 +52,10 @@ def _run(argv):
 
 
 def _without_the_table(monkeypatch):
-    """Run later commands as if they had no id table: ``main`` opens it on
-    a stand-in for ``gkg.model``, so every reader starts its own memo."""
+    """Run later commands as if they had no id table or record memo:
+    ``main`` and ``cli._load_pair`` open them on a stand-in for
+    ``gkg.model``, so every reader starts its own id memo and no read
+    takes another's records."""
     monkeypatch.setattr(cli, "model", SimpleNamespace(_command_ids=None))
 
 
@@ -120,6 +125,23 @@ def _alignment_objects(alignment) -> dict:
         found.setdefault(str(id_a), set()).add(id(id_a))
         for id_b, _ in candidates:
             found.setdefault(str(id_b), set()).add(id(id_b))
+    return found
+
+
+def _record_reuse(text_a: str, text_b: str, doc_a, doc_b) -> set:
+    """For each E and N line the texts of A and B share, whether B holds
+    the very record A holds for it."""
+    edges_a = {edge: edge for edge in doc_a.graph.edges}
+    edges_b = {edge: edge for edge in doc_b.graph.edges}
+    found = set()
+    for line in set(text_a.splitlines()) & set(text_b.splitlines()):
+        head, *fields = line.split(None, 4)
+        if head == "N":
+            node_id = NodeId.parse(fields[0])
+            found.add(doc_b.graph.nodes[node_id] is doc_a.graph.nodes[node_id])
+        elif head == "E":
+            edge = Edge(NodeId.parse(fields[0]), PrimitiveRelation(fields[1]), NodeId.parse(fields[2]))
+            found.add(edges_b[edge] is edges_a[edge])
     return found
 
 
@@ -204,6 +226,9 @@ def check_pair(tmp_path, monkeypatch, text_a, text_b, alignment, seed=0):
     doc_a, doc_b, read_alignment = capture.calls["merge_documents"][0]
     assert doc_a == parse_gkg(text_a)
     assert doc_b == parse_gkg(text_b)
+    assert serialize_gkg(doc_b) == serialize_gkg(parse_gkg(text_b))
+    # B's E and N lines that repeat A's hold A's records.
+    assert _record_reuse(text_a, text_b, doc_a, doc_b) <= {True}
     assert read_alignment == parse_alignment_tsv(alignment)
     objects_a, objects_b = _id_objects(doc_a), _id_objects(doc_b)
     objects_ab = _alignment_objects(read_alignment)
@@ -217,10 +242,12 @@ def check_pair(tmp_path, monkeypatch, text_a, text_b, alignment, seed=0):
         _assert_shared(graph_a.nodes, graph_b.nodes)
 
     # Every command writes the same bytes, reports and exit code without
-    # the table.
+    # the table and the memo, and then no record is shared.
     with monkeypatch.context() as patch:
         _without_the_table(patch)
+        capture = _Capture(patch)
         assert _outcomes(a, b, ab, out) == shared
+    assert _record_reuse(text_a, text_b, *capture.calls["merge_documents"][0][:2]) <= {False}
 
     # A malformed record in B, right after tokens A parsed fine, fails
     # on the line it fails on when B is read alone.
@@ -303,15 +330,25 @@ class TestOnePerCommand:
     )
     def test_a_library_read_after_a_command_parses_afresh(self, workspace, monkeypatch, argv, outcome, table):
         argv = [arg.format(w=workspace) for arg in argv]
-        tables = []
+        tables, memos, work_memos = [], [], []
         read = cli._read
 
         def spy(path):
             tables.append(model._command_ids)
+            memos.append(model._command_records)
             return read(path)
+
+        def noting(func):
+            def call(*args):
+                work_memos.append(model._command_records)
+                return func(*args)
+
+            return call
 
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_read", spy)
+            for name in ("align", "merge_documents", "render"):
+                patch.setattr(cli, name, noting(getattr(cli, name)))
             if outcome is RuntimeError:
                 patch.setattr(cli, "check_isomorphic", _refuse)
             stdout, stderr = io.StringIO(), io.StringIO()
@@ -326,9 +363,13 @@ class TestOnePerCommand:
             assert "not a continuant" in stderr.getvalue()
         if table:
             assert tables and tables[0] is not None and all(found is tables[0] for found in tables)
+            # The record memo is open for the two document reads alone.
+            assert memos[0] is not None and memos[:2] == [memos[0]] * 2
+            assert all(found is None for found in memos[2:])
         else:
-            assert all(found is None for found in tables)
-        assert model._command_ids is None
+            assert all(found is None for found in tables + memos)
+        assert all(found is None for found in work_memos)
+        assert model._command_ids is None and model._command_records is None
         calls = _parse_calls(monkeypatch)
         for _ in range(2):
             calls.clear()
@@ -342,6 +383,38 @@ class TestOnePerCommand:
         assert first == second
         assert not any(node_id is other for node_id, other in zip(first.graph.nodes, second.graph.nodes)
                        if first.graph.nodes[node_id].kind is not NodeKind.TYPE_NODE)
+        assert _record_reuse(WORKED_TEXT, WORKED_TEXT, first, second) == {False}
+
+
+class TestRecordMemo:
+    """A line of B that takes A's record still gets B's own checks."""
+
+    @pytest.mark.parametrize(
+        "node_line, at",
+        [("N ex:rw C core:Human", 0), ("N ex:rw C core:Human", 3), ("N ex:rw C core:Human", 13),
+         ("N ex:rw C core:Thing", 0)],
+        ids=["copy-first", "copy-between", "copy-last", "other-text-first"],
+    )
+    def test_a_shared_node_twice_in_b(self, tmp_path, node_line, at):
+        """B holds A's line ``N ex:rw C core:Human`` and one more N line
+        for ex:rw, which fails on the second of the two."""
+        lines = WORKED_TEXT.splitlines()
+        text_b = "\n".join([*lines[:at], node_line, *lines[at:]]) + "\n"
+        second = [line_no for line_no, line in enumerate(text_b.splitlines(), 1) if line.startswith("N ex:rw ")][1]
+        with pytest.raises(GkgSyntaxError) as alone:
+            parse_gkg(text_b)
+        assert alone.value.line_no == second
+        a, b, ab = _write_pair(tmp_path, WORKED_TEXT, text_b, _identity_alignment(WORKED_TEXT, WORKED_TEXT))
+        for argv in _commands(a, b, ab, str(tmp_path / "out")).values():
+            assert _run(argv)[::2] == (2, f"gkg: {alone.value}\n"), argv[0]
+
+    def test_shared_edge_lines_without_their_nodes_fail_validation(self, tmp_path):
+        text_b = "".join(f"{line}\n" for line in WORKED_TEXT.splitlines() if not line.startswith("N ex:v"))
+        with pytest.raises(ValidationFailedError) as alone:
+            parse_gkg(text_b)
+        a, b, ab = _write_pair(tmp_path, WORKED_TEXT, text_b, _identity_alignment(WORKED_TEXT, WORKED_TEXT))
+        for argv in _commands(a, b, ab, str(tmp_path / "out")).values():
+            assert _run(argv) == (1, alone.value.report.to_tsv(), "gkg: validation failed\n"), argv[0]
 
 
 class TestBadTokens:
