@@ -97,6 +97,27 @@ def load_corpus_module():
     return module
 
 
+def checkout_envs(srcs, run_dir: Path) -> dict:
+    """src path -> the environment that runs ``gkg`` from a copy of it,
+    ``run_dir/src0``, ``src1``, ..., with one BLAS thread and its bytecode
+    compiled once, untimed."""
+    envs = {}
+    for k, src in enumerate(srcs):
+        copy = run_dir / f"src{k}"
+        shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(copy))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = "1"
+        # Let the untimed import below write the bytecode that every timed
+        # command then reads, as an installed package would have it, into
+        # this run's cache rather than next to the probed sources.
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        env["PYTHONPYCACHEPREFIX"] = str(run_dir / "pycache")
+        subprocess.run([sys.executable, "-c", "import gkg.cli"], env=env, check=True)
+        envs[str(src)] = env
+    return envs
+
+
 def run_command(argv, work: Path, env: dict):
     """(wall seconds, peak RSS in MiB, stdout bytes) of one ``gkg`` command."""
     with open(work / ".stdout", "w+b") as out, open(work / ".stderr", "w+b") as err:
@@ -194,20 +215,7 @@ def main(argv=None) -> int:
     WORK.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="scale_probe_", dir=WORK) as tmp:
         run_dir = Path(tmp)
-        envs = {}
-        for k, src in enumerate(args.src):
-            copy = run_dir / f"src{k}"
-            shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
-            env = dict(os.environ, PYTHONPATH=str(copy))
-            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-                env[name] = "1"
-            # Let the untimed import below write the bytecode that every timed
-            # command then reads, as an installed package would have it, into
-            # this run's cache rather than next to the probed sources.
-            env.pop("PYTHONDONTWRITEBYTECODE", None)
-            env["PYTHONPYCACHEPREFIX"] = str(run_dir / "pycache")
-            subprocess.run([sys.executable, "-c", "import gkg.cli"], env=env, check=True)  # compile once, untimed
-            envs[str(src)] = env
+        envs = checkout_envs(args.src, run_dir)
         corpus = load_corpus_module()
 
         for size in args.sizes:

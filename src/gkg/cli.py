@@ -38,9 +38,10 @@ def _load_document(path: str) -> GkgDocument:
 
 
 def _load_pair(args: SimpleNamespace) -> Tuple[GkgDocument, GkgDocument]:
-    """Documents A and B of a command that reads two, through one record
+    """Documents A and B of a command that reads two, through its record
     memo (``model._command_records``), so a line of B that repeats one of
-    A's takes the record A built.  The command's own work runs without it."""
+    A's takes the record A built.  Each read still parses its own id
+    tokens; the command's own work runs without the memo."""
     model._command_records = {}
     try:
         return _load_document(args.document_a), _load_document(args.document_b)
@@ -325,13 +326,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if attrs is None:
             attrs = vars(build_parser().parse_args(argv))
         args = SimpleNamespace(**attrs)
-        # A command that reads two documents (align, merge, isocheck) gets
-        # one id table, which both documents, their declarations and the
-        # alignment parse their ids through, so an id they share is one
-        # object and compares by identity.  A command that reads one has
-        # nothing to share and would only keep its memo past the read.
-        if "document_b" in attrs:
-            model._command_ids = {}
         return args.func(args)
     except ValidationFailedError as error:
         sys.stdout.write(error.report.to_tsv())
@@ -347,7 +341,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"gkg: {error}\n")
         return 3
     finally:
-        model._command_ids = None
         if collecting:
             gc.enable()
 

@@ -466,7 +466,8 @@ def parse_gkg(text: str) -> GkgDocument:
         # Only this error needs an N record's line number: find the first.
         for line_no, line in _content_lines(text):
             fields = line.split(None, 2)
-            if fields[0] == "N" and ids[fields[1]] in collisions:
+            # By text: a line taken from A's records left its token out of ids.
+            if fields[0] == "N" and fields[1] in collisions:
                 raise GkgSyntaxError(line_no, f"node {fields[1]} collides with a declared type")
     graph = GroundedGraph(nodes, frozenset(edge_records), source_id, revision)
     doc = GkgDocument(hierarchy, graph, LabelTable(label_entries), schema)

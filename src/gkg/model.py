@@ -139,29 +139,22 @@ class NodeId(str):
 ROOT_TYPE = NodeId("core", "Entity")
 
 
-# The id table of the running ``gkg`` command, or None outside one:
-# ``gkg.cli.main`` sets an empty dict for a command that reads two
-# documents and drops it when the command ends.
-_command_ids: Optional[dict] = None
-# Its record memo, open only while it reads its two documents: E and N
+# The record memo of a ``gkg`` command that reads two documents, open
+# only while it reads them (``gkg.cli._load_pair``), else None: E and N
 # line text -> the ``Edge`` or ``Node`` built from it (``parse_gkg``).
 _command_records: Optional[dict] = None
 
 
 def _id_reader():
-    """A memo of id tokens and the reader that fills it: each distinct
-    token is parsed once, and a token that fails is never stored, so it
-    fails again with its own line number.  While a command's table is
-    open, every reader shares it, so a token that the documents and
-    alignment the command reads share is parsed once and is one ``NodeId``
-    object in all of them; otherwise each reader starts a memo of its own.
-    Every memo holds ``ROOT_TYPE`` from the start, so the root type a
-    document's records name is the object its hierarchy is built around.
+    """A memo of id tokens and the reader that fills it, new for each
+    read: each distinct token is parsed once, and a token that fails is
+    never stored, so it fails again with its own line number.  The memo
+    holds ``ROOT_TYPE`` from the start, so the root type a document's
+    records name is the object its hierarchy is built around.
     ``NodeId.parse`` is looked up here, at call time, so a wrapper set on
     the class sees every parse."""
     parse_id = NodeId.parse
-    ids = {} if _command_ids is None else _command_ids
-    ids.setdefault(str(ROOT_TYPE), ROOT_TYPE)  # keyed by plain str, as tokens are
+    ids = {str(ROOT_TYPE): ROOT_TYPE}  # keyed by plain str, as tokens are
 
     def node_id_of(token: str, line_no: int) -> NodeId:
         found = ids.get(token)

@@ -1,14 +1,12 @@
-"""One id table per ``gkg`` command that reads two documents.
+"""One record memo per ``gkg`` command that reads two documents.
 
-The documents, declarations and alignment TSV that ``align``, ``merge``
-or ``isocheck`` reads parse their id tokens through one table, so a
-token they share is parsed once and is one ``NodeId`` object in all of
-them.  While the two documents are read, a record memo lets each E or N
-line of B that repeats one of A's take the ``Edge`` or ``Node`` A's read
-built.  Neither may change anything a command writes or any error it
-reports.  The table must not outlive the command, nor the memo the two
-reads: library calls outside a command start a fresh id memo each and
-share no records.
+While ``align``, ``merge`` or ``isocheck`` reads its documents A and B,
+each E or N line of B that repeats one of A's takes the ``Edge`` or
+``Node`` A's read built; every other line, and every id token, B reads
+itself.  The memo may not change anything a command writes or any error
+it reports, and must not outlive the two reads: the command's own work
+and library calls read without it, and each read keeps an id memo of its
+own.
 """
 
 from __future__ import annotations
@@ -51,12 +49,11 @@ def _run(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def _without_the_table(monkeypatch):
-    """Run later commands as if they had no id table or record memo:
-    ``main`` and ``cli._load_pair`` open them on a stand-in for
-    ``gkg.model``, so every reader starts its own id memo and no read
-    takes another's records."""
-    monkeypatch.setattr(cli, "model", SimpleNamespace(_command_ids=None))
+def _without_the_memo(monkeypatch):
+    """Run later commands as if they had no record memo: ``cli._load_pair``
+    opens it on a stand-in for ``gkg.model``, so no read takes another's
+    records."""
+    monkeypatch.setattr(cli, "model", SimpleNamespace())
 
 
 def _identity_alignment(text_a: str, text_b: str) -> str:
@@ -88,44 +85,11 @@ def _revision(text: str, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _id_objects(doc) -> dict:
-    """id token -> the NodeId objects of a document, wherever it holds one."""
-    found: dict = {}
-    graph = doc.graph
-
-    def note(node_id):
-        found.setdefault(str(node_id), set()).add(id(node_id))
-
-    for node_id, node in graph.nodes.items():
-        note(node_id)
-        note(node.id)
-        if node.inst_of is not None:
-            note(node.inst_of)
-    for edge in graph.edges:
-        note(edge.subject)
-        note(edge.obj)
-    for type_id in doc.hierarchy.types:
-        note(type_id)
-    for parents in doc.hierarchy.parents.values():
-        for parent in parents:
-            note(parent)
-    for node_id, _ in doc.labels.entries:
-        note(node_id)
-    for type_id in doc.declarations.referenced_types():
-        note(type_id)
-    return found
-
-
-def _alignment_objects(alignment) -> dict:
-    found: dict = {}
-    for id_a, id_b, _ in alignment.matches:
-        for node_id in (id_a, id_b):
-            found.setdefault(str(node_id), set()).add(id(node_id))
-    for id_a, candidates in alignment.ambiguous:
-        found.setdefault(str(id_a), set()).add(id(id_a))
-        for id_b, _ in candidates:
-            found.setdefault(str(id_b), set()).add(id(id_b))
-    return found
+def _root_objects(doc) -> set:
+    """The objects equal to ``ROOT_TYPE`` that a document's hierarchy and
+    node types hold."""
+    held = [*doc.hierarchy.types, *(node.inst_of for node in doc.graph.nodes.values())]
+    return {id(type_id) for type_id in held if type_id == ROOT_TYPE}
 
 
 def _record_reuse(text_a: str, text_b: str, doc_a, doc_b) -> set:
@@ -145,28 +109,18 @@ def _record_reuse(text_a: str, text_b: str, doc_a, doc_b) -> set:
     return found
 
 
-def _assert_shared(ids_a, ids_b) -> None:
-    """Ids of one spelling in both collections are one object."""
-    by_token = {str(node_id): node_id for node_id in ids_a}
-    for node_id in ids_b:
-        assert by_token.get(str(node_id), node_id) is node_id, node_id
-
-
 class _Capture:
-    """What a command handed to the functions it calls after reading."""
+    """What a command handed to ``merge_documents``."""
 
     def __init__(self, monkeypatch):
-        self.calls: dict = {}
-        for name in ("merge_documents", "align", "render"):
-            original = getattr(cli, name)
-            monkeypatch.setattr(cli, name, self._spy(name, original))
+        self.calls: list = []
+        original = cli.merge_documents
 
-    def _spy(self, name, original):
         def spy(*args):
-            self.calls.setdefault(name, []).append(args)
+            self.calls.append(args)
             return original(*args)
 
-        return spy
+        monkeypatch.setattr(cli, "merge_documents", spy)
 
 
 def _write_pair(tmp_path, text_a, text_b, alignment):
@@ -198,7 +152,11 @@ def _malformed_records(text_a: str, text_b: str):
     """Malformed records for B that read ids A parsed fine first."""
     node_lines = [line for line in text_a.splitlines() if line.startswith("N ")]
     node_a, type_a = node_lines[0].split()[1], node_lines[0].split()[3]
-    duplicate = next(line for line in text_b.splitlines() if line.startswith("N "))
+    nodes_b = [line for line in text_b.splitlines() if line.startswith("N ")]
+    duplicate = nodes_b[0]
+    # A node of B declared a type: the last from a line A holds too, if any,
+    # so the N lines before it are ones B takes from A's records.
+    collision = next((line for line in reversed(nodes_b) if line in node_lines), duplicate).split()[1]
     return [
         f"E {node_a} frob {node_a}",
         f"E {node_a} dep {node_a} {node_a}",
@@ -210,6 +168,7 @@ def _malformed_records(text_a: str, text_b: str):
         f"T {type_a} bad type",
         f"CARD {type_a} SOME",
         f"ATTRDECL {type_a} x: FUNCTIONAL",
+        f"T {collision} -",
         duplicate,
     ]
 
@@ -218,36 +177,27 @@ def check_pair(tmp_path, monkeypatch, text_a, text_b, alignment, seed=0):
     a, b, ab = _write_pair(tmp_path, text_a, text_b, alignment)
     out = str(tmp_path / "out")
 
-    # Both inputs read inside one command equal each read alone, and the
-    # ids A, B and the alignment share are one object each.
+    # Both inputs read inside one command equal each read alone.
     with monkeypatch.context() as patch:
         capture = _Capture(patch)
         shared = _outcomes(a, b, ab, out)
-    doc_a, doc_b, read_alignment = capture.calls["merge_documents"][0]
+    doc_a, doc_b, read_alignment = capture.calls[0]
     assert doc_a == parse_gkg(text_a)
     assert doc_b == parse_gkg(text_b)
     assert serialize_gkg(doc_b) == serialize_gkg(parse_gkg(text_b))
     # B's E and N lines that repeat A's hold A's records.
     assert _record_reuse(text_a, text_b, doc_a, doc_b) <= {True}
     assert read_alignment == parse_alignment_tsv(alignment)
-    objects_a, objects_b = _id_objects(doc_a), _id_objects(doc_b)
-    objects_ab = _alignment_objects(read_alignment)
-    # One object per spelling across A, B and the alignment, the root type
-    # included.
-    for token in objects_a.keys() | objects_b.keys() | objects_ab.keys():
-        objects = objects_a.get(token, set()) | objects_b.get(token, set()) | objects_ab.get(token, set())
-        assert len(objects) == 1, token
-    assert objects_a[str(ROOT_TYPE)] == {id(ROOT_TYPE)}
-    for graph_a, graph_b in (capture.calls["align"][0][:2], [call[0] for call in capture.calls["render"]]):
-        _assert_shared(graph_a.nodes, graph_b.nodes)
+    # Each document's root type is ROOT_TYPE itself.
+    assert _root_objects(doc_a) == _root_objects(doc_b) == {id(ROOT_TYPE)}
 
     # Every command writes the same bytes, reports and exit code without
-    # the table and the memo, and then no record is shared.
+    # the memo, and then no record is shared.
     with monkeypatch.context() as patch:
-        _without_the_table(patch)
+        _without_the_memo(patch)
         capture = _Capture(patch)
         assert _outcomes(a, b, ab, out) == shared
-    assert _record_reuse(text_a, text_b, *capture.calls["merge_documents"][0][:2]) <= {False}
+    assert _record_reuse(text_a, text_b, *capture.calls[0][:2]) <= {False}
 
     # A malformed record in B, right after tokens A parsed fine, fails
     # on the line it fails on when B is read alone.
@@ -301,8 +251,8 @@ def _refuse(*args):
 
 
 class TestOnePerCommand:
-    """A command that reads two documents has one table while it runs, and
-    the table never outlives it."""
+    """A command that reads two documents has one record memo while it
+    reads them, and the memo never outlives the reads."""
 
     @pytest.fixture
     def workspace(self, tmp_path):
@@ -314,7 +264,7 @@ class TestOnePerCommand:
         return tmp_path
 
     @pytest.mark.parametrize(
-        "argv, outcome, table",
+        "argv, outcome, pair",
         [
             (["merge", "{w}/worked.gkg", "{w}/worked.gkg", "--alignment", "{w}/self.align"], 0, True),
             (["merge", "{w}/worked.gkg", "{w}/dangling.gkg", "--alignment", "{w}/self.align"], 1, True),
@@ -328,13 +278,12 @@ class TestOnePerCommand:
         ids=["exit-0", "exit-1-validation", "exit-1-alignment-mismatch", "exit-2-syntax", "exit-2-usage",
              "exit-3-io", "raised", "one-document"],
     )
-    def test_a_library_read_after_a_command_parses_afresh(self, workspace, monkeypatch, argv, outcome, table):
+    def test_a_library_read_after_a_command_parses_afresh(self, workspace, monkeypatch, argv, outcome, pair):
         argv = [arg.format(w=workspace) for arg in argv]
-        tables, memos, work_memos = [], [], []
+        memos, work_memos = [], []
         read = cli._read
 
         def spy(path):
-            tables.append(model._command_ids)
             memos.append(model._command_records)
             return read(path)
 
@@ -361,15 +310,14 @@ class TestOnePerCommand:
                     assert outcome is not SystemExit or exc.value.code == 2
         if "unknown.align" in argv[-1]:
             assert "not a continuant" in stderr.getvalue()
-        if table:
-            assert tables and tables[0] is not None and all(found is tables[0] for found in tables)
+        if pair:
             # The record memo is open for the two document reads alone.
             assert memos[0] is not None and memos[:2] == [memos[0]] * 2
             assert all(found is None for found in memos[2:])
         else:
-            assert all(found is None for found in tables + memos)
+            assert all(found is None for found in memos)
         assert all(found is None for found in work_memos)
-        assert model._command_ids is None and model._command_records is None
+        assert model._command_records is None
         calls = _parse_calls(monkeypatch)
         for _ in range(2):
             calls.clear()
@@ -416,32 +364,26 @@ class TestRecordMemo:
         for argv in _commands(a, b, ab, str(tmp_path / "out")).values():
             assert _run(argv) == (1, alone.value.report.to_tsv(), "gkg: validation failed\n"), argv[0]
 
+    def test_a_shared_node_line_that_collides_with_a_type_in_b(self, tmp_path):
+        """B takes both N lines from A and declares one of their ids a type:
+        the error names that node's line, as B's read alone does."""
+        text_a = "N ex:y C ex:T\nN ex:x C ex:T\n"
+        text_b = text_a + "T ex:x -\n"
+        with pytest.raises(GkgSyntaxError) as alone:
+            parse_gkg(text_b)
+        assert str(alone.value) == "line 2: node ex:x collides with a declared type"
+        a, b, ab = _write_pair(tmp_path, text_a, text_b, _identity_alignment(text_a, text_a))
+        for argv in _commands(a, b, ab, str(tmp_path / "out")).values():
+            assert _run(argv)[::2] == (2, f"gkg: {alone.value}\n"), argv[0]
+
 
 class TestBadTokens:
-    @pytest.mark.parametrize("table", [None, {}], ids=["library", "command"])
-    def test_a_bad_token_is_never_stored(self, monkeypatch, table):
+    def test_a_bad_token_is_never_stored(self):
         """So it fails again with the line number of each record it is on."""
-        monkeypatch.setattr(model, "_command_ids", table)
         ids, node_id_of = model._id_reader()
-        assert ids is table or table is None
         assert node_id_of("ex:a", 1) is ids["ex:a"]
         for line_no in (3, 7):
             with pytest.raises(GkgSyntaxError) as exc:
                 node_id_of("no-colon", line_no)
             assert exc.value.line_no == line_no
         assert list(ids) == ["core:Entity", "ex:a"] and ids["core:Entity"] is ROOT_TYPE
-
-
-class TestOneParsePerToken:
-    """``gkg merge a b --alignment ab`` parses each distinct id token of
-    both documents and the alignment once."""
-
-    @pytest.mark.parametrize("pair", sorted(GOLDEN_PAIRS))
-    def test_merge(self, tmp_path, monkeypatch, pair):
-        a, b, ab = GOLDEN_PAIRS[pair]
-        tokens = gkg_id_tokens(a.read_text(encoding="utf-8")) | gkg_id_tokens(b.read_text(encoding="utf-8"))
-        for line in ab.read_text(encoding="utf-8").splitlines():
-            tokens.update(line.split("\t")[:2])
-        calls = _parse_calls(monkeypatch)
-        assert _run(["merge", str(a), str(b), "--alignment", str(ab), "-o", str(tmp_path / "ab.gkg")])[0] == 0
-        assert sorted(calls) == sorted(tokens)
