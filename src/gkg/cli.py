@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import sys
+from contextlib import nullcontext
 from types import SimpleNamespace
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -50,11 +51,10 @@ def _load_pair(args: SimpleNamespace) -> Tuple[GkgDocument, GkgDocument]:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    # Slices of at most 64 Ki characters, so the text is never encoded whole.
+    with nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8") as handle:
+        for start in range(0, len(text), 1 << 16):
+            handle.write(text[start:start + (1 << 16)])
 
 
 def _report_stream(out_path: Optional[str]):
@@ -93,14 +93,9 @@ def cmd_canonicalize(args: SimpleNamespace) -> int:
     if args.revision < 0:
         raise InvalidParameterError(f"revision must be non-negative, got {args.revision}")
     rules, declarations = parse_rules(_read(args.rules))
-    triples = parse_flat(_read(args.flat))
-    doc, report = canonicalize_document(
-        triples,
-        rules,
-        declarations=declarations,
-        source_id=args.source_id,
-        revision=args.revision,
-    )
+    # The triples are passed, not held, so they are freed before serializing.
+    doc, report = canonicalize_document(parse_flat(_read(args.flat)), rules, declarations=declarations,
+                                        source_id=args.source_id, revision=args.revision)
     _emit(serialize_gkg(doc), args.output)
     _report_stream(args.output).write(report.to_tsv())
     return 0

@@ -321,12 +321,28 @@ class _DeclarationCollector:
         )
 
 
+# Texts are read a block of lines at a time, so no read holds a list of all
+# its lines.  A block ends just after its first "\n" at or past _BLOCK
+# characters: no "\r\n" is split, so its lines are the text's splitlines().
+_BLOCK = 1 << 16
+
+
+def _line_blocks(text: str):
+    """``text.splitlines()``, one list per block of the text."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + _BLOCK) + 1 or end
+        yield text[start:stop].splitlines()
+        start = stop
+
+
 def _content_lines(text: str):
-    """(line number, line) of every line that is neither blank nor a
-    ``#`` comment."""
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if line.strip() and not line.lstrip().startswith("#"):
-            yield line_no, line
+    """(line number, line) of every line neither blank nor a ``#`` comment."""
+    line_no = 0
+    for block in _line_blocks(text):
+        for line_no, line in enumerate(block, line_no + 1):
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield line_no, line
 
 
 def parse_gkg(text: str) -> GkgDocument:
@@ -351,6 +367,7 @@ def parse_gkg(text: str) -> GkgDocument:
     # tuple.__new__ builds the same objects directly.
     new_tuple = tuple.__new__
     ids_get = ids.get
+    parse_id = model.NodeId.parse  # looked up per read, so a wrapper on the class sees every parse
     relations = _RELATIONS
     kind_code = _KIND_CODES.get
     value_kind = NodeKind.VALUE_LITERAL
@@ -359,94 +376,100 @@ def parse_gkg(text: str) -> GkgDocument:
     memo = model._command_records
     fill = memo if memo == {} else None
     take = memo or None
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if take is not None:
-            record = take.pop(line, None)
-            if record is not None:
-                if record.__class__ is Edge:
-                    edge_records.append(record)
-                elif nodes.setdefault(record.id, record) is not record:
-                    raise GkgSyntaxError(line_no, f"duplicate node {record.id}")
-                continue
-        # Four fields and the rest of the line: all of an E record, and an
-        # N record with its greedy literal.  Other records split again.
-        fields = line.split(None, 4)
-        head = fields[0] if fields else "#"  # a blank line reads as a comment
-        # Edges are the most common record, so they are tested first.  Their
-        # ids and relation are looked up by subscript; an unseen or
-        # malformed token falls back to the checked reads, in field order.
-        if head == "E":
-            try:
-                _, subject, relation, obj = fields
-                edge = new_tuple(Edge, (ids[subject], relations[relation], ids[obj]))
-            except ValueError:
-                raise GkgSyntaxError(line_no, "E takes a subject, a relation and an object") from None
-            except KeyError:
-                edge = new_tuple(
-                    Edge,
-                    (node_id_of(subject, line_no), _relation(relation, line_no), node_id_of(obj, line_no)),
-                )
-            edge_records.append(edge)
-            if fill is not None:
-                fill[line] = edge
-        elif head == "N":
-            if len(fields) < 4:
-                raise GkgSyntaxError(line_no, "N takes a node id, a kind code and a type id")
-            node_id = node_id_of(fields[1], line_no)
-            kind = kind_code(fields[2])
-            if kind is None:
-                raise GkgSyntaxError(line_no, f"bad node kind {fields[2]!r}")
-            type_id = ids_get(fields[3]) or node_id_of(fields[3], line_no)
-            literal = fields[4] if len(fields) == 5 else None
-            if kind is value_kind:
-                if literal is None:
-                    raise GkgSyntaxError(line_no, "value node needs a literal")
-            elif literal is not None:
-                raise GkgSyntaxError(line_no, "literal on a non-value node")
-            if node_id in nodes:
-                raise GkgSyntaxError(line_no, f"duplicate node {node_id}")
-            node = nodes[node_id] = new_tuple(Node, (node_id, kind, type_id, literal))
-            if fill is not None:
-                fill[line] = node
-        elif head[0] == "#":
-            continue  # blank line or comment
-        elif head == "L":
-            parts = line.split(None, 3)
-            if len(parts) != 4:
-                raise GkgSyntaxError(line_no, "L takes a node id, a language tag and a label")
-            node_id = ids_get(parts[1]) or node_id_of(parts[1], line_no)
-            lang = parts[2]
-            key = (node_id, lang)
-            if key in label_entries:
-                raise GkgSyntaxError(line_no, f"duplicate label for {node_id} [{lang}]")
-            label_entries[key] = parts[3]
-        elif head == "G":
-            fields = line.split()
-            if saw_header:
-                raise GkgSyntaxError(line_no, "duplicate G header")
-            if len(fields) != 3:
-                raise GkgSyntaxError(line_no, "G takes a source id and a revision")
-            saw_header = True
-            source_id = "" if fields[1] == "-" else fields[1]
-            try:
-                revision = int(fields[2])
-            except ValueError:
-                raise GkgSyntaxError(line_no, f"bad revision {fields[2]!r}") from None
-            if revision < 0:
-                raise GkgSyntaxError(line_no, "revision must be non-negative")
-        elif head == "T":
-            fields = line.split()
-            if len(fields) != 3:
-                raise GkgSyntaxError(line_no, "T takes a type id and a parent id or -")
-            type_id = node_id_of(fields[1], line_no)
-            parent = None if fields[2] == "-" else node_id_of(fields[2], line_no)
-            type_pairs.append((type_id, parent))
-        elif declarations.handles(head):
-            declarations.take(line.split(), line_no)
-        else:
-            raise GkgSyntaxError(line_no, f"unknown record {head!r}")
+    line_no = 0
+    for block in _line_blocks(text):
+        for line_no, line in enumerate(block, line_no + 1):
+            if take is not None:
+                record = take.pop(line, None)
+                if record is not None:
+                    if record.__class__ is Edge:
+                        edge_records.append(record)
+                    elif nodes.setdefault(record.id, record) is not record:
+                        raise GkgSyntaxError(line_no, f"duplicate node {record.id}")
+                    continue
+            # Four fields and the rest of the line: all of an E record, and an
+            # N record with its greedy literal.  Other records split again.
+            fields = line.split(None, 4)
+            head = fields[0] if fields else "#"  # a blank line reads as a comment
+            # Edges are the most common record, so they are tested first.  Their
+            # ids and relation are looked up by subscript; an unseen or
+            # malformed token falls back to the checked reads, in field order.
+            if head == "E":
+                try:
+                    _, subject, relation, obj = fields
+                    edge = new_tuple(Edge, (ids[subject], relations[relation], ids[obj]))
+                except ValueError:
+                    raise GkgSyntaxError(line_no, "E takes a subject, a relation and an object") from None
+                except KeyError:
+                    edge = new_tuple(
+                        Edge,
+                        (node_id_of(subject, line_no), _relation(relation, line_no), node_id_of(obj, line_no)),
+                    )
+                edge_records.append(edge)
+                if fill is not None:
+                    fill[line] = edge
+            elif head == "N":
+                if len(fields) < 4:
+                    raise GkgSyntaxError(line_no, "N takes a node id, a kind code and a type id")
+                try:  # an N record's id is mostly new, so it is parsed in this frame
+                    node_id = ids_get(fields[1]) or ids.setdefault(fields[1], parse_id(fields[1]))
+                except ValueError as exc:
+                    raise GkgSyntaxError(line_no, str(exc)) from None
+                kind = kind_code(fields[2])
+                if kind is None:
+                    raise GkgSyntaxError(line_no, f"bad node kind {fields[2]!r}")
+                type_id = ids_get(fields[3]) or node_id_of(fields[3], line_no)
+                literal = fields[4] if len(fields) == 5 else None
+                if kind is value_kind:
+                    if literal is None:
+                        raise GkgSyntaxError(line_no, "value node needs a literal")
+                elif literal is not None:
+                    raise GkgSyntaxError(line_no, "literal on a non-value node")
+                if node_id in nodes:
+                    raise GkgSyntaxError(line_no, f"duplicate node {node_id}")
+                node = nodes[node_id] = new_tuple(Node, (node_id, kind, type_id, literal))
+                if fill is not None:
+                    fill[line] = node
+            elif head[0] == "#":
+                continue  # blank line or comment
+            elif head == "L":
+                parts = line.split(None, 3)
+                if len(parts) != 4:
+                    raise GkgSyntaxError(line_no, "L takes a node id, a language tag and a label")
+                node_id = ids_get(parts[1]) or node_id_of(parts[1], line_no)
+                lang = parts[2]
+                key = (node_id, lang)
+                if key in label_entries:
+                    raise GkgSyntaxError(line_no, f"duplicate label for {node_id} [{lang}]")
+                label_entries[key] = parts[3]
+            elif head == "G":
+                fields = line.split()
+                if saw_header:
+                    raise GkgSyntaxError(line_no, "duplicate G header")
+                if len(fields) != 3:
+                    raise GkgSyntaxError(line_no, "G takes a source id and a revision")
+                saw_header = True
+                source_id = "" if fields[1] == "-" else fields[1]
+                try:
+                    revision = int(fields[2])
+                except ValueError:
+                    raise GkgSyntaxError(line_no, f"bad revision {fields[2]!r}") from None
+                if revision < 0:
+                    raise GkgSyntaxError(line_no, "revision must be non-negative")
+            elif head == "T":
+                fields = line.split()
+                if len(fields) != 3:
+                    raise GkgSyntaxError(line_no, "T takes a type id and a parent id or -")
+                type_id = node_id_of(fields[1], line_no)
+                parent = None if fields[2] == "-" else node_id_of(fields[2], line_no)
+                type_pairs.append((type_id, parent))
+            elif declarations.handles(head):
+                declarations.take(line.split(), line_no)
+            else:
+                raise GkgSyntaxError(line_no, f"unknown record {head!r}")
 
     schema = declarations.build()
+    ids.clear()  # every record is read, so the id memo's tokens go before the checks
 
     # Types referenced but never declared become direct children of the root.
     referenced = set(map(itemgetter(2), nodes.values()))
@@ -471,6 +494,7 @@ def parse_gkg(text: str) -> GkgDocument:
                 raise GkgSyntaxError(line_no, f"node {fields[1]} collides with a declared type")
     graph = GroundedGraph(nodes, frozenset(edge_records), source_id, revision)
     doc = GkgDocument(hierarchy, graph, LabelTable(label_entries), schema)
+    del graph, nodes, edge_records  # the document keeps what it needs; the rest goes before the check
     # Every declared type is registered above, so the graph's check is the document's.
     report = validate_graph(doc.graph, hierarchy)
     if not report.ok:
@@ -478,13 +502,22 @@ def parse_gkg(text: str) -> GkgDocument:
     return doc
 
 
+def _section(lines: List[str]) -> str:
+    """``lines`` sorted, each ended by ``\\n``, as one text; empties the list, freeing them."""
+    lines.sort()
+    lines.append("")
+    text = "\n".join(lines)
+    lines.clear()
+    return text
+
+
 def serialize_gkg(doc: GkgDocument) -> str:
     """Render a document in canonical form (see the module docstring).
     Raises ValueError for documents that cannot be expressed, e.g. nodes
     without a type, a literal or label with a line break or leading
     whitespace, an empty label, an empty language tag or one with
-    whitespace, or a header
-    that would not read back as written."""
+    whitespace, or a header that would not read back as written."""
+    sections: List[str] = []
     lines: List[str] = []
     graph = doc.graph
     source_id, revision = graph.source_id, graph.revision
@@ -496,7 +529,7 @@ def serialize_gkg(doc: GkgDocument) -> str:
             raise ValueError("source id '-' would read back as no source id")
         if revision < 0:
             raise ValueError(f"revision must be non-negative, got {revision}")
-        lines.append(f"G {source_id or '-'} {revision}")
+        sections.append(f"G {source_id or '-'} {revision}\n")
 
     # Records are joined with "+": an f-string would format each id, which
     # copies it, since an id is a str subclass.  Node kinds and relations
@@ -504,17 +537,15 @@ def serialize_gkg(doc: GkgDocument) -> str:
     # code.  Each section's line sort alone sets the canonical order,
     # which is not id order when an id holds a character that sorts below
     # the space.
-    type_lines = []
     parents_of = doc.hierarchy.parents
     for type_id in doc.hierarchy.types:
         parents = parents_of.get(type_id)
         if not parents:
-            type_lines.append("T " + type_id + " -")
+            lines.append("T " + type_id + " -")
         else:
-            type_lines.extend(map(("T " + type_id + " ").__add__, parents))
-    lines.extend(sorted(type_lines))
+            lines.extend(map(("T " + type_id + " ").__add__, parents))
+    sections.append(_section(lines))
 
-    node_lines = []
     for node_id, (_, kind, inst_of, literal) in graph.nodes.items():
         if kind is NodeKind.TYPE_NODE:
             continue
@@ -531,13 +562,12 @@ def serialize_gkg(doc: GkgDocument) -> str:
             record += " " + literal
         elif literal is not None:
             raise ValueError(f"cannot serialize literal on non-value node {node_id}")
-        node_lines.append(record)
-    lines.extend(sorted(node_lines))
+        lines.append(record)
+    sections.append(_section(lines))
 
     relation_field = _RELATION_FIELD
-    lines.extend(sorted("E " + subject + relation_field[relation] + obj for subject, relation, obj in graph.edges))
+    sections.append(_section(["E " + subject + relation_field[rel] + obj for subject, rel, obj in graph.edges]))
 
-    label_lines = []
     for (node_id, lang), label in doc.labels.entries.items():
         # The tag is one field of the record, and the label the rest of
         # the line after the whitespace that ends the tag.
@@ -551,26 +581,24 @@ def serialize_gkg(doc: GkgDocument) -> str:
             raise ValueError(f"cannot serialize label with a line break on {node_id} [{lang}]")
         if label[:1].isspace():
             raise ValueError(f"cannot serialize label that starts with whitespace on {node_id} [{lang}]")
-        label_lines.append("L " + node_id + " " + lang + " " + label)
-    lines.extend(sorted(label_lines))
+        lines.append("L " + node_id + " " + lang + " " + label)
+    sections.append(_section(lines))
 
-    decl_lines = []
     decls = doc.declarations
-    decl_lines.extend(f"ESSENTIAL {type_id}" for type_id in decls.essential)
-    decl_lines.extend(
+    lines.extend(f"ESSENTIAL {type_id}" for type_id in decls.essential)
+    lines.extend(
         f"CARD {type_id} {card.value}" for type_id, card in decls.cardinality.items()
     )
-    decl_lines.extend(
+    lines.extend(
         f"ATTRDECL {event_type} {attr_type} {mode.value}"
         for (event_type, attr_type), mode in decls.attr_modes.items()
     )
-    decl_lines.extend(
+    lines.extend(
         f"ROLE {role.role_name} BASE {role.base_type} VIA {role.via.value} EVENT {role.occurrent_type}"
         for role in decls.roles
     )
-    lines.extend(sorted(decl_lines))
-
-    return "\n".join(lines) + "\n" if lines else ""
+    sections.append(_section(lines))
+    return "".join(sections)
 
 
 def parse_rules(text: str) -> Tuple[Tuple[ReificationRule, ...], SchemaDeclarations]:

@@ -123,7 +123,8 @@ class NodeId(str):
         namespace, sep, local = text.partition(":")
         # A valid id is built from its text at once; any other text goes
         # through the constructor, whose checks word the error.
-        if namespace and local and text.isascii() and text.split() == [text]:
+        plain = text.isprintable() and " " not in text  # no whitespace, if ASCII
+        if namespace and local and text.isascii() and (plain or text.split() == [text]):
             return str.__new__(cls, text)
         if not sep:
             raise ValueError(f"node id must contain a colon: {text!r}")
