@@ -10,11 +10,16 @@ commands of that workload (canonicalize A, canonicalize B, align, merge),
 write ``a.gkg``'s bytes since canonicalize is order-insensitive,
 ``gkg validate`` of A, whose time is that of reading one document
 (``validate_a``), the parse that align and merge each pay twice,
-``gkg render`` of A in French (``render_a``), a read and a labeled view, and
+``gkg render`` of A in French (``render_a``), a read and a labeled view,
 ``gkg merge`` of A with itself along A's identity alignment
 (``merge_self``), a merge like a revision's that has nothing to fold,
-and ``gkg isocheck`` of A against that self-merge in French
-(``isocheck_self``), which must print ``ISOMORPHIC``.
+``gkg isocheck`` of A against that self-merge in French
+(``isocheck_self``), which must print ``ISOMORPHIC``, ``gkg align`` of
+A with itself (``align_self``), and ``gkg isocheck`` of A against B
+(``isocheck_ab``), which must exit 1 and print ``NOT_ISOMORPHIC``.
+``merge_self``, ``isocheck_self`` and ``align_self`` read a second
+document whose text is the first's; ``align``, ``merge`` and
+``isocheck_ab`` one whose text differs.
 The identity alignment is written from ``a.gkg``'s continuants, untimed,
 right after ``canonicalize_a``.
 At each size it also generates gkgbench's ``revise`` corpus (a source and
@@ -27,7 +32,7 @@ size and checkout the probe prints one JSON object: each command's wall
 time (interpreter start included) and peak RSS, read from the child's
 own rusage, the ``MATCH`` and ``AMBIG`` rows of the alignment, and the
 SHA-256 of ``a.gkg``, ``a_shuffled.gkg``, ``b.gkg``, ``a.fr.tsv``, ``ab.align``,
-``ab.gkg``, ``aa.gkg`` and the revision merge ``rev.gkg`` as the last repeat
+``aa_self.align``, ``ab.gkg``, ``aa.gkg`` and the revision merge ``rev.gkg`` as the last repeat
 left them, so equal digests across checkouts show
 byte-identical output without a diff.  With ``--repeat N`` each size runs N times and
 the median time and largest RSS are kept.  ``--src`` names the ``src``
@@ -42,7 +47,7 @@ outputs and the bytecode cache live in one temporary directory under
 ``.bench_work/``, so a probed ``src`` is left untouched.
 
 This is a probe, not a benchmark: it checks no output but the
-isocheck's verdict and gates nothing.
+isochecks' verdicts and gates nothing.
 Its numbers are recorded by hand next to a change (``BENCH_*.json``).
 """
 
@@ -76,15 +81,19 @@ COMMANDS = (
     ("validate_a", ("validate", "a.gkg")),
     ("render_a", ("render", "a.gkg", "--lang", "fr", "-o", "a.fr.tsv")),
     ("align", ("align", "a.gkg", "b.gkg", "-o", "ab.align")),
+    ("align_self", ("align", "a.gkg", "a.gkg", "-o", "aa_self.align")),
     ("merge", ("merge", "a.gkg", "b.gkg", "--alignment", "ab.align", "-o", "ab.gkg")),
     ("merge_self", ("merge", "a.gkg", "a.gkg", "--alignment", "aa.align", "-o", "aa.gkg")),
     ("isocheck_self", ("isocheck", "--lang", "fr", "a.gkg", "aa.gkg")),
+    ("isocheck_ab", ("isocheck", "a.gkg", "b.gkg")),
     ("canonicalize_rev1", ("canonicalize", "--rules", "rules.txt", "--flat", "rev1.tsv",
                            "--source-id", "people", "--revision", "1", "-o", "rev1.gkg")),
     ("canonicalize_rev2", ("canonicalize", "--rules", "rules.txt", "--flat", "rev2.tsv",
                            "--source-id", "people", "--revision", "2", "-o", "rev2.gkg")),
     ("merge_rev", ("merge", "rev1.gkg", "rev2.gkg", "--alignment", "rev1_rev2.align", "-o", "rev.gkg")),
 )
+# Exit code and the start of stdout each isocheck must give.
+VERDICTS = {"isocheck_self": (0, b"ISOMORPHIC\n"), "isocheck_ab": (1, b"NOT_ISOMORPHIC\t")}
 
 
 def load_corpus_module():
@@ -118,8 +127,9 @@ def checkout_envs(srcs, run_dir: Path) -> dict:
     return envs
 
 
-def run_command(argv, work: Path, env: dict):
-    """(wall seconds, peak RSS in MiB, stdout bytes) of one ``gkg`` command."""
+def run_command(argv, work: Path, env: dict, expected_code: int = 0):
+    """(wall seconds, peak RSS in MiB, stdout bytes) of one ``gkg`` command,
+    which must exit with ``expected_code``."""
     with open(work / ".stdout", "w+b") as out, open(work / ".stderr", "w+b") as err:
         start = time.perf_counter()
         child = subprocess.Popen([sys.executable, "-m", "gkg.cli", *argv], cwd=work, env=env,
@@ -127,7 +137,7 @@ def run_command(argv, work: Path, env: dict):
         _pid, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
         code = os.waitstatus_to_exitcode(status)
-        if code != 0:
+        if code != expected_code:
             err.seek(0)
             message = err.read().decode("utf-8", "replace").strip()
             raise SystemExit(f"gkg {' '.join(argv)} exited {code}: {message}")
@@ -182,8 +192,9 @@ def probe(size: int, repeat: int, envs: dict, corpus, run_dir: Path) -> list:
         for turn in range(repeat):
             for src in list(envs)[::-1 if turn % 2 else 1]:
                 for name, argv in COMMANDS:
-                    wall, peak, stdout = run_command(argv, works[src], envs[src])
-                    if name == "isocheck_self" and stdout != b"ISOMORPHIC\n":
+                    code, verdict = VERDICTS.get(name, (0, b""))
+                    wall, peak, stdout = run_command(argv, works[src], envs[src], code)
+                    if not stdout.startswith(verdict):
                         raise SystemExit(f"gkg {' '.join(argv)} printed {stdout!r}")
                     times[src][name].append(wall)
                     rss[src][name] = max(rss[src][name], peak)
@@ -195,7 +206,8 @@ def probe(size: int, repeat: int, envs: dict, corpus, run_dir: Path) -> list:
                 record[f"{name}_s"] = round(statistics.median(times[src][name]), 3)
                 record[f"{name}_rss_mib"] = round(rss[src][name], 1)
             record.update(alignment_rows(works[src] / "ab.align"))
-            for name in ("a.gkg", "a_shuffled.gkg", "b.gkg", "a.fr.tsv", "ab.align", "ab.gkg", "aa.gkg", "rev.gkg"):
+            for name in ("a.gkg", "a_shuffled.gkg", "b.gkg", "a.fr.tsv", "ab.align", "aa_self.align",
+                         "ab.gkg", "aa.gkg", "rev.gkg"):
                 digest = hashlib.sha256((works[src] / name).read_bytes()).hexdigest()
                 record[f"{name.replace('.', '_')}_sha256"] = digest
             records.append(record)

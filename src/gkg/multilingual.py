@@ -71,12 +71,10 @@ class LabeledView(NamedTuple):
         """Two-column node rows in id order, then three-column labelled edge
         rows in (subject, relation, object) order."""
         # An id row is joined with "+", since an f-string would copy the id.
+        # Each section's rows are joined and freed before the next is built.
         labels, glosses = self.node_labels, self.relation_glosses
-        rows = [node_id + "\t" + labels[node_id] + "\n" for node_id in sorted(labels)]
-        rows.extend(
-            f"{labels[subject]}\t{glosses[relation]}\t{labels[obj]}\n" for subject, relation, obj in sorted(self.edges)
-        )
-        return "".join(rows)
+        nodes = "".join([node_id + "\t" + labels[node_id] + "\n" for node_id in sorted(labels)])
+        return nodes + "".join([f"{labels[s]}\t{glosses[r]}\t{labels[o]}\n" for s, r, o in sorted(self.edges)])
 
 
 def render(
@@ -120,22 +118,17 @@ class IsomorphismResult(NamedTuple):
         return "ISOMORPHIC\n" if self.ok else f"NOT_ISOMORPHIC\t{self.witness}\n"
 
 
-def check_isomorphic(view_a: LabeledView, view_b: LabeledView) -> IsomorphismResult:
-    """Structural equality of two views: identical node-id sets and edge
-    sets; labels and glosses are ignored.  The witness names the first
-    difference in sorted order."""
-    nodes_a = set(view_a.node_labels)
-    nodes_b = set(view_b.node_labels)
+def check_isomorphic(graph_a: GroundedGraph, graph_b: GroundedGraph) -> IsomorphismResult:
+    """Structural equality of two graphs: identical node-id sets and edge
+    sets, as any language's views of them have.  The witness names the
+    first difference in sorted order."""
+    nodes_a, nodes_b = graph_a.nodes.keys(), graph_b.nodes.keys()
     for node_id in sorted(nodes_a - nodes_b):
         return IsomorphismResult(False, f"node only in first view: {node_id}")
     for node_id in sorted(nodes_b - nodes_a):
         return IsomorphismResult(False, f"node only in second view: {node_id}")
-    for edge in sorted(view_a.edges - view_b.edges):
-        return IsomorphismResult(
-            False, f"edge only in first view: {edge.subject} {edge.relation.value} {edge.obj}"
-        )
-    for edge in sorted(view_b.edges - view_a.edges):
-        return IsomorphismResult(
-            False, f"edge only in second view: {edge.subject} {edge.relation.value} {edge.obj}"
-        )
+    for edge in sorted(graph_a.edges - graph_b.edges):
+        return IsomorphismResult(False, f"edge only in first view: {edge.subject} {edge.relation.value} {edge.obj}")
+    for edge in sorted(graph_b.edges - graph_a.edges):
+        return IsomorphismResult(False, f"edge only in second view: {edge.subject} {edge.relation.value} {edge.obj}")
     return IsomorphismResult(True)

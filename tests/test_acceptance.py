@@ -191,8 +191,10 @@ def test_criterion_06_translated_renders_stay_isomorphic():
         .with_label(NodeId("rel", "hasValue"), "ar", "له قيمة")
     )
     views = [render(doc.graph, labels, lang) for lang in ("en", "fr", "ar")]
+    # The structure each render shows: the nodes of its ids, and its edges.
+    shown = [GroundedGraph({i: doc.graph.nodes[i] for i in view.node_labels}, view.edges) for view in views]
     outcomes = [
-        check_isomorphic(views[i], views[j]).ok
+        check_isomorphic(shown[i], shown[j]).ok
         for i in range(3)
         for j in range(3)
         if i < j

@@ -148,6 +148,12 @@ def _outcomes(a, b, ab, out):
     return found
 
 
+def _with_a_comment(text: str) -> str:
+    """The text with one ``#`` comment line more: the same document, in
+    text that is not the same."""
+    return text + "# the same document\n"
+
+
 def _malformed_records(text_a: str, text_b: str):
     """Malformed records for B that read ids A parsed fine first."""
     node_lines = [line for line in text_a.splitlines() if line.startswith("N ")]
@@ -192,7 +198,10 @@ def check_pair(tmp_path, monkeypatch, text_a, text_b, alignment, seed=0):
     assert _root_objects(doc_a) == _root_objects(doc_b) == {id(ROOT_TYPE)}
 
     # Every command writes the same bytes, reports and exit code without
-    # the memo, and then no record is shared.
+    # the memo, and then no record is shared.  A B whose text is A's is
+    # A's document, so a copy with a comment line more stands in for it.
+    if text_b == text_a:
+        Path(b).write_text(_with_a_comment(text_b), encoding="utf-8")
     with monkeypatch.context() as patch:
         _without_the_memo(patch)
         capture = _Capture(patch)
@@ -280,12 +289,16 @@ class TestOnePerCommand:
     )
     def test_a_library_read_after_a_command_parses_afresh(self, workspace, monkeypatch, argv, outcome, pair):
         argv = [arg.format(w=workspace) for arg in argv]
-        memos, work_memos = [], []
-        read = cli._read
+        memos, parse_memos, work_memos = [], [], []
+        read, parse = cli._read, cli.parse_gkg
 
         def spy(path):
             memos.append(model._command_records)
             return read(path)
+
+        def parse_spy(text):
+            parse_memos.append(model._command_records)
+            return parse(text)
 
         def noting(func):
             def call(*args):
@@ -296,6 +309,7 @@ class TestOnePerCommand:
 
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_read", spy)
+            patch.setattr(cli, "parse_gkg", parse_spy)
             for name in ("align", "merge_documents", "render"):
                 patch.setattr(cli, name, noting(getattr(cli, name)))
             if outcome is RuntimeError:
@@ -310,12 +324,16 @@ class TestOnePerCommand:
                     assert outcome is not SystemExit or exc.value.code == 2
         if "unknown.align" in argv[-1]:
             assert "not a continuant" in stderr.getvalue()
-        if pair:
-            # The record memo is open for the two document reads alone.
-            assert memos[0] is not None and memos[:2] == [memos[0]] * 2
-            assert all(found is None for found in memos[2:])
+        if pair and argv[1] == argv[2]:
+            # A's text twice is parsed once, without the memo.
+            assert parse_memos == [None]
+        elif pair:
+            # Else the record memo is open for the document parses alone.
+            assert parse_memos[0] is not None and parse_memos == [parse_memos[0]] * len(parse_memos)
         else:
-            assert all(found is None for found in memos)
+            assert all(found is None for found in parse_memos)
+        # Reads after the documents' (the alignment's) run without it.
+        assert all(found is None for found in memos[2:])
         assert all(found is None for found in work_memos)
         assert model._command_records is None
         calls = _parse_calls(monkeypatch)
@@ -375,6 +393,77 @@ class TestRecordMemo:
         a, b, ab = _write_pair(tmp_path, text_a, text_b, _identity_alignment(text_a, text_a))
         for argv in _commands(a, b, ab, str(tmp_path / "out")).values():
             assert _run(argv)[::2] == (2, f"gkg: {alone.value}\n"), argv[0]
+
+
+class TestIdenticalTexts:
+    """A B whose text is A's is A's document: one parse, no memo, and the
+    same output, report, error and exit code as the memo's path."""
+
+    @pytest.fixture(params=["worked", "revision"])
+    def text(self, request):
+        return WORKED_TEXT if request.param == "worked" else GOLDEN_PAIRS["revision"][0].read_text(encoding="utf-8")
+
+    def _three_ways(self, tmp_path, text):
+        """(A, B) path pairs: one path twice, a byte-identical copy, and a
+        copy with a comment line more, which takes the memo's path."""
+        a, b, commented = (tmp_path / name for name in ("a.gkg", "b.gkg", "c.gkg"))
+        a.write_text(text, encoding="utf-8")
+        b.write_bytes(a.read_bytes())
+        commented.write_text(_with_a_comment(text), encoding="utf-8")
+        return [(str(a), str(a)), (str(a), str(b)), (str(a), str(commented))]
+
+    def test_one_path_a_copy_and_a_commented_copy_agree(self, tmp_path, text):
+        ab = tmp_path / "ab.align"
+        ab.write_text(_identity_alignment(text, text), encoding="utf-8")
+        found = [_outcomes(a, b, str(ab), str(tmp_path / "out")) for a, b in self._three_ways(tmp_path, text)]
+        assert found[0] == found[1] == found[2]
+        assert {name: outcome[0] for name, outcome in found[0].items()} == {"merge": 0, "align": 0, "isocheck": 0}
+
+    def test_identical_texts_are_parsed_once(self, tmp_path, monkeypatch, text):
+        ab = tmp_path / "ab.align"
+        ab.write_text(_identity_alignment(text, text), encoding="utf-8")
+        parse = cli.parse_gkg
+        for (a, b), parses in zip(self._three_ways(tmp_path, text), (1, 1, 2)):
+            for name, argv in _commands(a, b, str(ab), str(tmp_path / "out")).items():
+                docs = []
+
+                def spy(read_text):
+                    docs.append(parse(read_text))
+                    return docs[-1]
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli, "parse_gkg", spy)
+                    capture = _Capture(patch)
+                    assert _run(argv)[0] == 0
+                assert len(docs) == parses, (name, b)
+                if name == "merge":
+                    doc_a, doc_b, _ = capture.calls[0]
+                    # One document, or B holding A's records for every shared line.
+                    assert (doc_b is doc_a) == (parses == 1)
+                    assert _record_reuse(text, text, doc_a, doc_b) == {True}
+
+    @pytest.mark.parametrize(
+        "text_a, b_is, code, message",
+        [
+            ("WHAT is this\n", "missing", 2, "gkg: line 1: unknown record 'WHAT'\n"),
+            ("WHAT is this\n", "same-size-not-utf8", 2, "gkg: line 1: unknown record 'WHAT'\n"),
+            ("WHAT is this\n", "a", 2, "gkg: line 1: unknown record 'WHAT'\n"),
+            (WORKED_TEXT, "missing", 3, "gkg: [Errno 2] No such file or directory: '{b}'\n"),
+            (WORKED_TEXT, "same-size-not-utf8", 2, "gkg: line 1: {b} is not UTF-8 text\n"),
+        ],
+        ids=["a-malformed-b-missing", "a-malformed-b-not-utf8", "a-malformed-twice", "b-missing",
+             "b-not-utf8"],
+    )
+    def test_errors_come_in_order_a_then_b(self, tmp_path, text_a, b_is, code, message):
+        """A's read, then A's parse, then B's read, then B's parse."""
+        a, b = tmp_path / "a.gkg", tmp_path / "b.gkg"
+        a.write_text(text_a, encoding="utf-8")
+        if b_is == "same-size-not-utf8":
+            b.write_bytes(b"\xff" * a.stat().st_size)
+        elif b_is == "a":
+            b = a
+        for argv in _commands(str(a), str(b), str(tmp_path / "ab.align"), str(tmp_path / "out")).values():
+            assert _run(argv)[::2] == (code, message.format(b=b)), argv[0]
 
 
 class TestBadTokens:

@@ -1,21 +1,30 @@
 """Label tables, per-language rendering and the structural equality check."""
 
+import contextlib
+import io
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkg import (
     Edge,
+    GkgDocument,
     GroundedGraph,
     LabelTable,
     LabeledView,
+    Node,
     NodeId,
+    NodeKind,
     PrimitiveRelation,
     check_isomorphic,
     gloss_id,
     parse_gkg,
     render,
+    serialize_gkg,
 )
+from gkg.cli import main
 
 from .support import WORKED_TEXT, random_document
 
@@ -210,43 +219,107 @@ class TestToTsvAgainstOracle:
             assert view.to_tsv() == oracle_to_tsv(view)
 
 
+def view_graph(view: LabeledView, graph: GroundedGraph) -> GroundedGraph:
+    """The structure a view shows: the graph's nodes under the view's node
+    ids, and the view's edges."""
+    return GroundedGraph({node_id: graph.nodes[node_id] for node_id in view.node_labels}, view.edges)
+
+
 class TestIsomorphism:
     def test_translations_are_isomorphic(self):
         graph, labels = worked_with_labels()
-        views = {lang: render(graph, labels, lang) for lang in ("en", "fr", "ar")}
-        for lang_a in views:
-            for lang_b in views:
-                assert check_isomorphic(views[lang_a], views[lang_b]).ok
+        shown = {lang: view_graph(render(graph, labels, lang), graph) for lang in ("en", "fr", "ar")}
+        for lang_a in shown:
+            for lang_b in shown:
+                assert check_isomorphic(shown[lang_a], shown[lang_b]).ok
 
     def test_extra_node_witnessed(self):
-        graph, labels = worked_with_labels()
+        graph, _ = worked_with_labels()
         smaller = GroundedGraph(
             {k: v for k, v in graph.nodes.items() if k != NodeId("ex", "v1")},
             frozenset(e for e in graph.edges if e.obj != NodeId("ex", "v1")),
         )
-        result = check_isomorphic(render(graph, labels, "en"), render(smaller, labels, "en"))
+        result = check_isomorphic(graph, smaller)
         assert not result.ok
         assert "ex:v1" in result.witness
 
     def test_extra_edge_witnessed(self):
-        graph, labels = worked_with_labels()
+        graph, _ = worked_with_labels()
         edge = Edge(NodeId("ex", "birth1"), PrimitiveRelation.HAS_AGENT, RW)
         extra = GroundedGraph(graph.nodes, graph.edges | {edge})
-        result = check_isomorphic(render(graph, labels, "en"), render(extra, labels, "en"))
+        result = check_isomorphic(graph, extra)
         assert not result.ok
         assert "hasAgent" in result.witness
 
     def test_result_rows(self):
         """The row ``gkg isocheck`` prints for each verdict."""
-        graph, labels = worked_with_labels()
-        view = render(graph, labels, "en")
-        smaller = render(GroundedGraph(graph.nodes, frozenset()), labels, "en")
-        assert check_isomorphic(view, view).to_tsv() == "ISOMORPHIC\n"
-        witness = check_isomorphic(view, smaller).witness
+        graph, _ = worked_with_labels()
+        smaller = GroundedGraph(graph.nodes, frozenset())
+        assert check_isomorphic(graph, graph).to_tsv() == "ISOMORPHIC\n"
+        witness = check_isomorphic(graph, smaller).witness
         assert witness.startswith("edge only in first view: ")
-        assert check_isomorphic(view, smaller).to_tsv() == f"NOT_ISOMORPHIC\t{witness}\n"
+        assert check_isomorphic(graph, smaller).to_tsv() == f"NOT_ISOMORPHIC\t{witness}\n"
 
     def test_label_changes_are_invisible(self):
-        graph, labels = worked_with_labels()
-        relabeled = labels.with_label(RW, "en", "Someone Else Entirely")
-        assert check_isomorphic(render(graph, labels, "en"), render(graph, relabeled, "en")).ok
+        doc = parse_gkg(WORKED_TEXT)
+        relabeled = GkgDocument(doc.hierarchy, doc.graph, doc.labels.with_label(RW, "en", "Someone Else Entirely"),
+                                doc.declarations)
+        assert check_isomorphic(doc.graph, parse_gkg(serialize_gkg(relabeled)).graph).ok
+
+
+def _isocheck(argv):
+    """(exit code, stdout, stderr) of ``gkg isocheck <argv>``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["isocheck", *argv])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _structure(text: str):
+    """The ids of a document text's N records and the set of its E lines."""
+    lines = text.splitlines()
+    node_ids = {line.split()[1] for line in lines if line.startswith("N ")}
+    return node_ids, {line for line in lines if line.startswith("E ")}
+
+
+@st.composite
+def _document_pairs(draw):
+    """A random document and a second one under its type records: itself,
+    relabeled, without some of its edges, without a node and its edges,
+    or with a node more; in either order."""
+    doc = random_document(draw(st.integers(0, 10**6)))
+    graph, labels = doc.graph, doc.labels
+    change = draw(st.sampled_from(("same", "labels", "edges", "node", "extra")))
+    if change == "labels":
+        node_id = draw(st.sampled_from(sorted(graph.nodes)))
+        labels = labels.with_label(node_id, draw(st.sampled_from(_LANGS)), "Someone Else")
+    elif change == "edges" and graph.edges:
+        graph = GroundedGraph(graph.nodes, frozenset(draw(st.sets(st.sampled_from(sorted(graph.edges))))))
+    elif change == "node":
+        gone = draw(st.sampled_from([node.id for node in graph.nodes.values() if node.kind is not NodeKind.TYPE_NODE]))
+        graph = GroundedGraph({k: v for k, v in graph.nodes.items() if k != gone},
+                              frozenset(e for e in graph.edges if gone not in (e.subject, e.obj)))
+    elif change == "extra":
+        nodes = dict(graph.nodes)
+        nodes[NodeId("x", "extra")] = Node(NodeId("x", "extra"), NodeKind.CONTINUANT, min(doc.hierarchy.types))
+        graph = GroundedGraph(nodes, graph.edges)
+    pair = serialize_gkg(doc), serialize_gkg(GkgDocument(doc.hierarchy, graph, labels, doc.declarations))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+class TestIsocheckCommand:
+    @settings(max_examples=80, deadline=None)
+    @given(_document_pairs(), st.lists(st.text(alphabet="abfrxz_", min_size=1, max_size=3), min_size=1, max_size=3))
+    def test_verdict_follows_node_ids_and_edges_in_any_language(self, tmp_path_factory, pair, langs):
+        work = tmp_path_factory.mktemp("isocheck")
+        paths = [str(work / name) for name in ("a.gkg", "b.gkg")]
+        for path, text in zip(paths, pair):
+            Path(path).write_text(text, encoding="utf-8")
+        outcome = _isocheck(paths)
+        # The same text for any --lang...
+        for lang in langs:
+            assert _isocheck([*paths, "--lang", lang]) == outcome
+        # ...and ISOMORPHIC exactly when the N ids and E lines are the same.
+        same = _structure(pair[0]) == _structure(pair[1])
+        assert outcome[0] == (0 if same else 1)
+        assert outcome[1].startswith("ISOMORPHIC\n" if same else "NOT_ISOMORPHIC\t") and outcome[2] == ""
