@@ -15,13 +15,18 @@ write ``a.gkg``'s bytes since canonicalize is order-insensitive,
 (``merge_self``), a merge like a revision's that has nothing to fold,
 ``gkg isocheck`` of A against that self-merge in French
 (``isocheck_self``), which must print ``ISOMORPHIC``, ``gkg align`` of
-A with itself (``align_self``), and ``gkg isocheck`` of A against B
-(``isocheck_ab``), which must exit 1 and print ``NOT_ISOMORPHIC``.
+A against ``b_fr.gkg``, B with its English labels tagged French, under
+``--pivot-lang fr`` (``align_fr``), which must write ``ab.align``'s
+bytes, since a node with no label in the pivot language is named by its
+English one, ``gkg align`` of A with itself (``align_self``), and
+``gkg isocheck`` of A against B (``isocheck_ab``), which must exit 1
+and print ``NOT_ISOMORPHIC``.
 ``merge_self``, ``isocheck_self`` and ``align_self`` read a second
 document whose text is the first's; ``align``, ``merge`` and
 ``isocheck_ab`` one whose text differs.
 The identity alignment is written from ``a.gkg``'s continuants, untimed,
-right after ``canonicalize_a``.
+right after ``canonicalize_a``, and ``b_fr.gkg`` from ``b.gkg`` right
+after ``canonicalize_b``.
 At each size it also generates gkgbench's ``revise`` corpus (a source and
 its next revision, seed 1), canonicalizes both revisions
 (``canonicalize_rev1``, ``canonicalize_rev2``) and merges revision 1 with
@@ -32,7 +37,7 @@ size and checkout the probe prints one JSON object: each command's wall
 time (interpreter start included) and peak RSS, read from the child's
 own rusage, the ``MATCH`` and ``AMBIG`` rows of the alignment, and the
 SHA-256 of ``a.gkg``, ``a_shuffled.gkg``, ``b.gkg``, ``a.fr.tsv``, ``ab.align``,
-``aa_self.align``, ``ab.gkg``, ``aa.gkg`` and the revision merge ``rev.gkg`` as the last repeat
+``ab_fr.align``, ``aa_self.align``, ``ab.gkg``, ``aa.gkg`` and the revision merge ``rev.gkg`` as the last repeat
 left them, so equal digests across checkouts show
 byte-identical output without a diff.  With ``--repeat N`` each size runs N times and
 the median time and largest RSS are kept.  ``--src`` names the ``src``
@@ -47,7 +52,7 @@ outputs and the bytecode cache live in one temporary directory under
 ``.bench_work/``, so a probed ``src`` is left untouched.
 
 This is a probe, not a benchmark: it checks no output but the
-isochecks' verdicts and gates nothing.
+isochecks' verdicts and ``align_fr``'s bytes, and gates nothing.
 Its numbers are recorded by hand next to a change (``BENCH_*.json``).
 """
 
@@ -81,6 +86,7 @@ COMMANDS = (
     ("validate_a", ("validate", "a.gkg")),
     ("render_a", ("render", "a.gkg", "--lang", "fr", "-o", "a.fr.tsv")),
     ("align", ("align", "a.gkg", "b.gkg", "-o", "ab.align")),
+    ("align_fr", ("align", "a.gkg", "b_fr.gkg", "--pivot-lang", "fr", "-o", "ab_fr.align")),
     ("align_self", ("align", "a.gkg", "a.gkg", "-o", "aa_self.align")),
     ("merge", ("merge", "a.gkg", "b.gkg", "--alignment", "ab.align", "-o", "ab.gkg")),
     ("merge_self", ("merge", "a.gkg", "a.gkg", "--alignment", "aa.align", "-o", "aa.gkg")),
@@ -164,6 +170,18 @@ def write_identity_alignment(document: Path, out: Path) -> None:
     out.write_text("".join(f"{node_id}\t{node_id}\t1.0000\tMATCH\n" for node_id in ids), encoding="utf-8")
 
 
+def write_retagged(document: Path, out: Path, old: str = "en", new: str = "fr") -> None:
+    """The document with each label record (``L <id> <lang> <label>``) in
+    language ``old`` tagged ``new``."""
+    lines = []
+    for line in document.read_text(encoding="utf-8").splitlines(keepends=True):
+        fields = line.split(" ", 3)
+        if fields[0] == "L" and fields[2] == old:
+            fields[2] = new
+        lines.append(" ".join(fields))
+    out.write_text("".join(lines), encoding="utf-8")
+
+
 def alignment_rows(path: Path) -> dict:
     counts = {"MATCH": 0, "AMBIG": 0}
     with open(path, encoding="utf-8") as handle:
@@ -200,16 +218,20 @@ def probe(size: int, repeat: int, envs: dict, corpus, run_dir: Path) -> list:
                     rss[src][name] = max(rss[src][name], peak)
                     if name == "canonicalize_a":
                         write_identity_alignment(works[src] / "a.gkg", works[src] / "aa.align")
+                    elif name == "canonicalize_b":
+                        write_retagged(works[src] / "b.gkg", works[src] / "b_fr.gkg")
         for src in envs:
             record = {"subjects_per_side": size, "seed": SEED, "repeat": repeat, "src": src}
             for name in times[src]:
                 record[f"{name}_s"] = round(statistics.median(times[src][name]), 3)
                 record[f"{name}_rss_mib"] = round(rss[src][name], 1)
             record.update(alignment_rows(works[src] / "ab.align"))
-            for name in ("a.gkg", "a_shuffled.gkg", "b.gkg", "a.fr.tsv", "ab.align", "aa_self.align",
-                         "ab.gkg", "aa.gkg", "rev.gkg"):
+            for name in ("a.gkg", "a_shuffled.gkg", "b.gkg", "a.fr.tsv", "ab.align", "ab_fr.align",
+                         "aa_self.align", "ab.gkg", "aa.gkg", "rev.gkg"):
                 digest = hashlib.sha256((works[src] / name).read_bytes()).hexdigest()
                 record[f"{name.replace('.', '_')}_sha256"] = digest
+            if record["ab_fr_align_sha256"] != record["ab_align_sha256"]:
+                raise SystemExit(f"{src}: align under --pivot-lang fr with B in French differs from align")
             records.append(record)
     return records
 

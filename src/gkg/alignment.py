@@ -31,7 +31,7 @@ from .model import (
     _O,
     infer_role_labels,
 )
-from .multilingual import LabelTable
+from .multilingual import FALLBACK_LANG, LabelTable, node_names
 from .schema import SchemaDeclarations
 
 SLOT_NAME = "name"
@@ -65,7 +65,7 @@ class AlignmentConfig:
     provider: object
     threshold: float = DEFAULT_THRESHOLD
     ambiguity_band: float = DEFAULT_AMBIGUITY_BAND
-    pivot_lang: str = "en"
+    pivot_lang: str = FALLBACK_LANG
     declarations: SchemaDeclarations = SchemaDeclarations()
 
     def __post_init__(self):
@@ -102,27 +102,25 @@ def entity_signature(
     return _Signer(graph, hierarchy, labels, config, {}).sign(node)
 
 
-def _phrase(labels: LabelTable, node_id: NodeId, pivot_lang: str) -> str:
-    """The node's label in the pivot language, or its id's local part."""
-    label = labels.get(node_id, pivot_lang)
-    return label if label is not None else node_id.local
-
-
 class _Signer:
     """Signs the continuants of one graph.  It holds what all signatures
     over the graph share, each computed once: the graph's forward links, the
-    essential types it can sign, the roles-slot vector of each distinct
-    role set and the type-slot vectors, which read this side's labels.
-    ``phrases`` maps each phrase embedded so far to its vector; ``align``
-    hands both sides one table.  Ancestor sets are the hierarchy's own."""
+    essential types it can sign, the name of each continuant and hierarchy
+    type in the pivot language (:func:`node_names`, from this side's
+    labels), the roles-slot vector of each distinct role set and the
+    type-slot vectors.  ``phrases`` maps each phrase embedded so far to its
+    vector; ``align`` hands both sides one table.  Ancestor sets are the
+    hierarchy's own."""
 
     def __init__(self, graph: GroundedGraph, hierarchy: TypeHierarchy, labels: LabelTable,
                  config: AlignmentConfig, phrases: Dict[str, np.ndarray]):
         self.graph = graph
         self.hierarchy = hierarchy
-        self.labels = labels
         self.config = config
         self.phrases = phrases
+        named = [node_id for node_id, node in graph.nodes.items() if node.kind is _C]
+        named += hierarchy.types
+        self.names = dict(zip(named, node_names(labels, named, config.pivot_lang)))
         self.type_vectors: Dict[NodeId, np.ndarray] = {}
         self.links = _ForwardLinks(graph.edges)
         self.essentials = [e for e in sorted(config.declarations.essential) if e in hierarchy]
@@ -145,11 +143,8 @@ class _Signer:
         """Normalized mean of the phrase vectors along the lineage."""
         found = self.type_vectors.get(type_id)
         if found is None:
-            pivot_lang = self.config.pivot_lang
-            vectors = [
-                self.phrase_vector(_phrase(self.labels, ancestor, pivot_lang))
-                for ancestor in sorted(self.hierarchy.ancestors(type_id))
-            ]
+            names = self.names
+            vectors = [self.phrase_vector(names[ancestor]) for ancestor in sorted(self.hierarchy.ancestors(type_id))]
             found = self.type_vectors[type_id] = normalized(np.add.reduce(vectors) / float(len(vectors)))
         return found
 
@@ -159,7 +154,7 @@ class _Signer:
         links = self.links
         slots: Dict[str, np.ndarray] = {}
 
-        slots[SLOT_NAME] = self.phrase_vector(_phrase(self.labels, node.id, self.config.pivot_lang))
+        slots[SLOT_NAME] = self.phrase_vector(self.names[node.id])
 
         if node.inst_of in hierarchy:
             slots[SLOT_TYPE] = self.type_vector(node.inst_of)

@@ -28,7 +28,7 @@ from .model import (
     TypeHierarchy,
     _equal_to_own_type,
 )
-from .multilingual import LabelTable
+from .multilingual import FALLBACK_LANG, LabelTable
 from .schema import (
     AttrMode,
     Cardinality,
@@ -258,7 +258,7 @@ def canonicalize_document(
     )
     graph = GroundedGraph(nodes, edges, source_id, revision)
     labels = LabelTable.from_entries(
-        (node_id, "en", label) for label, node_id in sorted(entities.items(), key=itemgetter(1))
+        (node_id, FALLBACK_LANG, label) for label, node_id in sorted(entities.items(), key=itemgetter(1))
     )
     return GkgDocument(hierarchy, graph, labels, declarations), report
 

@@ -11,6 +11,7 @@ import gc
 import os
 import sys
 from contextlib import nullcontext
+from itertools import repeat
 from types import SimpleNamespace
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -28,7 +29,7 @@ from .embedding import DEFAULT_DIM, DEFAULT_SEED, DEFAULT_TRIALS, FileEmbeddingP
 from .errors import GkgError, GkgSyntaxError, InvalidParameterError, ValidationFailedError
 from .formats import GkgDocument, _read_text, parse_flat, parse_gkg, parse_rules, serialize_gkg
 from .merge import merge_documents, union_hierarchies
-from .multilingual import check_isomorphic, render
+from .multilingual import FALLBACK_LANG, check_isomorphic, node_names, render
 
 
 def _read(path: str) -> str:
@@ -125,10 +126,11 @@ def cmd_align(args: SimpleNamespace) -> int:
     hierarchy = union_hierarchies(doc_a.hierarchy, doc_b.hierarchy)
     result = align(doc_a.graph, doc_b.graph, hierarchy, doc_a.labels, doc_b.labels, config)
     _emit(format_alignment_tsv(result), args.output)
+    langs = " or ".join(dict.fromkeys((args.pivot_lang, FALLBACK_LANG)))
     for path, doc in ((args.document_a, doc_a), (args.document_b, doc_b)):
         ids = [node.id for node in doc.graph.continuants()]
-        if ids and not any(doc.labels.get(node_id, args.pivot_lang) for node_id in ids):
-            sys.stderr.write(f"gkg: no continuant of {path} has a label in {args.pivot_lang}; align names them by id\n")
+        if ids and all(name is None for name in node_names(doc.labels, ids, args.pivot_lang, repeat(None))):
+            sys.stderr.write(f"gkg: no continuant of {path} has a label in {langs}; align names them by id\n")
     return 0
 
 
@@ -191,7 +193,7 @@ class _Command(NamedTuple):
 
 
 _OUTPUT = _Option(("-o", "--output"), "output")
-_LANG = _Option(("--lang",), "lang", default="en")
+_LANG = _Option(("--lang",), "lang", default=FALLBACK_LANG)
 _DIM = _Option(("--dim",), "dim", int, DEFAULT_DIM)
 _THRESHOLD = _Option(("--threshold",), "threshold", float, DEFAULT_THRESHOLD)
 _EVAL_SEED = _Option(("--seed",), "seed", int, DEFAULT_SEED)
@@ -212,7 +214,7 @@ _COMMANDS: Dict[str, _Command] = {
         _DIM,
         _THRESHOLD,
         _Option(("--ambiguity-band",), "ambiguity_band", float, DEFAULT_AMBIGUITY_BAND),
-        _Option(("--pivot-lang",), "pivot_lang", default="en"),
+        _Option(("--pivot-lang",), "pivot_lang", default=FALLBACK_LANG),
         _OUTPUT,
     )),
     "merge": _Command("merge document B into document A", cmd_merge, ("document_a", "document_b"), (
@@ -248,11 +250,13 @@ def _current(func: Callable[[SimpleNamespace], int]) -> Callable[[SimpleNamespac
 def _read_command_line(argv: Sequence[str]) -> Optional[dict]:
     """The attributes ``build_parser().parse_args(argv)`` would set, when
     argv is a plain command line: a command, its positionals, and options
-    spelled out in full, each followed by one value that does not start
-    with "-", converts by its type and is one of its choices.  None for any
-    other argv (help, abbreviations, ``--opt=value``, ``--``, a missing
-    required option, a wrong number of positionals, ...), which is
-    argparse's to read or refuse."""
+    spelled out in full, each written ``--name=value`` or followed by one
+    value that does not start with "-", whose value converts by its type
+    and is one of its choices.  An attached value is text whatever it
+    starts with, ``--`` included, which argparse would drop.  None for any
+    other argv (help, abbreviations, ``--``, a missing required option, a
+    wrong number of positionals, ...), which is argparse's to read or
+    refuse."""
     words = list(argv)
     attrs = {"command": words.pop(0) if words else None}
     if attrs["command"] == "eval":
@@ -271,8 +275,10 @@ def _read_command_line(argv: Sequence[str]) -> Optional[dict]:
         if not word.startswith("-"):
             positionals.append(word)
             continue
-        option, value = flags.get(word), next(words, "-")
-        if option is None or value.startswith("-"):
+        flag, attached, value = word.partition("=") if word.startswith("--") else (word, "", "")
+        value = value if attached else next(words, "-")
+        option = flags.get(flag)
+        if option is None or (not attached and value.startswith("-")):
             return None
         if option.type is not None:
             try:
@@ -327,6 +333,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         attrs = _read_command_line(sys.argv[1:] if argv is None else argv)
         if attrs is None:
             attrs = vars(build_parser().parse_args(argv))
+            empty = [dest for dest, value in attrs.items() if value == []]
+            if empty:  # argparse reads an attached "--" (``--dim=--``) as []
+                raise InvalidParameterError(f"argument --{empty[0].replace('_', '-')}: invalid value '--'")
         args = SimpleNamespace(**attrs)
         return args.func(args)
     except ValidationFailedError as error:

@@ -468,21 +468,21 @@ class ValidationReport(NamedTuple):
         )
 
 
-def _nodes_clean(nodes: Mapping[NodeId, Node], kind_of: dict, types: frozenset) -> bool:
-    """Whether no node has an issue.  Only the distinct (kind, type,
-    literal) rows are checked, which are few, since only value literals
-    vary much.  A type node outside the hierarchy shows in the count: the
-    graph then holds more type nodes than the hierarchy types it holds as
-    type nodes."""
-    for kind, inst_of, literal in set(map(itemgetter(1, 2, 3), nodes.values())):
-        if kind is _T:
-            if inst_of is not None or literal is not None:
-                return False
-        elif inst_of is None or inst_of not in types:
-            return False
-        elif (not literal) if kind is _V else (literal is not None):
-            return False
-    return countOf(kind_of.values(), _T) == sum(kind_of[type_id] is _T for type_id in kind_of.keys() & types)
+def _row_issues(kind: NodeKind, inst_of: Optional[NodeId], literal: Optional[str], types: frozenset) -> Iterator:
+    """Each issue (kind, message) of a node row: every node rule but a type
+    node's place in the hierarchy, which its id decides."""
+    if kind is _T and inst_of is not None:
+        yield IssueKind.TYPE_NODE_TYPED, "type node carries inst_of"
+    elif kind is not _T and inst_of is None:
+        yield IssueKind.UNTYPED_NODE, "non-type node without inst_of"
+    elif kind is not _T and inst_of not in types:
+        yield IssueKind.UNKNOWN_TYPE_TARGET, f"inst target {inst_of} not in hierarchy"
+    if kind is _V and not literal:
+        yield IssueKind.LITERAL_MISMATCH, "value literal without literal text"
+    elif kind is _T and literal is not None:
+        yield IssueKind.LITERAL_MISMATCH, "type node carries a literal"
+    elif kind is not _V and literal is not None:
+        yield IssueKind.LITERAL_MISMATCH, "literal on a non-value node"
 
 
 def validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> ValidationReport:
@@ -491,11 +491,12 @@ def validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Validation
     raises on content.
 
     A clean graph is proved clean over columns: the set of its distinct
-    node rows, and the set of its edge signatures.  Only the nodes or the
-    edges whose proof fails are walked one by one, and that walk is where
-    every issue is worded.  It visits them in no particular order: the
-    issues are sorted at the end on all their fields, so the order of the
-    walk never shows.
+    node rows (few, since only value literals vary much), each checked by
+    :func:`_row_issues`, a count of its type nodes, and the set of its
+    edge signatures.  Only the nodes or the edges whose proof fails are
+    walked one by one, and that walk is where every issue is worded.  It
+    visits them in no particular order: the issues are sorted at the end on
+    all their fields, so the order of the walk never shows.
     """
     issues: list = []
 
@@ -504,25 +505,16 @@ def validate_graph(graph: GroundedGraph, hierarchy: TypeHierarchy) -> Validation
 
     nodes, types = graph.nodes, hierarchy.types
     kind_of = dict(zip(nodes, map(itemgetter(1), nodes.values())))
-    if not _nodes_clean(nodes, kind_of, types):
-        for node_id, (_, kind, inst_of, literal) in nodes.items():
-            if kind is NodeKind.TYPE_NODE:
-                if inst_of is not None:
-                    report(IssueKind.TYPE_NODE_TYPED, node_id, "type node carries inst_of")
-                if literal is not None:
-                    report(IssueKind.LITERAL_MISMATCH, node_id, "type node carries a literal")
-                if node_id not in types:
-                    report(IssueKind.HIERARCHY_MISMATCH, node_id, "type node absent from hierarchy")
-                continue
-            if inst_of is None:
-                report(IssueKind.UNTYPED_NODE, node_id, "non-type node without inst_of")
-            elif inst_of not in types:
-                report(IssueKind.UNKNOWN_TYPE_TARGET, node_id, f"inst target {inst_of} not in hierarchy")
-            if kind is NodeKind.VALUE_LITERAL:
-                if not literal:
-                    report(IssueKind.LITERAL_MISMATCH, node_id, "value literal without literal text")
-            elif literal is not None:
-                report(IssueKind.LITERAL_MISMATCH, node_id, "literal on a non-value node")
+    row_issues = {row: found for row in set(map(itemgetter(1, 2, 3), nodes.values()))
+                  if (found := list(_row_issues(*row, types)))}
+    # A type node outside the hierarchy shows in the count: the graph then
+    # holds more type nodes than the hierarchy types it holds as type nodes.
+    if row_issues or countOf(kind_of.values(), _T) != sum(kind_of[t] is _T for t in kind_of.keys() & types):
+        for node_id, node in nodes.items():
+            for kind, message in row_issues.get(node[1:], ()):
+                report(kind, node_id, message)
+            if node.kind is _T and node_id not in types:
+                report(IssueKind.HIERARCHY_MISMATCH, node_id, "type node absent from hierarchy")
 
     # Every edge's (relation, subject kind, object kind) signature is
     # admissible; a dangling end has no kind.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .model import GroundedGraph, NodeId, PrimitiveRelation, _equal_to_own_type, _Frozen, _set_field
 
@@ -77,28 +77,28 @@ class LabeledView(NamedTuple):
         return nodes + "".join([f"{labels[s]}\t{glosses[r]}\t{labels[o]}\n" for s, r, o in sorted(self.edges)])
 
 
-def render(
-    graph: GroundedGraph,
-    labels: LabelTable,
-    lang: str,
-) -> LabeledView:
-    """Project a graph into one language.
-
-    Node labels fall back lang -> en -> the id's local part, so a render
-    never fails for missing translations.  Relation glosses come from the
-    label table's ``rel:`` rows and fall back to the canonical relation
-    name.
-    """
-    # Each label is read with dict.get, whose default is the next fallback:
-    # the id's local part, under the English label when lang is not English.
-    # Label tables hold strings, so a found label is never None.  The local
-    # parts are cut with str.partition, without the property's Python call.
+def node_names(labels: LabelTable, node_ids: Collection[NodeId], lang: str,
+               last: Optional[Iterable] = None) -> Iterator:
+    """Each node's name in ``lang``, in ``node_ids``' order: its label in
+    that language, else its English label, else ``last``'s item for it (by
+    default the id's local part).  Every reader names nodes by this rule,
+    so nothing fails for a missing translation."""
+    # Each label is read with dict.get, whose default is the next fallback,
+    # so a label is taken as written.  Local parts are cut by str.partition.
     get = labels.entries.get
-    node_ids = graph.nodes.keys()
-    fallback = map(itemgetter(2), map(str.partition, node_ids, repeat(":")))
+    if last is None:
+        last = map(itemgetter(2), map(str.partition, node_ids, repeat(":")))
     if lang != FALLBACK_LANG:
-        fallback = map(get, zip(node_ids, repeat(FALLBACK_LANG)), fallback)
-    node_labels = dict(zip(node_ids, map(get, zip(node_ids, repeat(lang)), fallback)))
+        last = map(get, zip(node_ids, repeat(FALLBACK_LANG)), last)
+    return map(get, zip(node_ids, repeat(lang)), last)
+
+
+def render(graph: GroundedGraph, labels: LabelTable, lang: str) -> LabeledView:
+    """Project a graph into one language: nodes named by :func:`node_names`,
+    relations glossed by the label table's ``rel:`` rows, else by their
+    canonical names."""
+    node_ids = graph.nodes.keys()
+    node_labels = dict(zip(node_ids, node_names(labels, node_ids, lang)))
     glosses = {}
     for relation in PrimitiveRelation:
         gloss = labels.get(gloss_id(relation), lang)

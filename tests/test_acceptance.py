@@ -5,8 +5,12 @@ Each test prints a single ``[criterion NN] PASS|FAIL`` line (run with
 matching FAIL line in the captured output.
 """
 
+import contextlib
+import io
 import random
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,14 @@ from gkg.cli import main
 from gkg.evaluation import BIRTH_TYPE, demo_document
 
 from .support import WORKED_TEXT, random_document, reachable
+
+
+def _run_cli(argv):
+    """(exit code, stdout, stderr) of ``gkg argv``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def _verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -353,3 +365,28 @@ def test_criterion_10_role_concepts_from_agent_edges():
 
     ok = valid and with_edge == ((x.id, "Teacher"),) and without_edge == ()
     _verdict(10, ok, f"valid={valid}, with_edge={with_edge}, without_edge={without_edge}")
+
+
+def test_criterion_11_graphs_labelled_in_different_languages_align():
+    """B's labels retagged from English to French: aligned under the
+    French tag, A is named by its English labels and B by its French ones,
+    so align writes the rows it writes with both sides in English, and no
+    notice; under English, B is named by ids alone, and align says so."""
+    expected = Path(__file__).parent / "data" / "cli_corpus" / "expected"
+    doc_a, doc_b = str(expected / "canon_a.gkg"), str(expected / "canon_b.stdout")
+    with tempfile.TemporaryDirectory() as work:
+        doc_fr = str(Path(work) / "b_fr.gkg")
+        lines = []
+        for line in Path(doc_b).read_text(encoding="utf-8").splitlines(keepends=True):
+            fields = line.split(" ", 3)  # L <id> <lang> <label>
+            if fields[0] == "L" and fields[2] == "en":
+                fields[2] = "fr"
+            lines.append(" ".join(fields))
+        Path(doc_fr).write_text("".join(lines), encoding="utf-8")
+        same_language = _run_cli(["align", doc_a, doc_b])
+        french = _run_cli(["align", doc_a, doc_fr, "--pivot-lang", "fr"])
+        english = _run_cli(["align", doc_a, doc_fr])
+    notice = f"gkg: no continuant of {doc_fr} has a label in en; align names them by id\n"
+    rows = same_language[1].count("\n")
+    ok = rows > 0 and french == same_language == (0, same_language[1], "") and english == (0, "", notice)
+    _verdict(11, ok, f"rows={rows}, under fr={french[1].count(chr(10))} rows, under en={english[2]!r}")

@@ -19,6 +19,7 @@ from gkg import (
     HashEmbeddingProvider,
     FlatTriple,
     InvalidParameterError,
+    LabelTable,
     NodeId,
     NotAContinuantError,
     SchemaDeclarations,
@@ -32,6 +33,7 @@ from gkg import (
     parse_alignment_tsv,
     parse_gkg,
     parse_rules,
+    render,
     serialize_gkg,
     signature_similarity,
     slot_similarities,
@@ -144,6 +146,23 @@ class TestEntitySignature:
             sig,
             entity_signature(doc.graph, doc.hierarchy, doc.labels, NodeId("ex", "Skywalker"), cfg),
         )["name"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("lang", ["en", "fr", "de", "ar"])
+    def test_names_are_the_rendered_labels(self, lang):
+        """The name slot and the type slot's lineage name each node as
+        ``render`` does: its label in the pivot language, else its English
+        label, else its id's local part."""
+        doc = parse_gkg(
+            "T ont:Person core:Entity\nN ex:a C ont:Person\n"
+            "L ex:a en Roger Waters\nL ex:a fr Roger Waters (musicien)\nL ont:Person en human being\n"
+        )
+        cfg = config(pivot_lang=lang)
+        sig = signature_of(doc, cfg)
+        names = render(doc.graph, doc.labels, lang).node_labels
+        np.testing.assert_allclose(sig.slots["name"], embed_phrase(cfg.provider, names[NodeId("ex", "a")]))
+        ancestors = (NodeId("core", "Entity"), NodeId("ont", "Person"))
+        lineage = [embed_phrase(cfg.provider, names[type_id]) for type_id in ancestors]
+        np.testing.assert_allclose(sig.slots["type"], normalized(np.add.reduce(lineage) / 2.0))
 
 
 class TestSimilarityOracles:
@@ -765,6 +784,23 @@ class TestAlignAgainstOracle:
             assert got == want
             assert [s for _, _, s in got.matches] == [0.75]
             assert format_alignment_tsv(got).split("\t")[2] == "0.7500"
+
+    @given(doc_pairs, providers, st.sampled_from(((True, True), (False, True), (True, False))),
+           st.sampled_from(("es", "ja", "x-tlh")))
+    @settings(max_examples=60, deadline=None)
+    def test_retagged_labels_align_under_their_tag(self, pair, provider, retag, tag):
+        """English labels retagged to a tag no label had, on both sides or
+        on one, and aligned under that tag, name every node as before: no
+        row changes."""
+        doc_a, doc_b = pair
+        hierarchy, cfg = joint_setup(doc_a, doc_b, provider)
+        labels = [
+            LabelTable({(node_id, tag if moved and lang == "en" else lang): label
+                        for (node_id, lang), label in doc.labels.entries.items()})
+            for doc, moved in zip(pair, retag)
+        ]
+        expected = align(doc_a.graph, doc_b.graph, hierarchy, doc_a.labels, doc_b.labels, cfg)
+        assert align(doc_a.graph, doc_b.graph, hierarchy, *labels, replace(cfg, pivot_lang=tag)) == expected
 
 
 class TestAmbiguityBookkeeping:

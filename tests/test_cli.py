@@ -243,8 +243,9 @@ class TestAlignAndMerge:
 
     def test_align_says_when_a_side_has_no_pivot_label(self, workspace, capsys):
         """A side none of whose continuants has a label in the pivot
-        language is named by ids alone, so no row may come out; align says
-        so on stderr, one line per such side, and still exits 0."""
+        language or in English is named by ids alone, so no row may come
+        out; align says so on stderr, one line per such side, and still
+        exits 0."""
         doc_en = workspace / "worked.gkg"
         doc_fr = workspace / "worked_fr.gkg"
         doc_fr.write_text(WORKED_TEXT.replace(" en ", " fr "), encoding="utf-8")
@@ -253,9 +254,10 @@ class TestAlignAndMerge:
         assert main(["align", str(doc_en), str(doc_fr)]) == 0
         assert capsys.readouterr() == ("", f"gkg: no continuant of {doc_fr} has a label in en; align names them by id\n")
         assert main(["align", str(doc_en), str(doc_fr), "--pivot-lang", "de"]) == 0
-        assert capsys.readouterr().err == "".join(
-            f"gkg: no continuant of {path} has a label in de; align names them by id\n" for path in (doc_en, doc_fr)
-        )
+        notice = f"gkg: no continuant of {doc_fr} has a label in de or en; align names them by id\n"
+        assert capsys.readouterr() == ("", notice)
+        assert main(["align", str(doc_en), str(doc_fr), "--pivot-lang", "fr"]) == 0
+        assert capsys.readouterr() == ("ex:rw\tex:rw\t1.0000\tMATCH\n", "")
 
     def test_align_file_provider_requires_vectors(self, workspace, capsys):
         doc_a = canonicalize(workspace, "a.flat", "a.gkg")
@@ -653,6 +655,7 @@ class TestFuzzedCanonicalize:
 
     @settings(max_examples=150, deadline=None)
     @given(_rules_texts(), _flat_texts(_spaced_labels), _source_ids, _revisions)
+    @example("".join(line + "\n" for line in _RULE_LINES), "", "--", 0)  # argparse read "--source-id=--" as []
     def test_what_canonicalize_writes_reads_back(self, rules, flat, source_id, revision):
         """Wherever ``gkg canonicalize`` exits 0, ``gkg validate`` accepts
         its output and the document survives a serialize/parse round trip."""
@@ -767,7 +770,8 @@ def _comparable(attrs):
 
 class TestCommandLineReader:
     """main reads a plain command line itself, to the same attributes
-    argparse would set, and leaves every other argv to argparse."""
+    argparse would set (but for an attached ``--``, which argparse drops),
+    and leaves every other argv to argparse."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(_COMMAND_WORDS).flatmap(_argvs))
@@ -806,6 +810,29 @@ class TestCommandLineReader:
         read = cli._read_command_line(argv)
         assert read is not None
         assert _comparable(read) == _comparable(_parsed_by_argparse(argv))
+
+    @pytest.mark.parametrize(
+        "words, command, option",
+        [pytest.param([*words, name], command, option, id=f"{'_'.join([*words, name])}{option.flags[-1]}")
+         for words, table in (([], cli._COMMANDS), (["eval"], cli._SUITES))
+         for name, command in table.items() for option in command.options],
+    )
+    def test_an_attached_double_dash_is_text_or_refused(self, monkeypatch, capsys, words, command, option):
+        """``--name=--`` gives a text option the value ``--``; any other
+        option refuses it with exit 2 and one line, and the command never
+        runs."""
+        ran = []
+        monkeypatch.setattr(cli, command.func.__name__, lambda args: ran.append(args) or 0)
+        argv = [*words, *(f"{dest}.txt" for dest in command.positionals)]
+        argv += [f"{other.flags[-1]}=x" for other in command.options if other.required and other is not option]
+        argv.append(f"{option.flags[-1]}=--")
+        if option.type is None and option.choices is None:
+            assert main(argv) == 0
+            assert getattr(ran[0], option.dest) == "--"
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"gkg: argument {option.flags[-1]}: invalid value '--'\n")
+            assert ran == []
 
     def test_runs_the_command_function_found_at_call_time(self, monkeypatch):
         ran = []
